@@ -4,7 +4,8 @@ Subcommands: gen, analyze, run, sweep, grover, spectrum.  Every command is
 deterministic given its flags and seed; JSON output has a fixed key order and
 full-precision floats, so identical invocations produce byte-identical files.
 
-Exit codes: 0 success, 2 usage error, 3 invalid instance or formula,
+Exit codes: 0 success, 2 usage error (including out-of-range values of
+--qmax, --steps and SATSEARCH_THREADS), 3 invalid instance or formula,
 4 enumeration/dimension guard exceeded.
 """
 
@@ -14,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+import time
 
 from .cnf import (
     DEFAULT_GUARD_N,
@@ -38,6 +40,25 @@ from .spectral import MAX_EIGENCHECK_N, dense_eigencheck, spectral_summary
 from .statevector import state_snapshot
 
 
+class UsageError(Exception):
+    """A flag or environment value that parses but cannot be used (exit 2)."""
+
+
+def _default_threads() -> int:
+    text = os.environ.get("SATSEARCH_THREADS", "1")
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"SATSEARCH_THREADS must be an integer, got {text!r}") from None
+
+
+def _check_ranges(args) -> None:
+    if getattr(args, "qmax", None) is not None and args.qmax < 1:
+        raise UsageError(f"--qmax must be >= 1 or 'auto', got {args.qmax}")
+    if getattr(args, "steps", None) is not None and args.steps < 0:
+        raise UsageError(f"--steps must be >= 0 or 'auto', got {args.steps}")
+
+
 def _int_or_auto(text: str):
     if text == "auto":
         return None
@@ -55,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--threads",
         type=int,
-        default=int(os.environ.get("SATSEARCH_THREADS", "1")),
+        default=_default_threads(),
         help="worker threads for enumeration (default from SATSEARCH_THREADS)",
     )
     common.add_argument(
@@ -177,16 +198,21 @@ def _cmd_run(args) -> int:
     config = _run_config(args, include_grover=args.grover, grover_steps=args.steps)
     report = run_sweep(config, keep_final_state=args.snapshot is not None)
     _write_snapshot(report, args)
-    payload = report.to_json_dict(include_timings=args.timings)
-    payload["cost"] = total_cost_report(report).to_json_dict()
+    repeat_stats = None
     if args.trials > 0:
+        t0 = time.perf_counter()
         rate, mean_repeats = repeat_until_success_stats(config, args.trials, args.trials_seed)
-        payload["repeat_stats"] = {
+        report.timings["trials_s"] = time.perf_counter() - t0
+        repeat_stats = {
             "trials": args.trials,
             "rng_seed": args.trials_seed,
             "empirical_success_rate": rate,
             "mean_repeats": mean_repeats,
         }
+    payload = report.to_json_dict(include_timings=args.timings)
+    payload["cost"] = total_cost_report(report).to_json_dict()
+    if repeat_stats is not None:
+        payload["repeat_stats"] = repeat_stats
     _emit(_json_text(payload), args.output)
     return 0
 
@@ -231,13 +257,15 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else 0
-    try:
+        args = build_parser().parse_args(argv)
+        _check_ranges(args)
         return _COMMANDS[args.command](args)
+    except SystemExit as exc:  # argparse: --help or a malformed command line
+        return int(exc.code) if exc.code is not None else 0
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (FormulaError, InstanceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -7,6 +7,16 @@ measurement gives) and the squared overlap with the amplified state
 (|0,r> + |1,r>)/sqrt(2), which is what the closed-form peak 1/B**2 bounds.
 The marginal is never smaller than the overlap, so both are kept.
 
+Sweeps run in class coordinates (see ``statevector``): the per-assignment
+profile is folded once into its violation classes, one bincount over the N
+counts, and ``search_step`` then advances at most 2(m+1) class amplitudes.
+The class state is exact, not an approximation: index i of class c has
+amplitude a_(b,c) / sqrt(N_c) on branch b, for any index and any number of
+solutions.  ``success_curve`` reads that amplitude at every step;
+``state_after`` lifts the final class state to the 2N amplitudes once, for
+sampling and snapshots.  Stepping the full vector remains the oracle path,
+reached from the tests and from ``spectral.iterate_matrix``.
+
 Reports serialize to JSON (stable key order, full-precision floats) or to CSV
 for the curves.  Timing information is collected but excluded from the JSON
 by default so that identical configurations produce byte-identical output.
@@ -37,7 +47,6 @@ from .statevector import (
     grover_step,
     measure_distribution,
     search_step,
-    uniform_state,
 )
 
 
@@ -139,29 +148,35 @@ def load_formula(config: RunConfig) -> CnfFormula:
     )
 
 
-def success_curve(profile: PhaseProfile, solution: int, q_max: int) -> np.ndarray:
-    """Rows (q, p_marginal, p_overlap) for q = 0..q_max applications of the iterate."""
+def success_curve(profile: PhaseProfile, index: int, q_max: int) -> np.ndarray:
+    """Rows (q, p_marginal, p_overlap) for index after q = 0..q_max iterate applications.
+
+    Steps in class coordinates and reads the index's two amplitudes
+    a_(b,c) / sqrt(N_c) from its class c at every step.
+    """
     if q_max < 1:
         raise ValueError("q_max must be >= 1")
-    n = int(profile.size).bit_length() - 1
-    state = uniform_state(n)
+    classes = profile.classes()
+    c = profile.class_of(index)
+    fiber = [c, classes.size + c]
+    scale = 1.0 / classes.reflection_axis()[c]
+    state = classes.uniform()
     out = np.empty((q_max + 1, 3))
-    marginal, overlap, _ = measure_distribution(state, solution)
-    out[0] = (0, marginal, overlap)
-    for q in range(1, q_max + 1):
-        state = search_step(state, profile)
-        marginal, overlap, _ = measure_distribution(state, solution)
+    for q in range(q_max + 1):
+        if q:
+            state = search_step(state, classes)
+        marginal, overlap, _ = measure_distribution(state[fiber] * scale, 0)
         out[q] = (q, marginal, overlap)
     return out
 
 
 def state_after(profile: PhaseProfile, iterations: int) -> np.ndarray:
-    """State reached from uniform after the given number of iterate applications."""
-    n = int(profile.size).bit_length() - 1
-    state = uniform_state(n)
+    """Full state reached from uniform after the given number of iterate applications."""
+    classes = profile.classes()
+    state = classes.uniform()
     for _ in range(iterations):
-        state = search_step(state, profile)
-    return state
+        state = search_step(state, classes)
+    return profile.lift(state)
 
 
 def run_sweep(config: RunConfig, keep_final_state: bool = False) -> RunReport:
@@ -194,7 +209,11 @@ def run_sweep(config: RunConfig, keep_final_state: bool = False) -> RunReport:
         grover_curve = run_grover_baseline(formula, solution, steps)
         timings["grover_s"] = time.perf_counter() - t0
 
-    final_state = state_after(profile, q_max) if keep_final_state else None
+    final_state = None
+    if keep_final_state:
+        t0 = time.perf_counter()
+        final_state = state_after(profile, q_max)
+        timings["final_state_s"] = time.perf_counter() - t0
     return RunReport(
         config=config.echo(),
         version=__version__,
@@ -217,6 +236,8 @@ def grover_optimal_steps(total: int) -> int:
 
 def run_grover_baseline(formula: CnfFormula, solution: int, steps: int) -> np.ndarray:
     """Rows (step, p_solution) for the N-dimensional Grover baseline."""
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
     total = formula.assignment_count
     state = np.full(total, 1.0 / math.sqrt(total), dtype=np.complex128)
     out = np.empty((steps + 1, 2))

@@ -10,6 +10,26 @@ Phase convention: an assignment violating u of the m clauses picks up
 exp(+i*pi*u/m) on the b=0 branch and the conjugate on b=1.  Assignments
 satisfying everything (u = 0) are untouched; the search iterate amplifies
 exactly that fixed fiber.
+
+Class coordinates.  Each clause adds its own phase, so the iterate treats all
+assignments with the same violation count alike.  A ``PhaseProfile`` entry
+therefore carries a multiplicity: entry k stands for ``weights[k]``
+assignments that each violate ``u[k]`` clauses.  The per-assignment profile
+(every weight 1, one entry per assignment) is the oracle; ``classes()``
+folds it into one entry per occupied violation count, weight N_u.  In class
+coordinates the unit vector of class (b, u) is the normalized indicator of
+its N_u assignments, the uniform state is s with s_(b,u) = sqrt(N_u / 2N),
+and the iterate is exactly (I - 2ss^T)D on 2(m+1) amplitudes at most, with D
+the class phases.  ``search_step`` is one kernel for both coordinate
+systems: the weighted reflection out -= 2s(s.out) is written with the
+unnormalized axis sqrt(weight), so for all-ones weights it is the plain
+out.sum()/N of the per-assignment path, bit for bit.  ``PhaseProfile.lift``
+maps a class state back to the 2N amplitudes, each assignment of class c
+getting a_c / sqrt(N_c).
+
+The per-assignment path stays as the oracle of the class engine: the tests,
+``spectral.iterate_matrix`` (and through it acceptance criterion 3) and
+criteria 2 and 8 step or multiply the full 2**(n+1)-amplitude vector.
 """
 
 from __future__ import annotations
@@ -24,17 +44,28 @@ from .cnf import CnfFormula, violation_mask
 
 @dataclass
 class PhaseProfile:
-    """Violation counts plus clause count; caches the diagonal phase vector."""
+    """Violation counts with multiplicities plus clause count; caches derived vectors.
+
+    ``weights=None`` means every entry has multiplicity 1: one entry per
+    assignment, the per-assignment profile.
+    """
 
     m: int
     u: np.ndarray
     conjugated: bool = False
+    weights: np.ndarray | None = None
     _phases: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _axis: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _classes: "PhaseProfile | None" = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.m < 1:
             raise ValueError("clause count m must be >= 1")
         self.u = np.asarray(self.u)
+        if self.weights is not None:
+            self.weights = np.asarray(self.weights, dtype=np.int64)
+            if self.weights.shape != self.u.shape or np.any(self.weights < 1):
+                raise ValueError("weights must be positive, one per violation count")
 
     @classmethod
     def from_table(cls, table) -> "PhaseProfile":
@@ -56,10 +87,16 @@ class PhaseProfile:
 
     @property
     def size(self) -> int:
+        """Entries per ancilla branch: amplitudes of a state are 2 * size."""
         return int(self.u.shape[0])
 
+    @property
+    def total(self) -> int:
+        """Assignments the entries stand for, N."""
+        return self.size if self.weights is None else int(self.weights.sum())
+
     def inverse(self) -> "PhaseProfile":
-        return PhaseProfile(self.m, self.u, not self.conjugated)
+        return PhaseProfile(self.m, self.u, not self.conjugated, self.weights)
 
     def phase_vector(self) -> np.ndarray:
         if self._phases is None:
@@ -69,6 +106,54 @@ class PhaseProfile:
             upper = np.exp(1j * theta)
             self._phases = np.concatenate([upper, upper.conj()])
         return self._phases
+
+    def reflection_axis(self) -> np.ndarray:
+        """sqrt(weight) per amplitude: the uniform state times sqrt(2N)."""
+        if self._axis is None:
+            if self.weights is None:
+                self._axis = np.ones(2 * self.size)
+            else:
+                root = np.sqrt(self.weights.astype(np.float64))
+                self._axis = np.concatenate([root, root])
+        return self._axis
+
+    def uniform(self) -> np.ndarray:
+        """Equal superposition over all 2N basis states, in this profile's coordinates."""
+        return self.reflection_axis() * (1.0 / math.sqrt(2 * self.total)) + 0j
+
+    def classes(self) -> "PhaseProfile":
+        """One entry per occupied violation count, weighted by its multiplicity.
+
+        Empty counts are dropped, so no class has weight 0 and ``lift`` never
+        divides by zero.  The entries come out in increasing u.
+        """
+        if self._classes is None:
+            counts = np.bincount(self.u, weights=self.weights, minlength=self.m + 1)
+            occupied = np.flatnonzero(counts)
+            self._classes = PhaseProfile(
+                self.m, occupied, self.conjugated, counts[occupied].astype(np.int64)
+            )
+        return self._classes
+
+    def class_of(self, index: int) -> int:
+        """Entry of ``classes()`` that entry ``index`` of this profile falls in."""
+        if not 0 <= index < self.size:
+            raise ValueError(f"index {index} out of range for {self.size} entries")
+        return int(np.searchsorted(self.classes().u, self.u[index]))
+
+    def lift(self, class_state: np.ndarray) -> np.ndarray:
+        """Amplitudes per entry of a state given in ``classes()`` coordinates.
+
+        Each of the N_c assignments of class c gets a_c / sqrt(N_c) on each
+        branch; for a per-assignment profile this is the full state vector.
+        """
+        classes = self.classes()
+        _check_dimension(class_state, classes.size)
+        per_assignment = class_state / classes.reflection_axis()
+        position = np.searchsorted(classes.u, self.u)
+        return np.concatenate(
+            [per_assignment[: classes.size][position], per_assignment[classes.size :][position]]
+        )
 
 
 def uniform_state(n: int) -> np.ndarray:
@@ -120,10 +205,15 @@ def reflect_about_uniform(state: np.ndarray) -> np.ndarray:
 
 
 def search_step(state: np.ndarray, profile: PhaseProfile) -> np.ndarray:
-    """One search iteration: clause phases first, then reflection about uniform."""
+    """One search iteration: clause phases D, then the reflection I - 2ss^T.
+
+    With the axis r = sqrt(weight) = sqrt(2N) * s, 2s(s.out) = r(r.out)/N; for
+    a per-assignment profile r is all ones and this is out.sum()/N.
+    """
     _check_dimension(state, profile.size)
     out = state * profile.phase_vector()
-    out -= out.sum() / profile.size
+    axis = profile.reflection_axis()
+    out -= axis * ((axis * out).sum() / profile.total)
     return out
 
 
@@ -168,4 +258,4 @@ def measure_distribution(
 def state_snapshot(state: np.ndarray, threshold: float = 1e-6) -> list[tuple[int, float, float]]:
     """(index, re, im) triples for amplitudes above the magnitude threshold."""
     keep = np.flatnonzero(np.abs(state) > threshold)
-    return [(int(k), float(state[k].real), float(state[k].imag)) for k in keep]
+    return list(zip(keep.tolist(), state.real[keep].tolist(), state.imag[keep].tolist()))

@@ -145,6 +145,15 @@ class TestRun:
         assert main(["run", "-f", toy_path, "--timings", "-o", str(out)]) == 0
         assert "timings" in json.loads(out.read_text())
 
+    def test_timings_cover_final_state_and_trials(self, toy_path, tmp_path):
+        out = tmp_path / "report.json"
+        assert main([
+            "run", "-f", toy_path, "--timings", "--trials", "10",
+            "--snapshot", str(tmp_path / "snap.json"), "-o", str(out),
+        ]) == 0
+        timings = json.loads(out.read_text())["timings"]
+        assert {"enumerate_s", "spectral_s", "sweep_s", "final_state_s", "trials_s"} <= set(timings)
+
 
 class TestGrover:
     def test_auto_steps_curve_peaks(self, tmp_path):
@@ -181,6 +190,33 @@ class TestSpectrum:
         path.write_text("p cnf 16 1\n1 0\n")
         assert main(["spectrum", "-f", str(path)]) == 4
         assert "n <= 10" in capsys.readouterr().err
+
+
+class TestUsageErrors:
+    """Values that parse but cannot be used exit 2 with one error line."""
+
+    @staticmethod
+    def assert_one_line_error(capsys, fragment):
+        captured = capsys.readouterr()
+        lines = captured.err.strip().split("\n")
+        assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
+        assert fragment in lines[0]
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["sweep", "run"])
+    def test_qmax_zero(self, command, toy_path, capsys):
+        assert main([command, "-f", toy_path, "--qmax", "0"]) == 2
+        self.assert_one_line_error(capsys, "--qmax")
+
+    @pytest.mark.parametrize("command", ["grover", "run"])
+    def test_negative_steps(self, command, toy_path, capsys):
+        assert main([command, "-f", toy_path, "--steps", "-1"]) == 2
+        self.assert_one_line_error(capsys, "--steps")
+
+    def test_non_integer_threads_env(self, toy_path, capsys, monkeypatch):
+        monkeypatch.setenv("SATSEARCH_THREADS", "two")
+        assert main(["analyze", "-f", toy_path]) == 2
+        self.assert_one_line_error(capsys, "SATSEARCH_THREADS")
 
 
 class TestParser:

@@ -144,6 +144,11 @@ class TestGroverBaseline:
     def test_optimal_steps_value(self):
         assert ss.grover_optimal_steps(1 << 16) == 201
 
+    def test_negative_steps_rejected(self):
+        formula = ss.parse_dimacs("p cnf 2 2\n1 0\n2 0\n")
+        with pytest.raises(ValueError, match="steps"):
+            ss.run_grover_baseline(formula, 3, -1)
+
 
 class TestSampling:
     def test_high_success_when_b_is_one(self):

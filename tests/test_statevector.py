@@ -208,3 +208,13 @@ class TestSnapshot:
         state[5] = 1e-8
         triples = ss.state_snapshot(state, threshold=1e-6)
         assert triples == [(1, 0.9, 0.0)]
+
+    def test_matches_per_element_formula(self):
+        state = random_state(1 << 12, seed=21)
+        threshold = 0.015  # keeps about half of the amplitudes
+        keep = np.flatnonzero(np.abs(state) > threshold)
+        expected = [(int(k), float(state[k].real), float(state[k].imag)) for k in keep]
+        triples = ss.state_snapshot(state, threshold)
+        assert 0 < len(triples) < state.shape[0]
+        assert triples == expected
+        assert all(type(v) in (int, float) for triple in triples for v in triple)

@@ -5,8 +5,12 @@ deterministic given its flags and seed; JSON output has a fixed key order and
 full-precision floats, so identical invocations produce byte-identical files.
 
 Exit codes: 0 success, 2 usage error (including out-of-range values of
---qmax, --steps and SATSEARCH_THREADS), 3 invalid instance or formula,
-4 enumeration/dimension guard exceeded.
+--qmax, --steps, --trials and SATSEARCH_THREADS), 3 invalid instance or
+formula (any bytes that do not parse as DIMACS, or a file that cannot be
+read), 4 enumeration/dimension guard exceeded.
+
+``run --trials 0`` (the default) takes no samples; a negative count is a usage
+error.
 """
 
 from __future__ import annotations
@@ -23,12 +27,12 @@ from .cnf import (
     GuardError,
     InstanceError,
     build_unsat_table,
-    parse_dimacs,
+    read_dimacs,
     serialize_dimacs,
 )
 from .experiment import (
     RunConfig,
-    grover_curve_csv,
+    curve_csv,
     grover_optimal_steps,
     repeat_until_success_stats,
     run_grover_baseline,
@@ -57,6 +61,8 @@ def _check_ranges(args) -> None:
         raise UsageError(f"--qmax must be >= 1 or 'auto', got {args.qmax}")
     if getattr(args, "steps", None) is not None and args.steps < 0:
         raise UsageError(f"--steps must be >= 0 or 'auto', got {args.steps}")
+    if getattr(args, "trials", 0) < 0:
+        raise UsageError(f"--trials must be >= 0, got {args.trials}")
 
 
 def _int_or_auto(text: str):
@@ -137,11 +143,6 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _read_formula(path: str):
-    with open(path) as handle:
-        return parse_dimacs(handle.read())
-
-
 def _cmd_gen(args) -> int:
     formula = generate_planted_3sat(args.n, args.m, args.seed, guard_n=args.guard_n)
     table = build_unsat_table(formula, guard_n=args.guard_n, threads=args.threads)
@@ -152,7 +153,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    formula = _read_formula(args.formula)
+    formula = read_dimacs(args.formula)
     table = build_unsat_table(formula, guard_n=args.guard_n, threads=args.threads)
     summary = spectral_summary(table)
     if args.table is not None:
@@ -188,7 +189,7 @@ def _cmd_sweep(args) -> int:
     report = run_sweep(config, keep_final_state=args.snapshot is not None)
     _write_snapshot(report, args)
     if args.format == "csv":
-        _emit(report.curve_csv(), args.output)
+        _emit(curve_csv("q,p_marginal,p_overlap", report.curve), args.output)
     else:
         _emit(_json_text(report.to_json_dict()), args.output)
     return 0
@@ -218,13 +219,13 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_grover(args) -> int:
-    formula = _read_formula(args.formula)
+    formula = read_dimacs(args.formula)
     table = build_unsat_table(formula, guard_n=args.guard_n, threads=args.threads)
     solution = table.unique_solution()
     steps = args.steps if args.steps is not None else grover_optimal_steps(formula.assignment_count)
     curve = run_grover_baseline(formula, solution, steps)
     if args.format == "csv":
-        _emit(grover_curve_csv(curve), args.output)
+        _emit(curve_csv("step,p_r", curve), args.output)
     else:
         payload = {"steps": steps, "curve": [[int(k), float(p)] for k, p in curve]}
         _emit(_json_text(payload), args.output)
@@ -232,7 +233,7 @@ def _cmd_grover(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    formula = _read_formula(args.formula)
+    formula = read_dimacs(args.formula)
     if formula.n > MAX_EIGENCHECK_N:
         raise GuardError(
             f"spectrum requires n <= {MAX_EIGENCHECK_N}, got n={formula.n}"

@@ -5,6 +5,10 @@ bit k-1 of i holds the value of variable x_k.  Every other component (phase
 operators, spectral sums, success metrics) is keyed to this encoding, so it is
 fixed here once and tested bit-exactly.
 
+``read_dimacs`` is the only reader of DIMACS files: it decodes the bytes so
+that no input can fail before parsing, and hands the text to ``parse_dimacs``,
+which also accepts the SATLIB ``%`` trailer.
+
 ``build_unsat_table`` enumerates every assignment and is the classical oracle
 the rest of the toolkit is validated against.  It is deliberately the only
 solver in the package: exhaustive, vectorized with numpy bit tricks, and
@@ -120,13 +124,12 @@ class CnfFormula:
         return 1 << self.n
 
 
-def eval_clause(clause: Clause, assignment: int) -> bool:
-    """True iff at least one literal of the clause holds under the assignment."""
-    return clause.satisfied_by(assignment)
-
-
 def unsat_count(formula: CnfFormula, assignment: int) -> int:
-    """Number of clauses the assignment leaves unsatisfied."""
+    """Number of clauses the assignment leaves unsatisfied.
+
+    The scalar, one-assignment-at-a-time oracle that ``build_unsat_table`` is
+    tested against.
+    """
     return sum(not clause.satisfied_by(assignment) for clause in formula.clauses)
 
 
@@ -135,14 +138,17 @@ def parse_dimacs(text: str) -> CnfFormula:
 
     Accepts ``c`` comment lines, exactly one ``p cnf <vars> <clauses>`` header,
     then whitespace-separated signed integers with each clause terminated by 0.
-    Clauses may span lines or share one.  Raises ``DimacsError`` on a malformed
-    header, a clause count mismatch, out-of-range literals, empty clauses, or
-    tautological clauses.
+    Clauses may span lines or share one.  A line starting with ``%`` ends the
+    formula: SATLIB files close with a ``%`` line and a lone ``0``, and both
+    are ignored.  Raises ``DimacsError`` on a malformed header, a clause count
+    mismatch, out-of-range literals, empty clauses, or tautological clauses.
     """
     n = m = None
     tokens: list[str] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
+        if line.startswith("%"):
+            break
         if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
@@ -189,6 +195,20 @@ def parse_dimacs(text: str) -> CnfFormula:
     if len(clauses) != m:
         raise DimacsError(f"header declares {m} clauses, found {len(clauses)}")
     return CnfFormula(n, tuple(clauses))
+
+
+def read_dimacs(path) -> CnfFormula:
+    """Parse the DIMACS CNF file at ``path``.
+
+    This is the one place where file bytes become a formula.  The bytes are
+    decoded as Latin-1, which maps every byte to one character and never
+    fails, so any file either parses or raises ``DimacsError``.  Comments may
+    hold any bytes, UTF-8 included.  Latin-1 has no decimal digits outside
+    ASCII, so a non-ASCII character inside a header or clause token still
+    makes that token non-integer.
+    """
+    with open(path, "rb") as handle:
+        return parse_dimacs(handle.read().decode("latin-1"))
 
 
 def serialize_dimacs(formula: CnfFormula, comments: Sequence[str] = ()) -> str:

@@ -38,7 +38,7 @@ from .cnf import (
     DEFAULT_GUARD_N,
     UnsatTable,
     build_unsat_table,
-    parse_dimacs,
+    read_dimacs,
 )
 from .generate import generate_planted_3sat
 from .spectral import SpectralSummary, spectral_summary
@@ -132,17 +132,10 @@ class RunReport:
             out["timings"] = self.timings
         return out
 
-    def curve_csv(self) -> str:
-        lines = ["q,p_marginal,p_overlap"]
-        for q, pm, po in self.curve:
-            lines.append(f"{int(q)},{float(pm)!r},{float(po)!r}")
-        return "\n".join(lines) + "\n"
-
 
 def load_formula(config: RunConfig) -> CnfFormula:
     if config.formula_path is not None:
-        with open(config.formula_path) as handle:
-            return parse_dimacs(handle.read())
+        return read_dimacs(config.formula_path)
     return generate_planted_3sat(
         config.gen_n, config.gen_m, config.gen_seed or 0, guard_n=config.guard_n
     )
@@ -165,7 +158,7 @@ def success_curve(profile: PhaseProfile, index: int, q_max: int) -> np.ndarray:
     for q in range(q_max + 1):
         if q:
             state = search_step(state, classes)
-        marginal, overlap, _ = measure_distribution(state[fiber] * scale, 0)
+        marginal, overlap = measure_distribution(state[fiber] * scale, 0)
         out[q] = (q, marginal, overlap)
     return out
 
@@ -337,8 +330,9 @@ def total_cost_report(report: RunReport) -> CostReport:
     )
 
 
-def grover_curve_csv(curve: np.ndarray) -> str:
-    lines = ["step,p_r"]
-    for k, p in curve:
-        lines.append(f"{int(k)},{float(p)!r}")
+def curve_csv(header: str, curve: np.ndarray) -> str:
+    """CSV of curve rows: the first column as an int, the others as repr floats."""
+    lines = [header]
+    for first, *rest in curve:
+        lines.append(",".join([str(int(first)), *(repr(float(v)) for v in rest)]))
     return "\n".join(lines) + "\n"

@@ -30,6 +30,11 @@ from .statevector import PhaseProfile, search_step
 
 VALIDITY_WARNING_RATIO = 0.1
 MAX_EIGENCHECK_N = 10
+# dense_eigencheck: eigenphases at or below ZERO_PHASE_FLOOR count as zero, and
+# eigenvectors whose squared overlap with the amplified state is at or below
+# OVERLAP_FLOOR are spectators of the search dynamics
+ZERO_PHASE_FLOOR = 1e-9
+OVERLAP_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -83,22 +88,6 @@ def lambda2_from_histogram(histogram, m: int) -> float:
     return float(np.dot(hist[1:], cot_sq) / total)
 
 
-def cotangent_sum(table: UnsatTable, p: int) -> float:
-    """p-th cotangent moment of the iterate's non-solution eigenphases.
-
-    p=1 pairs each cot(+theta/2) with cot(-theta/2) from the conjugate ancilla
-    branch, cancelling term by term; it is returned as exact zero so callers
-    never see rounding residue.  p=2 is ``lambda2_from_histogram``, where the
-    branches add instead.
-    """
-    table.unique_solution()
-    if p == 1:
-        return 0.0
-    if p == 2:
-        return lambda2_from_histogram(table.histogram, table.m)
-    raise ValueError(f"only moments p=1 and p=2 are defined, got p={p}")
-
-
 def spectral_summary(table: UnsatTable) -> SpectralSummary:
     """All closed-form predictions for a unique-solution instance."""
     table.unique_solution()
@@ -133,10 +122,6 @@ class EigenPairReport:
     lambda_minus: float
     span_weight: float
 
-    @property
-    def principal_pair(self) -> tuple[float, float]:
-        return (self.lambda_plus, self.lambda_minus)
-
     def to_json_dict(self) -> dict:
         return {
             "lambda_plus": self.lambda_plus,
@@ -158,12 +143,7 @@ def iterate_matrix(profile: PhaseProfile) -> np.ndarray:
     return matrix
 
 
-def dense_eigencheck(
-    formula: CnfFormula,
-    table: UnsatTable,
-    zero_phase_floor: float = 1e-9,
-    overlap_floor: float = 1e-6,
-) -> EigenPairReport:
+def dense_eigencheck(formula: CnfFormula, table: UnsatTable) -> EigenPairReport:
     """Full eigendecomposition of the iterate; extracts the principal pair.
 
     The principal pair is the conjugate eigenphase pair of smallest nonzero
@@ -189,7 +169,7 @@ def dense_eigencheck(
     target[solution] = target[data_dim + solution] = 1.0 / math.sqrt(2.0)
     overlaps = np.abs(vectors.conj().T @ target) ** 2
 
-    eligible = np.flatnonzero((np.abs(phases) > zero_phase_floor) & (overlaps > overlap_floor))
+    eligible = np.flatnonzero((np.abs(phases) > ZERO_PHASE_FLOOR) & (overlaps > OVERLAP_FLOOR))
     if eligible.size < 2:
         raise RuntimeError("no principal eigenphase pair found above the overlap floor")
     eligible = eligible[np.argsort(np.abs(phases[eligible]))]

@@ -27,6 +27,15 @@ out.sum()/N of the per-assignment path, bit for bit.  ``PhaseProfile.lift``
 maps a class state back to the 2N amplitudes, each assignment of class c
 getting a_c / sqrt(N_c).
 
+One kernel per job.  ``search_step`` is the only implementation of the
+iterate; its diagonal pass ``state * profile.phase_vector()`` is the clause
+phase operator D, and on a profile whose every count is 0 it is the bare
+reflection about the uniform state.  ``PhaseProfile.uniform()`` is the only
+start state.  Two independent paths stay as oracles: ``grover_step``, the
+textbook iterate on the bare N-dimensional register (the baseline, and the
+oracle of acceptance criterion 5), and ``apply_clause_phases_factored``, which
+evaluates clauses one by one instead of reading a violation table.
+
 The per-assignment path stays as the oracle of the class engine: the tests,
 ``spectral.iterate_matrix`` (and through it acceptance criterion 3) and
 criteria 2 and 8 step or multiply the full 2**(n+1)-amplitude vector.
@@ -52,7 +61,6 @@ class PhaseProfile:
 
     m: int
     u: np.ndarray
-    conjugated: bool = False
     weights: np.ndarray | None = None
     _phases: np.ndarray | None = field(default=None, repr=False, compare=False)
     _axis: np.ndarray | None = field(default=None, repr=False, compare=False)
@@ -72,8 +80,8 @@ class PhaseProfile:
         return cls(table.m, table.counts)
 
     @classmethod
-    def all_violated(cls, n: int, solution: int, m: int = 1) -> "PhaseProfile":
-        """Profile where every non-solution violates all m clauses.
+    def all_violated(cls, n: int, solution: int) -> "PhaseProfile":
+        """Profile with m = 1 where every non-solution violates the one clause.
 
         All non-solution phases are exp(+/- i*pi) = -1, which turns the search
         iterate into a plain Grover iterate on the doubled register.  This
@@ -81,9 +89,9 @@ class PhaseProfile:
         OR-clause can only be violated on a subcube), so it is constructed
         directly as a table.
         """
-        u = np.full(1 << n, m, dtype=np.int32)
+        u = np.ones(1 << n, dtype=np.int32)
         u[solution] = 0
-        return cls(m, u)
+        return cls(1, u)
 
     @property
     def size(self) -> int:
@@ -95,14 +103,9 @@ class PhaseProfile:
         """Assignments the entries stand for, N."""
         return self.size if self.weights is None else int(self.weights.sum())
 
-    def inverse(self) -> "PhaseProfile":
-        return PhaseProfile(self.m, self.u, not self.conjugated, self.weights)
-
     def phase_vector(self) -> np.ndarray:
         if self._phases is None:
             theta = (np.pi / self.m) * self.u.astype(np.float64)
-            if self.conjugated:
-                theta = -theta
             upper = np.exp(1j * theta)
             self._phases = np.concatenate([upper, upper.conj()])
         return self._phases
@@ -130,9 +133,7 @@ class PhaseProfile:
         if self._classes is None:
             counts = np.bincount(self.u, weights=self.weights, minlength=self.m + 1)
             occupied = np.flatnonzero(counts)
-            self._classes = PhaseProfile(
-                self.m, occupied, self.conjugated, counts[occupied].astype(np.int64)
-            )
+            self._classes = PhaseProfile(self.m, occupied, counts[occupied].astype(np.int64))
         return self._classes
 
     def class_of(self, index: int) -> int:
@@ -156,25 +157,11 @@ class PhaseProfile:
         )
 
 
-def uniform_state(n: int) -> np.ndarray:
-    """Equal superposition over all 2N = 2**(n+1) basis states."""
-    if n < 1:
-        raise ValueError("need n >= 1 data qubits")
-    dim = 2 << n
-    return np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128)
-
-
 def _check_dimension(state: np.ndarray, data_dim: int) -> None:
     if state.shape[0] != 2 * data_dim:
         raise ValueError(
             f"state has {state.shape[0]} amplitudes, expected {2 * data_dim}"
         )
-
-
-def apply_clause_phases(state: np.ndarray, profile: PhaseProfile) -> np.ndarray:
-    """Diagonal clause-phase operator as one precomputed elementwise pass."""
-    _check_dimension(state, profile.size)
-    return state * profile.phase_vector()
 
 
 def apply_clause_phases_factored(state: np.ndarray, formula: CnfFormula) -> np.ndarray:
@@ -183,7 +170,8 @@ def apply_clause_phases_factored(state: np.ndarray, formula: CnfFormula) -> np.n
     Each clause multiplies branch b=0 by exp(i*pi/m) on the assignments it
     leaves unsatisfied, and branch b=1 by the conjugate.  This path evaluates
     clauses directly instead of using a precomputed violation table, so it
-    cross-checks ``apply_clause_phases`` as an independent implementation.
+    cross-checks the diagonal pass ``state * profile.phase_vector()`` that
+    ``search_step`` makes, as an independent implementation.
     Being diagonal, the factors commute and clause order is irrelevant.
     """
     data_dim = 1 << formula.n
@@ -196,12 +184,6 @@ def apply_clause_phases_factored(state: np.ndarray, formula: CnfFormula) -> np.n
         out[:data_dim][violated] *= factor
         out[data_dim:][violated] *= factor.conjugate()
     return out
-
-
-def reflect_about_uniform(state: np.ndarray) -> np.ndarray:
-    """psi -> psi - 2<+|psi>|+>: negates the uniform component, fixes the rest."""
-    data_dim = state.shape[0] // 2
-    return state - state.sum() / data_dim
 
 
 def search_step(state: np.ndarray, profile: PhaseProfile) -> np.ndarray:
@@ -222,8 +204,8 @@ def grover_step(state: np.ndarray, solution: int) -> np.ndarray:
 
     The baseline flips the known solution's phase directly (the oracle answer
     is injected), then reflects about the uniform state.  The sign convention
-    matches ``reflect_about_uniform``; it differs from the inversion-about-mean
-    form only by a global phase.
+    matches the reflection in ``search_step``; it differs from the
+    inversion-about-mean form only by a global phase.
     """
     out = np.array(state, dtype=np.complex128, copy=True)
     out[solution] = -out[solution]
@@ -231,18 +213,13 @@ def grover_step(state: np.ndarray, solution: int) -> np.ndarray:
     return out
 
 
-def measure_distribution(
-    state: np.ndarray,
-    solution: int,
-    include_full: bool = False,
-) -> tuple[float, float, np.ndarray | None]:
+def measure_distribution(state: np.ndarray, solution: int) -> tuple[float, float]:
     """Success statistics of a joint-register state for a known solution.
 
-    Returns the data-register marginal probability of reading the solution,
-    the squared overlap with the state (|0,r> + |1,r>)/sqrt(2), and optionally
-    the full probability vector.  The marginal can never be smaller than the
-    overlap: the overlap picks one direction out of the two-dimensional
-    ancilla fiber the marginal sums over.
+    Returns the data-register marginal probability of reading the solution
+    and the squared overlap with the state (|0,r> + |1,r>)/sqrt(2).  The
+    marginal can never be smaller than the overlap: the overlap picks one
+    direction out of the two-dimensional ancilla fiber the marginal sums over.
     """
     data_dim = state.shape[0] // 2
     if not 0 <= solution < data_dim:
@@ -251,8 +228,7 @@ def measure_distribution(
     a1 = state[data_dim + solution]
     marginal = abs(a0) ** 2 + abs(a1) ** 2
     overlap = 0.5 * abs(a0 + a1) ** 2
-    full = np.abs(state) ** 2 if include_full else None
-    return float(marginal), float(overlap), full
+    return float(marginal), float(overlap)
 
 
 def state_snapshot(state: np.ndarray, threshold: float = 1e-6) -> list[tuple[int, float, float]]:

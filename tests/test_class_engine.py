@@ -19,8 +19,7 @@ from conftest import formulas
 
 def full_vector_states(profile, iterations):
     """Per-assignment states after q = 0..iterations applications of the iterate."""
-    n = profile.size.bit_length() - 1
-    state = ss.uniform_state(n)
+    state = profile.uniform()
     states = [state]
     for _ in range(iterations):
         state = ss.search_step(state, profile)
@@ -30,7 +29,7 @@ def full_vector_states(profile, iterations):
 
 def full_vector_curve(profile, index, q_max):
     rows = [
-        (q, *ss.measure_distribution(state, index)[:2])
+        (q, *ss.measure_distribution(state, index))
         for q, state in enumerate(full_vector_states(profile, q_max))
     ]
     return np.asarray(rows)
@@ -48,15 +47,16 @@ class TestClassProfile:
     def test_uniform_lifts_to_uniform_state(self, planted14):
         _, table, _ = planted14
         profile = ss.PhaseProfile.from_table(table)
+        uniform = np.full(2 << 14, 1 / math.sqrt(2 << 14), dtype=np.complex128)
         lifted = profile.lift(profile.classes().uniform())
-        assert np.max(np.abs(lifted - ss.uniform_state(14))) < 1e-15
-        assert np.array_equal(profile.uniform(), ss.uniform_state(14))
+        assert np.max(np.abs(lifted - uniform)) < 1e-15
+        assert np.array_equal(profile.uniform(), uniform)
 
     def test_classes_keep_conjugation(self):
-        profile = ss.PhaseProfile(m=2, u=np.array([0, 1, 2, 2])).inverse()
-        classes = profile.classes()
-        assert classes.conjugated
-        assert np.array_equal(classes.phase_vector()[:3], np.exp(-1j * np.pi * np.arange(3) / 2))
+        # class c carries exp(+i*pi*u_c/m) on branch b=0 and its conjugate on b=1
+        classes = ss.PhaseProfile(m=2, u=np.array([0, 1, 2, 2])).classes()
+        upper = np.exp(1j * np.pi * np.arange(3) / 2)
+        assert np.array_equal(classes.phase_vector(), np.concatenate([upper, upper.conj()]))
 
     def test_weights_validated(self):
         with pytest.raises(ValueError, match="weights"):
@@ -96,7 +96,7 @@ class TestAgainstFullVector:
         states = full_vector_states(profile, q_max)
         for index in (table.unique_solution(), 0, 12345):
             expected = np.asarray(
-                [(q, *ss.measure_distribution(s, index)[:2]) for q, s in enumerate(states)]
+                [(q, *ss.measure_distribution(s, index)) for q, s in enumerate(states)]
             )
             assert np.max(np.abs(ss.success_curve(profile, index, q_max) - expected)) <= 1e-12
         assert np.max(np.abs(ss.state_after(profile, q_max) - states[-1])) <= 1e-12

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -80,6 +81,22 @@ class TestAnalyze:
         assert main(["analyze", "-f", str(path)]) == 3
         assert "tautological" in capsys.readouterr().err
 
+    def test_satlib_trailer(self, tmp_path, capsys):
+        path = tmp_path / "satlib.cnf"
+        path.write_text("c SATLIB-style\n" + TOY_DIMACS + "%\n0\n\n")
+        assert main(["analyze", "-f", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["histogram"] == [1, 2, 1]
+
+    def test_non_utf8_bytes_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "binary.cnf"
+        path.write_bytes(b"p cnf 2 2\n1 0\n\xff 0\n")
+        assert main(["analyze", "-f", str(path)]) == 3
+        captured = capsys.readouterr()
+        lines = captured.err.strip().split("\n")
+        assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
+        assert "non-integer" in lines[0]
+        assert captured.out == ""
+
 
 class TestSweep:
     def test_auto_qmax_row_count(self, tmp_path):
@@ -154,6 +171,11 @@ class TestRun:
         timings = json.loads(out.read_text())["timings"]
         assert {"enumerate_s", "spectral_s", "sweep_s", "final_state_s", "trials_s"} <= set(timings)
 
+    def test_zero_trials_takes_no_samples(self, toy_path, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(["run", "-f", toy_path, "--trials", "0", "-o", str(out)]) == 0
+        assert "repeat_stats" not in json.loads(out.read_text())
+
 
 class TestGrover:
     def test_auto_steps_curve_peaks(self, tmp_path):
@@ -213,6 +235,10 @@ class TestUsageErrors:
         assert main([command, "-f", toy_path, "--steps", "-1"]) == 2
         self.assert_one_line_error(capsys, "--steps")
 
+    def test_negative_trials(self, toy_path, capsys):
+        assert main(["run", "-f", toy_path, "--trials", "-3"]) == 2
+        self.assert_one_line_error(capsys, "--trials")
+
     def test_non_integer_threads_env(self, toy_path, capsys, monkeypatch):
         monkeypatch.setenv("SATSEARCH_THREADS", "two")
         assert main(["analyze", "-f", toy_path]) == 2
@@ -227,3 +253,38 @@ class TestParser:
         assert main(["analyze", "-f", toy_path]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["q_m"] == 2
+
+
+class TestOutputBytes:
+    """Every command's output bytes on one fixed n = 8 instance, pinned by sha256.
+
+    Any change to these digests is a change of the output format or of the
+    numbers.  The float digits come from numpy's elementwise exp and sqrt and
+    its pairwise sums; a platform whose math library rounds differently would
+    need the digests taken again.
+    """
+
+    COMMANDS = [
+        ["gen", "-n", "8", "-m", "12", "--seed", "1", "-o", "inst.cnf"],
+        ["analyze", "-f", "inst.cnf", "-o", "analyze.json"],
+        ["sweep", "-f", "inst.cnf", "--format", "csv", "-o", "sweep.csv"],
+        ["grover", "-f", "inst.cnf", "--format", "csv", "-o", "grover.csv"],
+        ["run", "-f", "inst.cnf", "--grover", "--trials", "50", "--snapshot", "snap.json", "-o", "run.json"],
+    ]
+    SHA256 = {
+        "inst.cnf": "b046d53e02cb3a9a680eeee9d3369ed605a58bd891646e2fc61a839135ea71e9",
+        "analyze.json": "4ddcea610bacefb861a44bce5eb8c98997a9cd589ea0da066bb16fe5b69f5bc1",
+        "sweep.csv": "160447cd62a66bdb3042a03767b143cc5fe2bb9c7d517322a4c1ed7d7e68f791",
+        "grover.csv": "a037eb0c6434317dff84b4f1d636292e195e23bcd6b774211405b10eeb6411cb",
+        "run.json": "0cdca67c99b96459ff8d10be696aa531d8f40dae94cb267b05c69f1fd5d5b12b",
+        "snap.json": "42d7b6944d927a6b09fafda0b4df1e81168050ff3b3c27e65ad6b287839d8199",
+    }
+
+    def test_pinned_digests(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # the run report echoes the formula path
+        for argv in self.COMMANDS:
+            assert main(argv) == 0, argv
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in self.SHA256
+        }
+        assert digests == self.SHA256

@@ -1,6 +1,10 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import satsearch as ss
 from satsearch.cnf import violation_mask
@@ -60,6 +64,11 @@ class TestParseDimacs:
         again = ss.parse_dimacs(ss.serialize_dimacs(formula))
         assert again == formula
 
+    def test_satlib_trailer_ignored(self):
+        # SATLIB files close with a '%' line and a lone '0'
+        text = "c uf3\np cnf 3 2\n 1 -2 3 0\n-1 2 0\n"
+        assert ss.parse_dimacs(text + "%\n0\n\n") == ss.parse_dimacs(text)
+
     def test_serialize_comments(self):
         text = ss.serialize_dimacs(ss.parse_dimacs(TOY_DIMACS), comments=["planted 3"])
         assert text.startswith("c planted 3\np cnf 2 2\n")
@@ -68,9 +77,9 @@ class TestParseDimacs:
 class TestClauseEvaluation:
     def test_examples(self):
         clause = ss.Clause.from_ints([1, -2])
-        assert ss.eval_clause(clause, 0b01)  # x1=1, x2=0
-        assert not ss.eval_clause(clause, 0b10)  # x1=0, x2=1
-        assert ss.eval_clause(ss.Clause.from_ints([1]), 1)
+        assert clause.satisfied_by(0b01)  # x1=1, x2=0
+        assert not clause.satisfied_by(0b10)  # x1=0, x2=1
+        assert ss.Clause.from_ints([1]).satisfied_by(1)
 
     def test_unsat_count_examples(self, toy_formula):
         assert ss.unsat_count(toy_formula, 0b00) == 2
@@ -158,9 +167,44 @@ class TestUnsatTable:
 
 
 class TestViolationMask:
-    def test_matches_eval_clause(self):
+    def test_matches_satisfied_by(self):
         clause = ss.Clause.from_ints([1, -3])
         indices = np.arange(8)
         mask = violation_mask(clause, indices)
         for i in range(8):
-            assert mask[i] == (not ss.eval_clause(clause, i))
+            assert mask[i] == (not clause.satisfied_by(i))
+
+
+def read_bytes_as_dimacs(data: bytes):
+    # hypothesis rejects function-scoped fixtures such as tmp_path, so each
+    # example makes its own file
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "fuzz.cnf")
+        with open(path, "wb") as handle:
+            handle.write(data)
+        return ss.read_dimacs(path)
+
+
+class TestReadDimacs:
+    def test_utf8_comment_parses(self):
+        data = "c größe ≤ 3 — ünïcode\np cnf 2 1\n1 -2 0\n".encode("utf-8")
+        assert read_bytes_as_dimacs(data) == ss.parse_dimacs("p cnf 2 1\n1 -2 0\n")
+
+    @pytest.mark.parametrize("token", [b"\xff", "١".encode("utf-8"), "１".encode("utf-8")])
+    def test_non_ascii_clause_token_rejected(self, token):
+        with pytest.raises(ss.DimacsError, match="non-integer"):
+            read_bytes_as_dimacs(b"p cnf 2 1\n1 " + token + b" 0\n")
+
+    @given(
+        st.one_of(
+            st.binary(),
+            st.binary().map(lambda tail: b"p cnf 3 2\n" + tail),
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_any_bytes_parse_or_raise_dimacs_error(self, data):
+        try:
+            formula = read_bytes_as_dimacs(data)
+        except ss.DimacsError:
+            return
+        assert isinstance(formula, ss.CnfFormula)

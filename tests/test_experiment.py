@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import satsearch as ss
+from satsearch.experiment import curve_csv
 
 
 def sin_squared_fit(curve, omega_guess):
@@ -107,7 +108,7 @@ class TestRunSweep:
 
     def test_csv_format(self):
         report = ss.run_sweep(ss.RunConfig(gen_n=8, gen_m=10, gen_seed=1, q_max=10))
-        lines = report.curve_csv().strip().split("\n")
+        lines = curve_csv("q,p_marginal,p_overlap", report.curve).strip().split("\n")
         assert lines[0] == "q,p_marginal,p_overlap"
         assert len(lines) == 12
         q, pm, po = lines[1].split(",")

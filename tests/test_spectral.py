@@ -59,8 +59,10 @@ class TestLambda2:
 
 
 class TestCotangentSum:
+    """The summary's p = 1 and p = 2 cotangent moments, lambda1 and lambda2."""
+
     def test_p1_exactly_zero(self, toy_table):
-        assert ss.cotangent_sum(toy_table, 1) == 0.0
+        assert ss.spectral_summary(toy_table).lambda1 == 0.0
 
     def test_p1_two_branch_cancellation(self):
         for seed in range(3):
@@ -69,16 +71,13 @@ class TestCotangentSum:
             assert abs(two_branch_lambda1(table)) < 1e-10
 
     def test_p2_delegates_to_histogram(self, toy_table):
-        assert ss.cotangent_sum(toy_table, 2) == ss.lambda2_from_histogram(toy_table.histogram, 2)
+        lam2 = ss.lambda2_from_histogram(toy_table.histogram, 2)
+        assert ss.spectral_summary(toy_table).lambda2 == lam2
 
     def test_requires_unique_solution(self):
         table = ss.build_unsat_table(ss.parse_dimacs("p cnf 2 1\n1 2 0\n"))
         with pytest.raises(ss.InstanceError):
-            ss.cotangent_sum(table, 2)
-
-    def test_rejects_other_moments(self, toy_table):
-        with pytest.raises(ValueError):
-            ss.cotangent_sum(toy_table, 3)
+            ss.spectral_summary(table)
 
 
 class TestSpectralSummary:
@@ -140,7 +139,6 @@ class TestDenseEigencheck:
         assert abs(report.lambda_plus) == pytest.approx(summary.lambda_pm, rel=0.05)
         assert report.lambda_plus + report.lambda_minus == pytest.approx(0.0, abs=1e-6)
         assert report.span_weight >= 0.95
-        assert report.principal_pair == (report.lambda_plus, report.lambda_minus)
 
     def test_eigenphase_count(self):
         formula = ss.generate_planted_chain(6, seed=2)

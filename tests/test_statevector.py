@@ -14,23 +14,32 @@ def profile_for(formula):
     return ss.PhaseProfile.from_table(ss.build_unsat_table(formula))
 
 
+def zero_profile(total):
+    """Per-assignment profile of ``total`` assignments that violate nothing.
+
+    Its clause phases are all 1, so ``search_step`` on it is the bare
+    reflection about the uniform state.
+    """
+    return ss.PhaseProfile(m=1, u=np.zeros(total, dtype=np.int32))
+
+
+def uniform(n):
+    return zero_profile(1 << n).uniform()
+
+
 class TestUniformState:
     def test_n1_amplitudes(self):
-        state = ss.uniform_state(1)
+        state = uniform(1)
         assert np.allclose(state, 0.5)
         assert state.shape == (4,)
 
     def test_n2_single_amplitude(self):
-        state = ss.uniform_state(2)
+        state = uniform(2)
         assert state[1 * 4 + 3] == pytest.approx(1 / math.sqrt(8))
 
     @pytest.mark.parametrize("n", [1, 3, 7, 12])
     def test_normalized(self, n):
-        assert np.linalg.norm(ss.uniform_state(n)) == pytest.approx(1.0, abs=1e-12)
-
-    def test_rejects_n0(self):
-        with pytest.raises(ValueError):
-            ss.uniform_state(0)
+        assert np.linalg.norm(uniform(n)) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestClausePhases:
@@ -40,7 +49,7 @@ class TestClausePhases:
         profile = profile_for(formula)
         state = np.zeros(4, dtype=complex)
         state[0] = 1.0  # (b=0, i=0)
-        out = ss.apply_clause_phases(state, profile)
+        out = state * profile.phase_vector()
         assert out[0] == pytest.approx(-1.0, abs=1e-15)
 
     def test_solution_fiber_untouched_exactly(self, toy_formula, toy_table):
@@ -49,7 +58,7 @@ class TestClausePhases:
         for index in (r, 4 + r):
             state = np.zeros(8, dtype=complex)
             state[index] = 1.0
-            out = ss.apply_clause_phases(state, profile)
+            out = state * profile.phase_vector()
             assert out[index] == 1.0 + 0.0j  # eigenvalue exactly 1 on the solution fiber
 
     @pytest.mark.parametrize("n,m_req,seed", [(4, 6, 0), (6, 10, 1)])
@@ -62,21 +71,15 @@ class TestClausePhases:
             for i in range(total):
                 state = np.zeros(2 * total, dtype=complex)
                 state[b * total + i] = 1.0
-                out = ss.apply_clause_phases(state, profile)
+                out = state * profile.phase_vector()
                 sign = 1.0 if b == 0 else -1.0
                 expected = np.exp(sign * 1j * np.pi * table.counts[i] / table.m)
                 assert abs(out[b * total + i] - expected) < 1e-12
 
-    def test_inverse_profile_roundtrip(self, toy_table):
-        profile = ss.PhaseProfile.from_table(toy_table)
-        state = random_state(8, seed=11)
-        back = ss.apply_clause_phases(ss.apply_clause_phases(state, profile), profile.inverse())
-        assert np.max(np.abs(back - state)) < 1e-12
-
     def test_dimension_mismatch(self, toy_table):
         profile = ss.PhaseProfile.from_table(toy_table)
         with pytest.raises(ValueError, match="amplitudes"):
-            ss.apply_clause_phases(np.zeros(4, dtype=complex), profile)
+            ss.search_step(np.zeros(4, dtype=complex), profile)
 
 
 class TestFactoredEquivalence:
@@ -85,7 +88,7 @@ class TestFactoredEquivalence:
     def test_matches_single_pass(self, formula, seed):
         profile = profile_for(formula)
         state = random_state(2 * formula.assignment_count, seed)
-        fast = ss.apply_clause_phases(state, profile)
+        fast = state * profile.phase_vector()
         factored = ss.apply_clause_phases_factored(state, formula)
         assert np.max(np.abs(fast - factored)) < 1e-10
 
@@ -103,34 +106,40 @@ class TestFactoredEquivalence:
         state = random_state(8, seed=5)
         assert np.max(
             np.abs(
-                ss.apply_clause_phases(state, profile)
+                state * profile.phase_vector()
                 - ss.apply_clause_phases_factored(state, formula)
             )
         ) < 1e-14
 
 
 class TestReflection:
+    """``search_step`` on an all-zero-violation profile is the bare reflection."""
+
+    @staticmethod
+    def reflect(state):
+        return ss.search_step(state, zero_profile(state.shape[0] // 2))
+
     def test_uniform_negated(self):
-        state = ss.uniform_state(3)
-        assert np.max(np.abs(ss.reflect_about_uniform(state) + state)) < 1e-14
+        state = uniform(3)
+        assert np.max(np.abs(self.reflect(state) + state)) < 1e-14
 
     def test_orthogonal_state_unchanged(self):
         # (|0> - |1>) x |i> / sqrt(2) has zero overlap with the uniform state
         state = np.zeros(16, dtype=complex)
         state[3] = 1 / math.sqrt(2)
         state[8 + 3] = -1 / math.sqrt(2)
-        assert np.max(np.abs(ss.reflect_about_uniform(state) - state)) < 1e-15
+        assert np.max(np.abs(self.reflect(state) - state)) < 1e-15
 
     def test_self_inverse(self):
         state = random_state(32, seed=8)
-        twice = ss.reflect_about_uniform(ss.reflect_about_uniform(state))
+        twice = self.reflect(self.reflect(state))
         assert np.max(np.abs(twice - state)) < 1e-12
 
     def test_negates_only_uniform_component(self):
         state = random_state(16, seed=9)
-        out = ss.reflect_about_uniform(state)
-        uniform = np.full(16, 1 / 4.0, dtype=complex)
-        assert np.vdot(uniform, out) == pytest.approx(-np.vdot(uniform, state), abs=1e-12)
+        out = self.reflect(state)
+        axis = np.full(16, 1 / 4.0, dtype=complex)
+        assert np.vdot(axis, out) == pytest.approx(-np.vdot(axis, state), abs=1e-12)
         # the difference is purely along the uniform direction
         diff = out - state
         assert np.max(np.abs(diff - diff[0])) < 1e-12
@@ -140,7 +149,8 @@ class TestSearchStep:
     def test_composition(self, toy_table):
         profile = ss.PhaseProfile.from_table(toy_table)
         state = random_state(8, seed=13)
-        composed = ss.reflect_about_uniform(ss.apply_clause_phases(state, profile))
+        phased = state * profile.phase_vector()
+        composed = phased - phased.sum() / 4  # psi - 2<+|psi>|+> over 8 amplitudes
         assert np.max(np.abs(ss.search_step(state, profile) - composed)) < 1e-14
 
     def test_norm_preserved(self, toy_table):
@@ -152,8 +162,8 @@ class TestSearchStep:
 
     def test_zero_violations_reduces_to_reflection(self):
         # all-zero violation counts: the phase pass is the identity
-        profile = ss.PhaseProfile(m=1, u=np.zeros(8, dtype=np.int32))
-        state = ss.uniform_state(3)
+        profile = zero_profile(8)
+        state = profile.uniform()
         assert np.max(np.abs(ss.search_step(state, profile) + state)) < 1e-14
 
 
@@ -174,12 +184,12 @@ class TestMeasureDistribution:
     def test_amplified_state(self):
         state = np.zeros(8, dtype=complex)
         state[2] = state[4 + 2] = 1 / math.sqrt(2)
-        marginal, overlap, _ = ss.measure_distribution(state, 2)
+        marginal, overlap = ss.measure_distribution(state, 2)
         assert marginal == pytest.approx(1.0)
         assert overlap == pytest.approx(1.0)
 
     def test_uniform_state(self):
-        marginal, overlap, _ = ss.measure_distribution(ss.uniform_state(3), 5)
+        marginal, overlap = ss.measure_distribution(uniform(3), 5)
         assert marginal == pytest.approx(1 / 8)
         assert overlap == pytest.approx(1 / 8)
 
@@ -187,18 +197,12 @@ class TestMeasureDistribution:
     @settings(max_examples=40)
     def test_marginal_dominates_overlap(self, seed):
         state = random_state(16, seed)
-        marginal, overlap, _ = ss.measure_distribution(state, 3)
+        marginal, overlap = ss.measure_distribution(state, 3)
         assert marginal >= overlap - 1e-15
-
-    def test_full_probabilities(self):
-        state = ss.uniform_state(2)
-        _, _, probs = ss.measure_distribution(state, 0, include_full=True)
-        assert probs.shape == (8,)
-        assert probs.sum() == pytest.approx(1.0)
 
     def test_bad_solution_index(self):
         with pytest.raises(ValueError):
-            ss.measure_distribution(ss.uniform_state(2), 4)
+            ss.measure_distribution(uniform(2), 4)
 
 
 class TestSnapshot:

@@ -5,9 +5,9 @@ deterministic given its flags and seed; JSON output has a fixed key order and
 full-precision floats, so identical invocations produce byte-identical files.
 
 Exit codes: 0 success, 2 usage error (including out-of-range values of
---qmax, --steps, --trials and SATSEARCH_THREADS), 3 invalid instance or
-formula (any bytes that do not parse as DIMACS, or a file that cannot be
-read), 4 enumeration/dimension guard exceeded.
+--qmax, --steps, --trials, --threads and SATSEARCH_THREADS), 3 invalid
+instance or formula (any bytes that do not parse as DIMACS, or a file that
+cannot be read), 4 enumeration/dimension guard exceeded.
 
 ``run --trials 0`` (the default) takes no samples; a negative count is a usage
 error.
@@ -63,6 +63,8 @@ def _check_ranges(args) -> None:
         raise UsageError(f"--steps must be >= 0 or 'auto', got {args.steps}")
     if getattr(args, "trials", 0) < 0:
         raise UsageError(f"--trials must be >= 0, got {args.trials}")
+    if args.threads < 1:
+        raise UsageError(f"--threads (default SATSEARCH_THREADS) must be >= 1, got {args.threads}")
 
 
 def _int_or_auto(text: str):
@@ -177,10 +179,7 @@ def _write_snapshot(report, args) -> None:
     if getattr(args, "snapshot", None) is None:
         return
     triples = state_snapshot(report.final_state, args.snapshot_threshold)
-    payload = {
-        "threshold": args.snapshot_threshold,
-        "amplitudes": [[k, re, im] for k, re, im in triples],
-    }
+    payload = {"threshold": args.snapshot_threshold, "amplitudes": triples}
     _emit(_json_text(payload), args.snapshot)
 
 

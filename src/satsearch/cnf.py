@@ -11,12 +11,20 @@ which also accepts the SATLIB ``%`` trailer.
 
 ``build_unsat_table`` enumerates every assignment and is the classical oracle
 the rest of the toolkit is validated against.  It is deliberately the only
-solver in the package: exhaustive, vectorized with numpy bit tricks, and
-guarded to n <= 30 unless explicitly overridden.
+solver in the package: exhaustive, and guarded to n <= 30 unless explicitly
+overridden.  It needs no per-assignment index: an OR-clause is violated on
+exactly one subcube of the assignments, the one that fixes each of its
+variables to the value making its literal false.  Viewing the counts as an
+n-axis (2, 2, ..., 2) array, each clause adds one on that subcube by basic
+slicing.  The int32 counts, 4 bytes per assignment, are the only array over
+all assignments it keeps; folding them into the histogram takes a temporary
+int64 copy.
 """
 
 from __future__ import annotations
 
+import os
+import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -24,6 +32,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 DEFAULT_GUARD_N = 30
+
+# A DIMACS integer: optional minus sign and ASCII digits.  Python's int() would
+# also take '+3', '1_0' and non-ASCII digits.
+_DIMACS_INT = re.compile(r"-?[0-9]+")
 
 
 class FormulaError(ValueError):
@@ -137,7 +149,9 @@ def parse_dimacs(text: str) -> CnfFormula:
     """Parse DIMACS CNF text.
 
     Accepts ``c`` comment lines, exactly one ``p cnf <vars> <clauses>`` header,
-    then whitespace-separated signed integers with each clause terminated by 0.
+    then whitespace-separated integers with each clause terminated by 0.  An
+    integer is an optional ``-`` and ASCII digits; anything else, such as
+    ``+3`` or ``1_0``, is rejected.
     Clauses may span lines or share one.  A line starting with ``%`` ends the
     formula: SATLIB files close with a ``%`` line and a lone ``0``, and both
     are ignored.  Raises ``DimacsError`` on a malformed header, a clause count
@@ -159,10 +173,9 @@ def parse_dimacs(text: str) -> CnfFormula:
                 raise DimacsError(
                     f"line {lineno}: malformed header {line!r}, expected 'p cnf <vars> <clauses>'"
                 )
-            try:
-                n, m = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise DimacsError(f"line {lineno}: non-integer counts in header {line!r}") from None
+            if not all(_DIMACS_INT.fullmatch(part) for part in parts[2:]):
+                raise DimacsError(f"line {lineno}: non-integer counts in header {line!r}")
+            n, m = int(parts[2]), int(parts[3])
             if n < 1 or m < 1:
                 raise DimacsError(f"line {lineno}: header requires n >= 1 and m >= 1")
             continue
@@ -176,10 +189,9 @@ def parse_dimacs(text: str) -> CnfFormula:
     clauses: list[Clause] = []
     current: list[int] = []
     for tok in tokens:
-        try:
-            lit = int(tok)
-        except ValueError:
-            raise DimacsError(f"non-integer token {tok!r} in clause data") from None
+        if not _DIMACS_INT.fullmatch(tok):
+            raise DimacsError(f"non-integer token {tok!r} in clause data")
+        lit = int(tok)
         if lit == 0:
             try:
                 clauses.append(Clause.from_ints(current))
@@ -203,9 +215,8 @@ def read_dimacs(path) -> CnfFormula:
     This is the one place where file bytes become a formula.  The bytes are
     decoded as Latin-1, which maps every byte to one character and never
     fails, so any file either parses or raises ``DimacsError``.  Comments may
-    hold any bytes, UTF-8 included.  Latin-1 has no decimal digits outside
-    ASCII, so a non-ASCII character inside a header or clause token still
-    makes that token non-integer.
+    hold any bytes, UTF-8 included; a non-ASCII character inside a header or
+    clause token makes that token non-integer.
     """
     with open(path, "rb") as handle:
         return parse_dimacs(handle.read().decode("latin-1"))
@@ -263,12 +274,24 @@ def violation_mask(clause: Clause, indices: np.ndarray) -> np.ndarray:
     return violated
 
 
-def _violation_counts(formula: CnfFormula, lo: int, hi: int) -> np.ndarray:
-    indices = np.arange(lo, hi, dtype=np.int64)
-    counts = np.zeros(hi - lo, dtype=np.int32)
-    for clause in formula.clauses:
-        counts += violation_mask(clause, indices)
-    return counts
+def _add_violations(clauses: Sequence[Clause], block: np.ndarray, top: int) -> None:
+    """Add one to ``block`` on each clause's violated subcube.
+
+    ``block`` is the (2,)*b view of the counts of the assignments whose bits
+    b and above equal ``top``; its axis b - k holds x_k for k <= b.  A literal
+    on a higher variable is fixed by ``top``: it either satisfies the clause
+    on the whole block or leaves it to the other literals.
+    """
+    b = block.ndim
+    for clause in clauses:
+        where = [slice(None)] * b
+        for lit in clause.literals:
+            if lit.var <= b:
+                where[b - lit.var] = int(lit.negated)
+            elif (top >> (lit.var - 1 - b)) & 1 != lit.negated:
+                break
+        else:
+            block[tuple(where)] += 1
 
 
 def build_unsat_table(
@@ -278,23 +301,26 @@ def build_unsat_table(
 ) -> UnsatTable:
     """Exhaustively enumerate all 2**n assignments.
 
-    With ``threads > 1`` the index range is partitioned into equal blocks and
-    counted in a thread pool; the counts are integers, so the result is
-    identical to the sequential pass regardless of scheduling.
+    The assignments are split by their top t bits into 2**t blocks, the
+    fewest that give each of ``threads`` workers (at most ``os.cpu_count()``)
+    one.  The counts are integers, so the result is identical for every
+    thread count.
     """
     if formula.n > guard_n:
         raise GuardError(
             f"enumeration over 2**{formula.n} assignments exceeds guard n <= {guard_n}"
         )
-    total = formula.assignment_count
-    if threads > 1:
-        block = -(-total // threads)
-        bounds = [(lo, min(lo + block, total)) for lo in range(0, total, block)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda b: _violation_counts(formula, *b), bounds))
-        counts = np.concatenate(parts)
-    else:
-        counts = _violation_counts(formula, 0, total)
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    workers = min(threads, os.cpu_count() or 1)
+    top_bits = min(formula.n, (workers - 1).bit_length())
+    counts = np.zeros(formula.assignment_count, dtype=np.int32)
+    blocks = counts.reshape((1 << top_bits,) + (2,) * (formula.n - top_bits))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(
+            lambda top: _add_violations(formula.clauses, blocks[top, ...], top),
+            range(1 << top_bits),
+        ))
     histogram = np.bincount(counts, minlength=formula.m + 1).astype(np.int64)
     solutions = [int(i) for i in np.flatnonzero(counts == 0)]
     return UnsatTable(formula.n, formula.m, counts, histogram, solutions)

@@ -1,11 +1,14 @@
 """Planted unique-solution instance generators.
 
-Three families, all deterministic for a given seed and all verified unique by
-exhaustive enumeration before they are returned:
+Three families, all deterministic for a given seed and all with exactly one
+satisfying assignment.  Only the random family enumerates to get there; the
+chain and block families are unique by construction (the tests confirm it by
+enumeration):
 
 * ``generate_planted_3sat`` draws random 3-literal clauses satisfied by a
-  hidden assignment, then greedily appends clauses that each kill at least one
-  surviving non-solution until the solution is unique.  The returned clause
+  hidden assignment, enumerates the assignments that survive them, then
+  greedily appends clauses that each kill at least one surviving
+  non-solution until the solution is unique.  The returned clause
   count is whatever uniqueness required, which for random clauses lands near
   5n or above.
 * ``generate_planted_chain`` builds n nested clauses (lengths 1..n) whose
@@ -34,6 +37,7 @@ from .cnf import (
     GuardError,
     InstanceError,
     Literal,
+    build_unsat_table,
     violation_mask,
 )
 
@@ -85,7 +89,8 @@ def generate_planted_3sat(
 ) -> CnfFormula:
     """Random planted 3SAT with exactly one satisfying assignment.
 
-    ``m`` is the size of the initial random batch; the repair loop appends
+    ``m`` is the size of the initial random batch.  ``build_unsat_table``
+    finds the assignments that satisfy it; the repair loop then appends
     further clauses (each falsifying at least one surviving non-solution)
     until the planted assignment is the unique solution, so the returned
     formula typically has more than ``m`` clauses.
@@ -97,11 +102,8 @@ def generate_planted_3sat(
     planted = int(rng.integers(0, 1 << n))
     clauses = [_random_clause_satisfied_by(rng, n, planted) for _ in range(m)]
 
-    indices = np.arange(1 << n, dtype=np.int64)
-    alive = np.ones(1 << n, dtype=bool)
-    for clause in clauses:
-        alive &= ~violation_mask(clause, indices)
-    survivors = np.flatnonzero(alive)
+    table = build_unsat_table(CnfFormula(n, tuple(clauses)), guard_n)
+    survivors = np.array(table.solutions, dtype=np.int64)
     while survivors.size > 1:
         target = int(survivors[0]) if int(survivors[0]) != planted else int(survivors[1])
         clause = _separating_clause(rng, n, planted, target)

@@ -98,6 +98,18 @@ class TestAnalyze:
         assert captured.out == ""
 
 
+    @pytest.mark.parametrize("text", ["p cnf 1_0 1\n1 0\n", "p cnf 2 1\n+1 0\n"])
+    def test_non_strict_integer_exit_3(self, text, tmp_path, capsys):
+        path = tmp_path / "loose.cnf"
+        path.write_text(text)
+        assert main(["analyze", "-f", str(path)]) == 3
+        captured = capsys.readouterr()
+        lines = captured.err.strip().split("\n")
+        assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
+        assert "non-integer" in lines[0]
+        assert captured.out == ""
+
+
 class TestSweep:
     def test_auto_qmax_row_count(self, tmp_path):
         inst = tmp_path / "inst.cnf"
@@ -238,6 +250,16 @@ class TestUsageErrors:
     def test_negative_trials(self, toy_path, capsys):
         assert main(["run", "-f", toy_path, "--trials", "-3"]) == 2
         self.assert_one_line_error(capsys, "--trials")
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one(self, threads, toy_path, capsys):
+        assert main(["analyze", "-f", toy_path, "--threads", threads]) == 2
+        self.assert_one_line_error(capsys, "--threads")
+
+    def test_zero_threads_env(self, toy_path, capsys, monkeypatch):
+        monkeypatch.setenv("SATSEARCH_THREADS", "0")
+        assert main(["analyze", "-f", toy_path]) == 2
+        self.assert_one_line_error(capsys, "SATSEARCH_THREADS")
 
     def test_non_integer_threads_env(self, toy_path, capsys, monkeypatch):
         monkeypatch.setenv("SATSEARCH_THREADS", "two")

@@ -1,5 +1,8 @@
 import os
 import tempfile
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -68,6 +71,17 @@ class TestParseDimacs:
         # SATLIB files close with a '%' line and a lone '0'
         text = "c uf3\np cnf 3 2\n 1 -2 3 0\n-1 2 0\n"
         assert ss.parse_dimacs(text + "%\n0\n\n") == ss.parse_dimacs(text)
+
+    @pytest.mark.parametrize("header", ["p cnf 1_0 1", "p cnf +2 1", "p cnf 2 ¹", "p cnf 2 0x1"])
+    def test_header_counts_must_be_ascii_digits(self, header):
+        with pytest.raises(ss.DimacsError, match="non-integer counts"):
+            ss.parse_dimacs(header + "\n1 0\n")
+
+    # '²' passes str.isdigit, '1_0' and '+1' pass int()
+    @pytest.mark.parametrize("token", ["+1", "1_0", "²", "1.0", "0x1", "--1"])
+    def test_clause_tokens_must_be_ascii_integers(self, token):
+        with pytest.raises(ss.DimacsError, match="non-integer token"):
+            ss.parse_dimacs(f"p cnf 10 1\n{token} 0\n")
 
     def test_serialize_comments(self):
         text = ss.serialize_dimacs(ss.parse_dimacs(TOY_DIMACS), comments=["planted 3"])
@@ -154,6 +168,50 @@ class TestUnsatTable:
         assert np.array_equal(sequential.counts, threaded.counts)
         assert np.array_equal(sequential.histogram, threaded.histogram)
         assert sequential.solutions == threaded.solutions
+
+    @given(formulas(max_n=6), st.sampled_from([1, 2, 3, 5, 8]))
+    @settings(max_examples=60, deadline=None)
+    def test_every_block_split_matches_scalar_path(self, formula, threads):
+        # The top-bit block count follows the worker count, which is capped at
+        # the CPU count; an 8-CPU host makes up to three top bits fixed per
+        # block, more than n on the smallest formulas, on any machine.
+        with mock.patch.object(os, "cpu_count", return_value=8):
+            table = ss.build_unsat_table(formula, threads=threads)
+        expected = [ss.unsat_count(formula, i) for i in range(formula.assignment_count)]
+        assert table.counts.tolist() == expected
+
+    def test_huge_thread_count_capped_at_cpu_count(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        formula = ss.generate_planted_3sat(6, 12, seed=2)
+        monkeypatch.setattr(ss.cnf, "ThreadPoolExecutor", RecordingPool)
+        huge = ss.build_unsat_table(formula, threads=1 << 20)
+        single = ss.build_unsat_table(formula, threads=1)
+        assert sizes == [min(1 << 20, os.cpu_count() or 1), 1]
+        assert np.array_equal(huge.counts, single.counts)
+        assert huge.solutions == single.solutions
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_rejected(self, toy_formula, threads):
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            ss.build_unsat_table(toy_formula, threads=threads)
+
+    def test_peak_memory_per_assignment(self):
+        # int32 counts plus the int64 copy np.bincount makes: 12 bytes.  An
+        # index array over all assignments would add 8 more.
+        formula = ss.generate_planted_3sat(16, 80, seed=3)
+        tracemalloc.start()
+        try:
+            ss.build_unsat_table(formula)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * formula.assignment_count
 
     def test_json_export(self, toy_table):
         payload = toy_table.to_json_dict()

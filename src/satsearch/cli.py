@@ -5,18 +5,22 @@ deterministic given its flags and seed; JSON output has a fixed key order and
 full-precision floats, so identical invocations produce byte-identical files.
 
 Exit codes: 0 success, 2 usage error (including out-of-range values of
---qmax, --steps, --trials, --threads and SATSEARCH_THREADS), 3 invalid
-instance or formula (any bytes that do not parse as DIMACS, or a file that
-cannot be read), 4 enumeration/dimension guard exceeded.
+--qmax, --steps, --trials, --threads, --snapshot-threshold and
+SATSEARCH_THREADS), 3 invalid instance or formula (any bytes that do not
+parse as DIMACS, or a file that cannot be read), 4 enumeration/dimension
+guard exceeded.
 
 ``run --trials 0`` (the default) takes no samples; a negative count is a usage
-error.
+error.  ``--snapshot-threshold`` (sweep and run) must be finite and >= 0: NaN
+and Infinity have no strict-JSON spelling, and no modulus lies below 0.
+``run --timings`` reports the snapshot write as ``snapshot_s``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -63,6 +67,9 @@ def _check_ranges(args) -> None:
         raise UsageError(f"--steps must be >= 0 or 'auto', got {args.steps}")
     if getattr(args, "trials", 0) < 0:
         raise UsageError(f"--trials must be >= 0, got {args.trials}")
+    threshold = getattr(args, "snapshot_threshold", 0.0)
+    if not (math.isfinite(threshold) and threshold >= 0):
+        raise UsageError(f"--snapshot-threshold must be finite and >= 0, got {threshold}")
     if args.threads < 1:
         raise UsageError(f"--threads (default SATSEARCH_THREADS) must be >= 1, got {args.threads}")
 
@@ -178,9 +185,9 @@ def _run_config(args, include_grover: bool = False, grover_steps=None) -> RunCon
 def _write_snapshot(report, args) -> None:
     if getattr(args, "snapshot", None) is None:
         return
-    triples = state_snapshot(report.final_state, args.snapshot_threshold)
-    payload = {"threshold": args.snapshot_threshold, "amplitudes": triples}
-    _emit(_json_text(payload), args.snapshot)
+    t0 = time.perf_counter()
+    _emit(state_snapshot(report.final_state, args.snapshot_threshold), args.snapshot)
+    report.timings["snapshot_s"] = time.perf_counter() - t0
 
 
 def _cmd_sweep(args) -> int:

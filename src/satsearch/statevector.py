@@ -39,10 +39,18 @@ evaluates clauses one by one instead of reading a violation table.
 The per-assignment path stays as the oracle of the class engine: the tests,
 ``spectral.iterate_matrix`` (and through it acceptance criterion 3) and
 criteria 2 and 8 step or multiply the full 2**(n+1)-amplitude vector.
+
+Snapshots.  ``state_snapshot`` returns the snapshot JSON document itself,
+byte for byte what ``json.dumps(..., indent=2)`` writes for the kept
+(index, re, im) rows.  A class state lifted to 2N amplitudes has at most
+2(m+1) distinct amplitudes, so it formats each distinct real and imaginary
+part once and assembles the rows from those texts instead of handing 2N
+rows to the pure-Python indenting encoder.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -231,7 +239,41 @@ def measure_distribution(state: np.ndarray, solution: int) -> tuple[float, float
     return float(marginal), float(overlap)
 
 
-def state_snapshot(state: np.ndarray, threshold: float = 1e-6) -> list[tuple[int, float, float]]:
-    """(index, re, im) triples for amplitudes above the magnitude threshold."""
+def _json_floats(values: np.ndarray) -> tuple[np.ndarray, list[str]]:
+    """Inverse indices and JSON text of the distinct floats in ``values``.
+
+    Floats are told apart by bit pattern, not value, so 0.0 and -0.0 keep
+    their own texts.  Each distinct float is formatted once, as ``json.dumps``
+    writes it: its repr, or NaN / Infinity / -Infinity.
+    """
+    bits = values.astype(np.float64, copy=False).view(np.uint64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    texts = [
+        repr(v) if math.isfinite(v) else json.dumps(v)
+        for v in distinct.view(np.float64).tolist()
+    ]
+    return inverse, texts
+
+
+def state_snapshot(state: np.ndarray, threshold: float = 1e-6) -> str:
+    """JSON document of the (index, re, im) rows above the magnitude threshold.
+
+    The bytes are those of ``json.dumps({"threshold": threshold, "amplitudes":
+    rows}, indent=2)`` plus a final newline, with one [index, re, im] row per
+    amplitude whose modulus exceeds ``threshold``.  A lifted class state has
+    at most 2(m+1) distinct amplitudes, so each distinct real and imaginary
+    part is formatted once and the rows are assembled from those texts.
+    """
     keep = np.flatnonzero(np.abs(state) > threshold)
-    return list(zip(keep.tolist(), state.real[keep].tolist(), state.imag[keep].tolist()))
+    header = f'{{\n  "threshold": {json.dumps(threshold)},\n  "amplitudes": '
+    if keep.size == 0:
+        return header + "[]\n}\n"
+    re_inverse, re_texts = _json_floats(state.real[keep])
+    im_inverse, im_texts = _json_floats(state.imag[keep])
+    rows = ",\n".join(
+        [
+            f"    [\n      {i},\n      {re_texts[r]},\n      {im_texts[m]}\n    ]"
+            for i, r, m in zip(keep.tolist(), re_inverse.tolist(), im_inverse.tolist())
+        ]
+    )
+    return header + "[\n" + rows + "\n  ]\n}\n"

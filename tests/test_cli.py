@@ -183,6 +183,16 @@ class TestRun:
         timings = json.loads(out.read_text())["timings"]
         assert {"enumerate_s", "spectral_s", "sweep_s", "final_state_s", "trials_s"} <= set(timings)
 
+    def test_timings_cover_snapshot(self, toy_path, tmp_path):
+        out = tmp_path / "report.json"
+        assert main([
+            "run", "-f", toy_path, "--timings",
+            "--snapshot", str(tmp_path / "snap.json"), "-o", str(out),
+        ]) == 0
+        assert "snapshot_s" in json.loads(out.read_text())["timings"]
+        assert main(["run", "-f", toy_path, "--timings", "-o", str(out)]) == 0
+        assert "snapshot_s" not in json.loads(out.read_text())["timings"]
+
     def test_zero_trials_takes_no_samples(self, toy_path, tmp_path):
         out = tmp_path / "report.json"
         assert main(["run", "-f", toy_path, "--trials", "0", "-o", str(out)]) == 0
@@ -250,6 +260,16 @@ class TestUsageErrors:
     def test_negative_trials(self, toy_path, capsys):
         assert main(["run", "-f", toy_path, "--trials", "-3"]) == 2
         self.assert_one_line_error(capsys, "--trials")
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("command", ["sweep", "run"])
+    def test_bad_snapshot_threshold(self, command, threshold, toy_path, tmp_path, capsys):
+        snap = tmp_path / "snap.json"
+        assert main([
+            command, "-f", toy_path, "--snapshot", str(snap), "--snapshot-threshold", threshold,
+        ]) == 2
+        self.assert_one_line_error(capsys, "--snapshot-threshold")
+        assert not snap.exists()
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one(self, threads, toy_path, capsys):

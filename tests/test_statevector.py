@@ -1,8 +1,9 @@
+import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import satsearch as ss
@@ -205,20 +206,75 @@ class TestMeasureDistribution:
             ss.measure_distribution(uniform(2), 4)
 
 
+def oracle_snapshot(state, threshold):
+    """Snapshot document built row by row and written by ``json.dumps``."""
+    keep = np.flatnonzero(np.abs(state) > threshold)
+    triples = list(zip(keep.tolist(), state.real[keep].tolist(), state.imag[keep].tolist()))
+    return json.dumps({"threshold": threshold, "amplitudes": triples}, indent=2) + "\n"
+
+
+# signed zeros, the smallest subnormal, repr's switch to exponent form at 1e-4
+# and 1e16, and the non-finite values json.dumps spells NaN / Infinity
+SPECIAL_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 1e-5, -1e-5, 9.999999999999999e-05, 1e-4,
+    0.00010000000000000002, 1e16, -1e16, 9999999999999998.0, 1.0000000000000002e16,
+    0.1, -0.7071067811865476, math.inf, -math.inf, math.nan,
+]
+
+
+@st.composite
+def snapshot_cases(draw):
+    """A complex state whose parts repeat values from a small pool, and a threshold."""
+    pool = draw(
+        st.lists(st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats()), min_size=1, max_size=6)
+    )
+    size = draw(st.integers(0, 40))
+    parts = st.lists(st.sampled_from(pool), min_size=size, max_size=size)
+    state = np.empty(size, dtype=complex)
+    state.real = draw(parts)
+    state.imag = draw(parts)
+    finite = np.abs(state)[np.isfinite(np.abs(state))]
+    above = 2.0 * float(finite.max()) + 1.0 if finite.size else 1.0
+    threshold = draw(
+        st.one_of(
+            st.sampled_from([0, 0.0, -1.0, -1e-300, above, math.inf]),
+            st.floats(min_value=0.0, max_value=2.0),
+        )
+    )
+    return state, threshold
+
+
 class TestSnapshot:
     def test_threshold_filters(self):
         state = np.zeros(8, dtype=complex)
         state[1] = 0.9
         state[5] = 1e-8
-        triples = ss.state_snapshot(state, threshold=1e-6)
-        assert triples == [(1, 0.9, 0.0)]
+        rows = json.loads(ss.state_snapshot(state, threshold=1e-6))["amplitudes"]
+        assert rows == [[1, 0.9, 0.0]]
 
     def test_matches_per_element_formula(self):
         state = random_state(1 << 12, seed=21)
         threshold = 0.015  # keeps about half of the amplitudes
         keep = np.flatnonzero(np.abs(state) > threshold)
-        expected = [(int(k), float(state[k].real), float(state[k].imag)) for k in keep]
-        triples = ss.state_snapshot(state, threshold)
-        assert 0 < len(triples) < state.shape[0]
-        assert triples == expected
-        assert all(type(v) in (int, float) for triple in triples for v in triple)
+        expected = [[int(k), float(state[k].real), float(state[k].imag)] for k in keep]
+        rows = json.loads(ss.state_snapshot(state, threshold))["amplitudes"]
+        assert 0 < len(rows) < state.shape[0]
+        assert rows == expected
+        assert all(type(v) in (int, float) for row in rows for v in row)
+
+    @given(snapshot_cases())
+    @example((np.array([complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, 0.5)]), -1.0))
+    @example((np.array([complex(0.5, -0.0), complex(5e-324, 1e16)]), 0))
+    @example((np.array([0.25 + 0.5j]), 10.0))
+    @settings(max_examples=300, deadline=None)
+    def test_bytes_match_json_dumps(self, case):
+        state, threshold = case
+        assert ss.state_snapshot(state, threshold) == oracle_snapshot(state, threshold)
+
+    def test_lifted_planted_state(self, planted14):
+        formula, table, summary = planted14
+        state = ss.state_after(ss.PhaseProfile.from_table(table), 2 * summary.q_m)
+        # the premise of formatting each distinct amplitude once
+        assert np.unique(state).size <= 2 * (formula.m + 1)
+        for threshold in (0, 1e-6):
+            assert ss.state_snapshot(state, threshold) == oracle_snapshot(state, threshold)

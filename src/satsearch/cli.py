@@ -43,7 +43,7 @@ from .experiment import (
     run_sweep,
     total_cost_report,
 )
-from .generate import generate_planted_3sat
+from .generate import _planted_3sat
 from .spectral import MAX_EIGENCHECK_N, dense_eigencheck, spectral_summary
 from .statevector import state_snapshot
 
@@ -153,9 +153,7 @@ def _json_text(payload: dict) -> str:
 
 
 def _cmd_gen(args) -> int:
-    formula = generate_planted_3sat(args.n, args.m, args.seed, guard_n=args.guard_n)
-    table = build_unsat_table(formula, guard_n=args.guard_n, threads=args.threads)
-    planted = table.unique_solution()
+    formula, planted = _planted_3sat(args.n, args.m, args.seed, args.guard_n)
     text = serialize_dimacs(formula, comments=[f"planted {planted}", f"seed {args.seed}"])
     _emit(text, args.output)
     return 0

@@ -7,15 +7,20 @@ measurement gives) and the squared overlap with the amplified state
 (|0,r> + |1,r>)/sqrt(2), which is what the closed-form peak 1/B**2 bounds.
 The marginal is never smaller than the overlap, so both are kept.
 
-Sweeps run in class coordinates (see ``statevector``): the per-assignment
-profile is folded once into its violation classes, one bincount over the N
-counts, and ``search_step`` then advances at most 2(m+1) class amplitudes.
-The class state is exact, not an approximation: index i of class c has
-amplitude a_(b,c) / sqrt(N_c) on branch b, for any index and any number of
-solutions.  ``success_curve`` reads that amplitude at every step;
-``state_after`` lifts the final class state to the 2N amplitudes once, for
-sampling and snapshots.  Stepping the full vector remains the oracle path,
-reached from the tests and from ``spectral.iterate_matrix``.
+Every production path runs in class coordinates (see ``statevector``): the
+per-assignment profile is folded once into its violation classes, one
+bincount over the N counts, and ``search_step`` then advances at most
+2(m+1) class amplitudes.  The class state is exact, not an approximation:
+index i of class c has amplitude a_(b,c) / sqrt(N_c) on branch b, for any
+index and any number of solutions.  ``success_curve`` reads that pair of
+amplitudes at every step, ``measurement_success_rate`` reads it once and
+draws the trials from the solution's marginal, and ``state_after`` returns
+the class state; ``run_sweep`` lifts it to the 2N amplitudes only for a
+snapshot.  The Grover baseline has the same symmetry with two classes, the
+solution and the other N - 1 assignments, so it steps two real amplitudes
+(Boyer, Brassard, Hoyer and Tapp, quant-ph/9605034).  Stepping the full
+vector remains the oracle path, reached from the tests and from
+``spectral.iterate_matrix``.
 
 Reports serialize to JSON (stable key order, full-precision floats) or to CSV
 for the curves.  Timing information is collected but excluded from the JSON
@@ -42,12 +47,7 @@ from .cnf import (
 )
 from .generate import generate_planted_3sat
 from .spectral import SpectralSummary, spectral_summary
-from .statevector import (
-    PhaseProfile,
-    grover_step,
-    measure_distribution,
-    search_step,
-)
+from .statevector import PhaseProfile, measure_distribution, search_step
 
 
 @dataclass
@@ -141,6 +141,13 @@ def load_formula(config: RunConfig) -> CnfFormula:
     )
 
 
+def _index_fiber(profile: PhaseProfile, index: int) -> tuple[list[int], float]:
+    """Class-state positions of the index's two amplitudes, and their scale 1/sqrt(N_c)."""
+    classes = profile.classes()
+    c = profile.class_of(index)
+    return [c, classes.size + c], 1.0 / classes.reflection_axis()[c]
+
+
 def success_curve(profile: PhaseProfile, index: int, q_max: int) -> np.ndarray:
     """Rows (q, p_marginal, p_overlap) for index after q = 0..q_max iterate applications.
 
@@ -149,10 +156,8 @@ def success_curve(profile: PhaseProfile, index: int, q_max: int) -> np.ndarray:
     """
     if q_max < 1:
         raise ValueError("q_max must be >= 1")
+    fiber, scale = _index_fiber(profile, index)
     classes = profile.classes()
-    c = profile.class_of(index)
-    fiber = [c, classes.size + c]
-    scale = 1.0 / classes.reflection_axis()[c]
     state = classes.uniform()
     out = np.empty((q_max + 1, 3))
     for q in range(q_max + 1):
@@ -164,12 +169,16 @@ def success_curve(profile: PhaseProfile, index: int, q_max: int) -> np.ndarray:
 
 
 def state_after(profile: PhaseProfile, iterations: int) -> np.ndarray:
-    """Full state reached from uniform after the given number of iterate applications."""
+    """Class state reached from uniform after the given number of iterate applications.
+
+    The amplitudes are in ``profile.classes()`` coordinates; ``profile.lift``
+    maps them to the full 2N-amplitude state.
+    """
     classes = profile.classes()
     state = classes.uniform()
     for _ in range(iterations):
         state = search_step(state, classes)
-    return profile.lift(state)
+    return state
 
 
 def run_sweep(config: RunConfig, keep_final_state: bool = False) -> RunReport:
@@ -205,7 +214,7 @@ def run_sweep(config: RunConfig, keep_final_state: bool = False) -> RunReport:
     final_state = None
     if keep_final_state:
         t0 = time.perf_counter()
-        final_state = state_after(profile, q_max)
+        final_state = profile.lift(state_after(profile, q_max))
         timings["final_state_s"] = time.perf_counter() - t0
     return RunReport(
         config=config.echo(),
@@ -228,16 +237,28 @@ def grover_optimal_steps(total: int) -> int:
 
 
 def run_grover_baseline(formula: CnfFormula, solution: int, steps: int) -> np.ndarray:
-    """Rows (step, p_solution) for the N-dimensional Grover baseline."""
+    """Rows (step, p_solution) for the N-dimensional Grover baseline.
+
+    From the uniform state the iterate keeps every non-solution amplitude
+    equal, so it steps two real amplitudes: a on the solution and b on each
+    of the other N - 1 assignments.  One step flips a, then subtracts twice
+    the mean amplitude from both, exactly as ``statevector.grover_step`` does
+    to the N-vector.
+    """
     if steps < 0:
         raise ValueError("steps must be >= 0")
     total = formula.assignment_count
-    state = np.full(total, 1.0 / math.sqrt(total), dtype=np.complex128)
+    if not 0 <= solution < total:
+        raise ValueError(f"solution index {solution} out of range for N={total}")
+    a = b = 1.0 / math.sqrt(total)
     out = np.empty((steps + 1, 2))
-    out[0] = (0, abs(state[solution]) ** 2)
+    out[0] = (0, a * a)
     for k in range(1, steps + 1):
-        state = grover_step(state, solution)
-        out[k] = (k, abs(state[solution]) ** 2)
+        a = -a
+        twice_mean = 2.0 * (a + (total - 1) * b) / total
+        a -= twice_mean
+        b -= twice_mean
+        out[k] = (k, a * a)
     return out
 
 
@@ -257,20 +278,21 @@ def measurement_success_rate(
 ) -> float:
     """Fraction of sampled data-register measurements that read out the solution.
 
-    Evolves the uniform state for the given iteration count, forms the
-    data-register marginal distribution, and samples it ``trials`` times with
-    numpy's PCG64 generator.
+    Evolves the uniform state for the given iteration count in class
+    coordinates and reads the solution's data-register marginal p from its
+    two class amplitudes.  Each trial reads the solution with probability
+    p, independently, so the number of hits is one binomial draw from
+    numpy's PCG64 generator: the same law as sampling every trial from the
+    full 2N-amplitude distribution, in O(1) memory for any ``trials``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    fiber, scale = _index_fiber(profile, solution)
     state = state_after(profile, iterations)
-    probs = np.abs(state) ** 2
-    data_dim = profile.size
-    marginal = probs[:data_dim] + probs[data_dim:]
-    marginal /= marginal.sum()
+    marginal, _ = measure_distribution(state[fiber] * scale, 0)
     rng = np.random.default_rng(rng_seed)
-    samples = np.searchsorted(np.cumsum(marginal), rng.random(trials), side="right")
-    return float(np.mean(samples == solution))
+    # rounding can put a certain read-out a few ulp above 1
+    return int(rng.binomial(trials, min(marginal, 1.0))) / trials
 
 
 def repeat_until_success_stats(

@@ -95,6 +95,11 @@ def generate_planted_3sat(
     until the planted assignment is the unique solution, so the returned
     formula typically has more than ``m`` clauses.
     """
+    return _planted_3sat(n, m, seed, guard_n)[0]
+
+
+def _planted_3sat(n: int, m: int, seed: int, guard_n: int) -> tuple[CnfFormula, int]:
+    """``generate_planted_3sat``'s formula together with its planted assignment."""
     if m < 1:
         raise InstanceError(f"need m >= 1 initial clauses, got m={m}")
     _check_bounds(n, 3, guard_n, "planted 3SAT")
@@ -109,7 +114,7 @@ def generate_planted_3sat(
         clause = _separating_clause(rng, n, planted, target)
         clauses.append(clause)
         survivors = survivors[~violation_mask(clause, survivors)]
-    return CnfFormula(n, tuple(clauses))
+    return CnfFormula(n, tuple(clauses)), planted
 
 
 def generate_planted_chain(

@@ -32,8 +32,9 @@ iterate; its diagonal pass ``state * profile.phase_vector()`` is the clause
 phase operator D, and on a profile whose every count is 0 it is the bare
 reflection about the uniform state.  ``PhaseProfile.uniform()`` is the only
 start state.  Two independent paths stay as oracles: ``grover_step``, the
-textbook iterate on the bare N-dimensional register (the baseline, and the
-oracle of acceptance criterion 5), and ``apply_clause_phases_factored``, which
+textbook iterate on the bare N-dimensional register (the oracle of acceptance
+criterion 5 and of the two-amplitude Grover baseline in ``experiment``; no
+production path calls it), and ``apply_clause_phases_factored``, which
 evaluates clauses one by one instead of reading a violation table.
 
 The per-assignment path stays as the oracle of the class engine: the tests,

@@ -87,7 +87,7 @@ class TestAgainstFullVector:
         curve = ss.success_curve(profile, index, q_max)
         assert np.max(np.abs(curve - full_vector_curve(profile, index, q_max))) <= 1e-12
         final = full_vector_states(profile, q_max)[-1]
-        assert np.max(np.abs(ss.state_after(profile, q_max) - final)) <= 1e-12
+        assert np.max(np.abs(profile.lift(ss.state_after(profile, q_max)) - final)) <= 1e-12
 
     def test_planted_n14(self, planted14):
         _, table, summary = planted14
@@ -99,7 +99,7 @@ class TestAgainstFullVector:
                 [(q, *ss.measure_distribution(s, index)) for q, s in enumerate(states)]
             )
             assert np.max(np.abs(ss.success_curve(profile, index, q_max) - expected)) <= 1e-12
-        assert np.max(np.abs(ss.state_after(profile, q_max) - states[-1])) <= 1e-12
+        assert np.max(np.abs(profile.lift(ss.state_after(profile, q_max)) - states[-1])) <= 1e-12
 
     def test_class_norm_drift_n18(self):
         # the n = 18, seed 0 instance of acceptance criterion 4

@@ -34,6 +34,19 @@ class TestGen:
         assert f"c planted {planted}" in text
         assert "c seed 1" in text
 
+    def test_enumerates_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].n)
+            return ss.build_unsat_table(*args, **kwargs)
+
+        # every module that binds build_unsat_table by name
+        for module in ("satsearch.cli", "satsearch.generate"):
+            monkeypatch.setattr(f"{module}.build_unsat_table", counted)
+        assert main(["gen", "-n", "10", "-m", "40", "--seed", "2", "-o", str(tmp_path / "x.cnf")]) == 0
+        assert calls == [10]
+
     def test_missing_n_is_usage_error(self, capsys):
         assert main(["gen", "-m", "10"]) == 2
         assert "usage" in capsys.readouterr().err
@@ -318,7 +331,7 @@ class TestOutputBytes:
         "analyze.json": "4ddcea610bacefb861a44bce5eb8c98997a9cd589ea0da066bb16fe5b69f5bc1",
         "sweep.csv": "160447cd62a66bdb3042a03767b143cc5fe2bb9c7d517322a4c1ed7d7e68f791",
         "grover.csv": "a037eb0c6434317dff84b4f1d636292e195e23bcd6b774211405b10eeb6411cb",
-        "run.json": "0cdca67c99b96459ff8d10be696aa531d8f40dae94cb267b05c69f1fd5d5b12b",
+        "run.json": "bae77974b39c245e0c44c98ec6c017f206d5744b53b9a253140c294bf4fd4ace",
         "snap.json": "42d7b6944d927a6b09fafda0b4df1e81168050ff3b3c27e65ad6b287839d8199",
     }
 

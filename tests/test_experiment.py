@@ -1,11 +1,28 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import satsearch as ss
 from satsearch.experiment import curve_csv
+
+
+def traced_peak(call):
+    """Peak bytes that tracemalloc sees Python allocate while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def lifted_marginal(profile, index, iterations):
+    """Data-register marginal of index, read from the full 2N-amplitude state."""
+    state = profile.lift(ss.state_after(profile, iterations))
+    return ss.measure_distribution(state, index)[0]
 
 
 def sin_squared_fit(curve, omega_guess):
@@ -150,6 +167,39 @@ class TestGroverBaseline:
         with pytest.raises(ValueError, match="steps"):
             ss.run_grover_baseline(formula, 3, -1)
 
+    @pytest.mark.parametrize("n, solutions", [(3, (0, 5, 7)), (8, (0, 77, 255)), (12, (1337, 4095))])
+    def test_matches_vector_oracle(self, n, solutions):
+        total = 1 << n
+        formula = ss.CnfFormula(n, (ss.Clause.from_ints([1]),))
+        steps = 2 * ss.grover_optimal_steps(total) + 3
+        for solution in solutions:
+            state = np.full(total, 1.0 / math.sqrt(total), dtype=np.complex128)
+            expected = [abs(state[solution]) ** 2]
+            for _ in range(steps):
+                state = ss.grover_step(state, solution)
+                expected.append(abs(state[solution]) ** 2)
+            curve = ss.run_grover_baseline(formula, solution, steps)
+            assert np.array_equal(curve[:, 0], np.arange(steps + 1))
+            assert np.max(np.abs(curve[:, 1] - np.asarray(expected))) <= 1e-12
+
+    @pytest.mark.parametrize("n", [20, 22])
+    def test_matches_closed_form_large_n(self, n):
+        total = 1 << n
+        steps = ss.grover_optimal_steps(total)
+        curve = ss.run_grover_baseline(ss.CnfFormula(n, (ss.Clause.from_ints([1]),)), 12345, steps)
+        assert np.max(np.abs(curve[:, 1] - ss.grover_closed_form(total, steps))) <= 1e-12
+
+    @pytest.mark.parametrize("solution", [-1, 4])
+    def test_out_of_range_solution_rejected(self, solution):
+        formula = ss.parse_dimacs("p cnf 2 2\n1 0\n2 0\n")
+        with pytest.raises(ValueError, match="out of range"):
+            ss.run_grover_baseline(formula, solution, 1)
+
+    def test_memory_independent_of_n(self):
+        formula = ss.CnfFormula(16, (ss.Clause.from_ints([1]),))
+        steps = ss.grover_optimal_steps(1 << 16)
+        assert traced_peak(lambda: ss.run_grover_baseline(formula, 3, steps)) < 64 * 1024
+
 
 class TestSampling:
     def test_high_success_when_b_is_one(self):
@@ -178,6 +228,43 @@ class TestSampling:
         a = ss.measurement_success_rate(profile, 5, 12, trials=500, rng_seed=3)
         b = ss.measurement_success_rate(profile, 5, 12, trials=500, rng_seed=3)
         assert a == b
+
+    def test_draws_from_lifted_marginal(self, planted14, monkeypatch):
+        _, table, summary = planted14
+        profile = ss.PhaseProfile.from_table(table)
+        drawn = []
+
+        class Recorder:
+            def binomial(self, trials, p):
+                drawn.append(p)
+                return trials // 2
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: Recorder())
+        for index in (table.unique_solution(), 0, 12345):
+            for iterations in (0, summary.q_m, 2 * summary.q_m + 1):
+                assert ss.measurement_success_rate(profile, index, iterations, 10, 0) == 0.5
+                expected = lifted_marginal(profile, index, iterations)
+                assert abs(drawn[-1] - expected) <= 1e-12
+
+    @pytest.mark.parametrize("solution", [-1, 1 << 8])
+    def test_out_of_range_solution_rejected(self, solution):
+        profile = ss.PhaseProfile.all_violated(8, 5)
+        with pytest.raises(ValueError, match="out of range"):
+            ss.measurement_success_rate(profile, solution, 12, trials=10, rng_seed=0)
+
+    def test_huge_trial_count(self):
+        profile = ss.PhaseProfile.all_violated(8, 5)
+        rate = ss.measurement_success_rate(profile, 5, 6, trials=10**12, rng_seed=0)
+        # binomial standard deviation at 10**12 trials is below 5e-7
+        assert abs(rate - lifted_marginal(profile, 5, 6)) < 1e-5
+
+    def test_memory_independent_of_n(self):
+        table = ss.build_unsat_table(ss.generate_planted_3sat(16, 80, seed=3))
+        profile = ss.PhaseProfile.from_table(table)
+        profile.classes()  # the one bincount over all assignments, cached
+        solution = table.unique_solution()
+        peak = traced_peak(lambda: ss.measurement_success_rate(profile, solution, 50, 1000, 0))
+        assert peak < 64 * 1024
 
 
 class TestCostReport:

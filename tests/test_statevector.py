@@ -273,7 +273,8 @@ class TestSnapshot:
 
     def test_lifted_planted_state(self, planted14):
         formula, table, summary = planted14
-        state = ss.state_after(ss.PhaseProfile.from_table(table), 2 * summary.q_m)
+        profile = ss.PhaseProfile.from_table(table)
+        state = profile.lift(ss.state_after(profile, 2 * summary.q_m))
         # the premise of formatting each distinct amplitude once
         assert np.unique(state).size <= 2 * (formula.m + 1)
         for threshold in (0, 1e-6):

@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Subcommands: gen, analyze, run, sweep, grover, spectrum.  Every command is
-deterministic given its flags and seed; JSON output has a fixed key order and
-full-precision floats, so identical invocations produce byte-identical files.
+deterministic given its flags (``gen`` alone takes ``--seed``); JSON output
+has a fixed key order and full-precision floats, so identical invocations
+produce byte-identical files.  Reports are strict JSON: the encoder refuses
+NaN and Infinity, and ``mean_repeats`` is null when no trial succeeds.
 
 Exit codes: 0 success, 2 usage error (including out-of-range values of
 --qmax, --steps, --trials, --threads, --snapshot-threshold and
@@ -13,7 +15,7 @@ guard exceeded.
 ``run --trials 0`` (the default) takes no samples; a negative count is a usage
 error.  ``--snapshot-threshold`` (sweep and run) must be finite and >= 0: NaN
 and Infinity have no strict-JSON spelling, and no modulus lies below 0.
-``run --timings`` reports the snapshot write as ``snapshot_s``.
+``run --timings`` reports the snapshot formatting as ``snapshot_s``.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from .experiment import (
 )
 from .generate import _planted_3sat
 from .spectral import MAX_EIGENCHECK_N, dense_eigencheck, spectral_summary
-from .statevector import state_snapshot
 
 
 class UsageError(Exception):
@@ -87,7 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("-o", "--output", default=None, help="write result to this file instead of stdout")
-    common.add_argument("--seed", type=int, default=0, help="RNG seed (PCG64)")
     common.add_argument(
         "--threads",
         type=int,
@@ -106,6 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", parents=[common], help="write a planted 3SAT instance as DIMACS")
     gen.add_argument("-n", type=int, required=True, help="variable count (>= 3)")
     gen.add_argument("-m", type=int, required=True, help="initial random clause count")
+    gen.add_argument("--seed", type=int, default=0, help="RNG seed (PCG64)")
 
     analyze = sub.add_parser("analyze", parents=[common], help="spectral summary of an instance")
     analyze.add_argument("-f", "--formula", required=True, help="DIMACS CNF file")
@@ -149,7 +150,7 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def _cmd_gen(args) -> int:
@@ -180,18 +181,17 @@ def _run_config(args, include_grover: bool = False, grover_steps=None) -> RunCon
     )
 
 
-def _write_snapshot(report, args) -> None:
-    if getattr(args, "snapshot", None) is None:
-        return
-    t0 = time.perf_counter()
-    _emit(state_snapshot(report.final_state, args.snapshot_threshold), args.snapshot)
-    report.timings["snapshot_s"] = time.perf_counter() - t0
+def _sweep(args, config: RunConfig):
+    """Run the sweep and write the snapshot file, if one was asked for."""
+    threshold = None if args.snapshot is None else args.snapshot_threshold
+    report = run_sweep(config, snapshot_threshold=threshold)
+    if report.snapshot is not None:
+        _emit(report.snapshot, args.snapshot)
+    return report
 
 
 def _cmd_sweep(args) -> int:
-    config = _run_config(args)
-    report = run_sweep(config, keep_final_state=args.snapshot is not None)
-    _write_snapshot(report, args)
+    report = _sweep(args, _run_config(args))
     if args.format == "csv":
         _emit(curve_csv("q,p_marginal,p_overlap", report.curve), args.output)
     else:
@@ -201,8 +201,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_run(args) -> int:
     config = _run_config(args, include_grover=args.grover, grover_steps=args.steps)
-    report = run_sweep(config, keep_final_state=args.snapshot is not None)
-    _write_snapshot(report, args)
+    report = _sweep(args, config)
     repeat_stats = None
     if args.trials > 0:
         t0 = time.perf_counter()

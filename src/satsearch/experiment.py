@@ -8,19 +8,19 @@ measurement gives) and the squared overlap with the amplified state
 The marginal is never smaller than the overlap, so both are kept.
 
 Every production path runs in class coordinates (see ``statevector``): the
-per-assignment profile is folded once into its violation classes, one
-bincount over the N counts, and ``search_step`` then advances at most
-2(m+1) class amplitudes.  The class state is exact, not an approximation:
-index i of class c has amplitude a_(b,c) / sqrt(N_c) on branch b, for any
-index and any number of solutions.  ``success_curve`` reads that pair of
-amplitudes at every step, ``measurement_success_rate`` reads it once and
-draws the trials from the solution's marginal, and ``state_after`` returns
-the class state; ``run_sweep`` lifts it to the 2N amplitudes only for a
-snapshot.  The Grover baseline has the same symmetry with two classes, the
-solution and the other N - 1 assignments, so it steps two real amplitudes
-(Boyer, Brassard, Hoyer and Tapp, quant-ph/9605034).  Stepping the full
-vector remains the oracle path, reached from the tests and from
-``spectral.iterate_matrix``.
+class profile comes from the table's histogram, the unique solution is its
+entry 0, and ``search_step`` advances at most 2(m+1) class amplitudes.  The
+class state is exact, not an approximation: index i of class c has
+amplitude a_(b,c) / sqrt(N_c) on branch b, for any index and any number of
+solutions.  ``success_curve`` reads that pair of amplitudes at every step,
+``measurement_success_rate`` reads it once and draws the trials from the
+solution's marginal, and ``state_after`` returns the class state, which
+``state_snapshot`` writes without lifting it to 2N amplitudes (only the
+tests call ``PhaseProfile.lift``).  The Grover baseline has the same
+symmetry with two classes, the solution and the other N - 1 assignments, so
+it steps two real amplitudes (Boyer, Brassard, Hoyer and Tapp,
+quant-ph/9605034).  Stepping the full vector remains the oracle path,
+reached from the tests and from ``spectral.iterate_matrix``.
 
 Reports serialize to JSON (stable key order, full-precision floats) or to CSV
 for the curves.  Timing information is collected but excluded from the JSON
@@ -33,36 +33,26 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .cnf import (
-    CnfFormula,
-    DEFAULT_GUARD_N,
-    UnsatTable,
-    build_unsat_table,
-    read_dimacs,
-)
-from .generate import generate_planted_3sat
+from .cnf import CnfFormula, DEFAULT_GUARD_N, build_unsat_table, read_dimacs
 from .spectral import SpectralSummary, spectral_summary
-from .statevector import PhaseProfile, measure_distribution, search_step
+from .statevector import PhaseProfile, measure_distribution, search_step, state_snapshot
 
 
 @dataclass
 class RunConfig:
-    """Where the instance comes from and how far to sweep.
+    """Which DIMACS file to read and how far to sweep.
 
-    Exactly one of ``formula_path`` or the (gen_n, gen_m, gen_seed) generator
-    triple must be given.  ``q_max=None`` means 2*q_m, which covers the full
-    first oscillation lobe so the peak position is measurable.
+    ``q_max=None`` means 2*q_m, which covers the full first oscillation lobe
+    so the peak position is measurable.
     """
 
-    formula_path: str | None = None
-    gen_n: int | None = None
-    gen_m: int | None = None
-    gen_seed: int | None = None
+    formula_path: str
     q_max: int | None = None
     include_grover: bool = False
     grover_steps: int | None = None
@@ -70,23 +60,15 @@ class RunConfig:
     threads: int = 1
 
     def __post_init__(self) -> None:
-        has_path = self.formula_path is not None
-        has_gen = self.gen_n is not None or self.gen_m is not None or self.gen_seed is not None
-        if has_path == has_gen:
-            raise ValueError("specify exactly one of formula_path or gen_n/gen_m/gen_seed")
-        if has_gen and (self.gen_n is None or self.gen_m is None):
-            raise ValueError("generator source needs both gen_n and gen_m")
         if self.q_max is not None and self.q_max < 1:
             raise ValueError("q_max must be >= 1")
 
     def echo(self) -> dict:
-        # threads is an execution detail with no effect on any emitted value,
-        # so it is excluded to keep reports byte-identical across thread counts
+        # threads and the path's directory have no effect on any emitted value;
+        # leaving them out keeps reports byte-identical across thread counts
+        # and across spellings of the path
         return {
-            "formula_path": self.formula_path,
-            "gen_n": self.gen_n,
-            "gen_m": self.gen_m,
-            "gen_seed": self.gen_seed,
+            "formula_path": Path(self.formula_path).name,
             "q_max": self.q_max,
             "include_grover": self.include_grover,
             "grover_steps": self.grover_steps,
@@ -108,7 +90,7 @@ class RunReport:
     p_peak_measured: float
     grover_curve: np.ndarray | None
     timings: dict[str, float]
-    final_state: np.ndarray | None = field(default=None, repr=False)
+    snapshot: str | None = None  # snapshot JSON document, when one was asked for
 
     def to_json_dict(self, include_timings: bool = False) -> dict:
         out = {
@@ -131,14 +113,6 @@ class RunReport:
         if include_timings:
             out["timings"] = self.timings
         return out
-
-
-def load_formula(config: RunConfig) -> CnfFormula:
-    if config.formula_path is not None:
-        return read_dimacs(config.formula_path)
-    return generate_planted_3sat(
-        config.gen_n, config.gen_m, config.gen_seed or 0, guard_n=config.guard_n
-    )
 
 
 def _index_fiber(profile: PhaseProfile, index: int) -> tuple[list[int], float]:
@@ -174,6 +148,8 @@ def state_after(profile: PhaseProfile, iterations: int) -> np.ndarray:
     The amplitudes are in ``profile.classes()`` coordinates; ``profile.lift``
     maps them to the full 2N-amplitude state.
     """
+    if iterations < 0:
+        raise ValueError(f"iterations must be >= 0, got {iterations}")
     classes = profile.classes()
     state = classes.uniform()
     for _ in range(iterations):
@@ -181,11 +157,15 @@ def state_after(profile: PhaseProfile, iterations: int) -> np.ndarray:
     return state
 
 
-def run_sweep(config: RunConfig, keep_final_state: bool = False) -> RunReport:
-    """Full pipeline: load/generate, enumerate, predict, sweep, compare."""
+def run_sweep(config: RunConfig, snapshot_threshold: float | None = None) -> RunReport:
+    """Full pipeline: read, enumerate, predict, sweep, compare.
+
+    With a ``snapshot_threshold`` the report also carries the snapshot
+    document of the class state at q_max (see ``statevector.state_snapshot``).
+    """
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
-    formula = load_formula(config)
+    formula = read_dimacs(config.formula_path)
     table = build_unsat_table(formula, guard_n=config.guard_n, threads=config.threads)
     solution = table.unique_solution()
     timings["enumerate_s"] = time.perf_counter() - t0
@@ -195,9 +175,9 @@ def run_sweep(config: RunConfig, keep_final_state: bool = False) -> RunReport:
     timings["spectral_s"] = time.perf_counter() - t0
 
     q_max = config.q_max if config.q_max is not None else 2 * summary.q_m
-    profile = PhaseProfile.from_table(table)
+    classes = PhaseProfile.from_histogram(table.m, table.histogram)
     t0 = time.perf_counter()
-    curve = success_curve(profile, solution, q_max)
+    curve = success_curve(classes, 0, q_max)
     timings["sweep_s"] = time.perf_counter() - t0
     q_peak = int(np.argmax(curve[:, 2]))
     p_peak = float(curve[q_peak, 2])
@@ -211,11 +191,14 @@ def run_sweep(config: RunConfig, keep_final_state: bool = False) -> RunReport:
         grover_curve = run_grover_baseline(formula, solution, steps)
         timings["grover_s"] = time.perf_counter() - t0
 
-    final_state = None
-    if keep_final_state:
+    snapshot = None
+    if snapshot_threshold is not None:
         t0 = time.perf_counter()
-        final_state = profile.lift(state_after(profile, q_max))
+        final_state = state_after(classes, q_max)
         timings["final_state_s"] = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        snapshot = state_snapshot(classes, final_state, table.counts, snapshot_threshold)
+        timings["snapshot_s"] = time.perf_counter() - t0
     return RunReport(
         config=config.echo(),
         version=__version__,
@@ -227,7 +210,7 @@ def run_sweep(config: RunConfig, keep_final_state: bool = False) -> RunReport:
         p_peak_measured=p_peak,
         grover_curve=grover_curve,
         timings=timings,
-        final_state=final_state,
+        snapshot=snapshot,
     )
 
 
@@ -299,24 +282,23 @@ def repeat_until_success_stats(
     config: RunConfig,
     trials: int,
     rng_seed: int,
-) -> tuple[float, float]:
+) -> tuple[float, float | None]:
     """Sample data-register measurements at q = q_m.
 
     Returns the fraction of trials that read out the solution and the implied
-    geometric-distribution mean repeat count 1/rate (inf when no trial
+    geometric-distribution mean repeat count 1/rate (None when no trial
     succeeded).  Sampling uses numpy's PCG64 generator seeded with
     ``rng_seed``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    formula = load_formula(config)
+    formula = read_dimacs(config.formula_path)
     table = build_unsat_table(formula, guard_n=config.guard_n, threads=config.threads)
-    solution = table.unique_solution()
+    table.unique_solution()  # rejects instances without exactly one solution
     summary = spectral_summary(table)
-    rate = measurement_success_rate(
-        PhaseProfile.from_table(table), solution, summary.q_m, trials, rng_seed
-    )
-    mean_repeats = math.inf if rate == 0.0 else 1.0 / rate
+    classes = PhaseProfile.from_histogram(table.m, table.histogram)
+    rate = measurement_success_rate(classes, 0, summary.q_m, trials, rng_seed)
+    mean_repeats = None if rate == 0.0 else 1.0 / rate
     return rate, mean_repeats
 
 
@@ -325,7 +307,7 @@ class CostReport:
     """Iteration budget: one run, expected total, and the B**3 scaling figure."""
 
     iterations_per_run: int
-    expected_total_iterations: float
+    expected_total_iterations: float | None
     scaling_figure: float
 
     def to_json_dict(self) -> dict:
@@ -340,11 +322,7 @@ def total_cost_report(report: RunReport) -> CostReport:
     """Expected iteration cost from the measured peak, plus pi*B**3*sqrt(N)/4."""
     summary = report.spectral
     sqrt_n = math.sqrt(1 << summary.n)
-    expected = (
-        math.inf
-        if report.p_peak_measured == 0.0
-        else summary.q_m / report.p_peak_measured
-    )
+    expected = None if report.p_peak_measured == 0.0 else summary.q_m / report.p_peak_measured
     return CostReport(
         iterations_per_run=summary.q_m,
         expected_total_iterations=expected,

@@ -14,18 +14,18 @@ exactly that fixed fiber.
 Class coordinates.  Each clause adds its own phase, so the iterate treats all
 assignments with the same violation count alike.  A ``PhaseProfile`` entry
 therefore carries a multiplicity: entry k stands for ``weights[k]``
-assignments that each violate ``u[k]`` clauses.  The per-assignment profile
-(every weight 1, one entry per assignment) is the oracle; ``classes()``
-folds it into one entry per occupied violation count, weight N_u.  In class
-coordinates the unit vector of class (b, u) is the normalized indicator of
-its N_u assignments, the uniform state is s with s_(b,u) = sqrt(N_u / 2N),
-and the iterate is exactly (I - 2ss^T)D on 2(m+1) amplitudes at most, with D
-the class phases.  ``search_step`` is one kernel for both coordinate
-systems: the weighted reflection out -= 2s(s.out) is written with the
-unnormalized axis sqrt(weight), so for all-ones weights it is the plain
-out.sum()/N of the per-assignment path, bit for bit.  ``PhaseProfile.lift``
-maps a class state back to the 2N amplitudes, each assignment of class c
-getting a_c / sqrt(N_c).
+assignments that each violate ``u[k]`` clauses.  Production paths build the
+class profile, one entry per occupied violation count with weight N_u, from
+the histogram (``from_histogram``).  The per-assignment profile (every weight
+1, one entry per assignment) is the oracle; its ``classes()`` folds it into
+the same class profile.  In class coordinates the unit vector of class (b, u)
+is the normalized indicator of its N_u assignments, the uniform state is s
+with s_(b,u) = sqrt(N_u / 2N), and the iterate is exactly (I - 2ss^T)D on
+2(m+1) amplitudes at most, with D the class phases.  ``search_step`` is one
+kernel for both coordinate systems: the weighted reflection out -= 2s(s.out)
+is written with the unnormalized axis sqrt(weight), so for all-ones weights
+it is the plain out.sum()/N of the per-assignment path, bit for bit.  The
+tests alone map a class state back to the 2N amplitudes with ``lift``.
 
 One kernel per job.  ``search_step`` is the only implementation of the
 iterate; its diagonal pass ``state * profile.phase_vector()`` is the clause
@@ -41,12 +41,10 @@ The per-assignment path stays as the oracle of the class engine: the tests,
 ``spectral.iterate_matrix`` (and through it acceptance criterion 3) and
 criteria 2 and 8 step or multiply the full 2**(n+1)-amplitude vector.
 
-Snapshots.  ``state_snapshot`` returns the snapshot JSON document itself,
-byte for byte what ``json.dumps(..., indent=2)`` writes for the kept
-(index, re, im) rows.  A class state lifted to 2N amplitudes has at most
-2(m+1) distinct amplitudes, so it formats each distinct real and imaginary
-part once and assembles the rows from those texts instead of handing 2N
-rows to the pure-Python indenting encoder.
+Snapshots.  ``state_snapshot`` writes the JSON document of the lifted
+state's (index, re, im) rows straight from the class state: each assignment
+of class c has amplitude a_(b,c) / sqrt(N_c), so it formats those at most
+2(m+1) values once and gives each row the text of its assignment's class.
 """
 
 from __future__ import annotations
@@ -65,12 +63,14 @@ class PhaseProfile:
     """Violation counts with multiplicities plus clause count; caches derived vectors.
 
     ``weights=None`` means every entry has multiplicity 1: one entry per
-    assignment, the per-assignment profile.
+    assignment, the per-assignment profile.  ``total`` is N, the assignments
+    the entries stand for.
     """
 
     m: int
     u: np.ndarray
     weights: np.ndarray | None = None
+    total: int = field(init=False, repr=False, compare=False)
     _phases: np.ndarray | None = field(default=None, repr=False, compare=False)
     _axis: np.ndarray | None = field(default=None, repr=False, compare=False)
     _classes: "PhaseProfile | None" = field(default=None, repr=False, compare=False)
@@ -79,13 +79,29 @@ class PhaseProfile:
         if self.m < 1:
             raise ValueError("clause count m must be >= 1")
         self.u = np.asarray(self.u)
-        if self.weights is not None:
+        if self.weights is None:
+            self.total = self.size
+        else:
             self.weights = np.asarray(self.weights, dtype=np.int64)
             if self.weights.shape != self.u.shape or np.any(self.weights < 1):
                 raise ValueError("weights must be positive, one per violation count")
+            self.total = int(self.weights.sum())
+
+    @classmethod
+    def from_histogram(cls, m: int, histogram) -> "PhaseProfile":
+        """Class profile, its own ``classes()``: one entry per occupied bin u, weight N_u.
+
+        Entries come in increasing u, so the solutions (u = 0) are entry 0.
+        """
+        histogram = np.asarray(histogram)
+        occupied = np.flatnonzero(histogram)
+        profile = cls(m, occupied, histogram[occupied].astype(np.int64))
+        profile._classes = profile
+        return profile
 
     @classmethod
     def from_table(cls, table) -> "PhaseProfile":
+        """Per-assignment profile of a violation table (the oracle coordinates)."""
         return cls(table.m, table.counts)
 
     @classmethod
@@ -106,11 +122,6 @@ class PhaseProfile:
     def size(self) -> int:
         """Entries per ancilla branch: amplitudes of a state are 2 * size."""
         return int(self.u.shape[0])
-
-    @property
-    def total(self) -> int:
-        """Assignments the entries stand for, N."""
-        return self.size if self.weights is None else int(self.weights.sum())
 
     def phase_vector(self) -> np.ndarray:
         if self._phases is None:
@@ -134,22 +145,21 @@ class PhaseProfile:
         return self.reflection_axis() * (1.0 / math.sqrt(2 * self.total)) + 0j
 
     def classes(self) -> "PhaseProfile":
-        """One entry per occupied violation count, weighted by its multiplicity.
-
-        Empty counts are dropped, so no class has weight 0 and ``lift`` never
-        divides by zero.  The entries come out in increasing u.
-        """
+        """One entry per occupied violation count, weighted by its multiplicity."""
         if self._classes is None:
             counts = np.bincount(self.u, weights=self.weights, minlength=self.m + 1)
-            occupied = np.flatnonzero(counts)
-            self._classes = PhaseProfile(self.m, occupied, counts[occupied].astype(np.int64))
+            self._classes = PhaseProfile.from_histogram(self.m, counts)
         return self._classes
+
+    def entries(self, counts) -> np.ndarray:
+        """Entry of this class profile that holds each violation count in ``counts``."""
+        return np.searchsorted(self.u, counts)
 
     def class_of(self, index: int) -> int:
         """Entry of ``classes()`` that entry ``index`` of this profile falls in."""
         if not 0 <= index < self.size:
             raise ValueError(f"index {index} out of range for {self.size} entries")
-        return int(np.searchsorted(self.classes().u, self.u[index]))
+        return int(self.classes().entries(self.u[index]))
 
     def lift(self, class_state: np.ndarray) -> np.ndarray:
         """Amplitudes per entry of a state given in ``classes()`` coordinates.
@@ -160,7 +170,7 @@ class PhaseProfile:
         classes = self.classes()
         _check_dimension(class_state, classes.size)
         per_assignment = class_state / classes.reflection_axis()
-        position = np.searchsorted(classes.u, self.u)
+        position = classes.entries(self.u)
         return np.concatenate(
             [per_assignment[: classes.size][position], per_assignment[classes.size :][position]]
         )
@@ -240,41 +250,34 @@ def measure_distribution(state: np.ndarray, solution: int) -> tuple[float, float
     return float(marginal), float(overlap)
 
 
-def _json_floats(values: np.ndarray) -> tuple[np.ndarray, list[str]]:
-    """Inverse indices and JSON text of the distinct floats in ``values``.
-
-    Floats are told apart by bit pattern, not value, so 0.0 and -0.0 keep
-    their own texts.  Each distinct float is formatted once, as ``json.dumps``
-    writes it: its repr, or NaN / Infinity / -Infinity.
-    """
-    bits = values.astype(np.float64, copy=False).view(np.uint64)
-    distinct, inverse = np.unique(bits, return_inverse=True)
-    texts = [
-        repr(v) if math.isfinite(v) else json.dumps(v)
-        for v in distinct.view(np.float64).tolist()
-    ]
-    return inverse, texts
-
-
-def state_snapshot(state: np.ndarray, threshold: float = 1e-6) -> str:
+def state_snapshot(
+    classes: PhaseProfile, state: np.ndarray, counts: np.ndarray, threshold: float = 1e-6
+) -> str:
     """JSON document of the (index, re, im) rows above the magnitude threshold.
 
-    The bytes are those of ``json.dumps({"threshold": threshold, "amplitudes":
-    rows}, indent=2)`` plus a final newline, with one [index, re, im] row per
-    amplitude whose modulus exceeds ``threshold``.  A lifted class state has
-    at most 2(m+1) distinct amplitudes, so each distinct real and imaginary
-    part is formatted once and the rows are assembled from those texts.
+    ``state`` is in the coordinates of the class profile ``classes``, and
+    ``counts`` gives each assignment's violation count.  The bytes are those
+    of ``json.dumps({"threshold": threshold, "amplitudes": rows}, indent=2)``
+    plus a final newline, one row per amplitude of the lifted state whose
+    modulus exceeds ``threshold``.
     """
-    keep = np.flatnonzero(np.abs(state) > threshold)
-    header = f'{{\n  "threshold": {json.dumps(threshold)},\n  "amplitudes": '
-    if keep.size == 0:
-        return header + "[]\n}\n"
-    re_inverse, re_texts = _json_floats(state.real[keep])
-    im_inverse, im_texts = _json_floats(state.imag[keep])
-    rows = ",\n".join(
-        [
-            f"    [\n      {i},\n      {re_texts[r]},\n      {im_texts[m]}\n    ]"
-            for i, r, m in zip(keep.tolist(), re_inverse.tolist(), im_inverse.tolist())
+    _check_dimension(state, classes.size)
+    amplitudes = state / classes.reflection_axis()
+    kept = np.abs(amplitudes) > threshold
+    tails = [
+        f",\n      {json.dumps(a.real)},\n      {json.dumps(a.imag)}\n    ]"
+        for a in amplitudes.tolist()
+    ]
+    entry = classes.entries(counts)
+    rows = []
+    for branch in (0, 1):
+        offset = branch * classes.size
+        index = np.flatnonzero(kept[offset + entry])
+        rows += [
+            f"    [\n      {i}{tails[c]}"
+            for i, c in zip((index + branch * entry.size).tolist(), (offset + entry[index]).tolist())
         ]
-    )
-    return header + "[\n" + rows + "\n  ]\n}\n"
+    header = f'{{\n  "threshold": {json.dumps(threshold)},\n  "amplitudes": '
+    if not rows:
+        return header + "[]\n}\n"
+    return header + "[\n" + ",\n".join(rows) + "\n  ]\n}\n"

@@ -213,14 +213,13 @@ def test_criterion_8_unitarity_and_determinism(tmp_path):
         state = ss.search_step(state, profile)
     assert abs(np.linalg.norm(state) - 1.0) <= 1e-10
 
-    config = dict(gen_n=10, gen_m=12, gen_seed=3, q_max=80)
-    a = ss.run_sweep(ss.RunConfig(**config, threads=1))
-    b = ss.run_sweep(ss.RunConfig(**config, threads=4))
+    inst = tmp_path / "inst.cnf"
+    assert main(["gen", "-n", "10", "-m", "12", "--seed", "3", "-o", str(inst)]) == 0
+    a = ss.run_sweep(ss.RunConfig(formula_path=str(inst), q_max=80, threads=1))
+    b = ss.run_sweep(ss.RunConfig(formula_path=str(inst), q_max=80, threads=4))
     assert json.dumps(a.to_json_dict()) == json.dumps(b.to_json_dict())
 
     # same through the CLI, comparing emitted bytes
-    inst = tmp_path / "inst.cnf"
-    assert main(["gen", "-n", "10", "-m", "12", "--seed", "3", "-o", str(inst)]) == 0
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
     assert main(["run", "-f", str(inst), "--qmax", "80", "--threads", "1", "-o", str(out1)]) == 0
     assert main(["run", "-f", str(inst), "--qmax", "80", "--threads", "4", "-o", str(out2)]) == 0

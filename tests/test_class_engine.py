@@ -44,6 +44,19 @@ class TestClassProfile:
         assert classes.total == profile.total == 4
         assert [profile.class_of(i) for i in range(4)] == [2, 1, 1, 0]
 
+    def test_from_histogram_is_the_fold(self, planted14):
+        _, table, summary = planted14
+        folded = ss.PhaseProfile.from_table(table).classes()
+        classes = ss.PhaseProfile.from_histogram(table.m, table.histogram)
+        assert classes.classes() is classes
+        assert classes.u.tolist() == folded.u.tolist()
+        assert classes.weights.tolist() == folded.weights.tolist()
+        assert classes.total == folded.total == 1 << 14
+        # the solution is entry 0, and the curve is the per-assignment one bit for bit
+        q_max = 2 * summary.q_m
+        per_assignment = ss.success_curve(ss.PhaseProfile.from_table(table), table.unique_solution(), q_max)
+        assert np.array_equal(ss.success_curve(classes, 0, q_max), per_assignment)
+
     def test_uniform_lifts_to_uniform_state(self, planted14):
         _, table, _ = planted14
         profile = ss.PhaseProfile.from_table(table)

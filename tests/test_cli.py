@@ -284,6 +284,11 @@ class TestUsageErrors:
         self.assert_one_line_error(capsys, "--snapshot-threshold")
         assert not snap.exists()
 
+    @pytest.mark.parametrize("command", ["analyze", "sweep", "run", "grover", "spectrum"])
+    def test_seed_only_for_gen(self, command, toy_path, capsys):
+        assert main([command, "-f", toy_path, "--seed", "5"]) == 2
+        assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one(self, threads, toy_path, capsys):
         assert main(["analyze", "-f", toy_path, "--threads", threads]) == 2
@@ -326,20 +331,62 @@ class TestOutputBytes:
         ["grover", "-f", "inst.cnf", "--format", "csv", "-o", "grover.csv"],
         ["run", "-f", "inst.cnf", "--grover", "--trials", "50", "--snapshot", "snap.json", "-o", "run.json"],
     ]
+    FILES = {"inst.cnf", "analyze.json", "sweep.csv", "grover.csv", "run.json", "snap.json"}
     SHA256 = {
         "inst.cnf": "b046d53e02cb3a9a680eeee9d3369ed605a58bd891646e2fc61a839135ea71e9",
         "analyze.json": "4ddcea610bacefb861a44bce5eb8c98997a9cd589ea0da066bb16fe5b69f5bc1",
         "sweep.csv": "160447cd62a66bdb3042a03767b143cc5fe2bb9c7d517322a4c1ed7d7e68f791",
         "grover.csv": "a037eb0c6434317dff84b4f1d636292e195e23bcd6b774211405b10eeb6411cb",
-        "run.json": "bae77974b39c245e0c44c98ec6c017f206d5744b53b9a253140c294bf4fd4ace",
+        "run.json": "8413d8146309bea9c0583078f3b302b7b72cdaeda8acd1c057ee3237ba77fb48",
         "snap.json": "42d7b6944d927a6b09fafda0b4df1e81168050ff3b3c27e65ad6b287839d8199",
     }
 
-    def test_pinned_digests(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)  # the run report echoes the formula path
+    def digests(self, directory):
+        """Run every command with its files in ``directory``; sha256 of each file."""
         for argv in self.COMMANDS:
+            argv = [str(directory / a) if a in self.FILES else a for a in argv]
             assert main(argv) == 0, argv
-        digests = {
-            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in self.SHA256
+        return {
+            name: hashlib.sha256((directory / name).read_bytes()).hexdigest() for name in self.SHA256
         }
-        assert digests == self.SHA256
+
+    def test_pinned_digests(self, tmp_path):
+        assert self.digests(tmp_path) == self.SHA256
+
+    def test_no_per_assignment_state(self, tmp_path, monkeypatch):
+        """The same bytes with no lift to 2N amplitudes and no fold of per-assignment counts."""
+        classes = ss.PhaseProfile.classes
+
+        def refuse_lift(self, state):
+            raise AssertionError("lift called")
+
+        def class_profiles_only(self):
+            if self.weights is None:
+                raise AssertionError("per-assignment profile folded")
+            return classes(self)
+
+        monkeypatch.setattr(ss.PhaseProfile, "lift", refuse_lift)
+        monkeypatch.setattr(ss.PhaseProfile, "classes", class_profiles_only)
+        assert self.digests(tmp_path) == self.SHA256
+
+    def test_strict_json_without_a_hit(self, tmp_path):
+        self.digests(tmp_path)
+
+        def refuse(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        report = json.loads((tmp_path / "run.json").read_text(), parse_constant=refuse)
+        assert report["repeat_stats"]["empirical_success_rate"] == 0.0
+        assert report["repeat_stats"]["mean_repeats"] is None
+
+    def test_path_spelling_does_not_change_bytes(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(self.COMMANDS[0]) == 0
+        outputs = []
+        for k, path in enumerate(["inst.cnf", "./inst.cnf", str(tmp_path / "inst.cnf")]):
+            for command in (["run", "--trials", "5"], ["sweep", "--format", "json"]):
+                out = tmp_path / f"{command[0]}{k}.json"
+                assert main([*command, "-f", path, "-o", str(out)]) == 0
+                outputs.append(out.read_bytes())
+        assert outputs[0::2] == [outputs[0]] * 3
+        assert outputs[1::2] == [outputs[1]] * 3

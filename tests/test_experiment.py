@@ -25,6 +25,13 @@ def lifted_marginal(profile, index, iterations):
     return ss.measure_distribution(state, index)[0]
 
 
+def planted_config(tmp_path, n, m, seed, **options):
+    """RunConfig of the planted 3SAT instance (n, m, seed), written as DIMACS."""
+    path = tmp_path / f"planted-{n}-{m}-{seed}.cnf"
+    path.write_text(ss.serialize_dimacs(ss.generate_planted_3sat(n, m, seed)))
+    return ss.RunConfig(formula_path=str(path), **options)
+
+
 def sin_squared_fit(curve, omega_guess):
     """Least-squares fit of p(q) = a * sin^2(omega * (q + 1/2)) over an omega grid."""
     q = curve[:, 0]
@@ -43,19 +50,13 @@ def sin_squared_fit(curve, omega_guess):
 
 
 class TestRunConfig:
-    def test_needs_exactly_one_source(self):
-        with pytest.raises(ValueError):
-            ss.RunConfig()
-        with pytest.raises(ValueError):
-            ss.RunConfig(formula_path="x.cnf", gen_n=8, gen_m=10, gen_seed=0)
-
-    def test_generator_needs_n_and_m(self):
-        with pytest.raises(ValueError):
-            ss.RunConfig(gen_n=8)
-
     def test_qmax_validated(self):
         with pytest.raises(ValueError):
-            ss.RunConfig(gen_n=8, gen_m=10, gen_seed=0, q_max=0)
+            ss.RunConfig(formula_path="x.cnf", q_max=0)
+
+    @pytest.mark.parametrize("path", ["inst.cnf", "./inst.cnf", "/data/instances/inst.cnf"])
+    def test_echo_names_the_file(self, path):
+        assert ss.RunConfig(formula_path=path).echo()["formula_path"] == "inst.cnf"
 
 
 class TestSuccessCurve:
@@ -103,28 +104,27 @@ class TestRunSweep:
         with pytest.raises(ss.InstanceError, match="found 0"):
             ss.run_sweep(ss.RunConfig(formula_path=str(path)))
 
-    def test_peak_matches_prediction_in_valid_regime(self):
-        report = ss.run_sweep(ss.RunConfig(gen_n=12, gen_m=16, gen_seed=5))
+    def test_peak_matches_prediction_in_valid_regime(self, tmp_path):
+        report = ss.run_sweep(planted_config(tmp_path, 12, 16, 5))
         s = report.spectral
         assert s.validity_ratio < 0.1
         p_at_qm = report.curve[s.q_m, 2]
         assert abs(p_at_qm - s.predicted_success) <= 0.25 * s.predicted_success
         assert abs(report.q_peak_measured - s.q_m) <= max(2, 0.1 * s.q_m)
 
-    def test_deterministic_json(self):
-        config = dict(gen_n=9, gen_m=12, gen_seed=2, q_max=40)
-        a = ss.run_sweep(ss.RunConfig(**config))
-        b = ss.run_sweep(ss.RunConfig(**config, threads=2))
+    def test_deterministic_json(self, tmp_path):
+        a = ss.run_sweep(planted_config(tmp_path, 9, 12, 2, q_max=40))
+        b = ss.run_sweep(planted_config(tmp_path, 9, 12, 2, q_max=40, threads=2))
         assert json.dumps(a.to_json_dict()) == json.dumps(b.to_json_dict())
 
-    def test_timings_excluded_by_default(self):
-        report = ss.run_sweep(ss.RunConfig(gen_n=8, gen_m=10, gen_seed=1, q_max=10))
+    def test_timings_excluded_by_default(self, tmp_path):
+        report = ss.run_sweep(planted_config(tmp_path, 8, 10, 1, q_max=10))
         assert "timings" not in report.to_json_dict()
         assert "timings" in report.to_json_dict(include_timings=True)
         assert report.timings["sweep_s"] >= 0
 
-    def test_csv_format(self):
-        report = ss.run_sweep(ss.RunConfig(gen_n=8, gen_m=10, gen_seed=1, q_max=10))
+    def test_csv_format(self, tmp_path):
+        report = ss.run_sweep(planted_config(tmp_path, 8, 10, 1, q_max=10))
         lines = curve_csv("q,p_marginal,p_overlap", report.curve).strip().split("\n")
         assert lines[0] == "q,p_marginal,p_overlap"
         assert len(lines) == 12
@@ -208,20 +208,28 @@ class TestSampling:
         rate = ss.measurement_success_rate(profile, 123, q_m, trials=2000, rng_seed=7)
         assert rate >= 0.9
 
-    def test_mean_repeats_tracks_peak(self):
+    def test_mean_repeats_tracks_peak(self, tmp_path):
         # needs the validity regime: off it, spectator interference makes the
         # curve wiggle several tens of percent between adjacent q values
-        config = ss.RunConfig(gen_n=14, gen_m=16, gen_seed=1)
+        config = planted_config(tmp_path, 14, 16, 1)
         report = ss.run_sweep(config)
         assert report.spectral.validity_ratio <= 0.05
         rate, mean_repeats = ss.repeat_until_success_stats(config, trials=10_000, rng_seed=11)
         assert rate > 0
         assert mean_repeats == pytest.approx(1 / report.p_peak_measured, rel=0.30)
 
-    def test_trials_validated(self):
-        config = ss.RunConfig(gen_n=8, gen_m=10, gen_seed=0)
+    def test_trials_validated(self, tmp_path):
+        config = planted_config(tmp_path, 8, 10, 0)
         with pytest.raises(ValueError):
             ss.repeat_until_success_stats(config, trials=0, rng_seed=0)
+
+    def test_negative_iterations_rejected(self):
+        profile = ss.PhaseProfile.all_violated(4, 3)
+        with pytest.raises(ValueError, match="iterations"):
+            ss.measurement_success_rate(profile, 3, -7, 100, 0)
+        with pytest.raises(ValueError, match="iterations"):
+            ss.state_after(profile, -1)
+        assert ss.state_after(profile, 0).tolist() == profile.classes().uniform().tolist()
 
     def test_sampling_deterministic(self):
         profile = ss.PhaseProfile.all_violated(8, 5)
@@ -277,7 +285,7 @@ class TestCostReport:
         assert cost.scaling_figure == pytest.approx(math.pi * 1.5**1.5 * 2 / 4, abs=1e-12)
         assert cost.expected_total_iterations >= cost.iterations_per_run
 
-    def test_expected_total_uses_measured_peak(self):
-        report = ss.run_sweep(ss.RunConfig(gen_n=8, gen_m=10, gen_seed=1, q_max=10))
+    def test_expected_total_uses_measured_peak(self, tmp_path):
+        report = ss.run_sweep(planted_config(tmp_path, 8, 10, 1, q_max=10))
         cost = ss.total_cost_report(report)
         assert cost.expected_total_iterations == report.spectral.q_m / report.p_peak_measured

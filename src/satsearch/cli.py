@@ -7,15 +7,17 @@ produce byte-identical files.  Reports are strict JSON: the encoder refuses
 NaN and Infinity, and ``mean_repeats`` is null when no trial succeeds.
 
 Exit codes: 0 success, 2 usage error (including out-of-range values of
---qmax, --steps, --trials, --threads, --snapshot-threshold and
-SATSEARCH_THREADS), 3 invalid instance or formula (any bytes that do not
-parse as DIMACS, or a file that cannot be read), 4 enumeration/dimension
-guard exceeded.
+--qmax, --steps, --trials, --seed, --trials-seed, --threads,
+--snapshot-threshold and SATSEARCH_THREADS), 3 invalid instance or formula
+(any bytes that do not parse as DIMACS, or a file that cannot be read), 4
+enumeration/dimension guard exceeded.
 
 ``run --trials 0`` (the default) takes no samples; a negative count is a usage
 error.  ``--snapshot-threshold`` (sweep and run) must be finite and >= 0: NaN
 and Infinity have no strict-JSON spelling, and no modulus lies below 0.
-``run --timings`` reports the snapshot formatting as ``snapshot_s``.
+Seeds (``gen --seed``, ``run --trials-seed``) must be >= 0, as numpy's
+PCG64 requires.  The snapshot file is opened only after the sweep has
+succeeded, and ``run --timings`` reports writing it as ``snapshot_s``.
 """
 
 from __future__ import annotations
@@ -68,6 +70,10 @@ def _check_ranges(args) -> None:
         raise UsageError(f"--steps must be >= 0 or 'auto', got {args.steps}")
     if getattr(args, "trials", 0) < 0:
         raise UsageError(f"--trials must be >= 0, got {args.trials}")
+    for name, flag in (("seed", "--seed"), ("trials_seed", "--trials-seed")):
+        value = getattr(args, name, 0)
+        if value < 0:
+            raise UsageError(f"{flag} must be >= 0, got {value}")
     threshold = getattr(args, "snapshot_threshold", 0.0)
     if not (math.isfinite(threshold) and threshold >= 0):
         raise UsageError(f"--snapshot-threshold must be finite and >= 0, got {threshold}")
@@ -182,11 +188,12 @@ def _run_config(args, include_grover: bool = False, grover_steps=None) -> RunCon
 
 
 def _sweep(args, config: RunConfig):
-    """Run the sweep and write the snapshot file, if one was asked for."""
+    """Run the sweep, then write the snapshot file, if one was asked for."""
     threshold = None if args.snapshot is None else args.snapshot_threshold
     report = run_sweep(config, snapshot_threshold=threshold)
-    if report.snapshot is not None:
-        _emit(report.snapshot, args.snapshot)
+    if report.write_snapshot is not None:
+        with open(args.snapshot, "w") as handle:
+            report.write_snapshot(handle)
     return report
 
 

@@ -14,11 +14,13 @@ the rest of the toolkit is validated against.  It is deliberately the only
 solver in the package: exhaustive, and guarded to n <= 30 unless explicitly
 overridden.  It needs no per-assignment index: an OR-clause is violated on
 exactly one subcube of the assignments, the one that fixes each of its
-variables to the value making its literal false.  Viewing the counts as an
-n-axis (2, 2, ..., 2) array, each clause adds one on that subcube by basic
-slicing.  The int32 counts, 4 bytes per assignment, are the only array over
-all assignments it keeps; folding them into the histogram takes a temporary
-int64 copy.
+variables to the value making its literal false.  Viewing the counts of a
+block of assignments as a (2, 2, ..., 2) array, each clause adds one on that
+subcube by basic slicing.  The assignments are enumerated in fixed blocks of
+2**BLOCK_BITS, each counted in the smallest unsigned dtype that holds m and
+kept only as its histogram and its zero indices, so the memory used does not
+grow with 2**n.  ``UnsatTable.counts``, the count of every assignment, is
+filled by the same block kernel on first read; only the oracles read it.
 """
 
 from __future__ import annotations
@@ -27,11 +29,16 @@ import os
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
 DEFAULT_GUARD_N = 30
+
+# Assignments per enumeration block: 2**BLOCK_BITS.  Smaller blocks pay numpy's
+# per-call overhead once per clause per block; larger ones only hold more memory.
+BLOCK_BITS = 18
 
 # A DIMACS integer: optional minus sign and ASCII digits.  Python's int() would
 # also take '+3', '1_0' and non-ASCII digits.
@@ -232,18 +239,30 @@ def serialize_dimacs(formula: CnfFormula, comments: Sequence[str] = ()) -> str:
 
 @dataclass
 class UnsatTable:
-    """Per-assignment violation counts with derived histogram and solution list.
+    """Violation histogram and solution list of a formula, with oracle counts on demand.
 
-    ``counts[i]`` is the number of clauses assignment i violates,
-    ``histogram[u]`` the number of assignments violating exactly u clauses,
-    and ``solutions`` the indices with zero violations.
+    ``histogram[u]`` is the number of assignments violating exactly u clauses
+    and ``solutions`` the indices with zero violations, in increasing order.
+    ``counts[i]``, the number of clauses assignment i violates, is an array
+    over all 2**n assignments: the block kernel fills it on first read, and
+    only the oracles read it.
     """
 
-    n: int
-    m: int
-    counts: np.ndarray
+    formula: CnfFormula
     histogram: np.ndarray
     solutions: list[int]
+
+    @property
+    def n(self) -> int:
+        return self.formula.n
+
+    @property
+    def m(self) -> int:
+        return self.formula.m
+
+    @cached_property
+    def counts(self) -> np.ndarray:
+        return np.concatenate([_block_counts(self.formula, top) for top in _blocks(self.formula)])
 
     @property
     def assignment_count(self) -> int:
@@ -294,6 +313,35 @@ def _add_violations(clauses: Sequence[Clause], block: np.ndarray, top: int) -> N
             block[tuple(where)] += 1
 
 
+def _blocks(formula: CnfFormula) -> range:
+    """Enumeration blocks in assignment order.
+
+    Block ``top`` holds the 2**b assignments i with i >> b == top, where
+    b = min(n, BLOCK_BITS).
+    """
+    return range(formula.assignment_count >> min(formula.n, BLOCK_BITS))
+
+
+def _block_counts(formula: CnfFormula, top: int) -> np.ndarray:
+    """Violation counts of block ``top``'s assignments, in increasing index.
+
+    They are counted in the smallest unsigned dtype that holds m: uint8 while
+    m < 256, then uint16, then uint32.
+    """
+    counts = np.zeros((2,) * min(formula.n, BLOCK_BITS), dtype=np.min_scalar_type(formula.m))
+    _add_violations(formula.clauses, counts, top)
+    return counts.reshape(-1)
+
+
+def _block_summary(formula: CnfFormula, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """Histogram and zero-violation indices of block ``top``."""
+    counts = _block_counts(formula, top)
+    histogram = np.bincount(counts, minlength=formula.m + 1)
+    if not histogram[0]:
+        return histogram, counts[:0]
+    return histogram, np.flatnonzero(counts == 0) + top * counts.size
+
+
 def build_unsat_table(
     formula: CnfFormula,
     guard_n: int = DEFAULT_GUARD_N,
@@ -301,10 +349,11 @@ def build_unsat_table(
 ) -> UnsatTable:
     """Exhaustively enumerate all 2**n assignments.
 
-    The assignments are split by their top t bits into 2**t blocks, the
-    fewest that give each of ``threads`` workers (at most ``os.cpu_count()``)
-    one.  The counts are integers, so the result is identical for every
-    thread count.
+    The assignments are split into blocks of 2**BLOCK_BITS (a single block
+    when n <= BLOCK_BITS) whatever the thread count, and ``threads`` workers
+    (at most ``os.cpu_count()``) count them.  The block histograms are
+    summed as integers and the solutions joined in block order, so the
+    result is identical for every thread count.
     """
     if formula.n > guard_n:
         raise GuardError(
@@ -313,14 +362,11 @@ def build_unsat_table(
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     workers = min(threads, os.cpu_count() or 1)
-    top_bits = min(formula.n, (workers - 1).bit_length())
-    counts = np.zeros(formula.assignment_count, dtype=np.int32)
-    blocks = counts.reshape((1 << top_bits,) + (2,) * (formula.n - top_bits))
+    histogram = np.zeros(formula.m + 1, dtype=np.int64)
+    solutions: list[int] = []
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(
-            lambda top: _add_violations(formula.clauses, blocks[top, ...], top),
-            range(1 << top_bits),
-        ))
-    histogram = np.bincount(counts, minlength=formula.m + 1).astype(np.int64)
-    solutions = [int(i) for i in np.flatnonzero(counts == 0)]
-    return UnsatTable(formula.n, formula.m, counts, histogram, solutions)
+        summaries = pool.map(lambda top: _block_summary(formula, top), _blocks(formula))
+        for block_histogram, zeros in summaries:
+            histogram += block_histogram
+            solutions += zeros.tolist()
+    return UnsatTable(formula, histogram, solutions)

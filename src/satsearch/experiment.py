@@ -15,8 +15,9 @@ amplitude a_(b,c) / sqrt(N_c) on branch b, for any index and any number of
 solutions.  ``success_curve`` reads that pair of amplitudes at every step,
 ``measurement_success_rate`` reads it once and draws the trials from the
 solution's marginal, and ``state_after`` returns the class state, which
-``state_snapshot`` writes without lifting it to 2N amplitudes (only the
-tests call ``PhaseProfile.lift``).  The Grover baseline has the same
+``state_snapshot`` streams to a file without lifting it to 2N amplitudes
+(only the tests call ``PhaseProfile.lift``) and without the table's
+per-assignment counts.  The Grover baseline has the same
 symmetry with two classes, the solution and the other N - 1 assignments, so
 it steps two real amplitudes (Boyer, Brassard, Hoyer and Tapp,
 quant-ph/9605034).  Stepping the full vector remains the oracle path,
@@ -35,6 +36,7 @@ import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, TextIO
 
 import numpy as np
 
@@ -90,7 +92,8 @@ class RunReport:
     p_peak_measured: float
     grover_curve: np.ndarray | None
     timings: dict[str, float]
-    snapshot: str | None = None  # snapshot JSON document, when one was asked for
+    # writes the snapshot document to an open text file, when one was asked for
+    write_snapshot: Callable[[TextIO], None] | None = None
 
     def to_json_dict(self, include_timings: bool = False) -> dict:
         out = {
@@ -160,8 +163,10 @@ def state_after(profile: PhaseProfile, iterations: int) -> np.ndarray:
 def run_sweep(config: RunConfig, snapshot_threshold: float | None = None) -> RunReport:
     """Full pipeline: read, enumerate, predict, sweep, compare.
 
-    With a ``snapshot_threshold`` the report also carries the snapshot
-    document of the class state at q_max (see ``statevector.state_snapshot``).
+    With a ``snapshot_threshold`` the report also carries ``write_snapshot``,
+    which writes the snapshot document of the class state at q_max to an open
+    text file (see ``statevector.state_snapshot``) and times it as
+    ``snapshot_s``.
     """
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
@@ -191,14 +196,17 @@ def run_sweep(config: RunConfig, snapshot_threshold: float | None = None) -> Run
         grover_curve = run_grover_baseline(formula, solution, steps)
         timings["grover_s"] = time.perf_counter() - t0
 
-    snapshot = None
+    write_snapshot = None
     if snapshot_threshold is not None:
         t0 = time.perf_counter()
         final_state = state_after(classes, q_max)
         timings["final_state_s"] = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        snapshot = state_snapshot(classes, final_state, table.counts, snapshot_threshold)
-        timings["snapshot_s"] = time.perf_counter() - t0
+
+        def write_snapshot(handle: TextIO) -> None:
+            t0 = time.perf_counter()
+            state_snapshot(handle, formula, classes, final_state, snapshot_threshold)
+            timings["snapshot_s"] = time.perf_counter() - t0
+
     return RunReport(
         config=config.echo(),
         version=__version__,
@@ -210,7 +218,7 @@ def run_sweep(config: RunConfig, snapshot_threshold: float | None = None) -> Run
         p_peak_measured=p_peak,
         grover_curve=grover_curve,
         timings=timings,
-        snapshot=snapshot,
+        write_snapshot=write_snapshot,
     )
 
 

@@ -45,6 +45,9 @@ Snapshots.  ``state_snapshot`` writes the JSON document of the lifted
 state's (index, re, im) rows straight from the class state: each assignment
 of class c has amplitude a_(b,c) / sqrt(N_c), so it formats those at most
 2(m+1) values once and gives each row the text of its assignment's class.
+It streams the rows to an open file, branch by branch and enumeration block
+by block, computing each block's violation counts again with the kernel of
+``cnf.build_unsat_table``; only the file grows with 2**n.
 """
 
 from __future__ import annotations
@@ -52,10 +55,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import TextIO
 
 import numpy as np
 
-from .cnf import CnfFormula, violation_mask
+from .cnf import CnfFormula, _block_counts, _blocks, violation_mask
+
+# Rows of a snapshot formatted and written at a time.
+_ROWS_PER_WRITE = 1 << 12
 
 
 @dataclass
@@ -251,15 +258,22 @@ def measure_distribution(state: np.ndarray, solution: int) -> tuple[float, float
 
 
 def state_snapshot(
-    classes: PhaseProfile, state: np.ndarray, counts: np.ndarray, threshold: float = 1e-6
-) -> str:
-    """JSON document of the (index, re, im) rows above the magnitude threshold.
+    handle: TextIO,
+    formula: CnfFormula,
+    classes: PhaseProfile,
+    state: np.ndarray,
+    threshold: float = 1e-6,
+) -> None:
+    """Write the JSON document of the (index, re, im) rows above the magnitude threshold.
 
-    ``state`` is in the coordinates of the class profile ``classes``, and
-    ``counts`` gives each assignment's violation count.  The bytes are those
-    of ``json.dumps({"threshold": threshold, "amplitudes": rows}, indent=2)``
-    plus a final newline, one row per amplitude of the lifted state whose
-    modulus exceeds ``threshold``.
+    ``state`` is in the coordinates of ``classes``, the class profile of
+    ``formula``'s histogram.  The bytes written to the text file ``handle``
+    are those of ``json.dumps({"threshold": threshold, "amplitudes": rows},
+    indent=2)`` plus a final newline, one row per amplitude of the lifted
+    state whose modulus exceeds ``threshold``.  Each enumeration block's
+    counts are computed again and its rows written in slices of
+    ``_ROWS_PER_WRITE``, so neither the counts of all assignments nor the
+    whole document is ever held in memory.
     """
     _check_dimension(state, classes.size)
     amplitudes = state / classes.reflection_axis()
@@ -268,16 +282,22 @@ def state_snapshot(
         f",\n      {json.dumps(a.real)},\n      {json.dumps(a.imag)}\n    ]"
         for a in amplitudes.tolist()
     ]
-    entry = classes.entries(counts)
-    rows = []
+    handle.write(f'{{\n  "threshold": {json.dumps(threshold)},\n  "amplitudes": ')
+    lead = "[\n"
     for branch in (0, 1):
         offset = branch * classes.size
-        index = np.flatnonzero(kept[offset + entry])
-        rows += [
-            f"    [\n      {i}{tails[c]}"
-            for i, c in zip((index + branch * entry.size).tolist(), (offset + entry[index]).tolist())
-        ]
-    header = f'{{\n  "threshold": {json.dumps(threshold)},\n  "amplitudes": '
-    if not rows:
-        return header + "[]\n}\n"
-    return header + "[\n" + ",\n".join(rows) + "\n  ]\n}\n"
+        for top in _blocks(formula):
+            counts = _block_counts(formula, top)
+            entry = classes.entries(counts)
+            entry += offset
+            index = np.flatnonzero(kept[entry])
+            start = branch * formula.assignment_count + top * counts.size
+            for first in range(0, index.size, _ROWS_PER_WRITE):
+                part = index[first : first + _ROWS_PER_WRITE]
+                rows = [
+                    f"    [\n      {i}{tails[c]}"
+                    for i, c in zip((part + start).tolist(), entry[part].tolist())
+                ]
+                handle.writelines((lead, ",\n".join(rows)))
+                lead = ",\n"
+    handle.write("[]\n}\n" if lead == "[\n" else "\n  ]\n}\n")

@@ -50,6 +50,16 @@ def random_3sat(n: int, m: int, seed: int) -> ss.CnfFormula:
     return ss.CnfFormula(n, tuple(clauses))
 
 
+def counter_formula(n: int) -> ss.CnfFormula:
+    """Formula under which assignment i violates exactly i clauses.
+
+    Clause (not x_k) appears 2**(k-1) times, so m = 2**n - 1 and every
+    assignment is its own violation class.
+    """
+    clauses = [ss.Clause((ss.Literal(k, True),)) for k in range(1, n + 1) for _ in range(1 << (k - 1))]
+    return ss.CnfFormula(n, tuple(clauses))
+
+
 @st.composite
 def formulas(draw, max_n: int = 6, max_m: int = 8):
     n = draw(st.integers(2, max_n))

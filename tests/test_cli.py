@@ -158,6 +158,12 @@ class TestSweep:
 
 
 class TestRun:
+    def test_no_snapshot_file_when_the_sweep_fails(self, multi_path, tmp_path, capsys):
+        snap = tmp_path / "snap.json"
+        assert main(["run", "-f", multi_path, "--snapshot", str(snap), "-o", str(tmp_path / "r.json")]) == 3
+        assert "found 3" in capsys.readouterr().err
+        assert not snap.exists()
+
     def test_full_report(self, tmp_path):
         inst = tmp_path / "inst.cnf"
         assert main(["gen", "-n", "8", "-m", "10", "--seed", "3", "-o", str(inst)]) == 0
@@ -274,6 +280,20 @@ class TestUsageErrors:
         assert main(["run", "-f", toy_path, "--trials", "-3"]) == 2
         self.assert_one_line_error(capsys, "--trials")
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["gen", "-n", "8", "-m", "12", "--seed", "-1"], "--seed"),
+            (["run", "--trials", "10", "--trials-seed", "-1"], "--trials-seed"),
+        ],
+        ids=["gen", "run"],
+    )
+    def test_negative_seed(self, argv, flag, toy_path, capsys):
+        if argv[0] == "run":
+            argv = [*argv, "-f", toy_path]
+        assert main(argv) == 2
+        self.assert_one_line_error(capsys, flag)
+
     @pytest.mark.parametrize("threshold", ["nan", "inf", "-1"])
     @pytest.mark.parametrize("command", ["sweep", "run"])
     def test_bad_snapshot_threshold(self, command, threshold, toy_path, tmp_path, capsys):
@@ -354,8 +374,11 @@ class TestOutputBytes:
         assert self.digests(tmp_path) == self.SHA256
 
     def test_no_per_assignment_state(self, tmp_path, monkeypatch):
-        """The same bytes with no lift to 2N amplitudes and no fold of per-assignment counts."""
+        """The same bytes with no per-assignment counts, no lift to 2N amplitudes and no fold."""
         classes = ss.PhaseProfile.classes
+
+        def refuse_counts(self):
+            raise AssertionError("per-assignment counts read")
 
         def refuse_lift(self, state):
             raise AssertionError("lift called")
@@ -365,6 +388,7 @@ class TestOutputBytes:
                 raise AssertionError("per-assignment profile folded")
             return classes(self)
 
+        monkeypatch.setattr(ss.UnsatTable, "counts", property(refuse_counts))
         monkeypatch.setattr(ss.PhaseProfile, "lift", refuse_lift)
         monkeypatch.setattr(ss.PhaseProfile, "classes", class_profiles_only)
         assert self.digests(tmp_path) == self.SHA256

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import satsearch as ss
 from satsearch.cnf import violation_mask
 
-from conftest import TOY_DIMACS, formula_with_assignment, formulas
+from conftest import TOY_DIMACS, formula_with_assignment, counter_formula, formulas, random_3sat
 
 
 class TestParseDimacs:
@@ -169,16 +169,29 @@ class TestUnsatTable:
         assert np.array_equal(sequential.histogram, threaded.histogram)
         assert sequential.solutions == threaded.solutions
 
-    @given(formulas(max_n=6), st.sampled_from([1, 2, 3, 5, 8]))
-    @settings(max_examples=60, deadline=None)
-    def test_every_block_split_matches_scalar_path(self, formula, threads):
-        # The top-bit block count follows the worker count, which is capped at
-        # the CPU count; an 8-CPU host makes up to three top bits fixed per
-        # block, more than n on the smallest formulas, on any machine.
-        with mock.patch.object(os, "cpu_count", return_value=8):
+    @staticmethod
+    def blocked_table_matches_scalar_path(formula, bits, threads):
+        """Table, counts, histogram and solutions with 2**bits-assignment blocks, against ``unsat_count``."""
+        with mock.patch.object(ss.cnf, "BLOCK_BITS", bits):
             table = ss.build_unsat_table(formula, threads=threads)
+            counts = table.counts
         expected = [ss.unsat_count(formula, i) for i in range(formula.assignment_count)]
-        assert table.counts.tolist() == expected
+        assert counts.tolist() == expected
+        assert table.histogram.tolist() == np.bincount(expected, minlength=formula.m + 1).tolist()
+        assert table.solutions == [i for i, u in enumerate(expected) if u == 0]
+        return counts
+
+    @given(formulas(max_n=6), st.integers(0, 3), st.sampled_from([1, 2, 3]))
+    @settings(max_examples=60, deadline=None)
+    def test_every_block_split_matches_scalar_path(self, formula, bits, threads):
+        # blocks of 1 to 8 assignments: up to 64 blocks, shared by the workers
+        self.blocked_table_matches_scalar_path(formula, bits, threads)
+
+    def test_sixteen_bit_counts(self):
+        # m >= 256 clauses, and counts up to 511 that no longer fit in a byte
+        formula = ss.CnfFormula(9, counter_formula(9).clauses + random_3sat(9, 40, seed=5).clauses)
+        counts = self.blocked_table_matches_scalar_path(formula, 4, 2)
+        assert counts.dtype == np.uint16 and counts.max() >= 256
 
     def test_huge_thread_count_capped_at_cpu_count(self, monkeypatch):
         sizes = []
@@ -201,17 +214,20 @@ class TestUnsatTable:
         with pytest.raises(ValueError, match="threads must be >= 1"):
             ss.build_unsat_table(toy_formula, threads=threads)
 
-    def test_peak_memory_per_assignment(self):
-        # int32 counts plus the int64 copy np.bincount makes: 12 bytes.  An
-        # index array over all assignments would add 8 more.
-        formula = ss.generate_planted_3sat(16, 80, seed=3)
+    def test_peak_memory_bounded_by_block(self):
+        # Each worker holds one 2**18 block at a time: its byte counts, the
+        # int64 copy np.bincount makes and the zero mask, about 2.3 MiB for
+        # any n.  Counts of every assignment would add 1 MiB per 2**20
+        # assignments (and 8 MiB more for the bincount copy).
+        formula = ss.generate_planted_3sat(20, 100, seed=3)
         tracemalloc.start()
         try:
-            ss.build_unsat_table(formula)
+            table = ss.build_unsat_table(formula, threads=2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 16 * formula.assignment_count
+        assert table.unique_solution() >= 0
+        assert peak <= 6 << 20
 
     def test_json_export(self, toy_table):
         payload = toy_table.to_json_dict()

@@ -1,5 +1,8 @@
+import io
 import json
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ from hypothesis import strategies as st
 
 import satsearch as ss
 
-from conftest import formulas, random_state
+from conftest import counter_formula, formulas, random_state
 
 
 def profile_for(formula):
@@ -222,28 +225,35 @@ SPECIAL_FLOATS = [
 ]
 
 
+def write_snapshot(formula, classes, state, threshold):
+    """The snapshot document ``state_snapshot`` writes, as a string."""
+    handle = io.StringIO()
+    ss.state_snapshot(handle, formula, classes, state, threshold)
+    return handle.getvalue()
+
+
 def identity_snapshot(state, threshold):
-    """Snapshot of a state read as the class state of classes that hold one assignment each."""
-    half = state.shape[0] // 2
-    classes = ss.PhaseProfile.from_histogram(max(half - 1, 1), np.ones(half, dtype=np.int64))
-    return ss.state_snapshot(classes, state, np.arange(half), threshold)
+    """Snapshot of a state read as the class state of a formula whose every assignment is its own class."""
+    return write_snapshot(*identity_case(state, threshold))
 
 
 def identity_case(values, threshold):
-    """(m, counts, class state, threshold) whose lift leaves the values unchanged."""
+    """(formula, classes, class state, threshold) whose lift leaves the values unchanged."""
     half = len(values) // 2
-    return max(half - 1, 1), np.arange(half), np.array(values, dtype=complex), threshold
+    formula = counter_formula(half.bit_length() - 1)
+    classes = ss.PhaseProfile.from_histogram(formula.m, np.ones(half, dtype=np.int64))
+    return formula, classes, np.array(values, dtype=complex), threshold
 
 
 @st.composite
 def snapshot_cases(draw):
-    """Counts, a class state whose parts repeat values from a small pool, and a threshold."""
+    """A formula, a class state whose parts repeat values from a small pool, and a threshold."""
     pool = draw(
         st.lists(st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats()), min_size=1, max_size=6)
     )
-    m = draw(st.integers(1, 6))
-    counts = np.array(draw(st.lists(st.integers(0, m), min_size=1, max_size=20)), dtype=np.int32)
-    size = 2 * np.unique(counts).size
+    formula = draw(formulas(max_n=5))
+    classes = ss.PhaseProfile.from_histogram(formula.m, ss.build_unsat_table(formula).histogram)
+    size = 2 * classes.size
     parts = st.lists(st.sampled_from(pool), min_size=size, max_size=size)
     state = np.empty(size, dtype=complex)
     state.real = draw(parts)
@@ -256,7 +266,7 @@ def snapshot_cases(draw):
             st.floats(min_value=0.0, max_value=2.0),
         )
     )
-    return m, counts, state, threshold
+    return formula, classes, state, threshold
 
 
 class TestSnapshot:
@@ -277,23 +287,26 @@ class TestSnapshot:
         assert rows == expected
         assert all(type(v) in (int, float) for row in rows for v in row)
 
-    @given(snapshot_cases())
-    @example(identity_case([0.0 - 0.0j, complex(-0.0, 0.0), complex(-0.0, 0.5), 0.5 - 0.0j], -1.0))
-    @example(identity_case([0.5 - 0.0j, complex(5e-324, 1e16)], 0))
-    @example(identity_case([0.25 + 0.5j, 0.5 + 0.25j], 10.0))
+    @given(snapshot_cases(), st.integers(0, 3), st.integers(1, 5))
+    @example(identity_case([0.0 - 0.0j, complex(-0.0, 0.0), complex(-0.0, 0.5), 0.5 - 0.0j], -1.0), 0, 1)
+    @example(identity_case([0.5 - 0.0j, complex(5e-324, 1e16), 0.25j, -0.0 + 0j], 0), 1, 2)
+    @example(identity_case([0.25 + 0.5j, 0.5 + 0.25j, 0.5j, 0.25], 10.0), 0, 1)
     @settings(max_examples=300, deadline=None)
-    def test_bytes_match_json_dumps(self, case):
-        m, counts, state, threshold = case
-        classes = ss.PhaseProfile.from_histogram(m, np.bincount(counts, minlength=m + 1))
+    def test_bytes_match_json_dumps(self, case, bits, rows):
+        # blocks of 1 to 8 assignments, written a few rows at a time, so the
+        # rows of one document span several blocks and several writes
+        formula, classes, state, threshold = case
         with np.errstate(invalid="ignore"):  # complex division of infinities gives NaN parts
-            lifted = ss.PhaseProfile(m, counts).lift(state)
-            snapshot = ss.state_snapshot(classes, state, counts, threshold)
+            lifted = ss.PhaseProfile.from_table(ss.build_unsat_table(formula)).lift(state)
+            with mock.patch.object(ss.cnf, "BLOCK_BITS", bits), \
+                    mock.patch.object(ss.statevector, "_ROWS_PER_WRITE", rows):
+                snapshot = write_snapshot(formula, classes, state, threshold)
         assert snapshot == oracle_snapshot(lifted, threshold)
 
-    def test_rejects_state_of_other_classes(self):
+    def test_rejects_state_of_other_classes(self, toy_formula):
         classes = ss.PhaseProfile.from_histogram(2, [1, 2, 1])
         with pytest.raises(ValueError, match="amplitudes"):
-            ss.state_snapshot(classes, np.zeros(4, dtype=complex), np.array([0, 1, 1, 2]))
+            write_snapshot(toy_formula, classes, np.zeros(4, dtype=complex), 1e-6)
 
     def test_lifted_planted_state(self, planted14):
         formula, table, summary = planted14
@@ -301,6 +314,26 @@ class TestSnapshot:
         state = ss.state_after(classes, 2 * summary.q_m)
         lifted = ss.PhaseProfile.from_table(table).lift(state)
         for threshold in (0, 1e-6):
-            snapshot = ss.state_snapshot(classes, state, table.counts, threshold)
+            snapshot = write_snapshot(formula, classes, state, threshold)
             # line lists, not strings: pytest's diff of two megabyte strings runs for minutes
             assert snapshot.split("\n") == oracle_snapshot(lifted, threshold).split("\n")
+
+    def test_streams_below_document_size(self, tmp_path):
+        # At n = 16 one block holds a branch's 2**16 rows; the whole document
+        # is about 10 MiB, while a block's counts, class entries and kept
+        # indices plus one slice of rows take about a quarter of that.
+        formula = ss.generate_planted_3sat(16, 80, seed=3)
+        table = ss.build_unsat_table(formula)
+        classes = ss.PhaseProfile.from_histogram(table.m, table.histogram)
+        state = ss.state_after(classes, 2 * ss.spectral_summary(table).q_m)
+        path = tmp_path / "snapshot.json"
+        with open(path, "w") as handle:
+            tracemalloc.start()
+            try:
+                ss.state_snapshot(handle, formula, classes, state, 1e-6)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        size = path.stat().st_size
+        assert size > 2**17 * 60  # every row kept
+        assert peak < size / 3

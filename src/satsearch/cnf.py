@@ -12,15 +12,18 @@ which also accepts the SATLIB ``%`` trailer.
 ``build_unsat_table`` enumerates every assignment and is the classical oracle
 the rest of the toolkit is validated against.  It is deliberately the only
 solver in the package: exhaustive, and guarded to n <= 30 unless explicitly
-overridden.  It needs no per-assignment index: an OR-clause is violated on
-exactly one subcube of the assignments, the one that fixes each of its
-variables to the value making its literal false.  Viewing the counts of a
-block of assignments as a (2, 2, ..., 2) array, each clause adds one on that
-subcube by basic slicing.  The assignments are enumerated in fixed blocks of
-2**BLOCK_BITS, each counted in the smallest unsigned dtype that holds m and
-kept only as its histogram and its zero indices, so the memory used does not
-grow with 2**n.  ``UnsatTable.counts``, the count of every assignment, is
-filled by the same block kernel on first read; only the oracles read it.
+overridden (and to n <= 62, the bits of an int64 index, in any case).  It
+needs no per-clause pass over the assignments: an OR-clause is violated on
+exactly the indices i with i & care == value, where care has the bits of the
+clause's variables and value those of its negated literals.  Split i into a
+high and a low part and that test factors into a test on each part, so the
+counts of a block of assignments, laid out as a (high, low) matrix, are one
+0/1 matrix product: highs (high x m) @ lows (m x low).  The assignments are
+enumerated in fixed blocks of 2**BLOCK_BITS, each counted in the smallest
+unsigned dtype that holds m and kept only as its histogram and its zero
+indices, so the memory used does not grow with 2**n.  ``UnsatTable.counts``,
+the count of every assignment, is filled by the same block kernel on first
+read; only the oracles read it.
 """
 
 from __future__ import annotations
@@ -30,15 +33,19 @@ import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 DEFAULT_GUARD_N = 30
 
 # Assignments per enumeration block: 2**BLOCK_BITS.  Smaller blocks pay numpy's
-# per-call overhead once per clause per block; larger ones only hold more memory.
-BLOCK_BITS = 18
+# per-call overhead on more, smaller products; larger ones take no less time
+# and hold more memory: the float product and the intp copy np.bincount makes.
+BLOCK_BITS = 16
+
+# Largest n the block kernel can index: its masks and indices are int64.
+MAX_INDEX_N = 62
 
 # A DIMACS integer: optional minus sign and ASCII digits.  Python's int() would
 # also take '+3', '1_0' and non-ASCII digits.
@@ -244,8 +251,8 @@ class UnsatTable:
     ``histogram[u]`` is the number of assignments violating exactly u clauses
     and ``solutions`` the indices with zero violations, in increasing order.
     ``counts[i]``, the number of clauses assignment i violates, is an array
-    over all 2**n assignments: the block kernel fills it on first read, and
-    only the oracles read it.
+    over all 2**n assignments: the block counter of ``build_unsat_table``
+    fills it, block by block, on first read, and only the oracles read it.
     """
 
     formula: CnfFormula
@@ -262,7 +269,8 @@ class UnsatTable:
 
     @cached_property
     def counts(self) -> np.ndarray:
-        return np.concatenate([_block_counts(self.formula, top) for top in _blocks(self.formula)])
+        block_counts = _block_counter(self.formula)
+        return np.concatenate([block_counts(top) for top in _blocks(self.formula)])
 
     @property
     def assignment_count(self) -> int:
@@ -293,26 +301,6 @@ def violation_mask(clause: Clause, indices: np.ndarray) -> np.ndarray:
     return violated
 
 
-def _add_violations(clauses: Sequence[Clause], block: np.ndarray, top: int) -> None:
-    """Add one to ``block`` on each clause's violated subcube.
-
-    ``block`` is the (2,)*b view of the counts of the assignments whose bits
-    b and above equal ``top``; its axis b - k holds x_k for k <= b.  A literal
-    on a higher variable is fixed by ``top``: it either satisfies the clause
-    on the whole block or leaves it to the other literals.
-    """
-    b = block.ndim
-    for clause in clauses:
-        where = [slice(None)] * b
-        for lit in clause.literals:
-            if lit.var <= b:
-                where[b - lit.var] = int(lit.negated)
-            elif (top >> (lit.var - 1 - b)) & 1 != lit.negated:
-                break
-        else:
-            block[tuple(where)] += 1
-
-
 def _blocks(formula: CnfFormula) -> range:
     """Enumeration blocks in assignment order.
 
@@ -322,24 +310,64 @@ def _blocks(formula: CnfFormula) -> range:
     return range(formula.assignment_count >> min(formula.n, BLOCK_BITS))
 
 
-def _block_counts(formula: CnfFormula, top: int) -> np.ndarray:
-    """Violation counts of block ``top``'s assignments, in increasing index.
+def _product_dtype(m: int) -> type:
+    """Float dtype in which a sum of up to m zeros and ones is exact.
 
-    They are counted in the smallest unsigned dtype that holds m: uint8 while
-    m < 256, then uint16, then uint32.
+    float32 holds every integer up to 2**24, float64 every one up to 2**53.
     """
-    counts = np.zeros((2,) * min(formula.n, BLOCK_BITS), dtype=np.min_scalar_type(formula.m))
-    _add_violations(formula.clauses, counts, top)
-    return counts.reshape(-1)
+    return np.float32 if m < 1 << 24 else np.float64
 
 
-def _block_summary(formula: CnfFormula, top: int) -> tuple[np.ndarray, np.ndarray]:
-    """Histogram and zero-violation indices of block ``top``."""
-    counts = _block_counts(formula, top)
-    histogram = np.bincount(counts, minlength=formula.m + 1)
-    if not histogram[0]:
-        return histogram, counts[:0]
-    return histogram, np.flatnonzero(counts == 0) + top * counts.size
+def _block_counter(formula: CnfFormula) -> Callable[[int], np.ndarray]:
+    """Function from block ``top`` to its assignments' violation counts, in increasing index.
+
+    A block's index bits are split into a high and a low half, and the bits
+    above the block, fixed to ``top``, join the high half.  As a (high, low)
+    matrix the counts are then highs @ lows, where highs[h, c] and lows[c, l]
+    test clause c on each half.  Every term is 0 or 1 and every sum at most
+    m, so the product is exact in ``_product_dtype(m)``.  ``lows`` depends only
+    on the formula and is built once, here.  The counts come in the smallest
+    unsigned dtype that holds m: uint8 while m < 256, then uint16, then uint32.
+    """
+    bits = min(formula.n, BLOCK_BITS)
+    low_bits = bits // 2
+    rows = 1 << (bits - low_bits)
+    care = np.array(
+        [sum(1 << (lit.var - 1) for lit in c.literals) for c in formula.clauses], dtype=np.int64
+    )
+    value = np.array(
+        [sum(1 << (lit.var - 1) for lit in c.literals if lit.negated) for c in formula.clauses],
+        dtype=np.int64,
+    )
+    low_mask = (1 << low_bits) - 1
+    product_dtype = _product_dtype(formula.m)
+    lows = (
+        (np.arange(1 << low_bits) & (care & low_mask)[:, None]) == (value & low_mask)[:, None]
+    ).astype(product_dtype)
+    care_hi, value_hi = care >> low_bits, value >> low_bits
+    counts_dtype = np.min_scalar_type(formula.m)
+
+    def block_counts(top: int) -> np.ndarray:
+        high = np.arange(top * rows, (top + 1) * rows, dtype=np.int64)
+        highs = ((high[:, None] & care_hi) == value_hi).astype(product_dtype)
+        return (highs @ lows).astype(counts_dtype).reshape(-1)
+
+    return block_counts
+
+
+def _run_summary(
+    m: int, block_counts: Callable[[int], np.ndarray], tops: range
+) -> tuple[np.ndarray, list[int]]:
+    """Summed histogram and zero-violation indices of the blocks ``tops``, in block order."""
+    histogram = np.zeros(m + 1, dtype=np.int64)
+    solutions: list[int] = []
+    for top in tops:
+        counts = block_counts(top)
+        block_histogram = np.bincount(counts, minlength=m + 1)
+        histogram += block_histogram
+        if block_histogram[0]:
+            solutions += (np.flatnonzero(counts == 0) + top * counts.size).tolist()
+    return histogram, solutions
 
 
 def build_unsat_table(
@@ -350,23 +378,33 @@ def build_unsat_table(
     """Exhaustively enumerate all 2**n assignments.
 
     The assignments are split into blocks of 2**BLOCK_BITS (a single block
-    when n <= BLOCK_BITS) whatever the thread count, and ``threads`` workers
-    (at most ``os.cpu_count()``) count them.  The block histograms are
-    summed as integers and the solutions joined in block order, so the
-    result is identical for every thread count.
+    when n <= BLOCK_BITS) whatever the thread count, and each of ``threads``
+    workers (at most ``os.cpu_count()``) counts one contiguous run of them.
+    The runs' histograms are summed as integers and their solutions joined
+    in block order, so the result is identical for every thread count.
     """
     if formula.n > guard_n:
         raise GuardError(
             f"enumeration over 2**{formula.n} assignments exceeds guard n <= {guard_n}"
         )
+    if formula.n > MAX_INDEX_N:
+        raise GuardError(
+            f"enumeration over 2**{formula.n} assignments exceeds the int64 index limit "
+            f"n <= {MAX_INDEX_N}"
+        )
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     workers = min(threads, os.cpu_count() or 1)
+    block_counts = _block_counter(formula)
+    blocks = _blocks(formula)
+    cuts = [k * len(blocks) // workers for k in range(workers + 1)]
+    runs = [blocks[start:stop] for start, stop in zip(cuts, cuts[1:]) if start < stop]
     histogram = np.zeros(formula.m + 1, dtype=np.int64)
     solutions: list[int] = []
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        summaries = pool.map(lambda top: _block_summary(formula, top), _blocks(formula))
-        for block_histogram, zeros in summaries:
-            histogram += block_histogram
-            solutions += zeros.tolist()
+        futures = [pool.submit(_run_summary, formula.m, block_counts, run) for run in runs]
+        for future in futures:
+            run_histogram, run_solutions = future.result()
+            histogram += run_histogram
+            solutions += run_solutions
     return UnsatTable(formula, histogram, solutions)

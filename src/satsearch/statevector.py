@@ -46,8 +46,10 @@ state's (index, re, im) rows straight from the class state: each assignment
 of class c has amplitude a_(b,c) / sqrt(N_c), so it formats those at most
 2(m+1) values once and gives each row the text of its assignment's class.
 It streams the rows to an open file, branch by branch and enumeration block
-by block, computing each block's violation counts again with the kernel of
-``cnf.build_unsat_table``; only the file grows with 2**n.
+by block.  Each block's violation counts are computed again, one matrix
+product each, by the block counter ``cnf.build_unsat_table`` uses; the
+counter's per-clause set-up is made once per snapshot.  Only the file grows
+with 2**n.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .cnf import CnfFormula, _block_counts, _blocks, violation_mask
+from .cnf import CnfFormula, _block_counter, _blocks, violation_mask
 
 # Rows of a snapshot formatted and written at a time.
 _ROWS_PER_WRITE = 1 << 12
@@ -282,12 +284,13 @@ def state_snapshot(
         f",\n      {json.dumps(a.real)},\n      {json.dumps(a.imag)}\n    ]"
         for a in amplitudes.tolist()
     ]
+    block_counts = _block_counter(formula)
     handle.write(f'{{\n  "threshold": {json.dumps(threshold)},\n  "amplitudes": ')
     lead = "[\n"
     for branch in (0, 1):
         offset = branch * classes.size
         for top in _blocks(formula):
-            counts = _block_counts(formula, top)
+            counts = block_counts(top)
             entry = classes.entries(counts)
             entry += offset
             index = np.flatnonzero(kept[entry])

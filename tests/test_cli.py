@@ -85,6 +85,14 @@ class TestAnalyze:
         path.write_text("p cnf 12 1\n1 0\n")
         assert main(["analyze", "-f", str(path), "--guard-n", "10"]) == 4
 
+    def test_int64_index_limit_exit_4(self, tmp_path, capsys):
+        # the enumeration indexes assignments in int64, whatever --guard-n allows
+        path = tmp_path / "wider.cnf"
+        path.write_text("p cnf 63 1\n1 0\n")
+        assert main(["analyze", "-f", str(path), "--guard-n", "100"]) == 4
+        lines = capsys.readouterr().err.strip().split("\n")
+        assert len(lines) == 1 and lines[0].startswith("error:") and "n <= 62" in lines[0]
+
     def test_missing_file_exit_3(self):
         assert main(["analyze", "-f", "/nonexistent/file.cnf"]) == 3
 

@@ -181,11 +181,37 @@ class TestUnsatTable:
         assert table.solutions == [i for i, u in enumerate(expected) if u == 0]
         return counts
 
-    @given(formulas(max_n=6), st.integers(0, 3), st.sampled_from([1, 2, 3]))
+    @given(formulas(max_n=8), st.integers(0, 6), st.sampled_from([1, 2, 3]))
     @settings(max_examples=60, deadline=None)
     def test_every_block_split_matches_scalar_path(self, formula, bits, threads):
-        # blocks of 1 to 8 assignments: up to 64 blocks, shared by the workers
+        # blocks of 1 to 64 assignments: up to 256 blocks, shared by the
+        # workers; from 4 assignments on, a block's product has both a high
+        # and a low half, and literals also land on the block-index bits
         self.blocked_table_matches_scalar_path(formula, bits, threads)
+
+    def test_one_submission_per_worker(self, monkeypatch):
+        submitted = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                submitted.append(args)
+                return super().submit(fn, *args, **kwargs)
+
+        formula = ss.generate_planted_3sat(12, 40, seed=6)
+        single = ss.build_unsat_table(formula, threads=1)
+        monkeypatch.setattr(ss.cnf, "ThreadPoolExecutor", RecordingPool)
+        with mock.patch.object(ss.cnf, "BLOCK_BITS", 2):  # 1024 blocks
+            threaded = ss.build_unsat_table(formula, threads=2)
+        assert 1 <= len(submitted) <= min(2, os.cpu_count() or 1)
+        assert np.array_equal(threaded.histogram, single.histogram)
+        assert threaded.solutions == single.solutions
+
+    @pytest.mark.parametrize(
+        "m, dtype", [(1, np.float32), ((1 << 24) - 1, np.float32), (1 << 24, np.float64)]
+    )
+    def test_product_dtype_holds_every_count(self, m, dtype):
+        # float32 is exact for integers up to 2**24 only
+        assert ss.cnf._product_dtype(m) is dtype
 
     def test_sixteen_bit_counts(self):
         # m >= 256 clauses, and counts up to 511 that no longer fit in a byte
@@ -214,20 +240,31 @@ class TestUnsatTable:
         with pytest.raises(ValueError, match="threads must be >= 1"):
             ss.build_unsat_table(toy_formula, threads=threads)
 
-    def test_peak_memory_bounded_by_block(self):
-        # Each worker holds one 2**18 block at a time: its byte counts, the
-        # int64 copy np.bincount makes and the zero mask, about 2.3 MiB for
-        # any n.  Counts of every assignment would add 1 MiB per 2**20
-        # assignments (and 8 MiB more for the bincount copy).
-        formula = ss.generate_planted_3sat(20, 100, seed=3)
+    @staticmethod
+    def enumeration_peak(formula, threads):
+        """Peak bytes tracemalloc sees while ``build_unsat_table`` runs."""
         tracemalloc.start()
         try:
-            table = ss.build_unsat_table(formula, threads=2)
+            table = ss.build_unsat_table(formula, threads=threads)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert table.unique_solution() >= 0
-        assert peak <= 6 << 20
+        return peak
+
+    def test_peak_memory_bounded_by_block(self):
+        # Each worker holds one 2**16 block at a time: its float32 product,
+        # its byte counts and the int64 copy np.bincount makes, about 0.6 MiB
+        # for any n.  Counts of every assignment would add 1 MiB per 2**20
+        # assignments (and 8 MiB more for the bincount copy).
+        formula = ss.generate_planted_3sat(20, 100, seed=3)
+        assert self.enumeration_peak(formula, threads=2) <= 6 << 20
+
+    def test_peak_memory_of_block_product(self):
+        # two workers' blocks, about 1.3 MiB; 2**18-assignment blocks took
+        # about twice that
+        formula = ss.generate_planted_3sat(20, 100, seed=3)
+        assert self.enumeration_peak(formula, threads=2) <= 2 << 20
 
     def test_json_export(self, toy_table):
         payload = toy_table.to_json_dict()

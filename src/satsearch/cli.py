@@ -7,8 +7,9 @@ produce byte-identical files.  Reports are strict JSON: the encoder refuses
 NaN and Infinity, and ``mean_repeats`` is null when no trial succeeds.
 
 Exit codes: 0 success, 2 usage error (including out-of-range values of
---qmax, --steps, --trials, --seed, --trials-seed, --threads,
---snapshot-threshold and SATSEARCH_THREADS), 3 invalid instance or formula
+--qmax, --steps, --trials, --seed, --trials-seed, --threads and
+--snapshot-threshold, and ``run --steps`` without ``--grover`` or
+``--snapshot-threshold`` without ``--snapshot``), 3 invalid instance or formula
 (any bytes that do not parse as DIMACS, or a file that cannot be read), 4
 enumeration/dimension guard exceeded.
 
@@ -16,8 +17,8 @@ enumeration/dimension guard exceeded.
 error.  ``--snapshot-threshold`` (sweep and run) must be finite and >= 0: NaN
 and Infinity have no strict-JSON spelling, and no modulus lies below 0.
 Seeds (``gen --seed``, ``run --trials-seed``) must be >= 0, as numpy's
-PCG64 requires.  The snapshot file is opened only after the sweep has
-succeeded, and ``run --timings`` reports writing it as ``snapshot_s``.
+PCG64 requires.  ``run_sweep`` opens the snapshot file only after the sweep
+has succeeded, and ``run --timings`` reports writing it as ``snapshot_s``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 
@@ -49,36 +49,35 @@ from .experiment import (
 )
 from .generate import _planted_3sat
 from .spectral import MAX_EIGENCHECK_N, dense_eigencheck, spectral_summary
+from .statevector import DEFAULT_SNAPSHOT_THRESHOLD
 
 
 class UsageError(Exception):
-    """A flag or environment value that parses but cannot be used (exit 2)."""
-
-
-def _default_threads() -> int:
-    text = os.environ.get("SATSEARCH_THREADS", "1")
-    try:
-        return int(text)
-    except ValueError:
-        raise UsageError(f"SATSEARCH_THREADS must be an integer, got {text!r}") from None
+    """A flag value that parses but cannot be used (exit 2)."""
 
 
 def _check_ranges(args) -> None:
     if getattr(args, "qmax", None) is not None and args.qmax < 1:
         raise UsageError(f"--qmax must be >= 1 or 'auto', got {args.qmax}")
-    if getattr(args, "steps", None) is not None and args.steps < 0:
-        raise UsageError(f"--steps must be >= 0 or 'auto', got {args.steps}")
+    if getattr(args, "steps", None) is not None:
+        if args.steps < 0:
+            raise UsageError(f"--steps must be >= 0 or 'auto', got {args.steps}")
+        if not getattr(args, "grover", True):
+            raise UsageError("--steps needs --grover")
     if getattr(args, "trials", 0) < 0:
         raise UsageError(f"--trials must be >= 0, got {args.trials}")
     for name, flag in (("seed", "--seed"), ("trials_seed", "--trials-seed")):
         value = getattr(args, name, 0)
         if value < 0:
             raise UsageError(f"{flag} must be >= 0, got {value}")
-    threshold = getattr(args, "snapshot_threshold", 0.0)
-    if not (math.isfinite(threshold) and threshold >= 0):
-        raise UsageError(f"--snapshot-threshold must be finite and >= 0, got {threshold}")
+    threshold = getattr(args, "snapshot_threshold", None)
+    if threshold is not None:
+        if not (math.isfinite(threshold) and threshold >= 0):
+            raise UsageError(f"--snapshot-threshold must be finite and >= 0, got {threshold}")
+        if args.snapshot is None:
+            raise UsageError("--snapshot-threshold needs --snapshot")
     if args.threads < 1:
-        raise UsageError(f"--threads (default SATSEARCH_THREADS) must be >= 1, got {args.threads}")
+        raise UsageError(f"--threads must be >= 1, got {args.threads}")
 
 
 def _int_or_auto(text: str):
@@ -97,8 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--threads",
         type=int,
-        default=_default_threads(),
-        help="worker threads for enumeration (default from SATSEARCH_THREADS)",
+        default=1,
+        help="worker threads for enumeration (default 1)",
     )
     common.add_argument(
         "--guard-n",
@@ -123,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--qmax", type=_int_or_auto, default=None, help="sweep bound ('auto' = 2*q_m)")
     sweep.add_argument("--format", choices=["csv", "json"], default="csv")
     sweep.add_argument("--snapshot", default=None, help="write final-state amplitudes (JSON) here")
-    sweep.add_argument("--snapshot-threshold", type=float, default=1e-6, help="magnitude cutoff for snapshots")
+    sweep.add_argument("--snapshot-threshold", type=float, help=f"magnitude cutoff (default {DEFAULT_SNAPSHOT_THRESHOLD})")
 
     run = sub.add_parser("run", parents=[common], help="full run report (JSON)")
     run.add_argument("-f", "--formula", required=True)
@@ -134,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--trials-seed", type=int, default=0)
     run.add_argument("--timings", action="store_true", help="include wall times (breaks byte-determinism)")
     run.add_argument("--snapshot", default=None)
-    run.add_argument("--snapshot-threshold", type=float, default=1e-6)
+    run.add_argument("--snapshot-threshold", type=float)
 
     grover = sub.add_parser("grover", parents=[common], help="Grover baseline curve")
     grover.add_argument("-f", "--formula", required=True)
@@ -187,18 +186,13 @@ def _run_config(args, include_grover: bool = False, grover_steps=None) -> RunCon
     )
 
 
-def _sweep(args, config: RunConfig):
-    """Run the sweep, then write the snapshot file, if one was asked for."""
-    threshold = None if args.snapshot is None else args.snapshot_threshold
-    report = run_sweep(config, snapshot_threshold=threshold)
-    if report.write_snapshot is not None:
-        with open(args.snapshot, "w") as handle:
-            report.write_snapshot(handle)
-    return report
+def _snapshot_threshold(args) -> float:
+    """--snapshot-threshold, or the default when the flag is not given."""
+    return DEFAULT_SNAPSHOT_THRESHOLD if args.snapshot_threshold is None else args.snapshot_threshold
 
 
 def _cmd_sweep(args) -> int:
-    report = _sweep(args, _run_config(args))
+    report = run_sweep(_run_config(args), args.snapshot, _snapshot_threshold(args))
     if args.format == "csv":
         _emit(curve_csv("q,p_marginal,p_overlap", report.curve), args.output)
     else:
@@ -208,7 +202,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_run(args) -> int:
     config = _run_config(args, include_grover=args.grover, grover_steps=args.steps)
-    report = _sweep(args, config)
+    report = run_sweep(config, args.snapshot, _snapshot_threshold(args))
     repeat_stats = None
     if args.trials > 0:
         t0 = time.perf_counter()
@@ -231,9 +225,9 @@ def _cmd_run(args) -> int:
 def _cmd_grover(args) -> int:
     formula = read_dimacs(args.formula)
     table = build_unsat_table(formula, guard_n=args.guard_n, threads=args.threads)
-    solution = table.unique_solution()
+    table.unique_solution()  # rejects instances without exactly one solution
     steps = args.steps if args.steps is not None else grover_optimal_steps(formula.assignment_count)
-    curve = run_grover_baseline(formula, solution, steps)
+    curve = run_grover_baseline(formula.assignment_count, steps)
     if args.format == "csv":
         _emit(curve_csv("step,p_r", curve), args.output)
     else:

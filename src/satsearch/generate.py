@@ -3,7 +3,7 @@
 Three families, all deterministic for a given seed and all with exactly one
 satisfying assignment.  Only the random family enumerates to get there; the
 chain and block families are unique by construction (the tests confirm it by
-enumeration):
+enumeration), so they take no guard_n and only need n <= ``cnf.MAX_INDEX_N``:
 
 * ``generate_planted_3sat`` draws random 3-literal clauses satisfied by a
   hidden assignment, enumerates the assignments that survive them, then
@@ -37,6 +37,7 @@ from .cnf import (
     GuardError,
     InstanceError,
     Literal,
+    MAX_INDEX_N,
     build_unsat_table,
     violation_mask,
 )
@@ -72,12 +73,12 @@ def _separating_clause(rng: np.random.Generator, n: int, planted: int, survivor:
     return Clause(tuple(literals))
 
 
-def _check_bounds(n: int, minimum: int, guard_n: int, family: str) -> None:
+def _check_bounds(n: int, minimum: int, family: str) -> None:
     if n < minimum:
         raise InstanceError(f"{family} generation needs n >= {minimum}, got n={n}")
-    if n > guard_n:
+    if n > MAX_INDEX_N:
         raise GuardError(
-            f"uniqueness check over 2**{n} assignments exceeds guard n <= {guard_n}"
+            f"{family} generation indexes assignments in int64: needs n <= {MAX_INDEX_N}, got n={n}"
         )
 
 
@@ -102,7 +103,11 @@ def _planted_3sat(n: int, m: int, seed: int, guard_n: int) -> tuple[CnfFormula, 
     """``generate_planted_3sat``'s formula together with its planted assignment."""
     if m < 1:
         raise InstanceError(f"need m >= 1 initial clauses, got m={m}")
-    _check_bounds(n, 3, guard_n, "planted 3SAT")
+    _check_bounds(n, 3, "planted 3SAT")
+    if n > guard_n:
+        raise GuardError(
+            f"uniqueness check over 2**{n} assignments exceeds guard n <= {guard_n}"
+        )
     rng = np.random.default_rng(seed)
     planted = int(rng.integers(0, 1 << n))
     clauses = [_random_clause_satisfied_by(rng, n, planted) for _ in range(m)]
@@ -117,12 +122,7 @@ def _planted_3sat(n: int, m: int, seed: int, guard_n: int) -> tuple[CnfFormula, 
     return CnfFormula(n, tuple(clauses)), planted
 
 
-def generate_planted_chain(
-    n: int,
-    extras: int = 0,
-    seed: int = 0,
-    guard_n: int = DEFAULT_GUARD_N,
-) -> CnfFormula:
+def generate_planted_chain(n: int, extras: int = 0, seed: int = 0) -> CnfFormula:
     """Nested-clause instance whose non-solutions each violate exactly one clause.
 
     Clause j (over the first j variables in a random order) is violated
@@ -133,7 +133,7 @@ def generate_planted_chain(
     """
     if extras < 0:
         raise InstanceError("extras must be >= 0")
-    _check_bounds(n, 3 if extras else 1, guard_n, "planted chain")
+    _check_bounds(n, 3 if extras else 1, "planted chain")
     rng = np.random.default_rng(seed)
     planted = int(rng.integers(0, 1 << n))
     order = [int(v) for v in rng.permutation(n)]
@@ -151,11 +151,7 @@ def generate_planted_chain(
     return CnfFormula(n, tuple(clauses))
 
 
-def generate_planted_block3sat(
-    n: int,
-    seed: int = 0,
-    guard_n: int = DEFAULT_GUARD_N,
-) -> CnfFormula:
+def generate_planted_block3sat(n: int, seed: int = 0) -> CnfFormula:
     """Unique-solution 3SAT from per-block pattern exclusion.
 
     Variables are split into blocks of three (in a random order); each full
@@ -164,7 +160,7 @@ def generate_planted_block3sat(
     or two variables borrows enough variables from the first block to keep
     every clause at three literals.
     """
-    _check_bounds(n, 4, guard_n, "planted block 3SAT")
+    _check_bounds(n, 4, "planted block 3SAT")
     rng = np.random.default_rng(seed)
     planted = int(rng.integers(0, 1 << n))
     order = [int(v) for v in rng.permutation(n)]

@@ -16,9 +16,10 @@ assignments with the same violation count alike.  A ``PhaseProfile`` entry
 therefore carries a multiplicity: entry k stands for ``weights[k]``
 assignments that each violate ``u[k]`` clauses.  Production paths build the
 class profile, one entry per occupied violation count with weight N_u, from
-the histogram (``from_histogram``).  The per-assignment profile (every weight
-1, one entry per assignment) is the oracle; its ``classes()`` folds it into
-the same class profile.  In class coordinates the unit vector of class (b, u)
+the histogram (``from_histogram``); entry 0 is the solution class u = 0.
+The per-assignment profile (every weight 1, one entry per assignment) is the
+oracle; its ``classes()`` folds it into the same class profile.  In class
+coordinates the unit vector of class (b, u)
 is the normalized indicator of its N_u assignments, the uniform state is s
 with s_(b,u) = sqrt(N_u / 2N), and the iterate is exactly (I - 2ss^T)D on
 2(m+1) amplitudes at most, with D the class phases.  ``search_step`` is one
@@ -66,19 +67,22 @@ from .cnf import CnfFormula, _block_counter, _blocks, violation_mask
 # Rows of a snapshot formatted and written at a time.
 _ROWS_PER_WRITE = 1 << 12
 
+# Modulus at or below which a snapshot leaves an amplitude out.
+DEFAULT_SNAPSHOT_THRESHOLD = 1e-6
+
 
 @dataclass
 class PhaseProfile:
     """Violation counts with multiplicities plus clause count; caches derived vectors.
 
-    ``weights=None`` means every entry has multiplicity 1: one entry per
-    assignment, the per-assignment profile.  ``total`` is N, the assignments
-    the entries stand for.
+    Entry k stands for ``weights[k]`` assignments, each of weight 1 in the
+    per-assignment profile.  ``total`` is N, the assignments the entries
+    stand for.
     """
 
     m: int
     u: np.ndarray
-    weights: np.ndarray | None = None
+    weights: np.ndarray
     total: int = field(init=False, repr=False, compare=False)
     _phases: np.ndarray | None = field(default=None, repr=False, compare=False)
     _axis: np.ndarray | None = field(default=None, repr=False, compare=False)
@@ -88,13 +92,10 @@ class PhaseProfile:
         if self.m < 1:
             raise ValueError("clause count m must be >= 1")
         self.u = np.asarray(self.u)
-        if self.weights is None:
-            self.total = self.size
-        else:
-            self.weights = np.asarray(self.weights, dtype=np.int64)
-            if self.weights.shape != self.u.shape or np.any(self.weights < 1):
-                raise ValueError("weights must be positive, one per violation count")
-            self.total = int(self.weights.sum())
+        self.weights = np.asarray(self.weights, dtype=np.int64)
+        if self.weights.shape != self.u.shape or np.any(self.weights < 1):
+            raise ValueError("weights must be positive, one per violation count")
+        self.total = int(self.weights.sum())
 
     @classmethod
     def from_histogram(cls, m: int, histogram) -> "PhaseProfile":
@@ -111,7 +112,7 @@ class PhaseProfile:
     @classmethod
     def from_table(cls, table) -> "PhaseProfile":
         """Per-assignment profile of a violation table (the oracle coordinates)."""
-        return cls(table.m, table.counts)
+        return cls(table.m, table.counts, np.ones(table.assignment_count, dtype=np.int64))
 
     @classmethod
     def all_violated(cls, n: int, solution: int) -> "PhaseProfile":
@@ -125,7 +126,7 @@ class PhaseProfile:
         """
         u = np.ones(1 << n, dtype=np.int32)
         u[solution] = 0
-        return cls(1, u)
+        return cls(1, u, np.ones(1 << n, dtype=np.int64))
 
     @property
     def size(self) -> int:
@@ -142,11 +143,8 @@ class PhaseProfile:
     def reflection_axis(self) -> np.ndarray:
         """sqrt(weight) per amplitude: the uniform state times sqrt(2N)."""
         if self._axis is None:
-            if self.weights is None:
-                self._axis = np.ones(2 * self.size)
-            else:
-                root = np.sqrt(self.weights.astype(np.float64))
-                self._axis = np.concatenate([root, root])
+            root = np.sqrt(self.weights.astype(np.float64))
+            self._axis = np.concatenate([root, root])
         return self._axis
 
     def uniform(self) -> np.ndarray:
@@ -163,12 +161,6 @@ class PhaseProfile:
     def entries(self, counts) -> np.ndarray:
         """Entry of this class profile that holds each violation count in ``counts``."""
         return np.searchsorted(self.u, counts)
-
-    def class_of(self, index: int) -> int:
-        """Entry of ``classes()`` that entry ``index`` of this profile falls in."""
-        if not 0 <= index < self.size:
-            raise ValueError(f"index {index} out of range for {self.size} entries")
-        return int(self.classes().entries(self.u[index]))
 
     def lift(self, class_state: np.ndarray) -> np.ndarray:
         """Amplitudes per entry of a state given in ``classes()`` coordinates.
@@ -217,8 +209,7 @@ def apply_clause_phases_factored(state: np.ndarray, formula: CnfFormula) -> np.n
 def search_step(state: np.ndarray, profile: PhaseProfile) -> np.ndarray:
     """One search iteration: clause phases D, then the reflection I - 2ss^T.
 
-    With the axis r = sqrt(weight) = sqrt(2N) * s, 2s(s.out) = r(r.out)/N; for
-    a per-assignment profile r is all ones and this is out.sum()/N.
+    With the axis r = sqrt(weight) = sqrt(2N) * s, 2s(s.out) = r(r.out)/N.
     """
     _check_dimension(state, profile.size)
     out = state * profile.phase_vector()
@@ -264,7 +255,7 @@ def state_snapshot(
     formula: CnfFormula,
     classes: PhaseProfile,
     state: np.ndarray,
-    threshold: float = 1e-6,
+    threshold: float = DEFAULT_SNAPSHOT_THRESHOLD,
 ) -> None:
     """Write the JSON document of the (index, re, im) rows above the magnitude threshold.
 

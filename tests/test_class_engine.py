@@ -2,7 +2,8 @@
 
 ``success_curve`` and ``state_after`` step at most 2(m+1) class amplitudes;
 the oracle here steps all 2**(n+1) amplitudes through the same
-``search_step`` kernel with the per-assignment profile.
+``search_step`` kernel with the per-assignment profile.  ``success_curve``
+reads the solution class u = 0, so it is compared at every solution.
 """
 
 import math
@@ -27,22 +28,26 @@ def full_vector_states(profile, iterations):
     return states
 
 
-def full_vector_curve(profile, index, q_max):
-    rows = [
-        (q, *ss.measure_distribution(state, index))
-        for q, state in enumerate(full_vector_states(profile, q_max))
-    ]
-    return np.asarray(rows)
+def full_vector_curve(states, index):
+    """Rows (q, p_marginal, p_overlap) of index over per-assignment states q = 0, 1, ..."""
+    return np.asarray([(q, *ss.measure_distribution(state, index)) for q, state in enumerate(states)])
+
+
+def ones(size):
+    return np.ones(size, dtype=np.int64)
+
+
+UNSATISFIABLE = ss.parse_dimacs("p cnf 1 2\n1 0\n-1 0\n")
 
 
 class TestClassProfile:
     def test_classes_drop_empty_counts(self):
-        profile = ss.PhaseProfile(m=3, u=np.array([2, 1, 1, 0]))
+        profile = ss.PhaseProfile(m=3, u=np.array([2, 1, 1, 0]), weights=ones(4))
         classes = profile.classes()
         assert classes.u.tolist() == [0, 1, 2]
         assert classes.weights.tolist() == [1, 2, 1]
         assert classes.total == profile.total == 4
-        assert [profile.class_of(i) for i in range(4)] == [2, 1, 1, 0]
+        assert classes.entries(profile.u).tolist() == [2, 1, 1, 0]
 
     def test_from_histogram_is_the_fold(self, planted14):
         _, table, summary = planted14
@@ -54,8 +59,8 @@ class TestClassProfile:
         assert classes.total == folded.total == 1 << 14
         # the solution is entry 0, and the curve is the per-assignment one bit for bit
         q_max = 2 * summary.q_m
-        per_assignment = ss.success_curve(ss.PhaseProfile.from_table(table), table.unique_solution(), q_max)
-        assert np.array_equal(ss.success_curve(classes, 0, q_max), per_assignment)
+        per_assignment = ss.success_curve(ss.PhaseProfile.from_table(table), q_max)
+        assert np.array_equal(ss.success_curve(classes, q_max), per_assignment)
 
     def test_uniform_lifts_to_uniform_state(self, planted14):
         _, table, _ = planted14
@@ -67,7 +72,7 @@ class TestClassProfile:
 
     def test_classes_keep_conjugation(self):
         # class c carries exp(+i*pi*u_c/m) on branch b=0 and its conjugate on b=1
-        classes = ss.PhaseProfile(m=2, u=np.array([0, 1, 2, 2])).classes()
+        classes = ss.PhaseProfile(m=2, u=np.array([0, 1, 2, 2]), weights=ones(4)).classes()
         upper = np.exp(1j * np.pi * np.arange(3) / 2)
         assert np.array_equal(classes.phase_vector(), np.concatenate([upper, upper.conj()]))
 
@@ -77,41 +82,49 @@ class TestClassProfile:
         with pytest.raises(ValueError, match="weights"):
             ss.PhaseProfile(m=1, u=np.array([0, 1]), weights=np.array([1]))
 
-    def test_class_of_out_of_range(self, toy_table):
-        profile = ss.PhaseProfile.from_table(toy_table)
-        for index in (-1, 4):
-            with pytest.raises(ValueError, match="out of range"):
-                profile.class_of(index)
-
-    def test_success_curve_rejects_bad_index(self, toy_table):
-        profile = ss.PhaseProfile.from_table(toy_table)
-        with pytest.raises(ValueError):
-            ss.success_curve(profile, 4, 3)
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda profile: ss.success_curve(profile, 3),
+            lambda profile: ss.measurement_success_rate(profile, 3, trials=10, rng_seed=0),
+        ],
+        ids=["success_curve", "measurement_success_rate"],
+    )
+    def test_no_solution_class(self, read):
+        per_assignment = ss.PhaseProfile.from_table(ss.build_unsat_table(UNSATISFIABLE))
+        for profile in (
+            per_assignment,
+            per_assignment.classes(),
+            ss.PhaseProfile.from_histogram(3, [0, 5, 0, 3]),
+        ):
+            assert profile.classes().u[0] != 0
+            with pytest.raises(ss.InstanceError, match="no assignment satisfies every clause"):
+                read(profile)
 
 
 class TestAgainstFullVector:
     @given(formulas(), st.data())
     @settings(max_examples=40, deadline=None)
     def test_any_formula_any_index(self, formula, data):
-        # formulas() includes multi-solution and unsatisfiable instances
-        profile = ss.PhaseProfile.from_table(ss.build_unsat_table(formula))
-        index = data.draw(st.integers(0, formula.assignment_count - 1))
+        # formulas() includes multi-solution and unsatisfiable instances: the
+        # curve is every solution's, and the lifted final state every index's
+        table = ss.build_unsat_table(formula)
+        profile = ss.PhaseProfile.from_table(table)
         q_max = data.draw(st.integers(1, 40))
-        curve = ss.success_curve(profile, index, q_max)
-        assert np.max(np.abs(curve - full_vector_curve(profile, index, q_max))) <= 1e-12
-        final = full_vector_states(profile, q_max)[-1]
-        assert np.max(np.abs(profile.lift(ss.state_after(profile, q_max)) - final)) <= 1e-12
+        states = full_vector_states(profile, q_max)
+        if table.solutions:
+            curve = ss.success_curve(profile, q_max)
+            for solution in table.solutions:
+                assert np.max(np.abs(curve - full_vector_curve(states, solution))) <= 1e-12
+        assert np.max(np.abs(profile.lift(ss.state_after(profile, q_max)) - states[-1])) <= 1e-12
 
     def test_planted_n14(self, planted14):
         _, table, summary = planted14
         profile = ss.PhaseProfile.from_table(table)
         q_max = 2 * summary.q_m
         states = full_vector_states(profile, q_max)
-        for index in (table.unique_solution(), 0, 12345):
-            expected = np.asarray(
-                [(q, *ss.measure_distribution(s, index)) for q, s in enumerate(states)]
-            )
-            assert np.max(np.abs(ss.success_curve(profile, index, q_max) - expected)) <= 1e-12
+        expected = full_vector_curve(states, table.unique_solution())
+        assert np.max(np.abs(ss.success_curve(profile, q_max) - expected)) <= 1e-12
         assert np.max(np.abs(profile.lift(ss.state_after(profile, q_max)) - states[-1])) <= 1e-12
 
     def test_class_norm_drift_n18(self):
@@ -141,12 +154,14 @@ class TestMultiSolutionGroverLaw:
         solutions = rng.choice(total, size=k, replace=False)
         u = np.full(total, m, dtype=np.int32)
         u[solutions] = 0
-        profile = ss.PhaseProfile(m, u)
+        profile = ss.PhaseProfile(m, u, ones(total))
         theta = math.asin(math.sqrt(k / total))
         q_max = 2 * round(math.pi / (4 * theta))
         q = np.arange(q_max + 1)
         law = np.sin((2 * q + 1) * theta) ** 2 / k
+        curve = ss.success_curve(profile, q_max)
+        assert np.max(np.abs(curve[:, 1] - law)) <= 1e-6
+        assert np.max(np.abs(curve[:, 2] - law)) <= 1e-6
+        states = full_vector_states(profile, q_max)
         for solution in solutions:
-            curve = ss.success_curve(profile, int(solution), q_max)
-            assert np.max(np.abs(curve[:, 1] - law)) <= 1e-6
-            assert np.max(np.abs(curve[:, 2] - law)) <= 1e-6
+            assert np.max(np.abs(curve - full_vector_curve(states, int(solution)))) <= 1e-12

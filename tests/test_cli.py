@@ -322,15 +322,17 @@ class TestUsageErrors:
         assert main(["analyze", "-f", toy_path, "--threads", threads]) == 2
         self.assert_one_line_error(capsys, "--threads")
 
-    def test_zero_threads_env(self, toy_path, capsys, monkeypatch):
-        monkeypatch.setenv("SATSEARCH_THREADS", "0")
-        assert main(["analyze", "-f", toy_path]) == 2
-        self.assert_one_line_error(capsys, "SATSEARCH_THREADS")
+    def test_steps_without_grover(self, toy_path, tmp_path, capsys):
+        # without --grover no baseline runs, so a step count would be ignored
+        assert main(["run", "-f", toy_path, "--steps", "5", "--qmax", "2"]) == 2
+        self.assert_one_line_error(capsys, "--steps needs --grover")
+        # 'auto' is the default and stays allowed
+        assert main(["run", "-f", toy_path, "--steps", "auto", "-o", str(tmp_path / "r.json")]) == 0
 
-    def test_non_integer_threads_env(self, toy_path, capsys, monkeypatch):
-        monkeypatch.setenv("SATSEARCH_THREADS", "two")
-        assert main(["analyze", "-f", toy_path]) == 2
-        self.assert_one_line_error(capsys, "SATSEARCH_THREADS")
+    @pytest.mark.parametrize("command", ["sweep", "run"])
+    def test_snapshot_threshold_without_snapshot(self, command, toy_path, capsys):
+        assert main([command, "-f", toy_path, "--snapshot-threshold", "0.1"]) == 2
+        self.assert_one_line_error(capsys, "--snapshot-threshold needs --snapshot")
 
 
 class TestParser:
@@ -382,7 +384,11 @@ class TestOutputBytes:
         assert self.digests(tmp_path) == self.SHA256
 
     def test_no_per_assignment_state(self, tmp_path, monkeypatch):
-        """The same bytes with no per-assignment counts, no lift to 2N amplitudes and no fold."""
+        """The same bytes with no per-assignment counts, no lift to 2N amplitudes and no fold.
+
+        Only a class profile is its own ``classes()``; folding any other
+        profile means a per-assignment one was built.
+        """
         classes = ss.PhaseProfile.classes
 
         def refuse_counts(self):
@@ -392,7 +398,7 @@ class TestOutputBytes:
             raise AssertionError("lift called")
 
         def class_profiles_only(self):
-            if self.weights is None:
+            if self._classes is not self:
                 raise AssertionError("per-assignment profile folded")
             return classes(self)
 

@@ -19,10 +19,10 @@ def traced_peak(call):
         tracemalloc.stop()
 
 
-def lifted_marginal(profile, index, iterations):
-    """Data-register marginal of index, read from the full 2N-amplitude state."""
+def lifted_marginal(profile, solution, iterations):
+    """Data-register marginal of solution, read from the full 2N-amplitude state."""
     state = profile.lift(ss.state_after(profile, iterations))
-    return ss.measure_distribution(state, index)[0]
+    return ss.measure_distribution(state, solution)[0]
 
 
 def planted_config(tmp_path, n, m, seed, **options):
@@ -64,20 +64,20 @@ class TestSuccessCurve:
         n, solution = 8, 77
         profile = ss.PhaseProfile.all_violated(n, solution)
         q_m = round(math.pi * math.sqrt(1 << n) / 4)
-        curve = ss.success_curve(profile, solution, 2 * q_m)
+        curve = ss.success_curve(profile, 2 * q_m)
         closed = ss.grover_closed_form(1 << n, 2 * q_m)
         assert np.max(np.abs(curve[:, 2] - closed)) < 1e-6
         assert curve[q_m, 2] >= 0.95
 
     def test_row_zero_is_uniform(self):
         profile = ss.PhaseProfile.all_violated(4, 3)
-        curve = ss.success_curve(profile, 3, 4)
+        curve = ss.success_curve(profile, 4)
         assert curve[0, 1] == pytest.approx(1 / 16)
         assert curve[0, 2] == pytest.approx(1 / 16)
 
     def test_marginal_dominates_overlap(self, planted14):
         formula, table, summary = planted14
-        curve = ss.success_curve(ss.PhaseProfile.from_table(table), table.unique_solution(), 50)
+        curve = ss.success_curve(ss.PhaseProfile.from_table(table), 50)
         assert np.all(curve[:, 1] >= curve[:, 2] - 1e-15)
         assert np.all((curve[:, 1:] >= -1e-15) & (curve[:, 1:] <= 1 + 1e-15))
 
@@ -136,26 +136,21 @@ class TestRunSweep:
     def test_sinusoid_fit_invariant(self, planted14):
         formula, table, summary = planted14
         assert summary.validity_ratio <= 0.05
-        curve = ss.success_curve(
-            ss.PhaseProfile.from_table(table), table.unique_solution(), 2 * summary.q_m
-        )
+        curve = ss.success_curve(ss.PhaseProfile.from_table(table), 2 * summary.q_m)
         a, omega = sin_squared_fit(curve, summary.lambda_pm)
         assert omega == pytest.approx(summary.lambda_pm, rel=0.10)
         assert a == pytest.approx(summary.predicted_success, rel=0.25)
 
 
 class TestGroverBaseline:
-    def test_n4_exact_single_step(self, tmp_path):
-        formula = ss.parse_dimacs("p cnf 2 2\n1 0\n2 0\n")
-        curve = ss.run_grover_baseline(formula, 3, 1)
+    def test_n4_exact_single_step(self):
+        curve = ss.run_grover_baseline(4, 1)
         assert curve[0, 1] == pytest.approx(0.25, abs=1e-15)
         assert curve[1, 1] == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_closed_form(self):
-        formula = ss.generate_planted_chain(12, seed=0)
-        solution = ss.build_unsat_table(formula).unique_solution()
         steps = ss.grover_optimal_steps(1 << 12)
-        curve = ss.run_grover_baseline(formula, solution, steps)
+        curve = ss.run_grover_baseline(1 << 12, steps)
         closed = ss.grover_closed_form(1 << 12, steps)
         assert np.max(np.abs(curve[:, 1] - closed)) < 1e-10
 
@@ -163,49 +158,40 @@ class TestGroverBaseline:
         assert ss.grover_optimal_steps(1 << 16) == 201
 
     def test_negative_steps_rejected(self):
-        formula = ss.parse_dimacs("p cnf 2 2\n1 0\n2 0\n")
         with pytest.raises(ValueError, match="steps"):
-            ss.run_grover_baseline(formula, 3, -1)
+            ss.run_grover_baseline(4, -1)
 
     @pytest.mark.parametrize("n, solutions", [(3, (0, 5, 7)), (8, (0, 77, 255)), (12, (1337, 4095))])
     def test_matches_vector_oracle(self, n, solutions):
         total = 1 << n
-        formula = ss.CnfFormula(n, (ss.Clause.from_ints([1]),))
         steps = 2 * ss.grover_optimal_steps(total) + 3
+        curve = ss.run_grover_baseline(total, steps)
+        assert np.array_equal(curve[:, 0], np.arange(steps + 1))
         for solution in solutions:
             state = np.full(total, 1.0 / math.sqrt(total), dtype=np.complex128)
             expected = [abs(state[solution]) ** 2]
             for _ in range(steps):
                 state = ss.grover_step(state, solution)
                 expected.append(abs(state[solution]) ** 2)
-            curve = ss.run_grover_baseline(formula, solution, steps)
-            assert np.array_equal(curve[:, 0], np.arange(steps + 1))
             assert np.max(np.abs(curve[:, 1] - np.asarray(expected))) <= 1e-12
 
     @pytest.mark.parametrize("n", [20, 22])
     def test_matches_closed_form_large_n(self, n):
         total = 1 << n
         steps = ss.grover_optimal_steps(total)
-        curve = ss.run_grover_baseline(ss.CnfFormula(n, (ss.Clause.from_ints([1]),)), 12345, steps)
+        curve = ss.run_grover_baseline(total, steps)
         assert np.max(np.abs(curve[:, 1] - ss.grover_closed_form(total, steps))) <= 1e-12
 
-    @pytest.mark.parametrize("solution", [-1, 4])
-    def test_out_of_range_solution_rejected(self, solution):
-        formula = ss.parse_dimacs("p cnf 2 2\n1 0\n2 0\n")
-        with pytest.raises(ValueError, match="out of range"):
-            ss.run_grover_baseline(formula, solution, 1)
-
     def test_memory_independent_of_n(self):
-        formula = ss.CnfFormula(16, (ss.Clause.from_ints([1]),))
         steps = ss.grover_optimal_steps(1 << 16)
-        assert traced_peak(lambda: ss.run_grover_baseline(formula, 3, steps)) < 64 * 1024
+        assert traced_peak(lambda: ss.run_grover_baseline(1 << 16, steps)) < 64 * 1024
 
 
 class TestSampling:
     def test_high_success_when_b_is_one(self):
         profile = ss.PhaseProfile.all_violated(10, 123)
         q_m = round(math.pi * math.sqrt(1 << 10) / 4)
-        rate = ss.measurement_success_rate(profile, 123, q_m, trials=2000, rng_seed=7)
+        rate = ss.measurement_success_rate(profile, q_m, trials=2000, rng_seed=7)
         assert rate >= 0.9
 
     def test_mean_repeats_tracks_peak(self, tmp_path):
@@ -226,15 +212,15 @@ class TestSampling:
     def test_negative_iterations_rejected(self):
         profile = ss.PhaseProfile.all_violated(4, 3)
         with pytest.raises(ValueError, match="iterations"):
-            ss.measurement_success_rate(profile, 3, -7, 100, 0)
+            ss.measurement_success_rate(profile, -7, 100, 0)
         with pytest.raises(ValueError, match="iterations"):
             ss.state_after(profile, -1)
         assert ss.state_after(profile, 0).tolist() == profile.classes().uniform().tolist()
 
     def test_sampling_deterministic(self):
         profile = ss.PhaseProfile.all_violated(8, 5)
-        a = ss.measurement_success_rate(profile, 5, 12, trials=500, rng_seed=3)
-        b = ss.measurement_success_rate(profile, 5, 12, trials=500, rng_seed=3)
+        a = ss.measurement_success_rate(profile, 12, trials=500, rng_seed=3)
+        b = ss.measurement_success_rate(profile, 12, trials=500, rng_seed=3)
         assert a == b
 
     def test_draws_from_lifted_marginal(self, planted14, monkeypatch):
@@ -248,21 +234,14 @@ class TestSampling:
                 return trials // 2
 
         monkeypatch.setattr(np.random, "default_rng", lambda seed: Recorder())
-        for index in (table.unique_solution(), 0, 12345):
-            for iterations in (0, summary.q_m, 2 * summary.q_m + 1):
-                assert ss.measurement_success_rate(profile, index, iterations, 10, 0) == 0.5
-                expected = lifted_marginal(profile, index, iterations)
-                assert abs(drawn[-1] - expected) <= 1e-12
-
-    @pytest.mark.parametrize("solution", [-1, 1 << 8])
-    def test_out_of_range_solution_rejected(self, solution):
-        profile = ss.PhaseProfile.all_violated(8, 5)
-        with pytest.raises(ValueError, match="out of range"):
-            ss.measurement_success_rate(profile, solution, 12, trials=10, rng_seed=0)
+        for iterations in (0, summary.q_m, 2 * summary.q_m + 1):
+            assert ss.measurement_success_rate(profile, iterations, 10, 0) == 0.5
+            expected = lifted_marginal(profile, table.unique_solution(), iterations)
+            assert abs(drawn[-1] - expected) <= 1e-12
 
     def test_huge_trial_count(self):
         profile = ss.PhaseProfile.all_violated(8, 5)
-        rate = ss.measurement_success_rate(profile, 5, 6, trials=10**12, rng_seed=0)
+        rate = ss.measurement_success_rate(profile, 6, trials=10**12, rng_seed=0)
         # binomial standard deviation at 10**12 trials is below 5e-7
         assert abs(rate - lifted_marginal(profile, 5, 6)) < 1e-5
 
@@ -270,8 +249,7 @@ class TestSampling:
         table = ss.build_unsat_table(ss.generate_planted_3sat(16, 80, seed=3))
         profile = ss.PhaseProfile.from_table(table)
         profile.classes()  # the one bincount over all assignments, cached
-        solution = table.unique_solution()
-        peak = traced_peak(lambda: ss.measurement_success_rate(profile, solution, 50, 1000, 0))
+        peak = traced_peak(lambda: ss.measurement_success_rate(profile, 50, 1000, 0))
         assert peak < 64 * 1024
 
 

@@ -36,6 +36,11 @@ class TestPlanted3Sat:
         with pytest.raises(ss.GuardError):
             ss.generate_planted_3sat(12, 5, seed=0, guard_n=10)
 
+    def test_int64_index_limit_before_the_draw(self):
+        # n = 64 would reach numpy's integer draw, which raises ValueError
+        with pytest.raises(ss.GuardError, match="n <= 62"):
+            ss.generate_planted_3sat(64, 5, seed=0, guard_n=100)
+
 
 class TestPlantedChain:
     def test_every_nonsolution_violates_exactly_one_clause(self):
@@ -82,3 +87,26 @@ class TestPlantedBlock3Sat:
     def test_minimum_size(self):
         with pytest.raises(ss.InstanceError):
             ss.generate_planted_block3sat(3, seed=0)
+
+
+# The chain and block families never enumerate, so they have no enumeration
+# guard; block 3SAT at n = 40 has 13 full blocks of seven clauses plus one
+# clause for the one-variable remainder.
+CONSTRUCTED = [(ss.generate_planted_chain, 40), (ss.generate_planted_block3sat, 92)]
+
+
+@pytest.mark.parametrize("generate, m", CONSTRUCTED, ids=["chain", "block3sat"])
+def test_constructed_beyond_enumeration(generate, m, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_unsat_table called")
+
+    monkeypatch.setattr(ss.generate, "build_unsat_table", refuse)
+    formula = generate(40, seed=1)
+    assert formula.n == 40 and formula.m == m
+
+
+@pytest.mark.parametrize("generate, m", CONSTRUCTED, ids=["chain", "block3sat"])
+def test_constructed_int64_index_limit(generate, m):
+    generate(62, seed=0)
+    with pytest.raises(ss.GuardError, match="n <= 62"):
+        generate(63, seed=0)

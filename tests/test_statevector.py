@@ -24,7 +24,7 @@ def zero_profile(total):
     Its clause phases are all 1, so ``search_step`` on it is the bare
     reflection about the uniform state.
     """
-    return ss.PhaseProfile(m=1, u=np.zeros(total, dtype=np.int32))
+    return ss.PhaseProfile(m=1, u=np.zeros(total, dtype=np.int32), weights=np.ones(total, dtype=np.int64))
 
 
 def uniform(n):

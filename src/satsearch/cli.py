@@ -48,8 +48,8 @@ from .experiment import (
     total_cost_report,
 )
 from .generate import _planted_3sat
-from .spectral import MAX_EIGENCHECK_N, dense_eigencheck, spectral_summary
-from .statevector import DEFAULT_SNAPSHOT_THRESHOLD
+from .spectral import dense_eigencheck, spectral_summary
+from .statevector import DEFAULT_SNAPSHOT_THRESHOLD, PhaseProfile
 
 
 class UsageError(Exception):
@@ -140,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     grover.add_argument("--steps", type=_int_or_auto, default=None)
     grover.add_argument("--format", choices=["csv", "json"], default="csv")
 
-    spectrum = sub.add_parser("spectrum", parents=[common], help="dense eigendecomposition check (n <= 10)")
+    spectrum = sub.add_parser("spectrum", parents=[common], help="dense eigendecomposition check")
     spectrum.add_argument("-f", "--formula", required=True)
 
     return parser
@@ -238,13 +238,9 @@ def _cmd_grover(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     formula = read_dimacs(args.formula)
-    if formula.n > MAX_EIGENCHECK_N:
-        raise GuardError(
-            f"spectrum requires n <= {MAX_EIGENCHECK_N}, got n={formula.n}"
-        )
     table = build_unsat_table(formula, guard_n=args.guard_n, threads=args.threads)
     summary = spectral_summary(table)
-    report = dense_eigencheck(formula, table)
+    report = dense_eigencheck(PhaseProfile.from_histogram(table.m, table.histogram))
     payload = report.to_json_dict()
     payload["predicted_lambda_pm"] = summary.lambda_pm
     _emit(_json_text(payload), args.output)

@@ -20,8 +20,8 @@ is no u = 0 class.  ``state_after`` returns the class state, which
 (only the tests call ``PhaseProfile.lift``) and without the table's
 per-assignment counts.  The Grover baseline has the same symmetry with two
 classes, the solution and the other N - 1 assignments, so it steps two real
-amplitudes.  Stepping the full vector remains the oracle path, reached from
-the tests and from ``spectral.iterate_matrix``.
+amplitudes.  Stepping the full vector remains the oracle path of the tests,
+criterion 3's ``dense_eigencheck(PhaseProfile.from_table(...))`` among them.
 
 Reports serialize to JSON (stable key order, full-precision floats) or to CSV
 for the curves.  Timing information is collected but excluded from the JSON
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -325,11 +325,7 @@ class CostReport:
     scaling_figure: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "iterations_per_run": self.iterations_per_run,
-            "expected_total_iterations": self.expected_total_iterations,
-            "scaling_figure": self.scaling_figure,
-        }
+        return asdict(self)
 
 
 def total_cost_report(report: RunReport) -> CostReport:

@@ -12,24 +12,29 @@ reported as float residue.  The two-eigenphase picture needs the principal
 phases well separated from the smallest clause phase pi/m; ``validity_ratio``
 measures that separation and a summary is flagged once it exceeds 0.1.
 
-``dense_eigencheck`` materializes the iterate column by column through the
-production kernel and hands it to a dense eigensolver.  It is the numerical
-oracle the formulas are tested against, never a production path, and is
-guarded to n <= 10 (matrix dimension 2048).
+``dense_eigencheck`` materializes the iterate column by column through
+``search_step`` and hands it to a dense eigensolver, in either coordinate
+system.  An entry of weight w also stands for w - 1 directions per branch
+that sum to zero over its assignments: orthogonal to the uniform state, they
+keep D's phases +pi*u/m and -pi*u/m exactly, and the report adds them to the
+matrix's own.  ``spectrum`` runs it on the class profile of the histogram;
+on the per-assignment profile (``PhaseProfile.from_table``) it is the dense
+oracle.  The matrix dimension 2 * profile.size is guarded at 2048: 64 MiB,
+n <= 10 per assignment.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .cnf import CnfFormula, GuardError, UnsatTable
+from .cnf import GuardError, InstanceError, UnsatTable
 from .statevector import PhaseProfile, search_step
 
 VALIDITY_WARNING_RATIO = 0.1
-MAX_EIGENCHECK_N = 10
+MAX_EIGENCHECK_DIM = 2048
 # dense_eigencheck: eigenphases at or below ZERO_PHASE_FLOOR count as zero, and
 # eigenvectors whose squared overlap with the amplified state is at or below
 # OVERLAP_FLOOR are spectators of the search dynamics
@@ -54,19 +59,7 @@ class SpectralSummary:
     validity_warning: bool
 
     def to_json_dict(self, histogram=None) -> dict:
-        out = {
-            "n": self.n,
-            "m": self.m,
-            "lambda1": self.lambda1,
-            "lambda2": self.lambda2,
-            "B": self.B,
-            "lambda_pm": self.lambda_pm,
-            "q_m": self.q_m,
-            "predicted_success": self.predicted_success,
-            "validity_ratio": self.validity_ratio,
-            "alpha": self.alpha,
-            "validity_warning": self.validity_warning,
-        }
+        out = asdict(self)
         if histogram is not None:
             out["histogram"] = [int(v) for v in histogram]
         return out
@@ -115,9 +108,10 @@ def spectral_summary(table: UnsatTable) -> SpectralSummary:
 
 @dataclass
 class EigenPairReport:
-    """Dense-eigendecomposition view of the iterate's principal eigenphase pair."""
+    """Principal eigenphase pair, and every eigenphase in (-pi, pi] once with its multiplicity."""
 
     eigenphases: np.ndarray
+    multiplicities: np.ndarray
     lambda_plus: float
     lambda_minus: float
     span_weight: float
@@ -127,7 +121,9 @@ class EigenPairReport:
             "lambda_plus": self.lambda_plus,
             "lambda_minus": self.lambda_minus,
             "span_weight": self.span_weight,
-            "eigenphases": [float(p) for p in self.eigenphases],
+            "eigenphases": [
+                [float(p), int(k)] for p, k in zip(self.eigenphases, self.multiplicities)
+            ],
         }
 
 
@@ -143,30 +139,31 @@ def iterate_matrix(profile: PhaseProfile) -> np.ndarray:
     return matrix
 
 
-def dense_eigencheck(formula: CnfFormula, table: UnsatTable) -> EigenPairReport:
+def dense_eigencheck(profile: PhaseProfile) -> EigenPairReport:
     """Full eigendecomposition of the iterate; extracts the principal pair.
 
     The principal pair is the conjugate eigenphase pair of smallest nonzero
     magnitude with nonzero overlap against the amplified state (|0,r> +
     |1,r>)/sqrt(2); the overlap floor filters the exact zero-phase spectator
     (|0,r> - |1,r>)/sqrt(2), which is orthogonal to everything the search
-    dynamics touches.
+    dynamics touches.  The u = 0 entries must hold one assignment r.
     """
-    if formula.n > MAX_EIGENCHECK_N:
+    dim = 2 * profile.size
+    if dim > MAX_EIGENCHECK_DIM:
         raise GuardError(
-            f"dense eigencheck limited to n <= {MAX_EIGENCHECK_N} "
-            f"(matrix dimension {2 << MAX_EIGENCHECK_N}), got n={formula.n}"
+            f"dense eigencheck limited to matrix dimension {MAX_EIGENCHECK_DIM}, got {dim}"
         )
-    solution = table.unique_solution()
-    matrix = iterate_matrix(PhaseProfile.from_table(table))
-    values, vectors = np.linalg.eig(matrix)
+    solution = np.flatnonzero(profile.u == 0)
+    found = int(profile.weights[solution].sum())
+    if found != 1:
+        raise InstanceError(f"expected exactly one satisfying assignment, found {found}")
+    values, vectors = np.linalg.eig(iterate_matrix(profile))
     if np.max(np.abs(np.abs(values) - 1.0)) > 1e-8:
         raise RuntimeError("eigensolver returned non-unimodular eigenvalues for a unitary")
 
     phases = np.angle(values)
-    data_dim = table.assignment_count
-    target = np.zeros(2 * data_dim, dtype=np.complex128)
-    target[solution] = target[data_dim + solution] = 1.0 / math.sqrt(2.0)
+    target = np.zeros(dim, dtype=np.complex128)
+    target[solution] = target[profile.size + solution] = 1.0 / math.sqrt(2.0)
     overlaps = np.abs(vectors.conj().T @ target) ** 2
 
     eligible = np.flatnonzero((np.abs(phases) > ZERO_PHASE_FLOOR) & (overlaps > OVERLAP_FLOOR))
@@ -179,8 +176,16 @@ def dense_eigencheck(formula: CnfFormula, table: UnsatTable) -> EigenPairReport:
         raise RuntimeError("principal eigenphases do not form a conjugate pair")
     second = opposite[0]
     plus, minus = (first, second) if phases[first] > 0 else (second, first)
+
+    # the matrix's phases once each, then each entry's w - 1 spectators per branch
+    every = np.concatenate([phases, np.angle(profile.phase_vector())])
+    count = np.concatenate([np.ones(dim, dtype=np.int64), np.tile(profile.weights - 1, 2)])
+    every[every == -np.pi] = np.pi
+    kept = count > 0
+    distinct, position = np.unique(every[kept], return_inverse=True)
     return EigenPairReport(
-        eigenphases=np.sort(phases),
+        eigenphases=distinct,
+        multiplicities=np.bincount(position, weights=count[kept]).astype(np.int64),
         lambda_plus=float(phases[plus]),
         lambda_minus=float(phases[minus]),
         span_weight=float(overlaps[plus] + overlaps[minus]),

@@ -39,8 +39,8 @@ production path calls it), and ``apply_clause_phases_factored``, which
 evaluates clauses one by one instead of reading a violation table.
 
 The per-assignment path stays as the oracle of the class engine: the tests,
-``spectral.iterate_matrix`` (and through it acceptance criterion 3) and
-criteria 2 and 8 step or multiply the full 2**(n+1)-amplitude vector.
+acceptance criterion 3 through ``dense_eigencheck(PhaseProfile.from_table(...))``
+and criteria 2 and 8 step or multiply the full 2**(n+1)-amplitude vector.
 
 Snapshots.  ``state_snapshot`` writes the JSON document of the lifted
 state's (index, re, im) rows straight from the class state: each assignment

@@ -102,7 +102,7 @@ def test_criterion_3_eigenphase_prediction():
         table = ss.build_unsat_table(formula)
         summary = ss.spectral_summary(table)
         assert summary.validity_ratio <= 0.05
-        report = ss.dense_eigencheck(formula, table)
+        report = ss.dense_eigencheck(ss.PhaseProfile.from_table(table))
         assert abs(abs(report.lambda_plus) - summary.lambda_pm) <= 0.05 * summary.lambda_pm
         assert abs(report.lambda_plus + report.lambda_minus) < 1e-6
         assert report.span_weight >= 0.95

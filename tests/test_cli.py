@@ -4,9 +4,10 @@ import json
 import pytest
 
 import satsearch as ss
+from satsearch import spectral
 from satsearch.cli import main
 
-from conftest import TOY_DIMACS
+from conftest import TOY_DIMACS, counter_formula
 
 
 @pytest.fixture()
@@ -256,11 +257,30 @@ class TestSpectrum:
         assert abs(payload["lambda_plus"]) == pytest.approx(payload["predicted_lambda_pm"], rel=0.05)
         assert payload["span_weight"] >= 0.95
 
-    def test_guard_exit_4(self, tmp_path, capsys):
-        path = tmp_path / "big.cnf"
-        path.write_text("p cnf 16 1\n1 0\n")
+    def test_dimension_guard_exit_4(self, tmp_path, capsys, monkeypatch):
+        # 2048 classes, so the class matrix would have dimension 4096
+        path = tmp_path / "counter.cnf"
+        path.write_text(ss.serialize_dimacs(counter_formula(11)))
+
+        def refuse(profile):
+            raise AssertionError("iterate matrix allocated")
+
+        monkeypatch.setattr(spectral, "iterate_matrix", refuse)
         assert main(["spectrum", "-f", str(path)]) == 4
-        assert "n <= 10" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        lines = captured.err.strip().split("\n")
+        assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
+        assert "4096" in lines[0]
+
+    def test_beyond_the_per_assignment_limit(self, tmp_path):
+        formula = ss.generate_planted_chain(16, extras=2, seed=4)
+        inst = tmp_path / "chain16.cnf"
+        inst.write_text(ss.serialize_dimacs(formula))
+        out = tmp_path / "spec.json"
+        assert main(["spectrum", "-f", str(inst), "-o", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert sum(k for _, k in payload["eigenphases"]) == 2**17
+        assert abs(payload["lambda_plus"]) == pytest.approx(payload["predicted_lambda_pm"], rel=0.05)
 
 
 class TestUsageErrors:
@@ -350,8 +370,9 @@ class TestOutputBytes:
 
     Any change to these digests is a change of the output format or of the
     numbers.  The float digits come from numpy's elementwise exp and sqrt and
-    its pairwise sums; a platform whose math library rounds differently would
-    need the digests taken again.
+    its pairwise sums, and those of ``spectrum.json`` also from LAPACK's
+    eigensolver; a platform whose math library rounds differently would need
+    the digests taken again.
     """
 
     COMMANDS = [
@@ -360,8 +381,9 @@ class TestOutputBytes:
         ["sweep", "-f", "inst.cnf", "--format", "csv", "-o", "sweep.csv"],
         ["grover", "-f", "inst.cnf", "--format", "csv", "-o", "grover.csv"],
         ["run", "-f", "inst.cnf", "--grover", "--trials", "50", "--snapshot", "snap.json", "-o", "run.json"],
+        ["spectrum", "-f", "inst.cnf", "-o", "spectrum.json"],
     ]
-    FILES = {"inst.cnf", "analyze.json", "sweep.csv", "grover.csv", "run.json", "snap.json"}
+    FILES = {"inst.cnf", "analyze.json", "sweep.csv", "grover.csv", "run.json", "snap.json", "spectrum.json"}
     SHA256 = {
         "inst.cnf": "b046d53e02cb3a9a680eeee9d3369ed605a58bd891646e2fc61a839135ea71e9",
         "analyze.json": "4ddcea610bacefb861a44bce5eb8c98997a9cd589ea0da066bb16fe5b69f5bc1",
@@ -369,6 +391,7 @@ class TestOutputBytes:
         "grover.csv": "a037eb0c6434317dff84b4f1d636292e195e23bcd6b774211405b10eeb6411cb",
         "run.json": "8413d8146309bea9c0583078f3b302b7b72cdaeda8acd1c057ee3237ba77fb48",
         "snap.json": "42d7b6944d927a6b09fafda0b4df1e81168050ff3b3c27e65ad6b287839d8199",
+        "spectrum.json": "276ed2b8d3f6bbdec0e37dec84625bfaf116f721be84972ca3fbc04d456f4e42",
     }
 
     def digests(self, directory):

@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import satsearch as ss
+
+from conftest import formulas
 
 
 def direct_lambda2(table):
@@ -130,12 +134,43 @@ class TestMonotonicity:
         assert np.all(grown_table.counts >= table.counts)
 
 
+def both_profiles(table):
+    """The per-assignment oracle profile and the class profile of one table."""
+    return ss.PhaseProfile.from_table(table), ss.PhaseProfile.from_histogram(table.m, table.histogram)
+
+
+def circle_points(report):
+    """Every eigenvalue on the unit circle, repeated by multiplicity, in phase order.
+
+    A phase within 1e-9 of -pi is moved to +pi first, so the eigenvalue -1
+    sorts to one end whichever sign its phase came with.
+    """
+    phases = np.repeat(report.eigenphases, report.multiplicities)
+    phases = np.sort(np.where(phases < -np.pi + 1e-9, phases + 2 * np.pi, phases))
+    return np.exp(1j * phases)
+
+
+@st.composite
+def unique_solution_formulas(draw):
+    """A satisfiable drawn formula, plus unit clauses toward its first solution until it is unique."""
+    formula = draw(formulas(max_n=6))
+    solutions = ss.build_unsat_table(formula).solutions
+    assume(solutions)
+    for var in range(1, formula.n + 1):
+        if len(solutions) == 1:
+            break
+        pin = ss.Clause((ss.Literal(var, not (solutions[0] >> (var - 1)) & 1),))
+        formula = ss.CnfFormula(formula.n, formula.clauses + (pin,))
+        solutions = ss.build_unsat_table(formula).solutions
+    return formula
+
+
 class TestDenseEigencheck:
     def test_chain_instance_matches_prediction(self):
         formula = ss.generate_planted_chain(8, extras=2, seed=3)
         table = ss.build_unsat_table(formula)
         summary = ss.spectral_summary(table)
-        report = ss.dense_eigencheck(formula, table)
+        report = ss.dense_eigencheck(ss.PhaseProfile.from_table(table))
         assert abs(report.lambda_plus) == pytest.approx(summary.lambda_pm, rel=0.05)
         assert report.lambda_plus + report.lambda_minus == pytest.approx(0.0, abs=1e-6)
         assert report.span_weight >= 0.95
@@ -143,20 +178,46 @@ class TestDenseEigencheck:
     def test_eigenphase_count(self):
         formula = ss.generate_planted_chain(6, seed=2)
         table = ss.build_unsat_table(formula)
-        report = ss.dense_eigencheck(formula, table)
-        assert report.eigenphases.shape == (2 * formula.assignment_count,)
+        for profile in both_profiles(table):
+            report = ss.dense_eigencheck(profile)
+            assert int(report.multiplicities.sum()) == 2 * formula.assignment_count
+            assert np.all(report.multiplicities >= 1)
+            assert np.all(np.diff(report.eigenphases) > 0)
+            assert -np.pi < report.eigenphases[0] and report.eigenphases[-1] <= np.pi
+
+    @given(unique_solution_formulas())
+    @settings(max_examples=60, deadline=None)
+    def test_class_profile_matches_oracle(self, formula):
+        table = ss.build_unsat_table(formula)
+        oracle, classes = (ss.dense_eigencheck(p) for p in both_profiles(table))
+        assert abs(classes.lambda_plus - oracle.lambda_plus) <= 1e-12
+        assert abs(classes.lambda_minus - oracle.lambda_minus) <= 1e-12
+        assert abs(classes.span_weight - oracle.span_weight) <= 1e-10
+        for report in (oracle, classes):
+            assert int(report.multiplicities.sum()) == 2 * formula.assignment_count
+        assert np.max(np.abs(circle_points(classes) - circle_points(oracle))) <= 1e-12
+
+    def test_minus_one_is_one_row_at_pi(self):
+        # every non-solution violates the one clause: 2N - 3 = 13 eigenvalues
+        # -1, 2N - 4 of them spectators of the class profile at +pi and -pi
+        profile = ss.PhaseProfile.all_violated(3, 5)
+        oracle, classes = ss.dense_eigencheck(profile), ss.dense_eigencheck(profile.classes())
+        assert (classes.eigenphases[-1], classes.multiplicities[-1]) == (np.pi, 13)
+        assert np.all(np.abs(classes.eigenphases[:-1]) < 3.0)
+        assert np.max(np.abs(circle_points(classes) - circle_points(oracle))) <= 1e-12
 
     def test_dimension_guard(self):
         formula = ss.generate_planted_chain(11, seed=0)
         table = ss.build_unsat_table(formula)
-        with pytest.raises(ss.GuardError):
-            ss.dense_eigencheck(formula, table)
+        with pytest.raises(ss.GuardError, match="4096"):
+            ss.dense_eigencheck(ss.PhaseProfile.from_table(table))
 
     def test_requires_unique_solution(self):
         formula = ss.parse_dimacs("p cnf 2 1\n1 2 0\n")
         table = ss.build_unsat_table(formula)
-        with pytest.raises(ss.InstanceError):
-            ss.dense_eigencheck(formula, table)
+        for profile in both_profiles(table):
+            with pytest.raises(ss.InstanceError):
+                ss.dense_eigencheck(profile)
 
 
 class TestIterateMatrix:

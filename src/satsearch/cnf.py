@@ -21,9 +21,12 @@ counts of a block of assignments, laid out as a (high, low) matrix, are one
 0/1 matrix product: highs (high x m) @ lows (m x low).  The assignments are
 enumerated in fixed blocks of 2**BLOCK_BITS, each counted in the smallest
 unsigned dtype that holds m and kept only as its histogram and its zero
-indices, so the memory used does not grow with 2**n.  ``UnsatTable.counts``,
-the count of every assignment, is filled by the same block kernel on first
-read; only the oracles read it.
+indices, so the memory used does not grow with 2**n.  ``violation_blocks``,
+the one pass over the assignments, alone knows the block layout: the table's
+histogram, ``UnsatTable.counts`` and the snapshot all walk it.  Its set-up
+runs at the call, on the caller's thread: a plain generator that made it in
+the pool worker, BLAS thread variables unset, slowed n = 22 enumeration from
+0.027-0.030 s to 0.035-0.044 s (2 vCPUs, numpy 2.4; cause not known).
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -46,6 +49,9 @@ BLOCK_BITS = 16
 
 # Largest n the block kernel can index: its masks and indices are int64.
 MAX_INDEX_N = 62
+
+# (first index, violation counts) of one enumeration block.
+Block = tuple[int, np.ndarray]
 
 # A DIMACS integer: optional minus sign and ASCII digits.  Python's int() would
 # also take '+3', '1_0' and non-ASCII digits.
@@ -250,9 +256,8 @@ class UnsatTable:
 
     ``histogram[u]`` is the number of assignments violating exactly u clauses
     and ``solutions`` the indices with zero violations, in increasing order.
-    ``counts[i]``, the number of clauses assignment i violates, is an array
-    over all 2**n assignments: the block counter of ``build_unsat_table``
-    fills it, block by block, on first read, and only the oracles read it.
+    ``counts[i]``, the violation count of assignment i, joins the blocks of
+    ``violation_blocks`` on first read; only the oracles read it.
     """
 
     formula: CnfFormula
@@ -269,8 +274,7 @@ class UnsatTable:
 
     @cached_property
     def counts(self) -> np.ndarray:
-        block_counts = _block_counter(self.formula)
-        return np.concatenate([block_counts(top) for top in _blocks(self.formula)])
+        return np.concatenate([counts for _, counts in violation_blocks(self.formula)])
 
     @property
     def assignment_count(self) -> int:
@@ -318,16 +322,17 @@ def _product_dtype(m: int) -> type:
     return np.float32 if m < 1 << 24 else np.float64
 
 
-def _block_counter(formula: CnfFormula) -> Callable[[int], np.ndarray]:
-    """Function from block ``top`` to its assignments' violation counts, in increasing index.
+def violation_blocks(formula: CnfFormula, tops: range | None = None) -> Iterator[Block]:
+    """Iterator of (first index, counts) over the blocks ``tops``, all by default, in order.
 
     A block's index bits are split into a high and a low half, and the bits
-    above the block, fixed to ``top``, join the high half.  As a (high, low)
+    above the block, fixed to its ``top``, join the high half.  As a (high, low)
     matrix the counts are then highs @ lows, where highs[h, c] and lows[c, l]
     test clause c on each half.  Every term is 0 or 1 and every sum at most
     m, so the product is exact in ``_product_dtype(m)``.  ``lows`` depends only
-    on the formula and is built once, here.  The counts come in the smallest
-    unsigned dtype that holds m: uint8 while m < 256, then uint16, then uint32.
+    on the formula and is built at the call; only the products wait for the
+    iterator.  The counts come in the smallest unsigned dtype that holds m:
+    uint8 while m < 256, then uint16, then uint32.
     """
     bits = min(formula.n, BLOCK_BITS)
     low_bits = bits // 2
@@ -347,26 +352,23 @@ def _block_counter(formula: CnfFormula) -> Callable[[int], np.ndarray]:
     care_hi, value_hi = care >> low_bits, value >> low_bits
     counts_dtype = np.min_scalar_type(formula.m)
 
-    def block_counts(top: int) -> np.ndarray:
+    def block(top: int) -> Block:
         high = np.arange(top * rows, (top + 1) * rows, dtype=np.int64)
         highs = ((high[:, None] & care_hi) == value_hi).astype(product_dtype)
-        return (highs @ lows).astype(counts_dtype).reshape(-1)
+        return top << bits, (highs @ lows).astype(counts_dtype).reshape(-1)
 
-    return block_counts
+    return map(block, _blocks(formula) if tops is None else tops)
 
 
-def _run_summary(
-    m: int, block_counts: Callable[[int], np.ndarray], tops: range
-) -> tuple[np.ndarray, list[int]]:
-    """Summed histogram and zero-violation indices of the blocks ``tops``, in block order."""
+def _run_summary(m: int, blocks: Iterator[Block]) -> tuple[np.ndarray, list[int]]:
+    """Summed histogram and zero-violation indices of ``violation_blocks``' blocks, in order."""
     histogram = np.zeros(m + 1, dtype=np.int64)
     solutions: list[int] = []
-    for top in tops:
-        counts = block_counts(top)
+    for first, counts in blocks:
         block_histogram = np.bincount(counts, minlength=m + 1)
         histogram += block_histogram
         if block_histogram[0]:
-            solutions += (np.flatnonzero(counts == 0) + top * counts.size).tolist()
+            solutions += (np.flatnonzero(counts == 0) + first).tolist()
     return histogram, solutions
 
 
@@ -395,14 +397,14 @@ def build_unsat_table(
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     workers = min(threads, os.cpu_count() or 1)
-    block_counts = _block_counter(formula)
     blocks = _blocks(formula)
     cuts = [k * len(blocks) // workers for k in range(workers + 1)]
     runs = [blocks[start:stop] for start, stop in zip(cuts, cuts[1:]) if start < stop]
+    walkers = [violation_blocks(formula, run) for run in runs]
     histogram = np.zeros(formula.m + 1, dtype=np.int64)
     solutions: list[int] = []
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_run_summary, formula.m, block_counts, run) for run in runs]
+        futures = [pool.submit(_run_summary, formula.m, walker) for walker in walkers]
         for future in futures:
             run_histogram, run_solutions = future.result()
             histogram += run_histogram

@@ -308,7 +308,6 @@ def repeat_until_success_stats(
         raise ValueError("trials must be >= 1")
     formula = read_dimacs(config.formula_path)
     table = build_unsat_table(formula, guard_n=config.guard_n, threads=config.threads)
-    table.unique_solution()  # rejects instances without exactly one solution
     summary = spectral_summary(table)
     classes = PhaseProfile.from_histogram(table.m, table.histogram)
     rate = measurement_success_rate(classes, summary.q_m, trials, rng_seed)

@@ -48,9 +48,8 @@ of class c has amplitude a_(b,c) / sqrt(N_c), so it formats those at most
 2(m+1) values once and gives each row the text of its assignment's class.
 It streams the rows to an open file, branch by branch and enumeration block
 by block.  Each block's violation counts are computed again, one matrix
-product each, by the block counter ``cnf.build_unsat_table`` uses; the
-counter's per-clause set-up is made once per snapshot.  Only the file grows
-with 2**n.
+product each, by ``cnf.violation_blocks``, the walker ``cnf.build_unsat_table``
+counts with; the walker runs once per branch.  Only the file grows with 2**n.
 """
 
 from __future__ import annotations
@@ -62,7 +61,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .cnf import CnfFormula, _block_counter, _blocks, violation_mask
+from .cnf import CnfFormula, violation_blocks, violation_mask
 
 # Rows of a snapshot formatted and written at a time.
 _ROWS_PER_WRITE = 1 << 12
@@ -263,8 +262,8 @@ def state_snapshot(
     ``formula``'s histogram.  The bytes written to the text file ``handle``
     are those of ``json.dumps({"threshold": threshold, "amplitudes": rows},
     indent=2)`` plus a final newline, one row per amplitude of the lifted
-    state whose modulus exceeds ``threshold``.  Each enumeration block's
-    counts are computed again and its rows written in slices of
+    state whose modulus exceeds ``threshold``.  Each branch walks the blocks
+    of ``cnf.violation_blocks`` again and writes a block's rows in slices of
     ``_ROWS_PER_WRITE``, so neither the counts of all assignments nor the
     whole document is ever held in memory.
     """
@@ -275,19 +274,17 @@ def state_snapshot(
         f",\n      {json.dumps(a.real)},\n      {json.dumps(a.imag)}\n    ]"
         for a in amplitudes.tolist()
     ]
-    block_counts = _block_counter(formula)
     handle.write(f'{{\n  "threshold": {json.dumps(threshold)},\n  "amplitudes": ')
     lead = "[\n"
     for branch in (0, 1):
         offset = branch * classes.size
-        for top in _blocks(formula):
-            counts = block_counts(top)
+        for first, counts in violation_blocks(formula):
             entry = classes.entries(counts)
             entry += offset
             index = np.flatnonzero(kept[entry])
-            start = branch * formula.assignment_count + top * counts.size
-            for first in range(0, index.size, _ROWS_PER_WRITE):
-                part = index[first : first + _ROWS_PER_WRITE]
+            start = branch * formula.assignment_count + first
+            for lo in range(0, index.size, _ROWS_PER_WRITE):
+                part = index[lo : lo + _ROWS_PER_WRITE]
                 rows = [
                     f"    [\n      {i}{tails[c]}"
                     for i, c in zip((part + start).tolist(), entry[part].tolist())

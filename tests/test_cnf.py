@@ -171,11 +171,23 @@ class TestUnsatTable:
 
     @staticmethod
     def blocked_table_matches_scalar_path(formula, bits, threads):
-        """Table, counts, histogram and solutions with 2**bits-assignment blocks, against ``unsat_count``."""
+        """Walker, table, counts, histogram and solutions with 2**bits-assignment blocks.
+
+        Each is checked against ``unsat_count``; the walker also on its first
+        indices and on a run of every other block.
+        """
         with mock.patch.object(ss.cnf, "BLOCK_BITS", bits):
+            blocks = list(ss.cnf.violation_blocks(formula))
+            run = list(ss.cnf.violation_blocks(formula, range(len(blocks))[1::2]))
             table = ss.build_unsat_table(formula, threads=threads)
             counts = table.counts
         expected = [ss.unsat_count(formula, i) for i in range(formula.assignment_count)]
+        size = 1 << min(formula.n, bits)
+        assert [first for first, _ in blocks] == list(range(0, formula.assignment_count, size))
+        assert np.concatenate([block_counts for _, block_counts in blocks]).tolist() == expected
+        assert [(first, c.tolist()) for first, c in run] == [
+            (first, c.tolist()) for first, c in blocks[1::2]
+        ]
         assert counts.tolist() == expected
         assert table.histogram.tolist() == np.bincount(expected, minlength=formula.m + 1).tolist()
         assert table.solutions == [i for i, u in enumerate(expected) if u == 0]
@@ -188,6 +200,19 @@ class TestUnsatTable:
         # workers; from 4 assignments on, a block's product has both a high
         # and a low half, and literals also land on the block-index bits
         self.blocked_table_matches_scalar_path(formula, bits, threads)
+
+    def test_walker_set_up_at_the_call(self, monkeypatch):
+        # the set-up runs on the caller's thread, not in the pool worker that
+        # reads the blocks
+        formula = ss.generate_planted_3sat(8, 20, seed=1)
+        blocks = ss.cnf.violation_blocks(formula)
+
+        def no_set_up(m):
+            raise AssertionError("set-up ran while the blocks were read")
+
+        monkeypatch.setattr(ss.cnf, "_product_dtype", no_set_up)
+        counts = np.concatenate([block_counts for _, block_counts in blocks])
+        assert counts.tolist() == [ss.unsat_count(formula, i) for i in range(1 << 8)]
 
     def test_one_submission_per_worker(self, monkeypatch):
         submitted = []

@@ -32,6 +32,16 @@ def planted_config(tmp_path, n, m, seed, **options):
     return ss.RunConfig(formula_path=str(path), **options)
 
 
+# Entry points that read an instance and require exactly one solution.
+UNIQUE_SOLUTION_RUNS = [
+    pytest.param(ss.run_sweep, id="run_sweep"),
+    pytest.param(
+        lambda config: ss.repeat_until_success_stats(config, 10, 0),
+        id="repeat_until_success_stats",
+    ),
+]
+
+
 def sin_squared_fit(curve, omega_guess):
     """Least-squares fit of p(q) = a * sin^2(omega * (q + 1/2)) over an omega grid."""
     q = curve[:, 0]
@@ -92,17 +102,19 @@ class TestRunSweep:
         assert report.q_peak_measured <= 4
         assert report.solution == 3
 
-    def test_rejects_multiple_solutions(self, tmp_path):
+    @pytest.mark.parametrize("run", UNIQUE_SOLUTION_RUNS)
+    def test_rejects_multiple_solutions(self, tmp_path, run):
         path = tmp_path / "multi.cnf"
         path.write_text("p cnf 2 1\n1 2 0\n")
         with pytest.raises(ss.InstanceError, match="found 3"):
-            ss.run_sweep(ss.RunConfig(formula_path=str(path)))
+            run(ss.RunConfig(formula_path=str(path)))
 
-    def test_rejects_unsatisfiable(self, tmp_path):
+    @pytest.mark.parametrize("run", UNIQUE_SOLUTION_RUNS)
+    def test_rejects_unsatisfiable(self, tmp_path, run):
         path = tmp_path / "unsat.cnf"
         path.write_text("p cnf 1 2\n1 0\n-1 0\n")
         with pytest.raises(ss.InstanceError, match="found 0"):
-            ss.run_sweep(ss.RunConfig(formula_path=str(path)))
+            run(ss.RunConfig(formula_path=str(path)))
 
     def test_peak_matches_prediction_in_valid_regime(self, tmp_path):
         report = ss.run_sweep(planted_config(tmp_path, 12, 16, 5))

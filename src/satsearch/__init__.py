@@ -15,7 +15,6 @@ from .cnf import (
     parse_dimacs,
     read_dimacs,
     serialize_dimacs,
-    unsat_count,
 )
 from .generate import (
     generate_planted_3sat,
@@ -24,9 +23,6 @@ from .generate import (
 )
 from .statevector import (
     PhaseProfile,
-    apply_clause_phases_factored,
-    grover_step,
-    measure_distribution,
     search_step,
     state_snapshot,
 )
@@ -41,7 +37,6 @@ from .experiment import (
     CostReport,
     RunConfig,
     RunReport,
-    grover_closed_form,
     grover_optimal_steps,
     measurement_success_rate,
     repeat_until_success_stats,
@@ -68,17 +63,13 @@ __all__ = [
     "RunReport",
     "SpectralSummary",
     "UnsatTable",
-    "apply_clause_phases_factored",
     "build_unsat_table",
     "dense_eigencheck",
     "generate_planted_3sat",
     "generate_planted_block3sat",
     "generate_planted_chain",
-    "grover_closed_form",
     "grover_optimal_steps",
-    "grover_step",
     "lambda2_from_histogram",
-    "measure_distribution",
     "measurement_success_rate",
     "parse_dimacs",
     "read_dimacs",
@@ -92,5 +83,4 @@ __all__ = [
     "state_snapshot",
     "success_curve",
     "total_cost_report",
-    "unsat_count",
 ]

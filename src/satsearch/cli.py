@@ -11,14 +11,15 @@ Exit codes: 0 success, 2 usage error (including out-of-range values of
 --snapshot-threshold, and ``run --steps`` without ``--grover`` or
 ``--snapshot-threshold`` without ``--snapshot``), 3 invalid instance or formula
 (any bytes that do not parse as DIMACS, or a file that cannot be read), 4
-enumeration/dimension guard exceeded.
+enumeration, dimension or curve-length (--qmax, --steps) guard exceeded.
 
-``run --trials 0`` (the default) takes no samples; a negative count is a usage
-error.  ``--snapshot-threshold`` (sweep and run) must be finite and >= 0: NaN
-and Infinity have no strict-JSON spelling, and no modulus lies below 0.
-Seeds (``gen --seed``, ``run --trials-seed``) must be >= 0, as numpy's
-PCG64 requires.  ``run_sweep`` opens the snapshot file only after the sweep
-has succeeded, and ``run --timings`` reports writing it as ``snapshot_s``.
+``run --trials 0`` (the default) takes no samples; a negative count, or one of
+2**63 or more (numpy's binomial draw takes a C long), is a usage error.
+``--snapshot-threshold`` (sweep and run) must be finite and >= 0: NaN and
+Infinity have no strict-JSON spelling, and no modulus lies below 0.  Seeds
+(``gen --seed``, ``run --trials-seed``) must be >= 0, as numpy's PCG64
+requires.  ``run_sweep`` opens the snapshot file only after the sweep has
+succeeded, and ``run --timings`` reports writing it as ``snapshot_s``.
 """
 
 from __future__ import annotations
@@ -64,8 +65,8 @@ def _check_ranges(args) -> None:
             raise UsageError(f"--steps must be >= 0 or 'auto', got {args.steps}")
         if not getattr(args, "grover", True):
             raise UsageError("--steps needs --grover")
-    if getattr(args, "trials", 0) < 0:
-        raise UsageError(f"--trials must be >= 0, got {args.trials}")
+    if not 0 <= getattr(args, "trials", 0) < 1 << 63:
+        raise UsageError(f"--trials must be >= 0 and < 2**63, got {args.trials}")
     for name, flag in (("seed", "--seed"), ("trials_seed", "--trials-seed")):
         value = getattr(args, name, 0)
         if value < 0:

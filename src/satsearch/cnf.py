@@ -9,8 +9,9 @@ fixed here once and tested bit-exactly.
 that no input can fail before parsing, and hands the text to ``parse_dimacs``,
 which also accepts the SATLIB ``%`` trailer.
 
-``build_unsat_table`` enumerates every assignment and is the classical oracle
-the rest of the toolkit is validated against.  It is deliberately the only
+``build_unsat_table`` enumerates every assignment and keeps only the histogram
+and the solutions; its oracles, the scalar count and the per-assignment
+counts, live in ``tests/oracles.py``.  It is deliberately the only
 solver in the package: exhaustive, and guarded to n <= 30 unless explicitly
 overridden (and to n <= 62, the bits of an int64 index, in any case).  It
 needs no per-clause pass over the assignments: an OR-clause is violated on
@@ -23,10 +24,10 @@ enumerated in fixed blocks of 2**BLOCK_BITS, each counted in the smallest
 unsigned dtype that holds m and kept only as its histogram and its zero
 indices, so the memory used does not grow with 2**n.  ``violation_blocks``,
 the one pass over the assignments, alone knows the block layout: the table's
-histogram, ``UnsatTable.counts`` and the snapshot all walk it.  Its set-up
-runs at the call, on the caller's thread: a plain generator that made it in
-the pool worker, BLAS thread variables unset, slowed n = 22 enumeration from
-0.027-0.030 s to 0.035-0.044 s (2 vCPUs, numpy 2.4; cause not known).
+histogram and the snapshot both walk it.  Its set-up runs at the call, on the
+caller's thread: a plain generator that made it in the pool worker, BLAS
+thread variables unset, slowed n = 22 enumeration from 0.027-0.030 s to
+0.035-0.044 s (2 vCPUs, numpy 2.4; cause not known).
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ import os
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -156,15 +156,6 @@ class CnfFormula:
         return 1 << self.n
 
 
-def unsat_count(formula: CnfFormula, assignment: int) -> int:
-    """Number of clauses the assignment leaves unsatisfied.
-
-    The scalar, one-assignment-at-a-time oracle that ``build_unsat_table`` is
-    tested against.
-    """
-    return sum(not clause.satisfied_by(assignment) for clause in formula.clauses)
-
-
 def parse_dimacs(text: str) -> CnfFormula:
     """Parse DIMACS CNF text.
 
@@ -252,12 +243,10 @@ def serialize_dimacs(formula: CnfFormula, comments: Sequence[str] = ()) -> str:
 
 @dataclass
 class UnsatTable:
-    """Violation histogram and solution list of a formula, with oracle counts on demand.
+    """Violation histogram and solution list of a formula.
 
     ``histogram[u]`` is the number of assignments violating exactly u clauses
     and ``solutions`` the indices with zero violations, in increasing order.
-    ``counts[i]``, the violation count of assignment i, joins the blocks of
-    ``violation_blocks`` on first read; only the oracles read it.
     """
 
     formula: CnfFormula
@@ -271,10 +260,6 @@ class UnsatTable:
     @property
     def m(self) -> int:
         return self.formula.m
-
-    @cached_property
-    def counts(self) -> np.ndarray:
-        return np.concatenate([counts for _, counts in violation_blocks(self.formula)])
 
     @property
     def assignment_count(self) -> int:

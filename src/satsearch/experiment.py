@@ -7,21 +7,19 @@ measurement gives) and the squared overlap with the amplified state
 (|0,r> + |1,r>)/sqrt(2), which is what the closed-form peak 1/B**2 bounds.
 The marginal is never smaller than the overlap, so both are kept.
 
-Every production path runs in class coordinates (see ``statevector``): the
-class profile comes from the table's histogram, the solutions are its entry
-0 (the u = 0 class), and ``search_step`` advances at most 2(m+1) class
-amplitudes.  The class state is exact: each of the N_0 solutions has
-amplitude a_(b,0) / sqrt(N_0) on branch b, so with k solutions each reads
-the same curve (Boyer, Brassard, Hoyer and Tapp, quant-ph/9605034).
-``success_curve`` reads that pair at every step and
-``measurement_success_rate`` once; both raise ``InstanceError`` when there
-is no u = 0 class.  ``state_after`` returns the class state, which
-``state_snapshot`` streams to a file without lifting it to 2N amplitudes
-(only the tests call ``PhaseProfile.lift``) and without the table's
-per-assignment counts.  The Grover baseline has the same symmetry with two
-classes, the solution and the other N - 1 assignments, so it steps two real
-amplitudes.  Stepping the full vector remains the oracle path of the tests,
-criterion 3's ``dense_eigencheck(PhaseProfile.from_table(...))`` among them.
+Every path runs in class coordinates (see ``statevector``): the class
+profile comes from the table's histogram, the solutions are its entry 0 (the
+u = 0 class), and ``search_step`` advances at most 2(m+1) class amplitudes.
+``success_curve``, ``state_after`` and ``measurement_success_rate`` take that
+profile as given; the first and last raise ``InstanceError`` when entry 0 is
+not u = 0.  The class state is exact: each of the N_0 solutions has amplitude
+a_(b,0) / sqrt(N_0) on branch b, so with k solutions each reads the same
+curve (Boyer, Brassard, Hoyer and Tapp, quant-ph/9605034).  The Grover
+baseline has the same symmetry with two classes, the solution and the other
+N - 1 assignments, so it steps two real amplitudes.  The per-assignment state
+vector and the textbook Grover step are the tests' oracles, in
+``tests/oracles.py``.  A curve whose rows would not fit in physical memory is
+refused with ``GuardError`` before it is allocated.
 
 Reports serialize to JSON (stable key order, full-precision floats) or to CSV
 for the curves.  Timing information is collected but excluded from the JSON
@@ -33,6 +31,7 @@ across platforms.
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -40,15 +39,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cnf import DEFAULT_GUARD_N, InstanceError, build_unsat_table, read_dimacs
+from .cnf import DEFAULT_GUARD_N, GuardError, InstanceError, build_unsat_table, read_dimacs
 from .spectral import SpectralSummary, spectral_summary
-from .statevector import (
-    DEFAULT_SNAPSHOT_THRESHOLD,
-    PhaseProfile,
-    measure_distribution,
-    search_step,
-    state_snapshot,
-)
+from .statevector import DEFAULT_SNAPSHOT_THRESHOLD, PhaseProfile, search_step, state_snapshot
+
+# Peak bytes per curve row: tracemalloc's peak over run_sweep plus the output
+# text, toy instance, q_max 10**5 and 4 * 10**5, is about 590 for JSON and 215
+# for CSV.  The guard takes the JSON figure for every curve, Grover's included.
+CURVE_ROW_BYTES = 590
 
 
 @dataclass
@@ -121,28 +119,38 @@ class RunReport:
         return out
 
 
-def _solution_classes(profile: PhaseProfile) -> PhaseProfile:
-    """``profile.classes()``, whose entry 0 must be the solution class u = 0."""
-    classes = profile.classes()
+def _check_solution_class(classes: PhaseProfile) -> None:
+    """Entry 0 of the class profile must be the solution class u = 0."""
     if classes.u[0] != 0:
         raise InstanceError("no assignment satisfies every clause")
-    return classes
+
+
+def _check_curve_rows(rows: int) -> None:
+    """Raise ``GuardError`` when ``rows`` curve rows would not fit in physical memory."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if rows * CURVE_ROW_BYTES > memory:
+        raise GuardError(f"a curve of {rows} rows does not fit in {memory} bytes of physical memory")
 
 
 def _read_solution(classes: PhaseProfile, state: np.ndarray) -> tuple[float, float]:
     """Marginal and overlap of each solution: a_(b,0) / sqrt(N_0) on branch b."""
-    return measure_distribution(state[[0, classes.size]] * (1.0 / classes.reflection_axis()[0]), 0)
+    scale = 1.0 / classes.reflection_axis()[0]
+    a0 = state[0] * scale
+    a1 = state[classes.size] * scale
+    return float(abs(a0) ** 2 + abs(a1) ** 2), float(0.5 * abs(a0 + a1) ** 2)
 
 
-def success_curve(profile: PhaseProfile, q_max: int) -> np.ndarray:
+def success_curve(classes: PhaseProfile, q_max: int) -> np.ndarray:
     """Rows (q, p_marginal, p_overlap) of a solution after q = 0..q_max iterate applications.
 
-    Steps in class coordinates and reads the two amplitudes of the solution
-    class at every step; with k solutions the rows are those of each one.
+    Steps the class profile ``classes`` and reads the two amplitudes of the
+    solution class at every step; with k solutions the rows are those of
+    each one.
     """
     if q_max < 1:
         raise ValueError("q_max must be >= 1")
-    classes = _solution_classes(profile)
+    _check_solution_class(classes)
+    _check_curve_rows(q_max + 1)
     state = classes.uniform()
     out = np.empty((q_max + 1, 3))
     for q in range(q_max + 1):
@@ -152,15 +160,10 @@ def success_curve(profile: PhaseProfile, q_max: int) -> np.ndarray:
     return out
 
 
-def state_after(profile: PhaseProfile, iterations: int) -> np.ndarray:
-    """Class state reached from uniform after the given number of iterate applications.
-
-    The amplitudes are in ``profile.classes()`` coordinates; ``profile.lift``
-    maps them to the full 2N-amplitude state.
-    """
+def state_after(classes: PhaseProfile, iterations: int) -> np.ndarray:
+    """State of the class profile ``classes`` after the given number of iterate applications."""
     if iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
-    classes = profile.classes()
     state = classes.uniform()
     for _ in range(iterations):
         state = search_step(state, classes)
@@ -243,11 +246,12 @@ def run_grover_baseline(total: int, steps: int) -> np.ndarray:
     From the uniform state the iterate keeps every non-solution amplitude
     equal, so it steps two real amplitudes: a on the solution and b on each
     of the other N - 1 assignments.  One step flips a, then subtracts twice
-    the mean amplitude from both, exactly as ``statevector.grover_step`` does
-    to the N-vector.
+    the mean amplitude from both, exactly as the textbook step of
+    ``tests/oracles.py`` does to the N-vector.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
+    _check_curve_rows(steps + 1)
     a = b = 1.0 / math.sqrt(total)
     out = np.empty((steps + 1, 2))
     out[0] = (0, a * a)
@@ -260,23 +264,16 @@ def run_grover_baseline(total: int, steps: int) -> np.ndarray:
     return out
 
 
-def grover_closed_form(total: int, steps: int) -> np.ndarray:
-    """sin^2((2k+1) * theta / 2) with theta = 2*arcsin(1/sqrt(N)), k = 0..steps."""
-    theta = 2.0 * math.asin(1.0 / math.sqrt(total))
-    k = np.arange(steps + 1, dtype=np.float64)
-    return np.sin((2.0 * k + 1.0) * theta / 2.0) ** 2
-
-
 def measurement_success_rate(
-    profile: PhaseProfile,
+    classes: PhaseProfile,
     iterations: int,
     trials: int,
     rng_seed: int,
 ) -> float:
     """Fraction of sampled data-register measurements that read out one solution.
 
-    Evolves the uniform state for the given iteration count in class
-    coordinates and reads one solution's data-register marginal p from the
+    Evolves the uniform state of the class profile ``classes`` for the given
+    iteration count and reads one solution's data-register marginal p from the
     two amplitudes of the u = 0 class.  Each trial reads that solution with
     probability p, independently, so the number of hits is one binomial
     draw from numpy's PCG64 generator: the same law as sampling every trial
@@ -285,7 +282,7 @@ def measurement_success_rate(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    classes = _solution_classes(profile)
+    _check_solution_class(classes)
     marginal, _ = _read_solution(classes, state_after(classes, iterations))
     rng = np.random.default_rng(rng_seed)
     # rounding can put a certain read-out a few ulp above 1

@@ -13,14 +13,14 @@ phases well separated from the smallest clause phase pi/m; ``validity_ratio``
 measures that separation and a summary is flagged once it exceeds 0.1.
 
 ``dense_eigencheck`` materializes the iterate column by column through
-``search_step`` and hands it to a dense eigensolver, in either coordinate
-system.  An entry of weight w also stands for w - 1 directions per branch
-that sum to zero over its assignments: orthogonal to the uniform state, they
-keep D's phases +pi*u/m and -pi*u/m exactly, and the report adds them to the
-matrix's own.  ``spectrum`` runs it on the class profile of the histogram;
-on the per-assignment profile (``PhaseProfile.from_table``) it is the dense
-oracle.  The matrix dimension 2 * profile.size is guarded at 2048: 64 MiB,
-n <= 10 per assignment.
+``search_step`` and hands it to a dense eigensolver.  ``spectrum`` runs it on
+the class profile of the histogram.  An entry of weight w also stands for
+w - 1 directions per branch that sum to zero over its assignments: orthogonal
+to the uniform state, they keep D's phases +pi*u/m and -pi*u/m exactly, and
+the report adds them to the matrix's own.  The kernel takes any profile, so
+on the per-assignment profile of ``tests/oracles.py`` (every weight 1) it is
+the dense oracle the class spectrum is checked against.  The matrix dimension
+2 * profile.size is guarded at 2048: 64 MiB, n <= 10 per assignment.
 """
 
 from __future__ import annotations

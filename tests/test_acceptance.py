@@ -15,22 +15,12 @@ import satsearch as ss
 from satsearch.cli import main
 
 from conftest import random_3sat, random_state
+from oracles import all_violated, apply_clause_phases_factored, fold_classes, from_table
+from oracles import grover_closed_form, grover_step, profile_for, two_branch_lambda1
 
 
 def _verdict(number: int, name: str) -> None:
     print(f"[acceptance] criterion {number} ({name}): PASS")
-
-
-def _two_branch_lambda1(table) -> float:
-    """Explicit signed cot(theta/2) sum over both ancilla branches."""
-    r = table.unique_solution()
-    u = table.counts.astype(np.float64)
-    mask = np.ones(u.shape, dtype=bool)
-    mask[r] = False
-    half = np.pi * u[mask] / (2.0 * table.m)
-    plus_branch = float(np.sum(np.cos(half) / np.sin(half)))
-    minus_branch = float(np.sum(np.cos(-half) / np.sin(-half)))
-    return (plus_branch + minus_branch) / (2.0 * table.assignment_count)
 
 
 def _random_formula(rng: np.random.Generator) -> ss.CnfFormula:
@@ -60,7 +50,7 @@ def test_criterion_1_lambda1_identity():
         m = 8 + (5 * seed) % 41   # cycles within 8..48
         table = ss.build_unsat_table(ss.generate_planted_3sat(n, m, seed))
         assert ss.spectral_summary(table).lambda1 == 0.0
-        assert abs(_two_branch_lambda1(table)) < 1e-10
+        assert abs(two_branch_lambda1(table)) < 1e-10
         checked += 1
     assert checked == 100
     _verdict(1, "lambda1 identity")
@@ -75,12 +65,12 @@ def test_criterion_2_clause_phase_equivalence():
     rng = np.random.default_rng(2024)
     for formula_index in range(20):
         formula = _random_formula(rng)
-        profile = ss.PhaseProfile.from_table(ss.build_unsat_table(formula))
+        profile = profile_for(formula)
         dim = 2 * formula.assignment_count
         for state_index in range(100):
             state = random_state(dim, seed=1000 * formula_index + state_index)
             fast = state * profile.phase_vector()
-            factored = ss.apply_clause_phases_factored(state, formula)
+            factored = apply_clause_phases_factored(state, formula)
             assert np.max(np.abs(fast - factored)) < 1e-10
         # clause order is irrelevant for the factored product
         state = random_state(dim, seed=formula_index)
@@ -88,8 +78,8 @@ def test_criterion_2_clause_phase_equivalence():
             formula.n,
             tuple(formula.clauses[k] for k in rng.permutation(formula.m)),
         )
-        a = ss.apply_clause_phases_factored(state, formula)
-        b = ss.apply_clause_phases_factored(state, permuted)
+        a = apply_clause_phases_factored(state, formula)
+        b = apply_clause_phases_factored(state, permuted)
         assert np.max(np.abs(a - b)) < 1e-12
     _verdict(2, "clause-phase equivalence oracle")
 
@@ -102,7 +92,7 @@ def test_criterion_3_eigenphase_prediction():
         table = ss.build_unsat_table(formula)
         summary = ss.spectral_summary(table)
         assert summary.validity_ratio <= 0.05
-        report = ss.dense_eigencheck(ss.PhaseProfile.from_table(table))
+        report = ss.dense_eigencheck(from_table(table))
         assert abs(abs(report.lambda_plus) - summary.lambda_pm) <= 0.05 * summary.lambda_pm
         assert abs(report.lambda_plus + report.lambda_minus) < 1e-6
         assert report.span_weight >= 0.95
@@ -136,7 +126,8 @@ def test_criterion_4_peak_success():
         table.unique_solution()
         summary = ss.spectral_summary(table)
         assert summary.validity_ratio <= 0.05, (family, n, seed)
-        curve = ss.success_curve(ss.PhaseProfile.from_table(table), 2 * summary.q_m)
+        classes = ss.PhaseProfile.from_histogram(table.m, table.histogram)
+        curve = ss.success_curve(classes, 2 * summary.q_m)
         p_at_qm = curve[summary.q_m, 2]
         assert abs(p_at_qm - summary.predicted_success) <= 0.25 * summary.predicted_success, (
             family, n, seed, p_at_qm, summary.predicted_success,
@@ -150,7 +141,7 @@ def test_criterion_5_exact_grover_limit():
     """All-violated profile reproduces the Grover baseline pointwise to 1e-6."""
     n, solution = 12, 1337
     total = 1 << n
-    profile = ss.PhaseProfile.all_violated(n, solution)
+    profile = fold_classes(all_violated(n, solution))
 
     # B = 1, lambda2 = 0 for this violation profile
     histogram = np.zeros(2, dtype=np.int64)
@@ -166,7 +157,7 @@ def test_criterion_5_exact_grover_limit():
     state = np.full(total, 1.0 / math.sqrt(total), dtype=np.complex128)
     baseline = [abs(state[solution]) ** 2]
     for _ in range(2 * q_m):
-        state = ss.grover_step(state, solution)
+        state = grover_step(state, solution)
         baseline.append(abs(state[solution]) ** 2)
     assert np.max(np.abs(curve[:, 2] - np.asarray(baseline))) < 1e-6
 
@@ -182,7 +173,7 @@ def test_criterion_6_grover_baseline_closed_form():
         total = 1 << n
         steps = ss.grover_optimal_steps(total)
         curve = ss.run_grover_baseline(total, steps=steps)
-        closed = ss.grover_closed_form(total, steps)
+        closed = grover_closed_form(total, steps)
         assert np.max(np.abs(curve[:, 1] - closed)) < 1e-10
     # N=4: one step succeeds exactly
     single = ss.run_grover_baseline(4, 1)
@@ -205,7 +196,7 @@ def test_criterion_7_threesat_b_scale():
 def test_criterion_8_unitarity_and_determinism(tmp_path):
     """Norm drift <= 1e-10 over 1e4 iterations; byte-identical reports across threads."""
     formula = ss.generate_planted_3sat(8, 12, seed=1)
-    profile = ss.PhaseProfile.from_table(ss.build_unsat_table(formula))
+    profile = profile_for(formula)
     state = profile.uniform()
     for _ in range(10_000):
         state = ss.search_step(state, profile)

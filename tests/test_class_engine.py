@@ -1,8 +1,8 @@
 """Class-coordinate engine against the per-assignment state vector it replaces.
 
 ``success_curve`` and ``state_after`` step at most 2(m+1) class amplitudes;
-the oracle here steps all 2**(n+1) amplitudes through the same
-``search_step`` kernel with the per-assignment profile.  ``success_curve``
+the oracle steps all 2**(n+1) amplitudes through the same ``search_step``
+kernel with the per-assignment profile of ``oracles.py``.  ``success_curve``
 reads the solution class u = 0, so it is compared at every solution.
 """
 
@@ -16,21 +16,7 @@ from hypothesis import strategies as st
 import satsearch as ss
 
 from conftest import formulas
-
-
-def full_vector_states(profile, iterations):
-    """Per-assignment states after q = 0..iterations applications of the iterate."""
-    state = profile.uniform()
-    states = [state]
-    for _ in range(iterations):
-        state = ss.search_step(state, profile)
-        states.append(state)
-    return states
-
-
-def full_vector_curve(states, index):
-    """Rows (q, p_marginal, p_overlap) of index over per-assignment states q = 0, 1, ..."""
-    return np.asarray([(q, *ss.measure_distribution(state, index)) for q, state in enumerate(states)])
+from oracles import fold_classes, from_table, full_vector_curve, full_vector_states, lift
 
 
 def ones(size):
@@ -43,36 +29,31 @@ UNSATISFIABLE = ss.parse_dimacs("p cnf 1 2\n1 0\n-1 0\n")
 class TestClassProfile:
     def test_classes_drop_empty_counts(self):
         profile = ss.PhaseProfile(m=3, u=np.array([2, 1, 1, 0]), weights=ones(4))
-        classes = profile.classes()
+        classes = fold_classes(profile)
         assert classes.u.tolist() == [0, 1, 2]
         assert classes.weights.tolist() == [1, 2, 1]
         assert classes.total == profile.total == 4
         assert classes.entries(profile.u).tolist() == [2, 1, 1, 0]
 
     def test_from_histogram_is_the_fold(self, planted14):
-        _, table, summary = planted14
-        folded = ss.PhaseProfile.from_table(table).classes()
+        _, table, _ = planted14
+        folded = fold_classes(from_table(table))
         classes = ss.PhaseProfile.from_histogram(table.m, table.histogram)
-        assert classes.classes() is classes
         assert classes.u.tolist() == folded.u.tolist()
         assert classes.weights.tolist() == folded.weights.tolist()
         assert classes.total == folded.total == 1 << 14
-        # the solution is entry 0, and the curve is the per-assignment one bit for bit
-        q_max = 2 * summary.q_m
-        per_assignment = ss.success_curve(ss.PhaseProfile.from_table(table), q_max)
-        assert np.array_equal(ss.success_curve(classes, q_max), per_assignment)
 
     def test_uniform_lifts_to_uniform_state(self, planted14):
         _, table, _ = planted14
-        profile = ss.PhaseProfile.from_table(table)
+        profile = from_table(table)
         uniform = np.full(2 << 14, 1 / math.sqrt(2 << 14), dtype=np.complex128)
-        lifted = profile.lift(profile.classes().uniform())
+        lifted = lift(profile, fold_classes(profile).uniform())
         assert np.max(np.abs(lifted - uniform)) < 1e-15
         assert np.array_equal(profile.uniform(), uniform)
 
     def test_classes_keep_conjugation(self):
         # class c carries exp(+i*pi*u_c/m) on branch b=0 and its conjugate on b=1
-        classes = ss.PhaseProfile(m=2, u=np.array([0, 1, 2, 2]), weights=ones(4)).classes()
+        classes = fold_classes(ss.PhaseProfile(m=2, u=np.array([0, 1, 2, 2]), weights=ones(4)))
         upper = np.exp(1j * np.pi * np.arange(3) / 2)
         assert np.array_equal(classes.phase_vector(), np.concatenate([upper, upper.conj()]))
 
@@ -91,13 +72,13 @@ class TestClassProfile:
         ids=["success_curve", "measurement_success_rate"],
     )
     def test_no_solution_class(self, read):
-        per_assignment = ss.PhaseProfile.from_table(ss.build_unsat_table(UNSATISFIABLE))
+        per_assignment = from_table(ss.build_unsat_table(UNSATISFIABLE))
         for profile in (
             per_assignment,
-            per_assignment.classes(),
+            fold_classes(per_assignment),
             ss.PhaseProfile.from_histogram(3, [0, 5, 0, 3]),
         ):
-            assert profile.classes().u[0] != 0
+            assert profile.u[0] != 0
             with pytest.raises(ss.InstanceError, match="no assignment satisfies every clause"):
                 read(profile)
 
@@ -109,28 +90,30 @@ class TestAgainstFullVector:
         # formulas() includes multi-solution and unsatisfiable instances: the
         # curve is every solution's, and the lifted final state every index's
         table = ss.build_unsat_table(formula)
-        profile = ss.PhaseProfile.from_table(table)
+        profile = from_table(table)
+        classes = fold_classes(profile)
         q_max = data.draw(st.integers(1, 40))
         states = full_vector_states(profile, q_max)
         if table.solutions:
-            curve = ss.success_curve(profile, q_max)
+            curve = ss.success_curve(classes, q_max)
             for solution in table.solutions:
                 assert np.max(np.abs(curve - full_vector_curve(states, solution))) <= 1e-12
-        assert np.max(np.abs(profile.lift(ss.state_after(profile, q_max)) - states[-1])) <= 1e-12
+        assert np.max(np.abs(lift(profile, ss.state_after(classes, q_max)) - states[-1])) <= 1e-12
 
     def test_planted_n14(self, planted14):
         _, table, summary = planted14
-        profile = ss.PhaseProfile.from_table(table)
+        profile = from_table(table)
+        classes = fold_classes(profile)
         q_max = 2 * summary.q_m
         states = full_vector_states(profile, q_max)
         expected = full_vector_curve(states, table.unique_solution())
-        assert np.max(np.abs(ss.success_curve(profile, q_max) - expected)) <= 1e-12
-        assert np.max(np.abs(profile.lift(ss.state_after(profile, q_max)) - states[-1])) <= 1e-12
+        assert np.max(np.abs(ss.success_curve(classes, q_max) - expected)) <= 1e-12
+        assert np.max(np.abs(lift(profile, ss.state_after(classes, q_max)) - states[-1])) <= 1e-12
 
     def test_class_norm_drift_n18(self):
         # the n = 18, seed 0 instance of acceptance criterion 4
         table = ss.build_unsat_table(ss.generate_planted_3sat(18, 16, 0))
-        classes = ss.PhaseProfile.from_table(table).classes()
+        classes = fold_classes(from_table(table))
         state = classes.uniform()
         for _ in range(10_000):
             state = ss.search_step(state, classes)
@@ -159,7 +142,7 @@ class TestMultiSolutionGroverLaw:
         q_max = 2 * round(math.pi / (4 * theta))
         q = np.arange(q_max + 1)
         law = np.sin((2 * q + 1) * theta) ** 2 / k
-        curve = ss.success_curve(profile, q_max)
+        curve = ss.success_curve(fold_classes(profile), q_max)
         assert np.max(np.abs(curve[:, 1] - law)) <= 1e-6
         assert np.max(np.abs(curve[:, 2] - law)) <= 1e-6
         states = full_vector_states(profile, q_max)

@@ -308,6 +308,13 @@ class TestUsageErrors:
         assert main(["run", "-f", toy_path, "--trials", "-3"]) == 2
         self.assert_one_line_error(capsys, "--trials")
 
+    def test_trials_beyond_c_long(self, toy_path, tmp_path, capsys):
+        assert main(["run", "-f", toy_path, "--trials", str(1 << 63)]) == 2
+        self.assert_one_line_error(capsys, "--trials")
+        out = tmp_path / "r.json"
+        assert main(["run", "-f", toy_path, "--trials", str((1 << 63) - 1), "-o", str(out)]) == 0
+        assert json.loads(out.read_text())["repeat_stats"]["trials"] == (1 << 63) - 1
+
     @pytest.mark.parametrize(
         "argv, flag",
         [
@@ -353,6 +360,24 @@ class TestUsageErrors:
     def test_snapshot_threshold_without_snapshot(self, command, toy_path, capsys):
         assert main([command, "-f", toy_path, "--snapshot-threshold", "0.1"]) == 2
         self.assert_one_line_error(capsys, "--snapshot-threshold needs --snapshot")
+
+
+class TestCurveGuard:
+    """A curve whose rows would not fit in physical memory exits 4 before it is allocated."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--qmax", "100000000000"],
+            ["grover", "--steps", "100000000000"],
+            ["run", "--qmax", "100000000000000000000"],
+            ["run", "--grover", "--steps", "100000000000"],
+        ],
+        ids=["sweep", "grover", "run", "run-grover"],
+    )
+    def test_exit_4(self, argv, toy_path, capsys):
+        assert main([*argv, "-f", toy_path]) == 4
+        TestUsageErrors.assert_one_line_error(capsys, "physical memory")
 
 
 class TestParser:
@@ -407,27 +432,18 @@ class TestOutputBytes:
         assert self.digests(tmp_path) == self.SHA256
 
     def test_no_per_assignment_state(self, tmp_path, monkeypatch):
-        """The same bytes with no per-assignment counts, no lift to 2N amplitudes and no fold.
+        """The same bytes with no profile of more than m + 1 entries, one per violation count.
 
-        Only a class profile is its own ``classes()``; folding any other
-        profile means a per-assignment one was built.
+        A per-assignment profile has 2**n = 256 entries here, against m + 1 = 26.
         """
-        classes = ss.PhaseProfile.classes
-
-        def refuse_counts(self):
-            raise AssertionError("per-assignment counts read")
-
-        def refuse_lift(self, state):
-            raise AssertionError("lift called")
+        post_init = ss.PhaseProfile.__post_init__
 
         def class_profiles_only(self):
-            if self._classes is not self:
-                raise AssertionError("per-assignment profile folded")
-            return classes(self)
+            post_init(self)
+            if self.size > self.m + 1:
+                raise AssertionError(f"profile of {self.size} entries at m = {self.m}")
 
-        monkeypatch.setattr(ss.UnsatTable, "counts", property(refuse_counts))
-        monkeypatch.setattr(ss.PhaseProfile, "lift", refuse_lift)
-        monkeypatch.setattr(ss.PhaseProfile, "classes", class_profiles_only)
+        monkeypatch.setattr(ss.PhaseProfile, "__post_init__", class_profiles_only)
         assert self.digests(tmp_path) == self.SHA256
 
     def test_strict_json_without_a_hit(self, tmp_path):

@@ -8,6 +8,8 @@ import pytest
 import satsearch as ss
 from satsearch.experiment import curve_csv
 
+from oracles import all_violated, fold_classes, from_table, grover_closed_form, grover_step, lifted_marginal
+
 
 def traced_peak(call):
     """Peak bytes that tracemalloc sees Python allocate while ``call()`` runs."""
@@ -17,12 +19,6 @@ def traced_peak(call):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-
-
-def lifted_marginal(profile, solution, iterations):
-    """Data-register marginal of solution, read from the full 2N-amplitude state."""
-    state = profile.lift(ss.state_after(profile, iterations))
-    return ss.measure_distribution(state, solution)[0]
 
 
 def planted_config(tmp_path, n, m, seed, **options):
@@ -72,22 +68,22 @@ class TestRunConfig:
 class TestSuccessCurve:
     def test_matches_grover_closed_form_in_all_violated_limit(self):
         n, solution = 8, 77
-        profile = ss.PhaseProfile.all_violated(n, solution)
+        profile = fold_classes(all_violated(n, solution))
         q_m = round(math.pi * math.sqrt(1 << n) / 4)
         curve = ss.success_curve(profile, 2 * q_m)
-        closed = ss.grover_closed_form(1 << n, 2 * q_m)
+        closed = grover_closed_form(1 << n, 2 * q_m)
         assert np.max(np.abs(curve[:, 2] - closed)) < 1e-6
         assert curve[q_m, 2] >= 0.95
 
     def test_row_zero_is_uniform(self):
-        profile = ss.PhaseProfile.all_violated(4, 3)
+        profile = fold_classes(all_violated(4, 3))
         curve = ss.success_curve(profile, 4)
         assert curve[0, 1] == pytest.approx(1 / 16)
         assert curve[0, 2] == pytest.approx(1 / 16)
 
     def test_marginal_dominates_overlap(self, planted14):
         formula, table, summary = planted14
-        curve = ss.success_curve(ss.PhaseProfile.from_table(table), 50)
+        curve = ss.success_curve(ss.PhaseProfile.from_histogram(table.m, table.histogram), 50)
         assert np.all(curve[:, 1] >= curve[:, 2] - 1e-15)
         assert np.all((curve[:, 1:] >= -1e-15) & (curve[:, 1:] <= 1 + 1e-15))
 
@@ -148,7 +144,8 @@ class TestRunSweep:
     def test_sinusoid_fit_invariant(self, planted14):
         formula, table, summary = planted14
         assert summary.validity_ratio <= 0.05
-        curve = ss.success_curve(ss.PhaseProfile.from_table(table), 2 * summary.q_m)
+        classes = ss.PhaseProfile.from_histogram(table.m, table.histogram)
+        curve = ss.success_curve(classes, 2 * summary.q_m)
         a, omega = sin_squared_fit(curve, summary.lambda_pm)
         assert omega == pytest.approx(summary.lambda_pm, rel=0.10)
         assert a == pytest.approx(summary.predicted_success, rel=0.25)
@@ -163,7 +160,7 @@ class TestGroverBaseline:
     def test_matches_closed_form(self):
         steps = ss.grover_optimal_steps(1 << 12)
         curve = ss.run_grover_baseline(1 << 12, steps)
-        closed = ss.grover_closed_form(1 << 12, steps)
+        closed = grover_closed_form(1 << 12, steps)
         assert np.max(np.abs(curve[:, 1] - closed)) < 1e-10
 
     def test_optimal_steps_value(self):
@@ -183,7 +180,7 @@ class TestGroverBaseline:
             state = np.full(total, 1.0 / math.sqrt(total), dtype=np.complex128)
             expected = [abs(state[solution]) ** 2]
             for _ in range(steps):
-                state = ss.grover_step(state, solution)
+                state = grover_step(state, solution)
                 expected.append(abs(state[solution]) ** 2)
             assert np.max(np.abs(curve[:, 1] - np.asarray(expected))) <= 1e-12
 
@@ -192,16 +189,30 @@ class TestGroverBaseline:
         total = 1 << n
         steps = ss.grover_optimal_steps(total)
         curve = ss.run_grover_baseline(total, steps)
-        assert np.max(np.abs(curve[:, 1] - ss.grover_closed_form(total, steps))) <= 1e-12
+        assert np.max(np.abs(curve[:, 1] - grover_closed_form(total, steps))) <= 1e-12
 
     def test_memory_independent_of_n(self):
         steps = ss.grover_optimal_steps(1 << 16)
         assert traced_peak(lambda: ss.run_grover_baseline(1 << 16, steps)) < 64 * 1024
 
 
+class TestCurveGuard:
+    def test_rows_against_physical_memory(self, monkeypatch):
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}  # 1 MiB of physical memory
+        monkeypatch.setattr(ss.experiment.os, "sysconf", pages.__getitem__)
+        rows = (1 << 20) // ss.experiment.CURVE_ROW_BYTES
+        classes = ss.PhaseProfile.from_histogram(2, [1, 2, 1])
+        assert ss.success_curve(classes, rows - 1).shape == (rows, 3)
+        assert ss.run_grover_baseline(4, rows - 1).shape == (rows, 2)
+        with pytest.raises(ss.GuardError, match="physical memory"):
+            ss.success_curve(classes, rows)
+        with pytest.raises(ss.GuardError, match="physical memory"):
+            ss.run_grover_baseline(4, rows)
+
+
 class TestSampling:
     def test_high_success_when_b_is_one(self):
-        profile = ss.PhaseProfile.all_violated(10, 123)
+        profile = fold_classes(all_violated(10, 123))
         q_m = round(math.pi * math.sqrt(1 << 10) / 4)
         rate = ss.measurement_success_rate(profile, q_m, trials=2000, rng_seed=7)
         assert rate >= 0.9
@@ -222,22 +233,22 @@ class TestSampling:
             ss.repeat_until_success_stats(config, trials=0, rng_seed=0)
 
     def test_negative_iterations_rejected(self):
-        profile = ss.PhaseProfile.all_violated(4, 3)
+        profile = fold_classes(all_violated(4, 3))
         with pytest.raises(ValueError, match="iterations"):
             ss.measurement_success_rate(profile, -7, 100, 0)
         with pytest.raises(ValueError, match="iterations"):
             ss.state_after(profile, -1)
-        assert ss.state_after(profile, 0).tolist() == profile.classes().uniform().tolist()
+        assert ss.state_after(profile, 0).tolist() == profile.uniform().tolist()
 
     def test_sampling_deterministic(self):
-        profile = ss.PhaseProfile.all_violated(8, 5)
+        profile = fold_classes(all_violated(8, 5))
         a = ss.measurement_success_rate(profile, 12, trials=500, rng_seed=3)
         b = ss.measurement_success_rate(profile, 12, trials=500, rng_seed=3)
         assert a == b
 
     def test_draws_from_lifted_marginal(self, planted14, monkeypatch):
         _, table, summary = planted14
-        profile = ss.PhaseProfile.from_table(table)
+        profile = from_table(table)
         drawn = []
 
         class Recorder:
@@ -247,21 +258,20 @@ class TestSampling:
 
         monkeypatch.setattr(np.random, "default_rng", lambda seed: Recorder())
         for iterations in (0, summary.q_m, 2 * summary.q_m + 1):
-            assert ss.measurement_success_rate(profile, iterations, 10, 0) == 0.5
+            assert ss.measurement_success_rate(fold_classes(profile), iterations, 10, 0) == 0.5
             expected = lifted_marginal(profile, table.unique_solution(), iterations)
             assert abs(drawn[-1] - expected) <= 1e-12
 
     def test_huge_trial_count(self):
-        profile = ss.PhaseProfile.all_violated(8, 5)
-        rate = ss.measurement_success_rate(profile, 6, trials=10**12, rng_seed=0)
+        profile = all_violated(8, 5)
+        rate = ss.measurement_success_rate(fold_classes(profile), 6, trials=10**12, rng_seed=0)
         # binomial standard deviation at 10**12 trials is below 5e-7
         assert abs(rate - lifted_marginal(profile, 5, 6)) < 1e-5
 
     def test_memory_independent_of_n(self):
         table = ss.build_unsat_table(ss.generate_planted_3sat(16, 80, seed=3))
-        profile = ss.PhaseProfile.from_table(table)
-        profile.classes()  # the one bincount over all assignments, cached
-        peak = traced_peak(lambda: ss.measurement_success_rate(profile, 50, 1000, 0))
+        classes = ss.PhaseProfile.from_histogram(table.m, table.histogram)
+        peak = traced_peak(lambda: ss.measurement_success_rate(classes, 50, 1000, 0))
         assert peak < 64 * 1024
 
 

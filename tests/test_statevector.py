@@ -12,19 +12,8 @@ from hypothesis import strategies as st
 import satsearch as ss
 
 from conftest import counter_formula, formulas, random_state
-
-
-def profile_for(formula):
-    return ss.PhaseProfile.from_table(ss.build_unsat_table(formula))
-
-
-def zero_profile(total):
-    """Per-assignment profile of ``total`` assignments that violate nothing.
-
-    Its clause phases are all 1, so ``search_step`` on it is the bare
-    reflection about the uniform state.
-    """
-    return ss.PhaseProfile(m=1, u=np.zeros(total, dtype=np.int32), weights=np.ones(total, dtype=np.int64))
+from oracles import apply_clause_phases_factored, from_table, grover_step, lift, measure_distribution
+from oracles import oracle_snapshot, profile_for, violation_counts, zero_profile
 
 
 def uniform(n):
@@ -57,7 +46,7 @@ class TestClausePhases:
         assert out[0] == pytest.approx(-1.0, abs=1e-15)
 
     def test_solution_fiber_untouched_exactly(self, toy_formula, toy_table):
-        profile = ss.PhaseProfile.from_table(toy_table)
+        profile = from_table(toy_table)
         r = toy_table.unique_solution()
         for index in (r, 4 + r):
             state = np.zeros(8, dtype=complex)
@@ -69,7 +58,8 @@ class TestClausePhases:
     def test_eigenbasis_phases(self, n, m_req, seed):
         formula = ss.generate_planted_3sat(n, m_req, seed)
         table = ss.build_unsat_table(formula)
-        profile = ss.PhaseProfile.from_table(table)
+        profile = from_table(table)
+        u = violation_counts(formula)
         total = 1 << n
         for b in (0, 1):
             for i in range(total):
@@ -77,11 +67,11 @@ class TestClausePhases:
                 state[b * total + i] = 1.0
                 out = state * profile.phase_vector()
                 sign = 1.0 if b == 0 else -1.0
-                expected = np.exp(sign * 1j * np.pi * table.counts[i] / table.m)
+                expected = np.exp(sign * 1j * np.pi * u[i] / table.m)
                 assert abs(out[b * total + i] - expected) < 1e-12
 
     def test_dimension_mismatch(self, toy_table):
-        profile = ss.PhaseProfile.from_table(toy_table)
+        profile = from_table(toy_table)
         with pytest.raises(ValueError, match="amplitudes"):
             ss.search_step(np.zeros(4, dtype=complex), profile)
 
@@ -93,15 +83,15 @@ class TestFactoredEquivalence:
         profile = profile_for(formula)
         state = random_state(2 * formula.assignment_count, seed)
         fast = state * profile.phase_vector()
-        factored = ss.apply_clause_phases_factored(state, formula)
+        factored = apply_clause_phases_factored(state, formula)
         assert np.max(np.abs(fast - factored)) < 1e-10
 
     def test_clause_order_irrelevant(self):
         formula = ss.generate_planted_3sat(6, 10, seed=2)
         state = random_state(2 * formula.assignment_count, seed=3)
         shuffled = ss.CnfFormula(formula.n, tuple(reversed(formula.clauses)))
-        a = ss.apply_clause_phases_factored(state, formula)
-        b = ss.apply_clause_phases_factored(state, shuffled)
+        a = apply_clause_phases_factored(state, formula)
+        b = apply_clause_phases_factored(state, shuffled)
         assert np.max(np.abs(a - b)) < 1e-12
 
     def test_single_clause_case(self):
@@ -111,7 +101,7 @@ class TestFactoredEquivalence:
         assert np.max(
             np.abs(
                 state * profile.phase_vector()
-                - ss.apply_clause_phases_factored(state, formula)
+                - apply_clause_phases_factored(state, formula)
             )
         ) < 1e-14
 
@@ -151,14 +141,14 @@ class TestReflection:
 
 class TestSearchStep:
     def test_composition(self, toy_table):
-        profile = ss.PhaseProfile.from_table(toy_table)
+        profile = from_table(toy_table)
         state = random_state(8, seed=13)
         phased = state * profile.phase_vector()
         composed = phased - phased.sum() / 4  # psi - 2<+|psi>|+> over 8 amplitudes
         assert np.max(np.abs(ss.search_step(state, profile) - composed)) < 1e-14
 
     def test_norm_preserved(self, toy_table):
-        profile = ss.PhaseProfile.from_table(toy_table)
+        profile = from_table(toy_table)
         state = random_state(8, seed=14)
         for _ in range(1000):
             state = ss.search_step(state, profile)
@@ -174,13 +164,13 @@ class TestSearchStep:
 class TestGroverStep:
     def test_n4_single_step_exact(self):
         state = np.full(4, 0.5, dtype=complex)
-        out = ss.grover_step(state, 2)
+        out = grover_step(state, 2)
         assert abs(out[2]) ** 2 == pytest.approx(1.0, abs=1e-12)
 
     def test_norm_preserved(self):
         state = np.full(64, 1 / 8.0, dtype=complex)
         for _ in range(100):
-            state = ss.grover_step(state, 17)
+            state = grover_step(state, 17)
         assert abs(np.linalg.norm(state) - 1.0) < 1e-12
 
 
@@ -188,12 +178,12 @@ class TestMeasureDistribution:
     def test_amplified_state(self):
         state = np.zeros(8, dtype=complex)
         state[2] = state[4 + 2] = 1 / math.sqrt(2)
-        marginal, overlap = ss.measure_distribution(state, 2)
+        marginal, overlap = measure_distribution(state, 2)
         assert marginal == pytest.approx(1.0)
         assert overlap == pytest.approx(1.0)
 
     def test_uniform_state(self):
-        marginal, overlap = ss.measure_distribution(uniform(3), 5)
+        marginal, overlap = measure_distribution(uniform(3), 5)
         assert marginal == pytest.approx(1 / 8)
         assert overlap == pytest.approx(1 / 8)
 
@@ -201,19 +191,12 @@ class TestMeasureDistribution:
     @settings(max_examples=40)
     def test_marginal_dominates_overlap(self, seed):
         state = random_state(16, seed)
-        marginal, overlap = ss.measure_distribution(state, 3)
+        marginal, overlap = measure_distribution(state, 3)
         assert marginal >= overlap - 1e-15
 
     def test_bad_solution_index(self):
         with pytest.raises(ValueError):
-            ss.measure_distribution(uniform(2), 4)
-
-
-def oracle_snapshot(state, threshold):
-    """Snapshot document built row by row and written by ``json.dumps``."""
-    keep = np.flatnonzero(np.abs(state) > threshold)
-    triples = list(zip(keep.tolist(), state.real[keep].tolist(), state.imag[keep].tolist()))
-    return json.dumps({"threshold": threshold, "amplitudes": triples}, indent=2) + "\n"
+            measure_distribution(uniform(2), 4)
 
 
 # signed zeros, the smallest subnormal, repr's switch to exponent form at 1e-4
@@ -297,7 +280,7 @@ class TestSnapshot:
         # rows of one document span several blocks and several writes
         formula, classes, state, threshold = case
         with np.errstate(invalid="ignore"):  # complex division of infinities gives NaN parts
-            lifted = ss.PhaseProfile.from_table(ss.build_unsat_table(formula)).lift(state)
+            lifted = lift(profile_for(formula), state)
             with mock.patch.object(ss.cnf, "BLOCK_BITS", bits), \
                     mock.patch.object(ss.statevector, "_ROWS_PER_WRITE", rows):
                 snapshot = write_snapshot(formula, classes, state, threshold)
@@ -312,7 +295,7 @@ class TestSnapshot:
         formula, table, summary = planted14
         classes = ss.PhaseProfile.from_histogram(table.m, table.histogram)
         state = ss.state_after(classes, 2 * summary.q_m)
-        lifted = ss.PhaseProfile.from_table(table).lift(state)
+        lifted = lift(from_table(table), state)
         for threshold in (0, 1e-6):
             snapshot = write_snapshot(formula, classes, state, threshold)
             # line lists, not strings: pytest's diff of two megabyte strings runs for minutes

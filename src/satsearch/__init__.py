@@ -34,7 +34,6 @@ from .spectral import (
     spectral_summary,
 )
 from .experiment import (
-    CostReport,
     RunConfig,
     RunReport,
     grover_optimal_steps,
@@ -44,14 +43,12 @@ from .experiment import (
     run_sweep,
     state_after,
     success_curve,
-    total_cost_report,
 )
 
 __all__ = [
     "__version__",
     "Clause",
     "CnfFormula",
-    "CostReport",
     "DimacsError",
     "EigenPairReport",
     "FormulaError",
@@ -82,5 +79,4 @@ __all__ = [
     "state_after",
     "state_snapshot",
     "success_curve",
-    "total_cost_report",
 ]

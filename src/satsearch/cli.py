@@ -1,6 +1,9 @@
 """Command-line front end.
 
-Subcommands: gen, analyze, run, sweep, grover, spectrum.  Every command is
+One writer per output: ``gen`` the DIMACS instance, ``analyze`` the spectral
+summary JSON (and ``--table``), ``run`` the run report JSON (and
+``--snapshot``), ``sweep`` the ``q,p_marginal,p_overlap`` CSV, ``grover`` the
+``step,p_r`` CSV and ``spectrum`` the eigencheck JSON.  Every command is
 deterministic given its flags (``gen`` alone takes ``--seed``); JSON output
 has a fixed key order and full-precision floats, so identical invocations
 produce byte-identical files.  Reports are strict JSON: the encoder refuses
@@ -8,18 +11,19 @@ NaN and Infinity, and ``mean_repeats`` is null when no trial succeeds.
 
 Exit codes: 0 success, 2 usage error (including out-of-range values of
 --qmax, --steps, --trials, --seed, --trials-seed, --threads and
---snapshot-threshold, and ``run --steps`` without ``--grover`` or
-``--snapshot-threshold`` without ``--snapshot``), 3 invalid instance or formula
-(any bytes that do not parse as DIMACS, or a file that cannot be read), 4
-enumeration, dimension or curve-length (--qmax, --steps) guard exceeded.
+--snapshot-threshold, and ``run --steps`` without ``--grover``,
+``--trials-seed`` without ``--trials`` or ``--snapshot-threshold`` without
+``--snapshot``), 3 invalid instance or formula (any bytes that do not parse as
+DIMACS, or a file that cannot be read), 4 enumeration, dimension or
+curve-length (--qmax, --steps) guard exceeded.
 
 ``run --trials 0`` (the default) takes no samples; a negative count, or one of
 2**63 or more (numpy's binomial draw takes a C long), is a usage error.
-``--snapshot-threshold`` (sweep and run) must be finite and >= 0: NaN and
-Infinity have no strict-JSON spelling, and no modulus lies below 0.  Seeds
-(``gen --seed``, ``run --trials-seed``) must be >= 0, as numpy's PCG64
-requires.  ``run_sweep`` opens the snapshot file only after the sweep has
-succeeded, and ``run --timings`` reports writing it as ``snapshot_s``.
+``--snapshot-threshold`` must be finite and >= 0: NaN and Infinity have no
+strict-JSON spelling, and no modulus lies below 0.  Seeds (``gen --seed``,
+``run --trials-seed``) must be >= 0, as numpy's PCG64 requires.
+``run_sweep`` opens the snapshot file only after the sweep has succeeded, and
+``run --timings`` reports writing it as ``snapshot_s``.
 """
 
 from __future__ import annotations
@@ -46,7 +50,6 @@ from .experiment import (
     repeat_until_success_stats,
     run_grover_baseline,
     run_sweep,
-    total_cost_report,
 )
 from .generate import _planted_3sat
 from .spectral import dense_eigencheck, spectral_summary
@@ -68,9 +71,11 @@ def _check_ranges(args) -> None:
     if not 0 <= getattr(args, "trials", 0) < 1 << 63:
         raise UsageError(f"--trials must be >= 0 and < 2**63, got {args.trials}")
     for name, flag in (("seed", "--seed"), ("trials_seed", "--trials-seed")):
-        value = getattr(args, name, 0)
-        if value < 0:
+        value = getattr(args, name, None)
+        if value is not None and value < 0:
             raise UsageError(f"{flag} must be >= 0, got {value}")
+    if getattr(args, "trials_seed", None) is not None and args.trials == 0:
+        raise UsageError("--trials-seed needs --trials")
     threshold = getattr(args, "snapshot_threshold", None)
     if threshold is not None:
         if not (math.isfinite(threshold) and threshold >= 0):
@@ -121,9 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", parents=[common], help="success-probability curve over iterations")
     sweep.add_argument("-f", "--formula", required=True)
     sweep.add_argument("--qmax", type=_int_or_auto, default=None, help="sweep bound ('auto' = 2*q_m)")
-    sweep.add_argument("--format", choices=["csv", "json"], default="csv")
-    sweep.add_argument("--snapshot", default=None, help="write final-state amplitudes (JSON) here")
-    sweep.add_argument("--snapshot-threshold", type=float, help=f"magnitude cutoff (default {DEFAULT_SNAPSHOT_THRESHOLD})")
 
     run = sub.add_parser("run", parents=[common], help="full run report (JSON)")
     run.add_argument("-f", "--formula", required=True)
@@ -131,15 +133,14 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--grover", action="store_true", help="include the Grover baseline curve")
     run.add_argument("--steps", type=_int_or_auto, default=None, help="baseline steps ('auto' = floor(pi/4*sqrt(N)))")
     run.add_argument("--trials", type=int, default=0, help="repeat-until-success sampling trials")
-    run.add_argument("--trials-seed", type=int, default=0)
+    run.add_argument("--trials-seed", type=int, help="sampling seed (PCG64, default 0)")
     run.add_argument("--timings", action="store_true", help="include wall times (breaks byte-determinism)")
-    run.add_argument("--snapshot", default=None)
-    run.add_argument("--snapshot-threshold", type=float)
+    run.add_argument("--snapshot", default=None, help="write final-state amplitudes (JSON) here")
+    run.add_argument("--snapshot-threshold", type=float, help=f"magnitude cutoff (default {DEFAULT_SNAPSHOT_THRESHOLD})")
 
     grover = sub.add_parser("grover", parents=[common], help="Grover baseline curve")
     grover.add_argument("-f", "--formula", required=True)
     grover.add_argument("--steps", type=_int_or_auto, default=None)
-    grover.add_argument("--format", choices=["csv", "json"], default="csv")
 
     spectrum = sub.add_parser("spectrum", parents=[common], help="dense eigendecomposition check")
     spectrum.add_argument("-f", "--formula", required=True)
@@ -160,7 +161,7 @@ def _json_text(payload: dict) -> str:
 
 
 def _cmd_gen(args) -> int:
-    formula, planted = _planted_3sat(args.n, args.m, args.seed, args.guard_n)
+    formula, planted = _planted_3sat(args.n, args.m, args.seed, args.guard_n, args.threads)
     text = serialize_dimacs(formula, comments=[f"planted {planted}", f"seed {args.seed}"])
     _emit(text, args.output)
     return 0
@@ -176,50 +177,25 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _run_config(args, include_grover: bool = False, grover_steps=None) -> RunConfig:
-    return RunConfig(
-        formula_path=args.formula,
-        q_max=getattr(args, "qmax", None),
-        include_grover=include_grover,
-        grover_steps=grover_steps,
-        guard_n=args.guard_n,
-        threads=args.threads,
-    )
-
-
-def _snapshot_threshold(args) -> float:
-    """--snapshot-threshold, or the default when the flag is not given."""
-    return DEFAULT_SNAPSHOT_THRESHOLD if args.snapshot_threshold is None else args.snapshot_threshold
+def _run_config(args, **grover) -> RunConfig:
+    return RunConfig(args.formula, args.qmax, guard_n=args.guard_n, threads=args.threads, **grover)
 
 
 def _cmd_sweep(args) -> int:
-    report = run_sweep(_run_config(args), args.snapshot, _snapshot_threshold(args))
-    if args.format == "csv":
-        _emit(curve_csv("q,p_marginal,p_overlap", report.curve), args.output)
-    else:
-        _emit(_json_text(report.to_json_dict()), args.output)
+    report = run_sweep(_run_config(args))
+    _emit(curve_csv("q,p_marginal,p_overlap", report.curve), args.output)
     return 0
 
 
 def _cmd_run(args) -> int:
     config = _run_config(args, include_grover=args.grover, grover_steps=args.steps)
-    report = run_sweep(config, args.snapshot, _snapshot_threshold(args))
-    repeat_stats = None
+    threshold = DEFAULT_SNAPSHOT_THRESHOLD if args.snapshot_threshold is None else args.snapshot_threshold
+    report = run_sweep(config, args.snapshot, threshold)
     if args.trials > 0:
         t0 = time.perf_counter()
-        rate, mean_repeats = repeat_until_success_stats(config, args.trials, args.trials_seed)
+        report.repeat_stats = repeat_until_success_stats(config, args.trials, args.trials_seed or 0)
         report.timings["trials_s"] = time.perf_counter() - t0
-        repeat_stats = {
-            "trials": args.trials,
-            "rng_seed": args.trials_seed,
-            "empirical_success_rate": rate,
-            "mean_repeats": mean_repeats,
-        }
-    payload = report.to_json_dict(include_timings=args.timings)
-    payload["cost"] = total_cost_report(report).to_json_dict()
-    if repeat_stats is not None:
-        payload["repeat_stats"] = repeat_stats
-    _emit(_json_text(payload), args.output)
+    _emit(_json_text(report.to_json_dict(include_timings=args.timings)), args.output)
     return 0
 
 
@@ -228,12 +204,7 @@ def _cmd_grover(args) -> int:
     table = build_unsat_table(formula, guard_n=args.guard_n, threads=args.threads)
     table.unique_solution()  # rejects instances without exactly one solution
     steps = args.steps if args.steps is not None else grover_optimal_steps(formula.assignment_count)
-    curve = run_grover_baseline(formula.assignment_count, steps)
-    if args.format == "csv":
-        _emit(curve_csv("step,p_r", curve), args.output)
-    else:
-        payload = {"steps": steps, "curve": [[int(k), float(p)] for k, p in curve]}
-        _emit(_json_text(payload), args.output)
+    _emit(curve_csv("step,p_r", run_grover_baseline(formula.assignment_count, steps)), args.output)
     return 0
 
 

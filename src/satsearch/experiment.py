@@ -21,9 +21,11 @@ vector and the textbook Grover step are the tests' oracles, in
 ``tests/oracles.py``.  A curve whose rows would not fit in physical memory is
 refused with ``GuardError`` before it is allocated.
 
-Reports serialize to JSON (stable key order, full-precision floats) or to CSV
-for the curves.  Timing information is collected but excluded from the JSON
-by default so that identical configurations produce byte-identical output.
+The whole run report is assembled here: ``RunReport.to_json_dict`` fixes the
+key order, derives ``cost`` and writes ``repeat_stats`` as
+``repeat_until_success_stats`` returns it (stable key order, full-precision
+floats).  Timing information is collected but excluded from the JSON by
+default so that identical configurations produce byte-identical output.
 All sampling uses numpy's seeded PCG64 generator, so runs are reproducible
 across platforms.
 """
@@ -33,7 +35,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -95,18 +97,19 @@ class RunReport:
     p_peak_measured: float
     grover_curve: np.ndarray | None
     timings: dict[str, float]
+    repeat_stats: dict | None = None  # see repeat_until_success_stats
 
     def to_json_dict(self, include_timings: bool = False) -> dict:
+        """The run report in its key order; ``repeat_stats`` comes last when trials ran."""
+        s = self.spectral
+        expected = None if self.p_peak_measured == 0.0 else s.q_m / self.p_peak_measured
         out = {
             "version": self.version,
             "config": self.config,
-            "spectral": self.spectral.to_json_dict(),
+            "spectral": s.to_json_dict(),
             "histogram": self.histogram,
             "solution": self.solution,
-            "predicted": {
-                "q_m": self.spectral.q_m,
-                "success": self.spectral.predicted_success,
-            },
+            "predicted": {"q_m": s.q_m, "success": s.predicted_success},
             "q_peak_measured": self.q_peak_measured,
             "p_peak_measured": self.p_peak_measured,
             "curve": [[int(q), float(pm), float(po)] for q, pm, po in self.curve],
@@ -116,6 +119,13 @@ class RunReport:
         }
         if include_timings:
             out["timings"] = self.timings
+        out["cost"] = {  # expected total: q_m per run times 1/p_peak runs on average
+            "iterations_per_run": s.q_m,
+            "expected_total_iterations": expected,
+            "scaling_figure": math.pi * s.B**3 * math.sqrt(1 << s.n) / 4.0,
+        }
+        if self.repeat_stats is not None:
+            out["repeat_stats"] = self.repeat_stats
         return out
 
 
@@ -130,6 +140,12 @@ def _check_curve_rows(rows: int) -> None:
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if rows * CURVE_ROW_BYTES > memory:
         raise GuardError(f"a curve of {rows} rows does not fit in {memory} bytes of physical memory")
+
+
+def _check_trials(trials: int) -> None:
+    """numpy's binomial draw takes the trial count as a C long."""
+    if not 1 <= trials < 1 << 63:
+        raise ValueError(f"trials must be >= 1 and < 2**63, got {trials}")
 
 
 def _read_solution(classes: PhaseProfile, state: np.ndarray) -> tuple[float, float]:
@@ -280,8 +296,7 @@ def measurement_success_rate(
     from the full 2N-amplitude distribution, in O(1) memory for any
     ``trials``.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_trials(trials)
     _check_solution_class(classes)
     marginal, _ = _read_solution(classes, state_after(classes, iterations))
     rng = np.random.default_rng(rng_seed)
@@ -293,47 +308,26 @@ def repeat_until_success_stats(
     config: RunConfig,
     trials: int,
     rng_seed: int,
-) -> tuple[float, float | None]:
-    """Sample data-register measurements at q = q_m.
+) -> dict:
+    """Sample data-register measurements at q = q_m: the run report's ``repeat_stats``.
 
-    Returns the fraction of trials that read out the solution and the implied
-    geometric-distribution mean repeat count 1/rate (None when no trial
-    succeeded).  Sampling uses numpy's PCG64 generator seeded with
-    ``rng_seed``.
+    Returns ``trials``, ``rng_seed``, the fraction of trials that read out the
+    solution and the implied geometric-distribution mean repeat count 1/rate
+    (None when no trial succeeded), in that key order.  Sampling uses numpy's
+    PCG64 generator seeded with ``rng_seed``.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_trials(trials)
     formula = read_dimacs(config.formula_path)
     table = build_unsat_table(formula, guard_n=config.guard_n, threads=config.threads)
     summary = spectral_summary(table)
     classes = PhaseProfile.from_histogram(table.m, table.histogram)
     rate = measurement_success_rate(classes, summary.q_m, trials, rng_seed)
-    mean_repeats = None if rate == 0.0 else 1.0 / rate
-    return rate, mean_repeats
-
-
-@dataclass(frozen=True)
-class CostReport:
-    """Iteration budget: one run, expected total, and the B**3 scaling figure."""
-
-    iterations_per_run: int
-    expected_total_iterations: float | None
-    scaling_figure: float
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-
-def total_cost_report(report: RunReport) -> CostReport:
-    """Expected iteration cost from the measured peak, plus pi*B**3*sqrt(N)/4."""
-    summary = report.spectral
-    sqrt_n = math.sqrt(1 << summary.n)
-    expected = None if report.p_peak_measured == 0.0 else summary.q_m / report.p_peak_measured
-    return CostReport(
-        iterations_per_run=summary.q_m,
-        expected_total_iterations=expected,
-        scaling_figure=math.pi * summary.B**3 * sqrt_n / 4.0,
-    )
+    return {
+        "trials": trials,
+        "rng_seed": rng_seed,
+        "empirical_success_rate": rate,
+        "mean_repeats": None if rate == 0.0 else 1.0 / rate,
+    }
 
 
 def curve_csv(header: str, curve: np.ndarray) -> str:

@@ -99,8 +99,8 @@ def generate_planted_3sat(
     return _planted_3sat(n, m, seed, guard_n)[0]
 
 
-def _planted_3sat(n: int, m: int, seed: int, guard_n: int) -> tuple[CnfFormula, int]:
-    """``generate_planted_3sat``'s formula together with its planted assignment."""
+def _planted_3sat(n: int, m: int, seed: int, guard_n: int, threads: int = 1) -> tuple[CnfFormula, int]:
+    """``generate_planted_3sat``'s formula and planted assignment; ``threads`` enumerate."""
     if m < 1:
         raise InstanceError(f"need m >= 1 initial clauses, got m={m}")
     _check_bounds(n, 3, "planted 3SAT")
@@ -112,7 +112,7 @@ def _planted_3sat(n: int, m: int, seed: int, guard_n: int) -> tuple[CnfFormula, 
     planted = int(rng.integers(0, 1 << n))
     clauses = [_random_clause_satisfied_by(rng, n, planted) for _ in range(m)]
 
-    table = build_unsat_table(CnfFormula(n, tuple(clauses)), guard_n)
+    table = build_unsat_table(CnfFormula(n, tuple(clauses)), guard_n, threads)
     survivors = np.array(table.solutions, dtype=np.int64)
     while survivors.size > 1:
         target = int(survivors[0]) if int(survivors[0]) != planted else int(survivors[1])

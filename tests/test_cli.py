@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 
@@ -5,7 +6,7 @@ import pytest
 
 import satsearch as ss
 from satsearch import spectral
-from satsearch.cli import main
+from satsearch.cli import build_parser, main
 
 from conftest import TOY_DIMACS, counter_formula
 
@@ -38,15 +39,18 @@ class TestGen:
     def test_enumerates_once(self, tmp_path, monkeypatch):
         calls = []
 
-        def counted(*args, **kwargs):
-            calls.append(args[0].n)
-            return ss.build_unsat_table(*args, **kwargs)
+        def counted(formula, guard_n=ss.cnf.DEFAULT_GUARD_N, threads=1):
+            calls.append((formula.n, threads))
+            return ss.build_unsat_table(formula, guard_n, threads)
 
         # every module that binds build_unsat_table by name
         for module in ("satsearch.cli", "satsearch.generate"):
             monkeypatch.setattr(f"{module}.build_unsat_table", counted)
-        assert main(["gen", "-n", "10", "-m", "40", "--seed", "2", "-o", str(tmp_path / "x.cnf")]) == 0
-        assert calls == [10]
+        for threads in ("1", "4"):  # n = 19 enumerates two blocks
+            out = str(tmp_path / f"x{threads}.cnf")
+            assert main(["gen", "-n", "19", "-m", "95", "--seed", "2", "--threads", threads, "-o", out]) == 0
+        assert calls == [(19, 1), (19, 4)]
+        assert (tmp_path / "x1.cnf").read_bytes() == (tmp_path / "x4.cnf").read_bytes()
 
     def test_missing_n_is_usage_error(self, capsys):
         assert main(["gen", "-m", "10"]) == 2
@@ -137,36 +141,29 @@ class TestSweep:
         inst = tmp_path / "inst.cnf"
         assert main(["gen", "-n", "8", "-m", "10", "--seed", "2", "-o", str(inst)]) == 0
         out = tmp_path / "curve.csv"
-        assert main(["sweep", "-f", str(inst), "--qmax", "auto", "--format", "csv", "-o", str(out)]) == 0
+        assert main(["sweep", "-f", str(inst), "--qmax", "auto", "-o", str(out)]) == 0
         lines = out.read_text().strip().split("\n")
         table = ss.build_unsat_table(ss.parse_dimacs(inst.read_text()))
         q_m = ss.spectral_summary(table).q_m
         assert lines[0] == "q,p_marginal,p_overlap"
         assert len(lines) - 1 == 2 * q_m + 1
 
-    def test_json_format(self, toy_path, tmp_path):
-        out = tmp_path / "curve.json"
-        assert main(["sweep", "-f", toy_path, "--format", "json", "-o", str(out)]) == 0
-        payload = json.loads(out.read_text())
-        assert payload["predicted"]["q_m"] == 2
-        assert len(payload["curve"]) == 5
-
     def test_bad_qmax_usage_error(self, toy_path):
         assert main(["sweep", "-f", toy_path, "--qmax", "soon"]) == 2
 
+
+class TestRun:
     def test_snapshot(self, toy_path, tmp_path):
         snap = tmp_path / "state.json"
         assert main([
-            "sweep", "-f", toy_path, "--qmax", "2",
+            "run", "-f", toy_path, "--qmax", "2",
             "--snapshot", str(snap), "--snapshot-threshold", "0.1",
-            "-o", str(tmp_path / "c.csv"),
+            "-o", str(tmp_path / "r.json"),
         ]) == 0
         payload = json.loads(snap.read_text())
         assert payload["threshold"] == 0.1
         assert all(re**2 + im**2 > 0.1**2 for _, re, im in payload["amplitudes"])
 
-
-class TestRun:
     def test_no_snapshot_file_when_the_sweep_fails(self, multi_path, tmp_path, capsys):
         snap = tmp_path / "snap.json"
         assert main(["run", "-f", multi_path, "--snapshot", str(snap), "-o", str(tmp_path / "r.json")]) == 3
@@ -238,12 +235,12 @@ class TestGrover:
         final_p = float(lines[-1].split(",")[1])
         assert final_p >= 0.9
 
-    def test_json_format(self, toy_path, tmp_path):
-        out = tmp_path / "grover.json"
-        assert main(["grover", "-f", toy_path, "--steps", "1", "--format", "json", "-o", str(out)]) == 0
-        payload = json.loads(out.read_text())
-        assert payload["steps"] == 1
-        assert payload["curve"][1][1] == pytest.approx(1.0, abs=1e-12)
+    def test_one_step_csv(self, toy_path, tmp_path):
+        out = tmp_path / "grover.csv"
+        assert main(["grover", "-f", toy_path, "--steps", "1", "-o", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
+        assert [int(k) for k, _ in rows] == [0, 1]
+        assert float(rows[1][1]) == pytest.approx(1.0, abs=1e-12)  # one step finds 1 of N = 4
 
 
 class TestSpectrum:
@@ -330,7 +327,7 @@ class TestUsageErrors:
         self.assert_one_line_error(capsys, flag)
 
     @pytest.mark.parametrize("threshold", ["nan", "inf", "-1"])
-    @pytest.mark.parametrize("command", ["sweep", "run"])
+    @pytest.mark.parametrize("command", ["run"])  # the one command that writes a snapshot
     def test_bad_snapshot_threshold(self, command, threshold, toy_path, tmp_path, capsys):
         snap = tmp_path / "snap.json"
         assert main([
@@ -356,10 +353,15 @@ class TestUsageErrors:
         # 'auto' is the default and stays allowed
         assert main(["run", "-f", toy_path, "--steps", "auto", "-o", str(tmp_path / "r.json")]) == 0
 
-    @pytest.mark.parametrize("command", ["sweep", "run"])
+    @pytest.mark.parametrize("command", ["run"])  # the one command that writes a snapshot
     def test_snapshot_threshold_without_snapshot(self, command, toy_path, capsys):
         assert main([command, "-f", toy_path, "--snapshot-threshold", "0.1"]) == 2
         self.assert_one_line_error(capsys, "--snapshot-threshold needs --snapshot")
+
+    @pytest.mark.parametrize("argv", [["--trials-seed", "5"], ["--trials", "0", "--trials-seed", "0"]])
+    def test_trials_seed_without_trials(self, argv, toy_path, capsys):
+        assert main(["run", "-f", toy_path, *argv]) == 2
+        self.assert_one_line_error(capsys, "--trials-seed needs --trials")
 
 
 class TestCurveGuard:
@@ -381,6 +383,30 @@ class TestCurveGuard:
 
 
 class TestParser:
+    # each subcommand's option strings after the common ones, pinned like satsearch.__all__
+    OPTIONS = {
+        "gen": "-n -m --seed",
+        "analyze": "-f --formula --table",
+        "sweep": "-f --formula --qmax",
+        "run": "-f --formula --qmax --grover --steps --trials --trials-seed --timings"
+        " --snapshot --snapshot-threshold",
+        "grover": "-f --formula --steps",
+        "spectrum": "-f --formula",
+    }
+
+    def test_option_strings_pinned(self):
+        (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        assert list(commands.choices) == list(self.OPTIONS)
+        for name, sub in commands.choices.items():
+            flags = " ".join(flag for action in sub._actions for flag in action.option_strings)
+            assert flags == "-h --help -o --output --threads --guard-n " + self.OPTIONS[name], name
+
+    @pytest.mark.parametrize("argv", ["sweep --format json", "sweep --snapshot x", "grover --format json"])
+    def test_json_and_snapshot_only_from_run(self, argv, toy_path, tmp_path, capsys):
+        assert main([*argv.split(), "-f", toy_path, "-o", str(tmp_path / "out")]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_command_usage_error(self):
         assert main(["frobnicate"]) == 2
 
@@ -403,8 +429,8 @@ class TestOutputBytes:
     COMMANDS = [
         ["gen", "-n", "8", "-m", "12", "--seed", "1", "-o", "inst.cnf"],
         ["analyze", "-f", "inst.cnf", "-o", "analyze.json"],
-        ["sweep", "-f", "inst.cnf", "--format", "csv", "-o", "sweep.csv"],
-        ["grover", "-f", "inst.cnf", "--format", "csv", "-o", "grover.csv"],
+        ["sweep", "-f", "inst.cnf", "-o", "sweep.csv"],
+        ["grover", "-f", "inst.cnf", "-o", "grover.csv"],
         ["run", "-f", "inst.cnf", "--grover", "--trials", "50", "--snapshot", "snap.json", "-o", "run.json"],
         ["spectrum", "-f", "inst.cnf", "-o", "spectrum.json"],
     ]
@@ -461,9 +487,7 @@ class TestOutputBytes:
         assert main(self.COMMANDS[0]) == 0
         outputs = []
         for k, path in enumerate(["inst.cnf", "./inst.cnf", str(tmp_path / "inst.cnf")]):
-            for command in (["run", "--trials", "5"], ["sweep", "--format", "json"]):
-                out = tmp_path / f"{command[0]}{k}.json"
-                assert main([*command, "-f", path, "-o", str(out)]) == 0
-                outputs.append(out.read_bytes())
-        assert outputs[0::2] == [outputs[0]] * 3
-        assert outputs[1::2] == [outputs[1]] * 3
+            out = tmp_path / f"run{k}.json"
+            assert main(["run", "--trials", "5", "-f", path, "-o", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs == [outputs[0]] * 3

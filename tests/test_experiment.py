@@ -223,14 +223,22 @@ class TestSampling:
         config = planted_config(tmp_path, 14, 16, 1)
         report = ss.run_sweep(config)
         assert report.spectral.validity_ratio <= 0.05
-        rate, mean_repeats = ss.repeat_until_success_stats(config, trials=10_000, rng_seed=11)
-        assert rate > 0
-        assert mean_repeats == pytest.approx(1 / report.p_peak_measured, rel=0.30)
+        stats = ss.repeat_until_success_stats(config, trials=10_000, rng_seed=11)
+        assert list(stats) == ["trials", "rng_seed", "empirical_success_rate", "mean_repeats"]
+        assert stats["empirical_success_rate"] > 0
+        assert stats["mean_repeats"] == pytest.approx(1 / report.p_peak_measured, rel=0.30)
 
     def test_trials_validated(self, tmp_path):
         config = planted_config(tmp_path, 8, 10, 0)
         with pytest.raises(ValueError):
             ss.repeat_until_success_stats(config, trials=0, rng_seed=0)
+
+    def test_trials_beyond_c_long(self, tmp_path):
+        classes = ss.PhaseProfile.from_histogram(2, [1, 2, 1])
+        with pytest.raises(ValueError, match=r"2\*\*63"):
+            ss.measurement_success_rate(classes, 1, 1 << 63, 0)
+        with pytest.raises(ValueError, match=r"2\*\*63"):
+            ss.repeat_until_success_stats(planted_config(tmp_path, 8, 10, 0), 1 << 63, 0)
 
     def test_negative_iterations_rejected(self):
         profile = fold_classes(all_violated(4, 3))
@@ -280,12 +288,12 @@ class TestCostReport:
         path = tmp_path / "toy.cnf"
         path.write_text("p cnf 2 2\n1 0\n2 0\n")
         report = ss.run_sweep(ss.RunConfig(formula_path=str(path)))
-        cost = ss.total_cost_report(report)
-        assert cost.iterations_per_run == 2
-        assert cost.scaling_figure == pytest.approx(math.pi * 1.5**1.5 * 2 / 4, abs=1e-12)
-        assert cost.expected_total_iterations >= cost.iterations_per_run
+        cost = report.to_json_dict()["cost"]
+        assert cost["iterations_per_run"] == 2
+        assert cost["scaling_figure"] == pytest.approx(math.pi * 1.5**1.5 * 2 / 4, abs=1e-12)
+        assert cost["expected_total_iterations"] >= cost["iterations_per_run"]
 
     def test_expected_total_uses_measured_peak(self, tmp_path):
         report = ss.run_sweep(planted_config(tmp_path, 8, 10, 1, q_max=10))
-        cost = ss.total_cost_report(report)
-        assert cost.expected_total_iterations == report.spectral.q_m / report.p_peak_measured
+        cost = report.to_json_dict()["cost"]
+        assert cost["expected_total_iterations"] == report.spectral.q_m / report.p_peak_measured

@@ -10,27 +10,26 @@ produce byte-identical files.  Reports are strict JSON: the encoder refuses
 NaN and Infinity, and ``mean_repeats`` is null when no trial succeeds.
 
 Exit codes: 0 success, 2 usage error (including out-of-range values of
---qmax, --steps, --trials, --seed, --trials-seed, --threads and
---snapshot-threshold, and ``run --steps`` without ``--grover``,
-``--trials-seed`` without ``--trials`` or ``--snapshot-threshold`` without
-``--snapshot``), 3 invalid instance or formula (any bytes that do not parse as
-DIMACS, or a file that cannot be read), 4 enumeration, dimension or
-curve-length (--qmax, --steps) guard exceeded.
+--qmax, --steps, --trials, --seed, --trials-seed and --threads, ``run
+--steps`` without ``--grover``, ``--trials-seed`` without ``--trials``, and
+``-o`` naming the same file as ``run --snapshot`` or ``analyze --table``), 3
+invalid instance or formula (any bytes that do not parse as DIMACS, or a file
+that cannot be read), 4 enumeration, dimension or curve-length (--qmax,
+--steps) guard exceeded.
 
 ``run --trials 0`` (the default) takes no samples; a negative count, or one of
 2**63 or more (numpy's binomial draw takes a C long), is a usage error.
-``--snapshot-threshold`` must be finite and >= 0: NaN and Infinity have no
-strict-JSON spelling, and no modulus lies below 0.  Seeds (``gen --seed``,
-``run --trials-seed``) must be >= 0, as numpy's PCG64 requires.
-``run_sweep`` opens the snapshot file only after the sweep has succeeded, and
-``run --timings`` reports writing it as ``snapshot_s``.
+Seeds (``gen --seed``, ``run --trials-seed``) must be >= 0, as numpy's PCG64
+requires.  ``run --snapshot`` writes the class-state document of
+``statevector.state_snapshot``, at most 2(m+1) rows, once the sweep has
+succeeded; ``run --timings`` reports building it as ``snapshot_s``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
+import os
 import sys
 import time
 
@@ -53,7 +52,7 @@ from .experiment import (
 )
 from .generate import _planted_3sat
 from .spectral import dense_eigencheck, spectral_summary
-from .statevector import DEFAULT_SNAPSHOT_THRESHOLD, PhaseProfile
+from .statevector import PhaseProfile
 
 
 class UsageError(Exception):
@@ -76,12 +75,11 @@ def _check_ranges(args) -> None:
             raise UsageError(f"{flag} must be >= 0, got {value}")
     if getattr(args, "trials_seed", None) is not None and args.trials == 0:
         raise UsageError("--trials-seed needs --trials")
-    threshold = getattr(args, "snapshot_threshold", None)
-    if threshold is not None:
-        if not (math.isfinite(threshold) and threshold >= 0):
-            raise UsageError(f"--snapshot-threshold must be finite and >= 0, got {threshold}")
-        if args.snapshot is None:
-            raise UsageError("--snapshot-threshold needs --snapshot")
+    for name, flag in (("snapshot", "--snapshot"), ("table", "--table")):
+        path = getattr(args, name, None)
+        if path is not None and args.output is not None:
+            if os.path.realpath(path) == os.path.realpath(args.output):
+                raise UsageError(f"-o and {flag} name the same file: {path}")
     if args.threads < 1:
         raise UsageError(f"--threads must be >= 1, got {args.threads}")
 
@@ -135,8 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--trials", type=int, default=0, help="repeat-until-success sampling trials")
     run.add_argument("--trials-seed", type=int, help="sampling seed (PCG64, default 0)")
     run.add_argument("--timings", action="store_true", help="include wall times (breaks byte-determinism)")
-    run.add_argument("--snapshot", default=None, help="write final-state amplitudes (JSON) here")
-    run.add_argument("--snapshot-threshold", type=float, help=f"magnitude cutoff (default {DEFAULT_SNAPSHOT_THRESHOLD})")
+    run.add_argument("--snapshot", default=None, help="write the final class-state amplitudes (JSON) here")
 
     grover = sub.add_parser("grover", parents=[common], help="Grover baseline curve")
     grover.add_argument("-f", "--formula", required=True)
@@ -189,8 +186,9 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_run(args) -> int:
     config = _run_config(args, include_grover=args.grover, grover_steps=args.steps)
-    threshold = DEFAULT_SNAPSHOT_THRESHOLD if args.snapshot_threshold is None else args.snapshot_threshold
-    report = run_sweep(config, args.snapshot, threshold)
+    report = run_sweep(config, snapshot=args.snapshot is not None)
+    if report.snapshot is not None:
+        _emit(_json_text(report.snapshot), args.snapshot)
     if args.trials > 0:
         t0 = time.perf_counter()
         report.repeat_stats = repeat_until_success_stats(config, args.trials, args.trials_seed or 0)

@@ -23,8 +23,8 @@ counts of a block of assignments, laid out as a (high, low) matrix, are one
 enumerated in fixed blocks of 2**BLOCK_BITS, each counted in the smallest
 unsigned dtype that holds m and kept only as its histogram and its zero
 indices, so the memory used does not grow with 2**n.  ``violation_blocks``,
-the one pass over the assignments, alone knows the block layout: the table's
-histogram and the snapshot both walk it.  Its set-up runs at the call, on the
+the one pass over the assignments, alone knows the block layout, and the
+table is its only reader in the package.  Its set-up runs at the call, on the
 caller's thread: a plain generator that made it in the pool worker, BLAS
 thread variables unset, slowed n = 22 enumeration from 0.027-0.030 s to
 0.035-0.044 s (2 vCPUs, numpy 2.4; cause not known).

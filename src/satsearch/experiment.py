@@ -43,7 +43,7 @@ import numpy as np
 from . import __version__
 from .cnf import DEFAULT_GUARD_N, GuardError, InstanceError, build_unsat_table, read_dimacs
 from .spectral import SpectralSummary, spectral_summary
-from .statevector import DEFAULT_SNAPSHOT_THRESHOLD, PhaseProfile, search_step, state_snapshot
+from .statevector import PhaseProfile, search_step, state_snapshot
 
 # Peak bytes per curve row: tracemalloc's peak over run_sweep plus the output
 # text, toy instance, q_max 10**5 and 4 * 10**5, is about 590 for JSON and 215
@@ -98,6 +98,7 @@ class RunReport:
     grover_curve: np.ndarray | None
     timings: dict[str, float]
     repeat_stats: dict | None = None  # see repeat_until_success_stats
+    snapshot: dict | None = None  # see statevector.state_snapshot; not in the report JSON
 
     def to_json_dict(self, include_timings: bool = False) -> dict:
         """The run report in its key order; ``repeat_stats`` comes last when trials ran."""
@@ -186,16 +187,13 @@ def state_after(classes: PhaseProfile, iterations: int) -> np.ndarray:
     return state
 
 
-def run_sweep(
-    config: RunConfig,
-    snapshot_path: str | None = None,
-    snapshot_threshold: float = DEFAULT_SNAPSHOT_THRESHOLD,
-) -> RunReport:
+def run_sweep(config: RunConfig, snapshot: bool = False) -> RunReport:
     """Full pipeline: read, enumerate, predict, sweep, compare.
 
-    With a ``snapshot_path``, once the sweep has succeeded, the snapshot
-    document of the class state at q_max is written to that file (see
-    ``statevector.state_snapshot``) and timed as ``snapshot_s``.
+    With ``snapshot``, the snapshot document of the class state at q_max
+    (see ``statevector.state_snapshot``) goes on ``RunReport.snapshot``;
+    computing that state is timed as ``final_state_s`` and building the
+    document as ``snapshot_s``.
     """
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
@@ -237,16 +235,12 @@ def run_sweep(
         grover_curve=grover_curve,
         timings=timings,
     )
-    # Last, so the file is opened only once everything else has succeeded.
-    # Building the report after the snapshot's large temporaries instead
-    # measured 2 MiB more peak RSS for `run --trials 1000 --snapshot` at n = 17.
-    if snapshot_path is not None:
+    if snapshot:
         t0 = time.perf_counter()
         final_state = state_after(classes, q_max)
         timings["final_state_s"] = time.perf_counter() - t0
         t0 = time.perf_counter()
-        with open(snapshot_path, "w") as handle:
-            state_snapshot(handle, formula, classes, final_state, snapshot_threshold)
+        report.snapshot = state_snapshot(classes, final_state)
         timings["snapshot_s"] = time.perf_counter() - t0
     return report
 

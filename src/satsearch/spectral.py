@@ -17,7 +17,10 @@ measures that separation and a summary is flagged once it exceeds 0.1.
 the class profile of the histogram.  An entry of weight w also stands for
 w - 1 directions per branch that sum to zero over its assignments: orthogonal
 to the uniform state, they keep D's phases +pi*u/m and -pi*u/m exactly, and
-the report adds them to the matrix's own.  The kernel takes any profile, so
+the report adds them to the matrix's own.  A phase within ZERO_PHASE_FLOOR
+of zero is reported as 0.0, so the row of the zero-phase spectator
+(|0,r> - |1,r>)/sqrt(2) does not carry the eigensolver's last bits.  The
+kernel takes any profile, so
 on the per-assignment profile of ``tests/oracles.py`` (every weight 1) it is
 the dense oracle the class spectrum is checked against.  The matrix dimension
 2 * profile.size is guarded at 2048: 64 MiB, n <= 10 per assignment.
@@ -35,9 +38,10 @@ from .statevector import PhaseProfile, search_step
 
 VALIDITY_WARNING_RATIO = 0.1
 MAX_EIGENCHECK_DIM = 2048
-# dense_eigencheck: eigenphases at or below ZERO_PHASE_FLOOR count as zero, and
-# eigenvectors whose squared overlap with the amplified state is at or below
-# OVERLAP_FLOOR are spectators of the search dynamics
+# dense_eigencheck: eigenphases at or below ZERO_PHASE_FLOOR count as zero and
+# are reported as 0.0, and eigenvectors whose squared overlap with the
+# amplified state is at or below OVERLAP_FLOOR are spectators of the search
+# dynamics
 ZERO_PHASE_FLOOR = 1e-9
 OVERLAP_FLOOR = 1e-6
 
@@ -181,6 +185,7 @@ def dense_eigencheck(profile: PhaseProfile) -> EigenPairReport:
     every = np.concatenate([phases, np.angle(profile.phase_vector())])
     count = np.concatenate([np.ones(dim, dtype=np.int64), np.tile(profile.weights - 1, 2)])
     every[every == -np.pi] = np.pi
+    every[np.abs(every) <= ZERO_PHASE_FLOOR] = 0.0  # e.g. the exact spectator's LAPACK noise
     kept = count > 0
     distinct, position = np.unique(every[kept], return_inverse=True)
     return EigenPairReport(

@@ -28,28 +28,20 @@ phase operator D, and on a profile whose every count is 0 it is the bare
 reflection about the uniform state.  ``PhaseProfile.uniform()`` is the only
 start state.
 
-Snapshots.  ``state_snapshot`` writes the (index, re, im) rows of the 2N
-amplitudes straight from the class state: each assignment of class c has
-amplitude a_(b,c) / sqrt(N_c), so it formats those at most 2(m+1) values once
-and streams the rows block by block.  Only the file grows with 2**n.
+Snapshots.  ``state_snapshot`` returns the class state itself as a JSON-ready
+document: one row [b*(m+1) + u, re, im] per occupied class u on each branch b,
+at most 2(m+1) rows.  Each of the N_u assignments of class u has amplitude
+a_(b,u) / sqrt(N_u), so the rows and the histogram hold the whole 2N-amplitude
+state, and nothing grows with 2**n.  ``tests/oracles.py`` lifts a snapshot
+back to per-assignment rows.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from typing import TextIO
 
 import numpy as np
-
-from .cnf import CnfFormula, violation_blocks
-
-# Rows of a snapshot formatted and written at a time.
-_ROWS_PER_WRITE = 1 << 12
-
-# Modulus at or below which a snapshot leaves an amplitude out.
-DEFAULT_SNAPSHOT_THRESHOLD = 1e-6
 
 
 @dataclass
@@ -109,10 +101,6 @@ class PhaseProfile:
         """Equal superposition over all 2N basis states, in this profile's coordinates."""
         return self.reflection_axis() * (1.0 / math.sqrt(2 * self.total)) + 0j
 
-    def entries(self, counts) -> np.ndarray:
-        """Entry of this class profile that holds each violation count in ``counts``."""
-        return np.searchsorted(self.u, counts)
-
 
 def _check_dimension(state: np.ndarray, data_dim: int) -> None:
     if state.shape[0] != 2 * data_dim:
@@ -133,46 +121,15 @@ def search_step(state: np.ndarray, profile: PhaseProfile) -> np.ndarray:
     return out
 
 
-def state_snapshot(
-    handle: TextIO,
-    formula: CnfFormula,
-    classes: PhaseProfile,
-    state: np.ndarray,
-    threshold: float = DEFAULT_SNAPSHOT_THRESHOLD,
-) -> None:
-    """Write the JSON document of the (index, re, im) rows above the magnitude threshold.
+def state_snapshot(classes: PhaseProfile, state: np.ndarray) -> dict:
+    """The snapshot document ``{"m": m, "amplitudes": rows}`` of a class state.
 
-    ``state`` is in the coordinates of ``classes``, the class profile of
-    ``formula``'s histogram.  The bytes written to the text file ``handle``
-    are those of ``json.dumps({"threshold": threshold, "amplitudes": rows},
-    indent=2)`` plus a final newline, one row per amplitude of the lifted
-    state whose modulus exceeds ``threshold``.  Each branch walks the blocks
-    of ``cnf.violation_blocks`` again and writes a block's rows in slices of
-    ``_ROWS_PER_WRITE``, so neither the counts of all assignments nor the
-    whole document is ever held in memory.
+    ``state`` is in the coordinates of the class profile ``classes``, whose
+    entries come in increasing u.  There is one row [b*(m+1) + u, re, im] per
+    entry on each branch b, in increasing key, with the amplitude a_(b,u) as
+    it is: the rows' squared moduli sum to the state's norm.
     """
     _check_dimension(state, classes.size)
-    amplitudes = state / classes.reflection_axis()
-    kept = np.abs(amplitudes) > threshold
-    tails = [
-        f",\n      {json.dumps(a.real)},\n      {json.dumps(a.imag)}\n    ]"
-        for a in amplitudes.tolist()
-    ]
-    handle.write(f'{{\n  "threshold": {json.dumps(threshold)},\n  "amplitudes": ')
-    lead = "[\n"
-    for branch in (0, 1):
-        offset = branch * classes.size
-        for first, counts in violation_blocks(formula):
-            entry = classes.entries(counts)
-            entry += offset
-            index = np.flatnonzero(kept[entry])
-            start = branch * formula.assignment_count + first
-            for lo in range(0, index.size, _ROWS_PER_WRITE):
-                part = index[lo : lo + _ROWS_PER_WRITE]
-                rows = [
-                    f"    [\n      {i}{tails[c]}"
-                    for i, c in zip((part + start).tolist(), entry[part].tolist())
-                ]
-                handle.writelines((lead, ",\n".join(rows)))
-                lead = ",\n"
-    handle.write("[]\n}\n" if lead == "[\n" else "\n  ]\n}\n")
+    keys = np.concatenate([classes.u, classes.u + (classes.m + 1)]).tolist()
+    rows = [[k, a.real, a.imag] for k, a in zip(keys, state.tolist())]
+    return {"m": classes.m, "amplitudes": rows}

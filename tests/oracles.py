@@ -47,6 +47,11 @@ def fold_classes(profile):
     return ss.PhaseProfile.from_histogram(profile.m, folded)
 
 
+def class_entries(classes, counts):
+    """Entry of the class profile ``classes`` that holds each violation count in ``counts``."""
+    return np.searchsorted(classes.u, counts)
+
+
 def lift(profile, class_state):
     """Per-entry amplitudes of ``profile`` for a state in ``fold_classes(profile)`` coordinates.
 
@@ -56,7 +61,7 @@ def lift(profile, class_state):
     folded = fold_classes(profile)
     _check_dimension(class_state, folded.size)
     per_assignment = class_state / folded.reflection_axis()
-    position = folded.entries(profile.u)
+    position = class_entries(folded, profile.u)
     return np.concatenate(
         [per_assignment[: folded.size][position], per_assignment[folded.size :][position]]
     )
@@ -163,3 +168,22 @@ def oracle_snapshot(state, threshold):
     keep = np.flatnonzero(np.abs(state) > threshold)
     triples = list(zip(keep.tolist(), state.real[keep].tolist(), state.imag[keep].tolist()))
     return json.dumps({"threshold": threshold, "amplitudes": triples}, indent=2) + "\n"
+
+
+def lift_snapshot(formula, snapshot, threshold):
+    """Per-assignment snapshot document of ``formula`` rebuilt from its class snapshot.
+
+    Row [b*(m+1) + u, re, im] holds a_(b,u); each of the N_u assignments of
+    class u gets a_(b,u) / sqrt(N_u) on branch b, and ``oracle_snapshot``
+    writes those 2N amplitudes at ``threshold``.
+    """
+    m = snapshot["m"]
+    counts = violation_counts(formula).astype(np.int64)
+    sizes = np.tile(np.bincount(counts, minlength=m + 1), 2)
+    keys = np.array([key for key, _, _ in snapshot["amplitudes"]], dtype=np.int64)
+    values = np.empty(keys.size, dtype=complex)
+    values.real = [re for _, re, _ in snapshot["amplitudes"]]
+    values.imag = [im for _, _, im in snapshot["amplitudes"]]
+    per_class = np.zeros(2 * (m + 1), dtype=complex)
+    per_class[keys] = values / np.sqrt(sizes[keys].astype(np.float64))
+    return oracle_snapshot(np.concatenate([per_class[counts], per_class[m + 1 + counts]]), threshold)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import satsearch as ss
 
 from conftest import formulas
-from oracles import fold_classes, from_table, full_vector_curve, full_vector_states, lift
+from oracles import class_entries, fold_classes, from_table, full_vector_curve, full_vector_states, lift
 
 
 def ones(size):
@@ -33,7 +33,7 @@ class TestClassProfile:
         assert classes.u.tolist() == [0, 1, 2]
         assert classes.weights.tolist() == [1, 2, 1]
         assert classes.total == profile.total == 4
-        assert classes.entries(profile.u).tolist() == [2, 1, 1, 0]
+        assert class_entries(classes, profile.u).tolist() == [2, 1, 1, 0]
 
     def test_from_histogram_is_the_fold(self, planted14):
         _, table, _ = planted14

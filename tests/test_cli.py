@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -9,6 +10,7 @@ from satsearch import spectral
 from satsearch.cli import build_parser, main
 
 from conftest import TOY_DIMACS, counter_formula
+from oracles import lift_snapshot
 
 
 @pytest.fixture()
@@ -153,16 +155,45 @@ class TestSweep:
 
 
 class TestRun:
-    def test_snapshot(self, toy_path, tmp_path):
-        snap = tmp_path / "state.json"
-        assert main([
-            "run", "-f", toy_path, "--qmax", "2",
-            "--snapshot", str(snap), "--snapshot-threshold", "0.1",
-            "-o", str(tmp_path / "r.json"),
-        ]) == 0
+    def test_snapshot(self, tmp_path):
+        inst = tmp_path / "inst.cnf"
+        assert main(["gen", "-n", "8", "-m", "10", "--seed", "3", "-o", str(inst)]) == 0
+        snap, out = tmp_path / "state.json", tmp_path / "r.json"
+        assert main(["run", "-f", str(inst), "--snapshot", str(snap), "-o", str(out)]) == 0
+        histogram = json.loads(out.read_text())["histogram"]
         payload = json.loads(snap.read_text())
-        assert payload["threshold"] == 0.1
-        assert all(re**2 + im**2 > 0.1**2 for _, re, im in payload["amplitudes"])
+        m = len(histogram) - 1
+        occupied = [u for u, count in enumerate(histogram) if count]
+        assert 0 < len(occupied) < m + 1  # some class is empty, so the keys are not all 2(m+1)
+        assert payload["m"] == m
+        assert [k for k, _, _ in payload["amplitudes"]] == occupied + [u + m + 1 for u in occupied]
+        assert sum(re**2 + im**2 for _, re, im in payload["amplitudes"]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_snapshot_enumerates_no_more(self, tmp_path, monkeypatch):
+        """``--snapshot`` adds no pass over the assignments: one walk per table."""
+        inst = tmp_path / "inst.cnf"
+        assert main(["gen", "-n", "8", "-m", "12", "--seed", "1", "-o", str(inst)]) == 0
+        calls = {"build_unsat_table": 0, "violation_blocks": 0}
+
+        def counted(name):
+            fn = getattr(ss.cnf, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        wrappers = {name: counted(name) for name in calls}
+        # every satsearch module that binds either function by name
+        for module in [m for name, m in sys.modules.items() if name.startswith("satsearch")]:
+            for name, wrapper in wrappers.items():
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, wrapper)
+        argv = ["run", "-f", str(inst), "--grover", "--trials", "50", "--snapshot", str(tmp_path / "s.json")]
+        assert main([*argv, "-o", str(tmp_path / "r.json")]) == 0
+        assert calls["build_unsat_table"] == 2  # the sweep's and the trials' tables
+        assert calls["violation_blocks"] == calls["build_unsat_table"]
 
     def test_no_snapshot_file_when_the_sweep_fails(self, multi_path, tmp_path, capsys):
         snap = tmp_path / "snap.json"
@@ -326,15 +357,16 @@ class TestUsageErrors:
         assert main(argv) == 2
         self.assert_one_line_error(capsys, flag)
 
-    @pytest.mark.parametrize("threshold", ["nan", "inf", "-1"])
-    @pytest.mark.parametrize("command", ["run"])  # the one command that writes a snapshot
-    def test_bad_snapshot_threshold(self, command, threshold, toy_path, tmp_path, capsys):
-        snap = tmp_path / "snap.json"
-        assert main([
-            command, "-f", toy_path, "--snapshot", str(snap), "--snapshot-threshold", threshold,
-        ]) == 2
-        self.assert_one_line_error(capsys, "--snapshot-threshold")
-        assert not snap.exists()
+    @pytest.mark.parametrize("absolute", [False, True], ids=["same-string", "absolute"])
+    @pytest.mark.parametrize("command, flag", [("run", "--snapshot"), ("analyze", "--table")], ids=["run", "analyze"])
+    def test_output_and_second_file_differ(self, command, flag, absolute, toy_path, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        second = str(tmp_path / "out.json") if absolute else "out.json"
+        assert main([command, "-f", toy_path, flag, second, "-o", "out.json"]) == 2
+        self.assert_one_line_error(capsys, f"-o and {flag} name the same file")
+        assert not (tmp_path / "out.json").exists()
+        # to stdout, -o names no file
+        assert main([command, "-f", toy_path, flag, "out.json"]) == 0
 
     @pytest.mark.parametrize("command", ["analyze", "sweep", "run", "grover", "spectrum"])
     def test_seed_only_for_gen(self, command, toy_path, capsys):
@@ -352,11 +384,6 @@ class TestUsageErrors:
         self.assert_one_line_error(capsys, "--steps needs --grover")
         # 'auto' is the default and stays allowed
         assert main(["run", "-f", toy_path, "--steps", "auto", "-o", str(tmp_path / "r.json")]) == 0
-
-    @pytest.mark.parametrize("command", ["run"])  # the one command that writes a snapshot
-    def test_snapshot_threshold_without_snapshot(self, command, toy_path, capsys):
-        assert main([command, "-f", toy_path, "--snapshot-threshold", "0.1"]) == 2
-        self.assert_one_line_error(capsys, "--snapshot-threshold needs --snapshot")
 
     @pytest.mark.parametrize("argv", [["--trials-seed", "5"], ["--trials", "0", "--trials-seed", "0"]])
     def test_trials_seed_without_trials(self, argv, toy_path, capsys):
@@ -388,8 +415,7 @@ class TestParser:
         "gen": "-n -m --seed",
         "analyze": "-f --formula --table",
         "sweep": "-f --formula --qmax",
-        "run": "-f --formula --qmax --grover --steps --trials --trials-seed --timings"
-        " --snapshot --snapshot-threshold",
+        "run": "-f --formula --qmax --grover --steps --trials --trials-seed --timings --snapshot",
         "grover": "-f --formula --steps",
         "spectrum": "-f --formula",
     }
@@ -441,9 +467,12 @@ class TestOutputBytes:
         "sweep.csv": "160447cd62a66bdb3042a03767b143cc5fe2bb9c7d517322a4c1ed7d7e68f791",
         "grover.csv": "a037eb0c6434317dff84b4f1d636292e195e23bcd6b774211405b10eeb6411cb",
         "run.json": "8413d8146309bea9c0583078f3b302b7b72cdaeda8acd1c057ee3237ba77fb48",
-        "snap.json": "42d7b6944d927a6b09fafda0b4df1e81168050ff3b3c27e65ad6b287839d8199",
-        "spectrum.json": "276ed2b8d3f6bbdec0e37dec84625bfaf116f721be84972ca3fbc04d456f4e42",
+        "snap.json": "d1c3ea97cf16f2b30f1cbcb83b94d07cade410c82b6d140c0e0962cba0409062",
+        "spectrum.json": "fe26b8b79a589a6d695d43cc1249efb05a4b2bfca60c1219a5daeae87ed9114c",
     }
+    # the per-assignment document the pinned snap.json lifts to: one
+    # (index, re, im) row per amplitude of modulus above 1e-6
+    PER_ASSIGNMENT_SNAP_SHA256 = "42d7b6944d927a6b09fafda0b4df1e81168050ff3b3c27e65ad6b287839d8199"
 
     def digests(self, directory):
         """Run every command with its files in ``directory``; sha256 of each file."""
@@ -456,6 +485,12 @@ class TestOutputBytes:
 
     def test_pinned_digests(self, tmp_path):
         assert self.digests(tmp_path) == self.SHA256
+
+    def test_lifted_snapshot_is_the_per_assignment_document(self, tmp_path):
+        self.digests(tmp_path)
+        formula = ss.read_dimacs(str(tmp_path / "inst.cnf"))
+        lifted = lift_snapshot(formula, json.loads((tmp_path / "snap.json").read_text()), 1e-6)
+        assert hashlib.sha256(lifted.encode()).hexdigest() == self.PER_ASSIGNMENT_SNAP_SHA256
 
     def test_no_per_assignment_state(self, tmp_path, monkeypatch):
         """The same bytes with no profile of more than m + 1 entries, one per violation count.

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import satsearch as ss
 
 PUBLIC = [
@@ -11,7 +14,48 @@ PUBLIC = [
     "state_snapshot", "success_curve",
 ]
 
+# the satsearch modules each module imports; "__init__" is the package itself
+IMPORTS = {
+    "__init__": ["cnf", "experiment", "generate", "spectral", "statevector"],
+    "cli": ["cnf", "experiment", "generate", "spectral", "statevector"],
+    "cnf": [],
+    "experiment": ["__init__", "cnf", "spectral", "statevector"],
+    "generate": ["cnf"],
+    "spectral": ["cnf", "statevector"],
+    "statevector": [],
+}
+
+SOURCES = {path.stem: ast.parse(path.read_text()) for path in Path(ss.__file__).parent.glob("*.py")}
+
 
 def test_public_names_pinned():
     assert ss.__all__ == PUBLIC
     assert all(hasattr(ss, name) for name in PUBLIC)
+
+
+def package_imports(tree):
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found.add(node.module or "__init__")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("satsearch"):
+            found.add(node.module.partition(".")[2] or "__init__")
+        elif isinstance(node, ast.Import):
+            found.update(a.name.partition(".")[2] or "__init__" for a in node.names if a.name.startswith("satsearch"))
+    return sorted(found)
+
+
+def test_intra_package_imports_pinned():
+    assert {name: package_imports(tree) for name, tree in SOURCES.items()} == IMPORTS
+
+
+def test_only_cnf_walks_the_assignments():
+    def references(tree):
+        return any(
+            getattr(node, "id", None) == "violation_blocks"
+            or getattr(node, "attr", None) == "violation_blocks"
+            or (isinstance(node, ast.alias) and node.name == "violation_blocks")
+            for node in ast.walk(tree)
+        )
+
+    assert [name for name, tree in SOURCES.items() if references(tree)] == ["cnf"]

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import satsearch as ss
 
-from conftest import formulas
+from conftest import TOY_DIMACS, formulas
 from oracles import all_violated, fold_classes, from_table, violation_counts
 
 
@@ -188,6 +188,23 @@ class TestDenseEigencheck:
         assert (classes.eigenphases[-1], classes.multiplicities[-1]) == (np.pi, 13)
         assert np.all(np.abs(classes.eigenphases[:-1]) < 3.0)
         assert np.max(np.abs(circle_points(classes) - circle_points(oracle))) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "formula",
+        [
+            ss.parse_dimacs(TOY_DIMACS),
+            ss.generate_planted_3sat(8, 12, seed=1),  # the instance of test_cli.TestOutputBytes
+            ss.generate_planted_chain(6, extras=2, seed=3),
+        ],
+        ids=["toy", "planted8", "chain6"],
+    )
+    def test_zero_phase_row_is_exact(self, formula):
+        # eig puts the spectator (|0,r> - |1,r>)/sqrt(2) within about 1e-16 of 0
+        table = ss.build_unsat_table(formula)
+        report = ss.dense_eigencheck(ss.PhaseProfile.from_histogram(table.m, table.histogram))
+        near_zero = [row for row in report.to_json_dict()["eigenphases"] if abs(row[0]) < 1e-6]
+        assert near_zero == [[0.0, 1]]
+        assert math.copysign(1.0, near_zero[0][0]) == 1.0  # not -0.0
 
     def test_dimension_guard(self):
         formula = ss.generate_planted_chain(11, seed=0)

@@ -1,19 +1,16 @@
-import io
 import json
 import math
-import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import satsearch as ss
 
-from conftest import counter_formula, formulas, random_state
+from conftest import formulas, random_state
 from oracles import apply_clause_phases_factored, from_table, grover_step, lift, measure_distribution
-from oracles import oracle_snapshot, profile_for, violation_counts, zero_profile
+from oracles import lift_snapshot, oracle_snapshot, profile_for, violation_counts, zero_profile
 
 
 def uniform(n):
@@ -199,124 +196,33 @@ class TestMeasureDistribution:
             measure_distribution(uniform(2), 4)
 
 
-# signed zeros, the smallest subnormal, repr's switch to exponent form at 1e-4
-# and 1e16, and the non-finite values json.dumps spells NaN / Infinity
-SPECIAL_FLOATS = [
-    0.0, -0.0, 5e-324, -5e-324, 1e-5, -1e-5, 9.999999999999999e-05, 1e-4,
-    0.00010000000000000002, 1e16, -1e16, 9999999999999998.0, 1.0000000000000002e16,
-    0.1, -0.7071067811865476, math.inf, -math.inf, math.nan,
-]
-
-
-def write_snapshot(formula, classes, state, threshold):
-    """The snapshot document ``state_snapshot`` writes, as a string."""
-    handle = io.StringIO()
-    ss.state_snapshot(handle, formula, classes, state, threshold)
-    return handle.getvalue()
-
-
-def identity_snapshot(state, threshold):
-    """Snapshot of a state read as the class state of a formula whose every assignment is its own class."""
-    return write_snapshot(*identity_case(state, threshold))
-
-
-def identity_case(values, threshold):
-    """(formula, classes, class state, threshold) whose lift leaves the values unchanged."""
-    half = len(values) // 2
-    formula = counter_formula(half.bit_length() - 1)
-    classes = ss.PhaseProfile.from_histogram(formula.m, np.ones(half, dtype=np.int64))
-    return formula, classes, np.array(values, dtype=complex), threshold
-
-
-@st.composite
-def snapshot_cases(draw):
-    """A formula, a class state whose parts repeat values from a small pool, and a threshold."""
-    pool = draw(
-        st.lists(st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats()), min_size=1, max_size=6)
-    )
-    formula = draw(formulas(max_n=5))
-    classes = ss.PhaseProfile.from_histogram(formula.m, ss.build_unsat_table(formula).histogram)
-    size = 2 * classes.size
-    parts = st.lists(st.sampled_from(pool), min_size=size, max_size=size)
-    state = np.empty(size, dtype=complex)
-    state.real = draw(parts)
-    state.imag = draw(parts)
-    finite = np.abs(state)[np.isfinite(np.abs(state))]
-    above = 2.0 * float(finite.max()) + 1.0 if finite.size else 1.0
-    threshold = draw(
-        st.one_of(
-            st.sampled_from([0, 0.0, -1.0, -1e-300, above, math.inf]),
-            st.floats(min_value=0.0, max_value=2.0),
-        )
-    )
-    return formula, classes, state, threshold
-
-
 class TestSnapshot:
-    def test_threshold_filters(self):
-        state = np.zeros(8, dtype=complex)
-        state[1] = 0.9
-        state[5] = 1e-8
-        rows = json.loads(identity_snapshot(state, threshold=1e-6))["amplitudes"]
-        assert rows == [[1, 0.9, 0.0]]
+    def test_matches_per_element_formula(self, planted14):
+        _, table, _ = planted14
+        classes = ss.PhaseProfile.from_histogram(table.m, table.histogram)
+        state = random_state(2 * classes.size, seed=21)
+        expected = [
+            [b * (table.m + 1) + int(u), float(a.real), float(a.imag)]
+            for b in (0, 1)
+            for u, a in zip(classes.u, state[b * classes.size : (b + 1) * classes.size])
+        ]
+        snapshot = ss.state_snapshot(classes, state)
+        assert snapshot == {"m": table.m, "amplitudes": expected}
+        assert all(type(v) in (int, float) for row in snapshot["amplitudes"] for v in row)
 
-    def test_matches_per_element_formula(self):
-        state = random_state(1 << 12, seed=21)
-        threshold = 0.015  # keeps about half of the amplitudes
-        keep = np.flatnonzero(np.abs(state) > threshold)
-        expected = [[int(k), float(state[k].real), float(state[k].imag)] for k in keep]
-        rows = json.loads(identity_snapshot(state, threshold))["amplitudes"]
-        assert 0 < len(rows) < state.shape[0]
-        assert rows == expected
-        assert all(type(v) in (int, float) for row in rows for v in row)
-
-    @given(snapshot_cases(), st.integers(0, 3), st.integers(1, 5))
-    @example(identity_case([0.0 - 0.0j, complex(-0.0, 0.0), complex(-0.0, 0.5), 0.5 - 0.0j], -1.0), 0, 1)
-    @example(identity_case([0.5 - 0.0j, complex(5e-324, 1e16), 0.25j, -0.0 + 0j], 0), 1, 2)
-    @example(identity_case([0.25 + 0.5j, 0.5 + 0.25j, 0.5j, 0.25], 10.0), 0, 1)
-    @settings(max_examples=300, deadline=None)
-    def test_bytes_match_json_dumps(self, case, bits, rows):
-        # blocks of 1 to 8 assignments, written a few rows at a time, so the
-        # rows of one document span several blocks and several writes
-        formula, classes, state, threshold = case
-        with np.errstate(invalid="ignore"):  # complex division of infinities gives NaN parts
-            lifted = lift(profile_for(formula), state)
-            with mock.patch.object(ss.cnf, "BLOCK_BITS", bits), \
-                    mock.patch.object(ss.statevector, "_ROWS_PER_WRITE", rows):
-                snapshot = write_snapshot(formula, classes, state, threshold)
-        assert snapshot == oracle_snapshot(lifted, threshold)
-
-    def test_rejects_state_of_other_classes(self, toy_formula):
+    def test_rejects_state_of_other_classes(self):
         classes = ss.PhaseProfile.from_histogram(2, [1, 2, 1])
         with pytest.raises(ValueError, match="amplitudes"):
-            write_snapshot(toy_formula, classes, np.zeros(4, dtype=complex), 1e-6)
+            ss.state_snapshot(classes, np.zeros(4, dtype=complex))
 
     def test_lifted_planted_state(self, planted14):
         formula, table, summary = planted14
         classes = ss.PhaseProfile.from_histogram(table.m, table.histogram)
         state = ss.state_after(classes, 2 * summary.q_m)
+        snapshot = json.loads(json.dumps(ss.state_snapshot(classes, state)))
         lifted = lift(from_table(table), state)
         for threshold in (0, 1e-6):
-            snapshot = write_snapshot(formula, classes, state, threshold)
             # line lists, not strings: pytest's diff of two megabyte strings runs for minutes
-            assert snapshot.split("\n") == oracle_snapshot(lifted, threshold).split("\n")
-
-    def test_streams_below_document_size(self, tmp_path):
-        # At n = 16 one block holds a branch's 2**16 rows; the whole document
-        # is about 10 MiB, while a block's counts, class entries and kept
-        # indices plus one slice of rows take about a quarter of that.
-        formula = ss.generate_planted_3sat(16, 80, seed=3)
-        table = ss.build_unsat_table(formula)
-        classes = ss.PhaseProfile.from_histogram(table.m, table.histogram)
-        state = ss.state_after(classes, 2 * ss.spectral_summary(table).q_m)
-        path = tmp_path / "snapshot.json"
-        with open(path, "w") as handle:
-            tracemalloc.start()
-            try:
-                ss.state_snapshot(handle, formula, classes, state, 1e-6)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        size = path.stat().st_size
-        assert size > 2**17 * 60  # every row kept
-        assert peak < size / 3
+            assert lift_snapshot(formula, snapshot, threshold).split("\n") == oracle_snapshot(
+                lifted, threshold
+            ).split("\n")

@@ -33,6 +33,8 @@ import os
 import sys
 import time
 
+import numpy as np
+
 from .cnf import (
     DEFAULT_GUARD_N,
     FormulaError,
@@ -45,6 +47,7 @@ from .cnf import (
 from .experiment import (
     RunConfig,
     curve_csv,
+    curve_rows,
     grover_optimal_steps,
     repeat_until_success_stats,
     run_grover_baseline,
@@ -153,8 +156,30 @@ def _emit(text: str, output: str | None) -> None:
             handle.write(text)
 
 
+def _array_text(array: np.ndarray) -> str:
+    """A 2-D array as ``json.dumps`` writes its list of rows at depth 1 with ``indent=2``."""
+    if not np.isfinite(array).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+    if not len(array):
+        return "[]"
+    return "[\n    [\n      " + "\n    ],\n    [\n      ".join(curve_rows(array, ",\n      ")) + "\n    ]\n  ]"
+
+
 def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    """``json.dumps(payload, indent=2, allow_nan=False)`` plus a newline, for string keys.
+
+    A 2-D array value is written as its list of rows, column 0 as ints, one
+    formatted string per row rather than through the pure-Python encoder
+    that ``indent`` selects; a non-finite value raises ``ValueError``.
+    """
+    items = []
+    for key, value in payload.items():
+        if isinstance(value, np.ndarray):
+            text = _array_text(value)
+        else:
+            text = json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n  ")
+        items.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(items) + "\n}\n"
 
 
 def _cmd_gen(args) -> int:

@@ -14,15 +14,19 @@ u = 0 class), and ``search_step`` advances at most 2(m+1) class amplitudes.
 profile as given; the first and last raise ``InstanceError`` when entry 0 is
 not u = 0.  The class state is exact: each of the N_0 solutions has amplitude
 a_(b,0) / sqrt(N_0) on branch b, so with k solutions each reads the same
-curve (Boyer, Brassard, Hoyer and Tapp, quant-ph/9605034).  The Grover
-baseline has the same symmetry with two classes, the solution and the other
-N - 1 assignments, so it steps two real amplitudes.  The per-assignment state
-vector and the textbook Grover step are the tests' oracles, in
-``tests/oracles.py``.  A curve whose rows would not fit in physical memory is
-refused with ``GuardError`` before it is allocated.
+curve (Boyer, Brassard, Hoyer and Tapp, quant-ph/9605034).  A sweep records,
+then reads: each step is one ``search_step`` and one copy of the pair
+(a_(0,0), a_(1,0)), and one pass after the loop turns all pairs into rows,
+rounding as numpy's scalar ``abs(a) ** 2`` does, so every row is the bits a
+per-step read-out gives.  The Grover baseline has the same symmetry with two
+classes, the solution and the other N - 1 assignments, so it steps two real
+amplitudes.  The per-assignment state vector and the textbook Grover step are
+the tests' oracles, in ``tests/oracles.py``.  A curve whose rows would not fit
+in physical memory is refused with ``GuardError`` before it is allocated.
 
 The whole run report is assembled here: ``RunReport.to_json_dict`` fixes the
-key order, derives ``cost`` and writes ``repeat_stats`` as
+key order, derives ``cost``, passes the curves as arrays for the CLI's writer
+to format row by row, and writes ``repeat_stats`` as
 ``repeat_until_success_stats`` returns it (stable key order, full-precision
 floats).  Timing information is collected but excluded from the JSON by
 default so that identical configurations produce byte-identical output.
@@ -36,6 +40,7 @@ import math
 import os
 import time
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -46,8 +51,9 @@ from .spectral import SpectralSummary, spectral_summary
 from .statevector import PhaseProfile, search_step, state_snapshot
 
 # Peak bytes per curve row: tracemalloc's peak over run_sweep plus the output
-# text, toy instance, q_max 10**5 and 4 * 10**5, is about 590 for JSON and 215
-# for CSV.  The guard takes the JSON figure for every curve, Grover's included.
+# text, toy instance, q_max 10**5 and 4 * 10**5, is about 300 for JSON and 285
+# for CSV.  The guard takes 590 for every curve, Grover's included, which
+# leaves room above both.
 CURVE_ROW_BYTES = 590
 
 
@@ -101,7 +107,11 @@ class RunReport:
     snapshot: dict | None = None  # see statevector.state_snapshot; not in the report JSON
 
     def to_json_dict(self, include_timings: bool = False) -> dict:
-        """The run report in its key order; ``repeat_stats`` comes last when trials ran."""
+        """The run report in its key order; ``repeat_stats`` comes last when trials ran.
+
+        ``curve`` and ``grover_curve`` stay arrays (``cli._json_text`` writes
+        them as lists of rows, column 0 as ints).
+        """
         s = self.spectral
         expected = None if self.p_peak_measured == 0.0 else s.q_m / self.p_peak_measured
         out = {
@@ -113,10 +123,8 @@ class RunReport:
             "predicted": {"q_m": s.q_m, "success": s.predicted_success},
             "q_peak_measured": self.q_peak_measured,
             "p_peak_measured": self.p_peak_measured,
-            "curve": [[int(q), float(pm), float(po)] for q, pm, po in self.curve],
-            "grover_curve": None
-            if self.grover_curve is None
-            else [[int(k), float(p)] for k, p in self.grover_curve],
+            "curve": self.curve,
+            "grover_curve": self.grover_curve,
         }
         if include_timings:
             out["timings"] = self.timings
@@ -149,31 +157,46 @@ def _check_trials(trials: int) -> None:
         raise ValueError(f"trials must be >= 1 and < 2**63, got {trials}")
 
 
-def _read_solution(classes: PhaseProfile, state: np.ndarray) -> tuple[float, float]:
-    """Marginal and overlap of each solution: a_(b,0) / sqrt(N_0) on branch b."""
-    scale = 1.0 / classes.reflection_axis()[0]
-    a0 = state[0] * scale
-    a1 = state[classes.size] * scale
-    return float(abs(a0) ** 2 + abs(a1) ** 2), float(0.5 * abs(a0 + a1) ** 2)
+def _squared_moduli(z: np.ndarray) -> np.ndarray:
+    """|z|**2 per element, rounded as numpy's scalar ``abs(z) ** 2`` is: C hypot, then C pow.
+
+    Array ``np.abs`` and array ``** 2`` round differently in the last bit.
+    """
+    return np.fromiter(map(math.pow, np.hypot(z.real, z.imag).tolist(), repeat(2.0)), np.float64, len(z))
+
+
+def _read_solution(classes: PhaseProfile, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Marginal and overlap of each solution, one per row (a_(0,0), a_(1,0)) of ``pairs``.
+
+    Each solution has amplitude a_(b,0) / sqrt(N_0) on branch b; the
+    marginal is the sum of their squared moduli and the overlap half the
+    squared modulus of their sum.
+    """
+    a0, a1 = (pairs * (1.0 / classes.reflection_axis()[0])).T
+    return _squared_moduli(a0) + _squared_moduli(a1), 0.5 * _squared_moduli(a0 + a1)
 
 
 def success_curve(classes: PhaseProfile, q_max: int) -> np.ndarray:
     """Rows (q, p_marginal, p_overlap) of a solution after q = 0..q_max iterate applications.
 
-    Steps the class profile ``classes`` and reads the two amplitudes of the
-    solution class at every step; with k solutions the rows are those of
-    each one.
+    Steps the class profile ``classes``, records the two amplitudes of the
+    solution class at every step, then reads all rows in one pass; with k
+    solutions the rows are those of each one.
     """
     if q_max < 1:
         raise ValueError("q_max must be >= 1")
     _check_solution_class(classes)
     _check_curve_rows(q_max + 1)
+    size = classes.size
     state = classes.uniform()
+    pairs = np.empty((q_max + 1, 2), dtype=np.complex128)
+    pairs[0] = state[::size]
+    for q in range(1, q_max + 1):
+        state = search_step(state, classes)
+        pairs[q] = state[::size]
     out = np.empty((q_max + 1, 3))
-    for q in range(q_max + 1):
-        if q:
-            state = search_step(state, classes)
-        out[q] = (q, *_read_solution(classes, state))
+    out[:, 0] = np.arange(q_max + 1)
+    out[:, 1], out[:, 2] = _read_solution(classes, pairs)
     return out
 
 
@@ -292,10 +315,10 @@ def measurement_success_rate(
     """
     _check_trials(trials)
     _check_solution_class(classes)
-    marginal, _ = _read_solution(classes, state_after(classes, iterations))
+    marginal, _ = _read_solution(classes, state_after(classes, iterations)[None, :: classes.size])
     rng = np.random.default_rng(rng_seed)
     # rounding can put a certain read-out a few ulp above 1
-    return int(rng.binomial(trials, min(marginal, 1.0))) / trials
+    return int(rng.binomial(trials, min(float(marginal[0]), 1.0))) / trials
 
 
 def repeat_until_success_stats(
@@ -324,9 +347,12 @@ def repeat_until_success_stats(
     }
 
 
+def curve_rows(curve: np.ndarray, separator: str) -> list[str]:
+    """Each row of ``curve`` as text: column 0 as an int, the others as repr floats."""
+    template = separator.join(["%d"] + ["%r"] * (curve.shape[1] - 1))
+    return [template % tuple(row) for row in curve.tolist()]
+
+
 def curve_csv(header: str, curve: np.ndarray) -> str:
     """CSV of curve rows: the first column as an int, the others as repr floats."""
-    lines = [header]
-    for first, *rest in curve:
-        lines.append(",".join([str(int(first)), *(repr(float(v)) for v in rest)]))
-    return "\n".join(lines) + "\n"
+    return "\n".join([header, *curve_rows(curve, ",")]) + "\n"

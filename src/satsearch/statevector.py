@@ -113,11 +113,14 @@ def search_step(state: np.ndarray, profile: PhaseProfile) -> np.ndarray:
     """One search iteration: clause phases D, then the reflection I - 2ss^T.
 
     With the axis r = sqrt(weight) = sqrt(2N) * s, 2s(s.out) = r(r.out)/N.
+    The one scratch array holds r*out, then r times its sum over N.
     """
     _check_dimension(state, profile.size)
     out = state * profile.phase_vector()
     axis = profile.reflection_axis()
-    out -= axis * ((axis * out).sum() / profile.total)
+    tmp = axis * out
+    np.multiply(axis, np.add.reduce(tmp) / profile.total, out=tmp)
+    out -= tmp
     return out
 
 

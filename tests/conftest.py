@@ -26,6 +26,20 @@ def planted14():
     return formula, table, ss.spectral_summary(table)
 
 
+@pytest.fixture(scope="session", params=["planted-14", "chain-16", "block3sat-12", "three-solutions"])
+def class_profile(request):
+    """Class profiles of three generator families, and one with N_0 = 3 so the read-out scale is not 1."""
+    if request.param == "three-solutions":
+        return ss.PhaseProfile.from_histogram(5, [3, 30, 40, 20, 6, 1])
+    formula = {
+        "planted-14": lambda: ss.generate_planted_3sat(14, 16, seed=1),
+        "chain-16": lambda: ss.generate_planted_chain(16, 2, 4),
+        "block3sat-12": lambda: ss.generate_planted_block3sat(12),
+    }[request.param]()
+    table = ss.build_unsat_table(formula)
+    return ss.PhaseProfile.from_histogram(table.m, table.histogram)
+
+
 def random_state(dim: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     state = rng.normal(size=dim) + 1j * rng.normal(size=dim)

@@ -86,6 +86,37 @@ def apply_clause_phases_factored(state, formula):
     return out
 
 
+def expression_search_step(state, profile):
+    """``search_step`` as one numpy expression, with a temporary for each operation.
+
+    ``search_step`` must equal it bit for bit: the same products, the same
+    pairwise sum and the same scalar division.
+    """
+    _check_dimension(state, profile.size)
+    out = state * profile.phase_vector()
+    axis = profile.reflection_axis()
+    out -= axis * ((axis * out).sum() / profile.total)
+    return out
+
+
+def scalar_read_out(classes, state):
+    """Marginal and overlap of one solution, from numpy scalars: a_(b,0) / sqrt(N_0) on branch b."""
+    scale = 1.0 / classes.reflection_axis()[0]
+    a0 = state[0] * scale
+    a1 = state[classes.size] * scale
+    return float(abs(a0) ** 2 + abs(a1) ** 2), float(0.5 * abs(a0 + a1) ** 2)
+
+
+def scalar_curve(classes, q_max):
+    """Rows (q, p_marginal, p_overlap), one state stepped by ``expression_search_step`` and read per row."""
+    state = classes.uniform()
+    rows = [(0, *scalar_read_out(classes, state))]
+    for q in range(1, q_max + 1):
+        state = expression_search_step(state, classes)
+        rows.append((q, *scalar_read_out(classes, state)))
+    return np.array(rows, dtype=np.float64)
+
+
 def grover_step(state, solution):
     """Textbook Grover iterate on a bare N-dim data register.
 

@@ -5,14 +5,13 @@ criterion.  Tolerances are fixed here and match the stated contracts; the
 instance seeds are frozen so the suite is deterministic.
 """
 
-import json
 import math
 
 import numpy as np
 import pytest
 
 import satsearch as ss
-from satsearch.cli import main
+from satsearch.cli import _json_text, main
 
 from conftest import random_3sat, random_state
 from oracles import all_violated, apply_clause_phases_factored, fold_classes, from_table
@@ -206,7 +205,7 @@ def test_criterion_8_unitarity_and_determinism(tmp_path):
     assert main(["gen", "-n", "10", "-m", "12", "--seed", "3", "-o", str(inst)]) == 0
     a = ss.run_sweep(ss.RunConfig(formula_path=str(inst), q_max=80, threads=1))
     b = ss.run_sweep(ss.RunConfig(formula_path=str(inst), q_max=80, threads=4))
-    assert json.dumps(a.to_json_dict()) == json.dumps(b.to_json_dict())
+    assert _json_text(a.to_json_dict()) == _json_text(b.to_json_dict())
 
     # same through the CLI, comparing emitted bytes
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"

@@ -1,13 +1,18 @@
 import argparse
 import hashlib
 import json
+import math
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import satsearch as ss
 from satsearch import spectral
-from satsearch.cli import build_parser, main
+from satsearch.cli import _json_text, build_parser, main
 
 from conftest import TOY_DIMACS, counter_formula
 from oracles import lift_snapshot
@@ -407,6 +412,48 @@ class TestCurveGuard:
     def test_exit_4(self, argv, toy_path, capsys):
         assert main([*argv, "-f", toy_path]) == 4
         TestUsageErrors.assert_one_line_error(capsys, "physical memory")
+
+
+# (k, 2) and (k, 3) arrays of any finite float: -0.0, subnormals down to
+# 5e-324 and magnitudes up to 1.8e308 included
+CURVE_ARRAYS = arrays(
+    np.float64,
+    st.tuples(st.integers(1, 12), st.sampled_from([2, 3])),
+    elements=st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+class TestJsonText:
+    """``_json_text`` writes 2-D arrays as ``json.dumps`` writes their lists of rows, column 0 as ints."""
+
+    @staticmethod
+    def json_dumps(payload):
+        listed = {
+            key: [[int(first), *rest] for first, *rest in value.tolist()] if isinstance(value, np.ndarray) else value
+            for key, value in payload.items()
+        }
+        return json.dumps(listed, indent=2, allow_nan=False) + "\n"
+
+    @settings(max_examples=200, deadline=None)
+    @given(CURVE_ARRAYS)
+    @example(np.array([[0.0, 0.5, 0.25]]))
+    @example(np.array([[-0.0, -0.0], [3.0, 5e-324], [1e308, 2.2250738585072014e-308 / 7], [2.0**53, 4.0]]))
+    @example(np.array([[7.0, 1.0, -2.0], [8.0, 1e308, -1e-320]]))
+    def test_bytes_match_json_dumps(self, array):
+        payload = {"version": "0.1.0", "curve": array, "nested": {"rows": [[1, 0.5]], "none": None}, "empty": []}
+        assert _json_text(payload) == self.json_dumps(payload)
+
+    def test_empty_array(self):
+        payload = {"curve": np.empty((0, 3)), "grover_curve": None}
+        assert _json_text(payload) == self.json_dumps(payload)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("column", [0, 2])
+    def test_non_finite_raises(self, value, column):
+        array = np.ones((3, 3))
+        array[1, column] = value
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            _json_text({"curve": array})
 
 
 class TestParser:

@@ -1,4 +1,3 @@
-import json
 import math
 import tracemalloc
 
@@ -6,9 +5,11 @@ import numpy as np
 import pytest
 
 import satsearch as ss
-from satsearch.experiment import curve_csv
+from satsearch.cli import _json_text
+from satsearch.experiment import _read_solution, curve_csv
 
 from oracles import all_violated, fold_classes, from_table, grover_closed_form, grover_step, lifted_marginal
+from oracles import scalar_curve, scalar_read_out
 
 
 def traced_peak(call):
@@ -87,6 +88,21 @@ class TestSuccessCurve:
         assert np.all(curve[:, 1] >= curve[:, 2] - 1e-15)
         assert np.all((curve[:, 1:] >= -1e-15) & (curve[:, 1:] <= 1 + 1e-15))
 
+    def test_bit_exact_against_scalar_read_out(self, class_profile):
+        """Recording the pairs and reading them in one pass changes no bit of any row."""
+        assert ss.success_curve(class_profile, 3000).tobytes() == scalar_curve(class_profile, 3000).tobytes()
+
+    def test_read_out_rounds_as_numpy_scalars(self):
+        """On random amplitudes, where array ``np.abs`` and ``** 2`` differ in the last bit."""
+        classes = ss.PhaseProfile.from_histogram(2, [3, 4, 1])
+        rng = np.random.default_rng(5)
+        pairs = rng.normal(size=(20000, 2)) + 1j * rng.normal(size=(20000, 2))
+        marginal, overlap = _read_solution(classes, pairs)
+        states = np.zeros((len(pairs), 2 * classes.size), dtype=np.complex128)
+        states[:, :: classes.size] = pairs
+        expected = np.array([scalar_read_out(classes, state) for state in states])
+        assert np.column_stack([marginal, overlap]).tobytes() == expected.tobytes()
+
 
 class TestRunSweep:
     def test_toy_report_shape(self, tmp_path):
@@ -123,7 +139,7 @@ class TestRunSweep:
     def test_deterministic_json(self, tmp_path):
         a = ss.run_sweep(planted_config(tmp_path, 9, 12, 2, q_max=40))
         b = ss.run_sweep(planted_config(tmp_path, 9, 12, 2, q_max=40, threads=2))
-        assert json.dumps(a.to_json_dict()) == json.dumps(b.to_json_dict())
+        assert _json_text(a.to_json_dict()) == _json_text(b.to_json_dict())
 
     def test_timings_excluded_by_default(self, tmp_path):
         report = ss.run_sweep(planted_config(tmp_path, 8, 10, 1, q_max=10))

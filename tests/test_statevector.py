@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 import satsearch as ss
 
 from conftest import formulas, random_state
-from oracles import apply_clause_phases_factored, from_table, grover_step, lift, measure_distribution
-from oracles import lift_snapshot, oracle_snapshot, profile_for, violation_counts, zero_profile
+from oracles import apply_clause_phases_factored, expression_search_step, from_table, grover_step, lift
+from oracles import lift_snapshot, measure_distribution, oracle_snapshot, profile_for, violation_counts, zero_profile
 
 
 def uniform(n):
@@ -156,6 +156,13 @@ class TestSearchStep:
         profile = zero_profile(8)
         state = profile.uniform()
         assert np.max(np.abs(ss.search_step(state, profile) + state)) < 1e-14
+
+    def test_bit_exact_against_expression(self, class_profile):
+        state = expected = class_profile.uniform()
+        for step in range(5000):
+            state = ss.search_step(state, class_profile)
+            expected = expression_search_step(expected, class_profile)
+            assert state.tobytes() == expected.tobytes(), step
 
 
 class TestGroverStep:

@@ -12,10 +12,13 @@ NaN and Infinity, and ``mean_repeats`` is null when no trial succeeds.
 Exit codes: 0 success, 2 usage error (including out-of-range values of
 --qmax, --steps, --trials, --seed, --trials-seed and --threads, ``run
 --steps`` without ``--grover``, ``--trials-seed`` without ``--trials``, and
-``-o`` naming the same file as ``run --snapshot`` or ``analyze --table``), 3
+any two of ``-f``, ``-o``, ``run --snapshot`` and ``analyze --table`` naming
+the same file, which is checked before anything is read or written), 3
 invalid instance or formula (any bytes that do not parse as DIMACS, or a file
-that cannot be read), 4 enumeration, dimension or curve-length (--qmax,
---steps) guard exceeded.
+that cannot be read), 4 guard exceeded: n above ``cnf.MAX_ENUMERATION_N``
+(30) for any command that enumerates, ``gen`` included, a solution list or a
+curve (--qmax, --steps) that would not fit in physical memory, or a matrix
+dimension (``spectrum``).
 
 ``run --trials 0`` (the default) takes no samples; a negative count, or one of
 2**63 or more (numpy's binomial draw takes a C long), is a usage error.
@@ -32,11 +35,11 @@ import json
 import os
 import sys
 import time
+from itertools import combinations
 
 import numpy as np
 
 from .cnf import (
-    DEFAULT_GUARD_N,
     FormulaError,
     GuardError,
     InstanceError,
@@ -78,11 +81,14 @@ def _check_ranges(args) -> None:
             raise UsageError(f"{flag} must be >= 0, got {value}")
     if getattr(args, "trials_seed", None) is not None and args.trials == 0:
         raise UsageError("--trials-seed needs --trials")
-    for name, flag in (("snapshot", "--snapshot"), ("table", "--table")):
-        path = getattr(args, name, None)
-        if path is not None and args.output is not None:
-            if os.path.realpath(path) == os.path.realpath(args.output):
-                raise UsageError(f"-o and {flag} name the same file: {path}")
+    files = [
+        (flag, getattr(args, name))
+        for name, flag in (("formula", "-f"), ("output", "-o"), ("snapshot", "--snapshot"), ("table", "--table"))
+        if getattr(args, name, None) is not None
+    ]
+    for (flag, path), (other, other_path) in combinations(files, 2):
+        if os.path.realpath(path) == os.path.realpath(other_path):
+            raise UsageError(f"{flag} and {other} name the same file: {other_path}")
     if args.threads < 1:
         raise UsageError(f"--threads must be >= 1, got {args.threads}")
 
@@ -105,12 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="worker threads for enumeration (default 1)",
-    )
-    common.add_argument(
-        "--guard-n",
-        type=int,
-        default=DEFAULT_GUARD_N,
-        help=f"enumeration guard on variable count (default {DEFAULT_GUARD_N})",
     )
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -183,7 +183,7 @@ def _json_text(payload: dict) -> str:
 
 
 def _cmd_gen(args) -> int:
-    formula, planted = _planted_3sat(args.n, args.m, args.seed, args.guard_n, args.threads)
+    formula, planted = _planted_3sat(args.n, args.m, args.seed, args.threads)
     text = serialize_dimacs(formula, comments=[f"planted {planted}", f"seed {args.seed}"])
     _emit(text, args.output)
     return 0
@@ -191,7 +191,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_analyze(args) -> int:
     formula = read_dimacs(args.formula)
-    table = build_unsat_table(formula, guard_n=args.guard_n, threads=args.threads)
+    table = build_unsat_table(formula, threads=args.threads)
     summary = spectral_summary(table)
     if args.table is not None:
         _emit(_json_text(table.to_json_dict()), args.table)
@@ -200,7 +200,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _run_config(args, **grover) -> RunConfig:
-    return RunConfig(args.formula, args.qmax, guard_n=args.guard_n, threads=args.threads, **grover)
+    return RunConfig(args.formula, args.qmax, threads=args.threads, **grover)
 
 
 def _cmd_sweep(args) -> int:
@@ -224,7 +224,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_grover(args) -> int:
     formula = read_dimacs(args.formula)
-    table = build_unsat_table(formula, guard_n=args.guard_n, threads=args.threads)
+    table = build_unsat_table(formula, threads=args.threads)
     table.unique_solution()  # rejects instances without exactly one solution
     steps = args.steps if args.steps is not None else grover_optimal_steps(formula.assignment_count)
     _emit(curve_csv("step,p_r", run_grover_baseline(formula.assignment_count, steps)), args.output)
@@ -233,7 +233,7 @@ def _cmd_grover(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     formula = read_dimacs(args.formula)
-    table = build_unsat_table(formula, guard_n=args.guard_n, threads=args.threads)
+    table = build_unsat_table(formula, threads=args.threads)
     summary = spectral_summary(table)
     report = dense_eigencheck(PhaseProfile.from_histogram(table.m, table.histogram))
     payload = report.to_json_dict()

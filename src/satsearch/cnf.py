@@ -12,17 +12,18 @@ which also accepts the SATLIB ``%`` trailer.
 ``build_unsat_table`` enumerates every assignment and keeps only the histogram
 and the solutions; its oracles, the scalar count and the per-assignment
 counts, live in ``tests/oracles.py``.  It is deliberately the only
-solver in the package: exhaustive, and guarded to n <= 30 unless explicitly
-overridden (and to n <= 62, the bits of an int64 index, in any case).  It
-needs no per-clause pass over the assignments: an OR-clause is violated on
-exactly the indices i with i & care == value, where care has the bits of the
-clause's variables and value those of its negated literals.  Split i into a
-high and a low part and that test factors into a test on each part, so the
-counts of a block of assignments, laid out as a (high, low) matrix, are one
-0/1 matrix product: highs (high x m) @ lows (m x low).  The assignments are
-enumerated in fixed blocks of 2**BLOCK_BITS, each counted in the smallest
-unsigned dtype that holds m and kept only as its histogram and its zero
-indices, so the memory used does not grow with 2**n.  ``violation_blocks``,
+solver in the package: exhaustive, and refused with ``GuardError`` above
+n = ``MAX_ENUMERATION_N``, a constant (30) that bounds time alone, and when
+its solution list would not fit in physical memory.  It needs no per-clause
+pass over the assignments: an OR-clause is violated on exactly the indices i
+with i & care == value, where care has the bits of the clause's variables and
+value those of its negated literals.  Split i into a high and a low part and
+that test factors into a test on each part, so the counts of a block of
+assignments, laid out as a (high, low) matrix, are one 0/1 matrix product:
+highs (high x m) @ lows (m x low).  The assignments are enumerated in fixed
+blocks of 2**BLOCK_BITS, each counted in the smallest unsigned dtype that
+holds m and kept only as its histogram and its zero indices, so the memory
+used grows with the number of solutions, not with 2**n.  ``violation_blocks``,
 the one pass over the assignments, alone knows the block layout, and the
 table is its only reader in the package.  Its set-up runs at the call, on the
 caller's thread: a plain generator that made it in the pool worker, BLAS
@@ -40,7 +41,9 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-DEFAULT_GUARD_N = 30
+# Largest n that build_unsat_table enumerates.  It bounds time, not memory:
+# 2**30 assignments take about 9 s on one thread, and each n above doubles it.
+MAX_ENUMERATION_N = 30
 
 # Assignments per enumeration block: 2**BLOCK_BITS.  Smaller blocks pay numpy's
 # per-call overhead on more, smaller products; larger ones take no less time
@@ -48,7 +51,14 @@ DEFAULT_GUARD_N = 30
 BLOCK_BITS = 16
 
 # Largest n the block kernel can index: its masks and indices are int64.
+# MAX_ENUMERATION_N <= MAX_INDEX_N, so the table needs no check of its own.
 MAX_INDEX_N = 62
+
+# Peak bytes per solution: tracemalloc's peak over build_unsat_table with half
+# of all assignments solutions, n = 16..20, is about 50, and over the planted
+# generator's enumeration and repair loop, which copies the list to an array,
+# 65 to 78.  The guard takes 160, twice the larger.
+SOLUTION_BYTES = 160
 
 # (first index, violation counts) of one enumeration block.
 Block = tuple[int, np.ndarray]
@@ -71,7 +81,12 @@ class InstanceError(ValueError):
 
 
 class GuardError(RuntimeError):
-    """Enumeration or matrix-dimension guard exceeded."""
+    """Enumeration, memory or matrix-dimension guard exceeded."""
+
+
+def memory_capacity(item_bytes: int) -> int:
+    """How many items of ``item_bytes`` bytes fit in physical memory: the bound of every memory guard."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // item_bytes
 
 
 @dataclass(frozen=True)
@@ -345,23 +360,27 @@ def violation_blocks(formula: CnfFormula, tops: range | None = None) -> Iterator
     return map(block, _blocks(formula) if tops is None else tops)
 
 
-def _run_summary(m: int, blocks: Iterator[Block]) -> tuple[np.ndarray, list[int]]:
-    """Summed histogram and zero-violation indices of ``violation_blocks``' blocks, in order."""
+def _run_summary(m: int, blocks: Iterator[Block], max_solutions: int) -> tuple[np.ndarray, list[int]]:
+    """Summed histogram and zero-violation indices of ``violation_blocks``' blocks, in order.
+
+    Raises ``GuardError`` before the indices would number more than ``max_solutions``.
+    """
     histogram = np.zeros(m + 1, dtype=np.int64)
     solutions: list[int] = []
     for first, counts in blocks:
         block_histogram = np.bincount(counts, minlength=m + 1)
         histogram += block_histogram
         if block_histogram[0]:
+            if len(solutions) + block_histogram[0] > max_solutions:
+                raise GuardError(
+                    f"the solution list outgrows its share of physical memory: "
+                    f"more than {max_solutions} solutions at {SOLUTION_BYTES} bytes each"
+                )
             solutions += (np.flatnonzero(counts == 0) + first).tolist()
     return histogram, solutions
 
 
-def build_unsat_table(
-    formula: CnfFormula,
-    guard_n: int = DEFAULT_GUARD_N,
-    threads: int = 1,
-) -> UnsatTable:
+def build_unsat_table(formula: CnfFormula, threads: int = 1) -> UnsatTable:
     """Exhaustively enumerate all 2**n assignments.
 
     The assignments are split into blocks of 2**BLOCK_BITS (a single block
@@ -369,15 +388,13 @@ def build_unsat_table(
     workers (at most ``os.cpu_count()``) counts one contiguous run of them.
     The runs' histograms are summed as integers and their solutions joined
     in block order, so the result is identical for every thread count.
+    Raises ``GuardError`` when n > ``MAX_ENUMERATION_N``, before any block
+    is walked, and when a run's solutions would outgrow its share of
+    physical memory, 1/len(runs) of ``memory_capacity(SOLUTION_BYTES)``.
     """
-    if formula.n > guard_n:
+    if formula.n > MAX_ENUMERATION_N:
         raise GuardError(
-            f"enumeration over 2**{formula.n} assignments exceeds guard n <= {guard_n}"
-        )
-    if formula.n > MAX_INDEX_N:
-        raise GuardError(
-            f"enumeration over 2**{formula.n} assignments exceeds the int64 index limit "
-            f"n <= {MAX_INDEX_N}"
+            f"enumeration over 2**{formula.n} assignments exceeds the limit n <= {MAX_ENUMERATION_N}"
         )
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
@@ -386,10 +403,11 @@ def build_unsat_table(
     cuts = [k * len(blocks) // workers for k in range(workers + 1)]
     runs = [blocks[start:stop] for start, stop in zip(cuts, cuts[1:]) if start < stop]
     walkers = [violation_blocks(formula, run) for run in runs]
+    max_solutions = memory_capacity(SOLUTION_BYTES) // len(runs)
     histogram = np.zeros(formula.m + 1, dtype=np.int64)
     solutions: list[int] = []
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_run_summary, formula.m, walker) for walker in walkers]
+        futures = [pool.submit(_run_summary, formula.m, walker, max_solutions) for walker in walkers]
         for future in futures:
             run_histogram, run_solutions = future.result()
             histogram += run_histogram

@@ -37,7 +37,6 @@ across platforms.
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass
 from itertools import repeat
@@ -46,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cnf import DEFAULT_GUARD_N, GuardError, InstanceError, build_unsat_table, read_dimacs
+from .cnf import MAX_ENUMERATION_N, GuardError, InstanceError, build_unsat_table, memory_capacity, read_dimacs
 from .spectral import SpectralSummary, spectral_summary
 from .statevector import PhaseProfile, search_step, state_snapshot
 
@@ -69,7 +68,6 @@ class RunConfig:
     q_max: int | None = None
     include_grover: bool = False
     grover_steps: int | None = None
-    guard_n: int = DEFAULT_GUARD_N
     threads: int = 1
 
     def __post_init__(self) -> None:
@@ -79,13 +77,14 @@ class RunConfig:
     def echo(self) -> dict:
         # threads and the path's directory have no effect on any emitted value;
         # leaving them out keeps reports byte-identical across thread counts
-        # and across spellings of the path
+        # and across spellings of the path.  guard_n echoes the constant
+        # enumeration limit, so the report keeps its keys
         return {
             "formula_path": Path(self.formula_path).name,
             "q_max": self.q_max,
             "include_grover": self.include_grover,
             "grover_steps": self.grover_steps,
-            "guard_n": self.guard_n,
+            "guard_n": MAX_ENUMERATION_N,
         }
 
 
@@ -146,9 +145,8 @@ def _check_solution_class(classes: PhaseProfile) -> None:
 
 def _check_curve_rows(rows: int) -> None:
     """Raise ``GuardError`` when ``rows`` curve rows would not fit in physical memory."""
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if rows * CURVE_ROW_BYTES > memory:
-        raise GuardError(f"a curve of {rows} rows does not fit in {memory} bytes of physical memory")
+    if rows > memory_capacity(CURVE_ROW_BYTES):
+        raise GuardError(f"a curve of {rows} rows does not fit in physical memory at {CURVE_ROW_BYTES} bytes each")
 
 
 def _check_trials(trials: int) -> None:
@@ -221,7 +219,7 @@ def run_sweep(config: RunConfig, snapshot: bool = False) -> RunReport:
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
     formula = read_dimacs(config.formula_path)
-    table = build_unsat_table(formula, guard_n=config.guard_n, threads=config.threads)
+    table = build_unsat_table(formula, threads=config.threads)
     solution = table.unique_solution()
     timings["enumerate_s"] = time.perf_counter() - t0
 
@@ -335,7 +333,7 @@ def repeat_until_success_stats(
     """
     _check_trials(trials)
     formula = read_dimacs(config.formula_path)
-    table = build_unsat_table(formula, guard_n=config.guard_n, threads=config.threads)
+    table = build_unsat_table(formula, threads=config.threads)
     summary = spectral_summary(table)
     classes = PhaseProfile.from_histogram(table.m, table.histogram)
     rate = measurement_success_rate(classes, summary.q_m, trials, rng_seed)

@@ -3,7 +3,8 @@
 Three families, all deterministic for a given seed and all with exactly one
 satisfying assignment.  Only the random family enumerates to get there; the
 chain and block families are unique by construction (the tests confirm it by
-enumeration), so they take no guard_n and only need n <= ``cnf.MAX_INDEX_N``:
+enumeration), so ``cnf.MAX_ENUMERATION_N`` does not bound them; they only need
+n <= ``cnf.MAX_INDEX_N``:
 
 * ``generate_planted_3sat`` draws random 3-literal clauses satisfied by a
   hidden assignment, enumerates the assignments that survive them, then
@@ -33,10 +34,10 @@ import numpy as np
 from .cnf import (
     Clause,
     CnfFormula,
-    DEFAULT_GUARD_N,
     GuardError,
     InstanceError,
     Literal,
+    MAX_ENUMERATION_N,
     MAX_INDEX_N,
     build_unsat_table,
     violation_mask,
@@ -82,37 +83,33 @@ def _check_bounds(n: int, minimum: int, family: str) -> None:
         )
 
 
-def generate_planted_3sat(
-    n: int,
-    m: int,
-    seed: int,
-    guard_n: int = DEFAULT_GUARD_N,
-) -> CnfFormula:
+def generate_planted_3sat(n: int, m: int, seed: int) -> CnfFormula:
     """Random planted 3SAT with exactly one satisfying assignment.
 
     ``m`` is the size of the initial random batch.  ``build_unsat_table``
     finds the assignments that satisfy it; the repair loop then appends
     further clauses (each falsifying at least one surviving non-solution)
     until the planted assignment is the unique solution, so the returned
-    formula typically has more than ``m`` clauses.
+    formula typically has more than ``m`` clauses.  n above
+    ``cnf.MAX_ENUMERATION_N`` raises ``GuardError`` before any clause is drawn.
     """
-    return _planted_3sat(n, m, seed, guard_n)[0]
+    return _planted_3sat(n, m, seed)[0]
 
 
-def _planted_3sat(n: int, m: int, seed: int, guard_n: int, threads: int = 1) -> tuple[CnfFormula, int]:
+def _planted_3sat(n: int, m: int, seed: int, threads: int = 1) -> tuple[CnfFormula, int]:
     """``generate_planted_3sat``'s formula and planted assignment; ``threads`` enumerate."""
     if m < 1:
         raise InstanceError(f"need m >= 1 initial clauses, got m={m}")
     _check_bounds(n, 3, "planted 3SAT")
-    if n > guard_n:
+    if n > MAX_ENUMERATION_N:
         raise GuardError(
-            f"uniqueness check over 2**{n} assignments exceeds guard n <= {guard_n}"
+            f"uniqueness check over 2**{n} assignments exceeds the limit n <= {MAX_ENUMERATION_N}"
         )
     rng = np.random.default_rng(seed)
     planted = int(rng.integers(0, 1 << n))
     clauses = [_random_clause_satisfied_by(rng, n, planted) for _ in range(m)]
 
-    table = build_unsat_table(CnfFormula(n, tuple(clauses)), guard_n, threads)
+    table = build_unsat_table(CnfFormula(n, tuple(clauses)), threads)
     survivors = np.array(table.solutions, dtype=np.int64)
     while survivors.size > 1:
         target = int(survivors[0]) if int(survivors[0]) != planted else int(survivors[1])

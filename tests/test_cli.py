@@ -46,9 +46,9 @@ class TestGen:
     def test_enumerates_once(self, tmp_path, monkeypatch):
         calls = []
 
-        def counted(formula, guard_n=ss.cnf.DEFAULT_GUARD_N, threads=1):
+        def counted(formula, threads=1):
             calls.append((formula.n, threads))
-            return ss.build_unsat_table(formula, guard_n, threads)
+            return ss.build_unsat_table(formula, threads)
 
         # every module that binds build_unsat_table by name
         for module in ("satsearch.cli", "satsearch.generate"):
@@ -92,18 +92,20 @@ class TestAnalyze:
         assert main(["analyze", "-f", multi_path]) == 3
         assert "found 3" in capsys.readouterr().err
 
-    def test_guard_exit_4(self, tmp_path, capsys):
+    def test_guard_exit_4(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "wide.cnf"
-        path.write_text("p cnf 12 1\n1 0\n")
-        assert main(["analyze", "-f", str(path), "--guard-n", "10"]) == 4
+        path.write_text("p cnf 31 1\n1 0\n")
+        monkeypatch.setattr(ss.cnf, "violation_blocks", TestEnumerationLimit.refuse)
+        assert main(["analyze", "-f", str(path)]) == 4
+        TestUsageErrors.assert_one_line_error(capsys, "n <= 30")
 
     def test_int64_index_limit_exit_4(self, tmp_path, capsys):
-        # the enumeration indexes assignments in int64, whatever --guard-n allows
+        # past the int64 index limit too, the enumeration limit refuses first
         path = tmp_path / "wider.cnf"
         path.write_text("p cnf 63 1\n1 0\n")
-        assert main(["analyze", "-f", str(path), "--guard-n", "100"]) == 4
+        assert main(["analyze", "-f", str(path)]) == 4
         lines = capsys.readouterr().err.strip().split("\n")
-        assert len(lines) == 1 and lines[0].startswith("error:") and "n <= 62" in lines[0]
+        assert len(lines) == 1 and lines[0].startswith("error:") and "n <= 30" in lines[0]
 
     def test_missing_file_exit_3(self):
         assert main(["analyze", "-f", "/nonexistent/file.cnf"]) == 3
@@ -373,6 +375,31 @@ class TestUsageErrors:
         # to stdout, -o names no file
         assert main([command, "-f", toy_path, flag, "out.json"]) == 0
 
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("analyze", "-o"),
+            ("analyze", "--table"),
+            ("sweep", "-o"),
+            ("run", "-o"),
+            ("run", "--snapshot"),
+            ("grover", "-o"),
+            ("spectrum", "-o"),
+        ],
+    )
+    @pytest.mark.parametrize("absolute", [False, True], ids=["same-string", "absolute"])
+    def test_output_is_not_the_input(self, command, flag, absolute, toy_path, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        before = (tmp_path / "toy.cnf").read_bytes()
+        output = toy_path if absolute else "toy.cnf"
+        argv = [command, "-f", "toy.cnf", flag, output]
+        if flag != "-o":
+            argv += ["-o", str(tmp_path / "out.json")]
+        assert main(argv) == 2
+        self.assert_one_line_error(capsys, f"-f and {flag} name the same file")
+        assert (tmp_path / "toy.cnf").read_bytes() == before
+        assert not (tmp_path / "out.json").exists()
+
     @pytest.mark.parametrize("command", ["analyze", "sweep", "run", "grover", "spectrum"])
     def test_seed_only_for_gen(self, command, toy_path, capsys):
         assert main([command, "-f", toy_path, "--seed", "5"]) == 2
@@ -394,6 +421,56 @@ class TestUsageErrors:
     def test_trials_seed_without_trials(self, argv, toy_path, capsys):
         assert main(["run", "-f", toy_path, *argv]) == 2
         self.assert_one_line_error(capsys, "--trials-seed needs --trials")
+
+
+class TestEnumerationLimit:
+    """Every command that enumerates refuses n > cnf.MAX_ENUMERATION_N = 30 with exit 4.
+
+    ``analyze``'s case is ``TestAnalyze.test_guard_exit_4``.
+    """
+
+    @staticmethod
+    def refuse(formula, tops=None):
+        raise AssertionError("a block was walked")
+
+    @pytest.mark.parametrize("command", ["sweep", "run", "grover", "spectrum"])
+    def test_n31_exit_4(self, command, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "n31.cnf"
+        path.write_text("p cnf 31 1\n1 0\n")
+        monkeypatch.setattr(ss.cnf, "violation_blocks", self.refuse)
+        assert main([command, "-f", str(path)]) == 4
+        TestUsageErrors.assert_one_line_error(capsys, "n <= 30")
+
+    def test_gen_n31_exit_4_before_the_draw(self, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("a clause was drawn")
+
+        monkeypatch.setattr(ss.generate, "_random_clause_satisfied_by", refuse)
+        assert main(["gen", "-n", "31", "-m", "155"]) == 4
+        TestUsageErrors.assert_one_line_error(capsys, "n <= 30")
+
+
+class TestSolutionGuard:
+    """A solution list that would not fit in physical memory exits 4 with one error line."""
+
+    @pytest.fixture(autouse=True)
+    def small_memory(self, monkeypatch):
+        # room for 100 solutions, or 27 curve rows
+        pages = {"SC_PAGE_SIZE": ss.cnf.SOLUTION_BYTES, "SC_PHYS_PAGES": 100}
+        monkeypatch.setattr(ss.cnf.os, "sysconf", pages.__getitem__)
+
+    def test_analyze_exit_4(self, tmp_path, toy_path, capsys):
+        path = tmp_path / "half.cnf"
+        path.write_text("p cnf 12 1\n1 0\n")  # 2048 solutions
+        assert main(["analyze", "-f", str(path)]) == 4
+        TestUsageErrors.assert_one_line_error(capsys, "physical memory")
+        assert main(["analyze", "-f", toy_path]) == 0
+
+    def test_gen_exit_4(self, tmp_path, capsys):
+        # one initial clause leaves 7/8 of the 4096 assignments
+        assert main(["gen", "-n", "12", "-m", "1"]) == 4
+        TestUsageErrors.assert_one_line_error(capsys, "physical memory")
+        assert main(["gen", "-n", "12", "-m", "60", "-o", str(tmp_path / "x.cnf")]) == 0
 
 
 class TestCurveGuard:
@@ -472,7 +549,13 @@ class TestParser:
         assert list(commands.choices) == list(self.OPTIONS)
         for name, sub in commands.choices.items():
             flags = " ".join(flag for action in sub._actions for flag in action.option_strings)
-            assert flags == "-h --help -o --output --threads --guard-n " + self.OPTIONS[name], name
+            assert flags == "-h --help -o --output --threads " + self.OPTIONS[name], name
+
+    @pytest.mark.parametrize("command", list(OPTIONS))
+    def test_no_guard_option(self, command, toy_path, capsys):
+        argv = ["gen", "-n", "8", "-m", "12"] if command == "gen" else [command, "-f", toy_path]
+        assert main([*argv, "--guard-n", "40"]) == 2
+        assert "unrecognized arguments: --guard-n 40" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", ["sweep --format json", "sweep --snapshot x", "grover --format json"])
     def test_json_and_snapshot_only_from_run(self, argv, toy_path, tmp_path, capsys):

@@ -151,9 +151,39 @@ class TestUnsatTable:
         assert int(table.histogram.sum()) == formula.assignment_count
         assert table.solutions == [int(i) for i in np.flatnonzero(violation_counts(formula) == 0)]
 
-    def test_guard(self, toy_formula):
-        with pytest.raises(ss.GuardError):
-            ss.build_unsat_table(toy_formula, guard_n=1)
+    def test_guard(self, monkeypatch):
+        """n = 30 is enumerated and n = 31 refused before any block is walked."""
+        walked = []
+
+        def no_blocks(formula, tops=None):
+            walked.append(formula.n)
+            return iter(())
+
+        monkeypatch.setattr(ss.cnf, "violation_blocks", no_blocks)
+        wide = ss.parse_dimacs(f"p cnf {ss.cnf.MAX_ENUMERATION_N} 1\n1 0\n")
+        assert ss.build_unsat_table(wide).n == 30
+        for n in (31, 63):
+            with pytest.raises(ss.GuardError, match="n <= 30"):
+                ss.build_unsat_table(ss.parse_dimacs(f"p cnf {n} 1\n1 0\n"))
+        assert walked == [30]
+
+    def test_enumeration_limit_within_index_limit(self):
+        # what lets the table drop a check of the int64 index limit of its own
+        assert ss.cnf.MAX_ENUMERATION_N <= ss.cnf.MAX_INDEX_N
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_solution_list_against_physical_memory(self, threads, monkeypatch):
+        """Each of w runs holds at most 1/w of the solutions that fit; one more is refused."""
+        formula = ss.parse_dimacs("p cnf 20 1\n1 0\n")  # 2**19 solutions, 2**18 per half
+        monkeypatch.setattr(ss.cnf.os, "cpu_count", lambda: 2)
+        for capacity, fits in ((1 << 19, True), ((1 << 19) - 1, False)):
+            pages = {"SC_PAGE_SIZE": ss.cnf.SOLUTION_BYTES, "SC_PHYS_PAGES": capacity}
+            monkeypatch.setattr(ss.cnf.os, "sysconf", pages.__getitem__)
+            if fits:
+                assert len(ss.build_unsat_table(formula, threads=threads).solutions) == 1 << 19
+            else:
+                with pytest.raises(ss.GuardError, match="physical memory"):
+                    ss.build_unsat_table(formula, threads=threads)
 
     def test_threaded_enumeration_identical(self):
         formula = ss.generate_planted_3sat(9, 12, seed=4)

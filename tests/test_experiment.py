@@ -215,7 +215,7 @@ class TestGroverBaseline:
 class TestCurveGuard:
     def test_rows_against_physical_memory(self, monkeypatch):
         pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}  # 1 MiB of physical memory
-        monkeypatch.setattr(ss.experiment.os, "sysconf", pages.__getitem__)
+        monkeypatch.setattr(ss.cnf.os, "sysconf", pages.__getitem__)
         rows = (1 << 20) // ss.experiment.CURVE_ROW_BYTES
         classes = ss.PhaseProfile.from_histogram(2, [1, 2, 1])
         assert ss.success_curve(classes, rows - 1).shape == (rows, 3)

@@ -34,14 +34,18 @@ class TestPlanted3Sat:
         with pytest.raises(ss.InstanceError, match="n >= 3"):
             ss.generate_planted_3sat(2, 5, seed=0)
 
-    def test_guard(self):
-        with pytest.raises(ss.GuardError):
-            ss.generate_planted_3sat(12, 5, seed=0, guard_n=10)
+    def test_guard(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a clause was drawn")
+
+        monkeypatch.setattr(ss.generate, "_random_clause_satisfied_by", refuse)
+        with pytest.raises(ss.GuardError, match="n <= 30"):
+            ss.generate_planted_3sat(31, 155, seed=0)
 
     def test_int64_index_limit_before_the_draw(self):
         # n = 64 would reach numpy's integer draw, which raises ValueError
         with pytest.raises(ss.GuardError, match="n <= 62"):
-            ss.generate_planted_3sat(64, 5, seed=0, guard_n=100)
+            ss.generate_planted_3sat(64, 5, seed=0)
 
 
 class TestPlantedChain:

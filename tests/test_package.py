@@ -1,4 +1,6 @@
 import ast
+import dataclasses
+import inspect
 from pathlib import Path
 
 import satsearch as ss
@@ -13,6 +15,14 @@ PUBLIC = [
     "run_sweep", "search_step", "serialize_dimacs", "spectral_summary", "state_after",
     "state_snapshot", "success_curve",
 ]
+
+# parameters of the library's entry points and fields of the run configuration:
+# a knob removed from them cannot return unnoticed
+PARAMETERS = {
+    "build_unsat_table": ["formula", "threads"],
+    "generate_planted_3sat": ["n", "m", "seed"],
+}
+RUN_CONFIG_FIELDS = ["formula_path", "q_max", "include_grover", "grover_steps", "threads"]
 
 # the satsearch modules each module imports; "__init__" is the package itself
 IMPORTS = {
@@ -31,6 +41,11 @@ SOURCES = {path.stem: ast.parse(path.read_text()) for path in Path(ss.__file__).
 def test_public_names_pinned():
     assert ss.__all__ == PUBLIC
     assert all(hasattr(ss, name) for name in PUBLIC)
+
+
+def test_knobs_pinned():
+    assert {name: list(inspect.signature(getattr(ss, name)).parameters) for name in PARAMETERS} == PARAMETERS
+    assert [field.name for field in dataclasses.fields(ss.RunConfig)] == RUN_CONFIG_FIELDS
 
 
 def package_imports(tree):

@@ -10,25 +10,33 @@ that no input can fail before parsing, and hands the text to ``parse_dimacs``,
 which also accepts the SATLIB ``%`` trailer.
 
 ``build_unsat_table`` enumerates every assignment and keeps only the histogram
-and the solutions; its oracles, the scalar count and the per-assignment
-counts, live in ``tests/oracles.py``.  It is deliberately the only
-solver in the package: exhaustive, and refused with ``GuardError`` above
-n = ``MAX_ENUMERATION_N``, a constant (30) that bounds time alone, and when
-its solution list would not fit in physical memory.  It needs no per-clause
-pass over the assignments: an OR-clause is violated on exactly the indices i
-with i & care == value, where care has the bits of the clause's variables and
-value those of its negated literals.  Split i into a high and a low part and
-that test factors into a test on each part, so the counts of a block of
-assignments, laid out as a (high, low) matrix, are one 0/1 matrix product:
-highs (high x m) @ lows (m x low).  The assignments are enumerated in fixed
-blocks of 2**BLOCK_BITS, each counted in the smallest unsigned dtype that
-holds m and kept only as its histogram and its zero indices, so the memory
-used grows with the number of solutions, not with 2**n.  ``violation_blocks``,
-the one pass over the assignments, alone knows the block layout, and the
-table is its only reader in the package.  Its set-up runs at the call, on the
-caller's thread: a plain generator that made it in the pool worker, BLAS
-thread variables unset, slowed n = 22 enumeration from 0.027-0.030 s to
-0.035-0.044 s (2 vCPUs, numpy 2.4; cause not known).
+and the solutions; ``satisfying_assignments`` walks the same blocks and keeps
+only the solutions, for the planted generator, which reads nothing else.  Their
+oracles, the scalar count and the per-assignment counts, live in
+``tests/oracles.py``.  They are deliberately the only solvers in the package:
+exhaustive, and refused with ``GuardError`` above n = ``MAX_ENUMERATION_N``,
+a constant (30) that bounds time alone, and when the solution list would not
+fit in physical memory.  They need no per-clause pass over the assignments:
+an OR-clause is violated on exactly the indices i with i & care == value,
+where care has the bits of the clause's variables and value those of its
+negated literals.  Split i into low, middle and top bits and that test
+factors into a test on each part.  The assignments are enumerated in fixed
+blocks of 2**BLOCK_BITS, each with its top bits fixed: a clause with a true
+literal there is satisfied on the whole block and drops out of it, and the
+counts of the rest, laid out as a (middle, low) matrix, are one 0/1 matrix
+product, mids.T (middle x clause) @ lows (clause x low), over the clauses left.
+Both tables depend only on the formula and are built once per call.  A block
+is counted in the smallest unsigned dtype that holds m and kept only as its
+zero indices and, for the table alone, its histogram, which is where
+``np.bincount``'s intp copy of the counts is made; so the memory used grows
+with the number of solutions, not with 2**n.  ``violation_blocks``, the one
+pass over the assignments, alone knows the block layout, and the two readers
+are its only readers in the package.  The blocks are split into one
+contiguous run per worker: the calling thread walks run 0 and a pool the
+others, so one run starts no thread.  The set-up of every run's walker runs
+at the call, on the caller's thread: a plain generator that made it in the
+pool worker, BLAS thread variables unset, slowed n = 22 enumeration from
+0.027-0.030 s to 0.035-0.044 s (2 vCPUs, numpy 2.4; cause not known).
 """
 
 from __future__ import annotations
@@ -37,7 +45,8 @@ import os
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from functools import partial
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -46,8 +55,10 @@ import numpy as np
 MAX_ENUMERATION_N = 30
 
 # Assignments per enumeration block: 2**BLOCK_BITS.  Smaller blocks pay numpy's
-# per-call overhead on more, smaller products; larger ones take no less time
-# and hold more memory: the float product and the intp copy np.bincount makes.
+# per-call overhead on more, smaller products; larger ones fix fewer top bits,
+# so fewer clauses drop out of each block's product, and hold more memory: the
+# float product and, for the table, the intp copy np.bincount makes.  The
+# per-call tables hold (m x 2**(BLOCK_BITS/2)) floats each.
 BLOCK_BITS = 16
 
 # Largest n the block kernel can index: its masks and indices are int64.
@@ -56,8 +67,9 @@ MAX_INDEX_N = 62
 
 # Peak bytes per solution: tracemalloc's peak over build_unsat_table with half
 # of all assignments solutions, n = 16..20, is about 50, and over the planted
-# generator's enumeration and repair loop, which copies the list to an array,
-# 65 to 78.  The guard takes 160, twice the larger.
+# generator's solutions-only walk and repair loop, which copies the list to an
+# array, 48 to 57 (m = 1, 2; 65 to 78 when it walked the table).  The guard
+# takes 160, twice the largest.
 SOLUTION_BYTES = 160
 
 # (first index, violation counts) of one enumeration block.
@@ -325,18 +337,21 @@ def _product_dtype(m: int) -> type:
 def violation_blocks(formula: CnfFormula, tops: range | None = None) -> Iterator[Block]:
     """Iterator of (first index, counts) over the blocks ``tops``, all by default, in order.
 
-    A block's index bits are split into a high and a low half, and the bits
-    above the block, fixed to its ``top``, join the high half.  As a (high, low)
-    matrix the counts are then highs @ lows, where highs[h, c] and lows[c, l]
-    test clause c on each half.  Every term is 0 or 1 and every sum at most
-    m, so the product is exact in ``_product_dtype(m)``.  ``lows`` depends only
-    on the formula and is built at the call; only the products wait for the
-    iterator.  The counts come in the smallest unsigned dtype that holds m:
-    uint8 while m < 256, then uint16, then uint32.
+    A block's index bits are split into a low half, a middle half and the
+    bits above the block, fixed to its ``top``.  As a (middle, low) matrix
+    the counts are then mids.T @ lows, where mids[c, h] and lows[c, l] test
+    clause c on the middle and low bits, summed over the clauses whose
+    literals on the top bits are all false for this ``top``; every other
+    clause is satisfied on the whole block and adds nothing, and a block
+    with no clause left counts all zeros.  Every term is 0 or 1 and every
+    sum at most m, so the product is exact in ``_product_dtype(m)``.
+    ``mids`` and ``lows`` depend only on the formula and are built at the
+    call; only the products wait for the iterator.  The counts come in the
+    smallest unsigned dtype that holds m: uint8 while m < 256, then uint16,
+    then uint32.
     """
     bits = min(formula.n, BLOCK_BITS)
     low_bits = bits // 2
-    rows = 1 << (bits - low_bits)
     care = np.array(
         [sum(1 << (lit.var - 1) for lit in c.literals) for c in formula.clauses], dtype=np.int64
     )
@@ -344,20 +359,35 @@ def violation_blocks(formula: CnfFormula, tops: range | None = None) -> Iterator
         [sum(1 << (lit.var - 1) for lit in c.literals if lit.negated) for c in formula.clauses],
         dtype=np.int64,
     )
-    low_mask = (1 << low_bits) - 1
     product_dtype = _product_dtype(formula.m)
-    lows = (
-        (np.arange(1 << low_bits) & (care & low_mask)[:, None]) == (value & low_mask)[:, None]
-    ).astype(product_dtype)
-    care_hi, value_hi = care >> low_bits, value >> low_bits
+
+    def violated(shift: int, width: int) -> np.ndarray:
+        """(clause, 2**width) 0/1 table: clause c violated on index bits [shift, shift + width)."""
+        mask = (1 << width) - 1
+        part = np.arange(1 << width)
+        return ((part & ((care >> shift) & mask)[:, None]) == ((value >> shift) & mask)[:, None]).astype(
+            product_dtype
+        )
+
+    lows = violated(0, low_bits)
+    mids = violated(low_bits, bits - low_bits)
+    care_top, value_top = care >> bits, value >> bits
     counts_dtype = np.min_scalar_type(formula.m)
 
     def block(top: int) -> Block:
-        high = np.arange(top * rows, (top + 1) * rows, dtype=np.int64)
-        highs = ((high[:, None] & care_hi) == value_hi).astype(product_dtype)
-        return top << bits, (highs @ lows).astype(counts_dtype).reshape(-1)
+        active = np.flatnonzero((top & care_top) == value_top)
+        return top << bits, (mids[active].T @ lows[active]).astype(counts_dtype).reshape(-1)
 
     return map(block, _blocks(formula) if tops is None else tops)
+
+
+def _room_for(held: int, found: int, max_solutions: int) -> None:
+    """Raise ``GuardError`` if ``found`` more solutions after ``held`` would pass ``max_solutions``."""
+    if held + found > max_solutions:
+        raise GuardError(
+            f"the solution list outgrows its share of physical memory: "
+            f"more than {max_solutions} solutions at {SOLUTION_BYTES} bytes each"
+        )
 
 
 def _run_summary(m: int, blocks: Iterator[Block], max_solutions: int) -> tuple[np.ndarray, list[int]]:
@@ -371,13 +401,49 @@ def _run_summary(m: int, blocks: Iterator[Block], max_solutions: int) -> tuple[n
         block_histogram = np.bincount(counts, minlength=m + 1)
         histogram += block_histogram
         if block_histogram[0]:
-            if len(solutions) + block_histogram[0] > max_solutions:
-                raise GuardError(
-                    f"the solution list outgrows its share of physical memory: "
-                    f"more than {max_solutions} solutions at {SOLUTION_BYTES} bytes each"
-                )
+            _room_for(len(solutions), block_histogram[0], max_solutions)
             solutions += (np.flatnonzero(counts == 0) + first).tolist()
     return histogram, solutions
+
+
+def _run_solutions(blocks: Iterator[Block], max_solutions: int) -> list[int]:
+    """``_run_summary``'s indices alone: no histogram, so no ``bincount`` and no intp copy."""
+    solutions: list[int] = []
+    for first, counts in blocks:
+        if not counts.all():
+            zeros = np.flatnonzero(counts == 0)
+            _room_for(len(solutions), zeros.size, max_solutions)
+            solutions += (zeros + first).tolist()
+    return solutions
+
+
+def _walk_runs(formula: CnfFormula, threads: int, read: Callable[[Iterator[Block], int], object]) -> list:
+    """``read(walker, max_solutions)`` of each contiguous run of blocks, in block order.
+
+    The blocks are split into one run per worker, ``threads`` of them but at
+    most ``os.cpu_count()``.  The calling thread reads run 0 and a pool the
+    others, so one run starts no thread.  ``max_solutions`` is each run's
+    share of physical memory, 1/len(runs) of ``memory_capacity(SOLUTION_BYTES)``.
+    Raises ``GuardError`` when n > ``MAX_ENUMERATION_N``, before any block is
+    walked.
+    """
+    if formula.n > MAX_ENUMERATION_N:
+        raise GuardError(
+            f"enumeration over 2**{formula.n} assignments exceeds the limit n <= {MAX_ENUMERATION_N}"
+        )
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    workers = min(threads, os.cpu_count() or 1)
+    blocks = _blocks(formula)
+    cuts = [k * len(blocks) // workers for k in range(workers + 1)]
+    runs = [blocks[start:stop] for start, stop in zip(cuts, cuts[1:]) if start < stop]
+    first, *others = [violation_blocks(formula, run) for run in runs]
+    max_solutions = memory_capacity(SOLUTION_BYTES) // len(runs)
+    if not others:
+        return [read(first, max_solutions)]
+    with ThreadPoolExecutor(max_workers=len(others)) as pool:
+        futures = [pool.submit(read, walker, max_solutions) for walker in others]
+        return [read(first, max_solutions)] + [future.result() for future in futures]
 
 
 def build_unsat_table(formula: CnfFormula, threads: int = 1) -> UnsatTable:
@@ -392,24 +458,20 @@ def build_unsat_table(formula: CnfFormula, threads: int = 1) -> UnsatTable:
     is walked, and when a run's solutions would outgrow its share of
     physical memory, 1/len(runs) of ``memory_capacity(SOLUTION_BYTES)``.
     """
-    if formula.n > MAX_ENUMERATION_N:
-        raise GuardError(
-            f"enumeration over 2**{formula.n} assignments exceeds the limit n <= {MAX_ENUMERATION_N}"
-        )
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    workers = min(threads, os.cpu_count() or 1)
-    blocks = _blocks(formula)
-    cuts = [k * len(blocks) // workers for k in range(workers + 1)]
-    runs = [blocks[start:stop] for start, stop in zip(cuts, cuts[1:]) if start < stop]
-    walkers = [violation_blocks(formula, run) for run in runs]
-    max_solutions = memory_capacity(SOLUTION_BYTES) // len(runs)
     histogram = np.zeros(formula.m + 1, dtype=np.int64)
     solutions: list[int] = []
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_run_summary, formula.m, walker, max_solutions) for walker in walkers]
-        for future in futures:
-            run_histogram, run_solutions = future.result()
-            histogram += run_histogram
-            solutions += run_solutions
+    for run_histogram, run_solutions in _walk_runs(formula, threads, partial(_run_summary, formula.m)):
+        histogram += run_histogram
+        solutions += run_solutions
     return UnsatTable(formula, histogram, solutions)
+
+
+def satisfying_assignments(formula: CnfFormula, threads: int = 1) -> list[int]:
+    """``build_unsat_table(formula, threads).solutions``, walked with no histogram.
+
+    Same blocks, runs and guards as the table; only the zero counts are read.
+    """
+    solutions: list[int] = []
+    for run_solutions in _walk_runs(formula, threads, _run_solutions):
+        solutions += run_solutions
+    return solutions

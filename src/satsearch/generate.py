@@ -7,11 +7,11 @@ enumeration), so ``cnf.MAX_ENUMERATION_N`` does not bound them; they only need
 n <= ``cnf.MAX_INDEX_N``:
 
 * ``generate_planted_3sat`` draws random 3-literal clauses satisfied by a
-  hidden assignment, enumerates the assignments that survive them, then
-  greedily appends clauses that each kill at least one surviving
-  non-solution until the solution is unique.  The returned clause
-  count is whatever uniqueness required, which for random clauses lands near
-  5n or above.
+  hidden assignment, enumerates the assignments that survive them with the
+  solutions-only walk, which builds no histogram, then greedily appends
+  clauses that each kill at least one surviving non-solution until the
+  solution is unique.  The returned clause count is whatever uniqueness
+  required, which for random clauses lands near 5n or above.
 * ``generate_planted_chain`` builds n nested clauses (lengths 1..n) whose
   violation sets partition the non-solutions, so every wrong assignment
   violates exactly one clause.  That concentrates the violation histogram at
@@ -39,7 +39,7 @@ from .cnf import (
     Literal,
     MAX_ENUMERATION_N,
     MAX_INDEX_N,
-    build_unsat_table,
+    satisfying_assignments,
     violation_mask,
 )
 
@@ -86,11 +86,12 @@ def _check_bounds(n: int, minimum: int, family: str) -> None:
 def generate_planted_3sat(n: int, m: int, seed: int) -> CnfFormula:
     """Random planted 3SAT with exactly one satisfying assignment.
 
-    ``m`` is the size of the initial random batch.  ``build_unsat_table``
-    finds the assignments that satisfy it; the repair loop then appends
-    further clauses (each falsifying at least one surviving non-solution)
-    until the planted assignment is the unique solution, so the returned
-    formula typically has more than ``m`` clauses.  n above
+    ``m`` is the size of the initial random batch.
+    ``cnf.satisfying_assignments``, the solutions-only walk, finds the
+    assignments that satisfy it; the repair loop then appends further
+    clauses (each falsifying at least one surviving non-solution) until the
+    planted assignment is the unique solution, so the returned formula
+    typically has more than ``m`` clauses.  n above
     ``cnf.MAX_ENUMERATION_N`` raises ``GuardError`` before any clause is drawn.
     """
     return _planted_3sat(n, m, seed)[0]
@@ -109,8 +110,7 @@ def _planted_3sat(n: int, m: int, seed: int, threads: int = 1) -> tuple[CnfFormu
     planted = int(rng.integers(0, 1 << n))
     clauses = [_random_clause_satisfied_by(rng, n, planted) for _ in range(m)]
 
-    table = build_unsat_table(CnfFormula(n, tuple(clauses)), threads)
-    survivors = np.array(table.solutions, dtype=np.int64)
+    survivors = np.array(satisfying_assignments(CnfFormula(n, tuple(clauses)), threads), dtype=np.int64)
     while survivors.size > 1:
         target = int(survivors[0]) if int(survivors[0]) != planted else int(survivors[1])
         clause = _separating_clause(rng, n, planted, target)

@@ -46,17 +46,21 @@ class TestGen:
     def test_enumerates_once(self, tmp_path, monkeypatch):
         calls = []
 
-        def counted(formula, threads=1):
-            calls.append((formula.n, threads))
-            return ss.build_unsat_table(formula, threads)
+        def counted(read):
+            def wrapper(formula, threads=1):
+                calls.append((read.__name__, formula.n, threads))
+                return read(formula, threads)
 
-        # every module that binds build_unsat_table by name
-        for module in ("satsearch.cli", "satsearch.generate"):
-            monkeypatch.setattr(f"{module}.build_unsat_table", counted)
-        for threads in ("1", "4"):  # n = 19 enumerates two blocks
+            return wrapper
+
+        # every module that binds either enumeration by name; gen reads the
+        # solutions alone and builds no table
+        monkeypatch.setattr("satsearch.cli.build_unsat_table", counted(ss.build_unsat_table))
+        monkeypatch.setattr("satsearch.generate.satisfying_assignments", counted(ss.cnf.satisfying_assignments))
+        for threads in ("1", "4"):  # n = 19 enumerates eight blocks
             out = str(tmp_path / f"x{threads}.cnf")
             assert main(["gen", "-n", "19", "-m", "95", "--seed", "2", "--threads", threads, "-o", out]) == 0
-        assert calls == [(19, 1), (19, 4)]
+        assert calls == [("satisfying_assignments", 19, 1), ("satisfying_assignments", 19, 4)]
         assert (tmp_path / "x1.cnf").read_bytes() == (tmp_path / "x4.cnf").read_bytes()
 
     def test_missing_n_is_usage_error(self, capsys):

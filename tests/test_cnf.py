@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import satsearch as ss
@@ -133,6 +133,14 @@ class TestClauseInvariants:
             ss.CnfFormula(2, ())
 
 
+def table_solutions(formula, threads=1):
+    return ss.build_unsat_table(formula, threads).solutions
+
+
+# the two readers of the solutions, which share the runs and the guards
+READERS = [table_solutions, ss.cnf.satisfying_assignments]
+
+
 class TestUnsatTable:
     def test_toy_hand_enumeration(self, toy_table):
         assert list(toy_table.histogram) == [1, 2, 1]
@@ -152,7 +160,7 @@ class TestUnsatTable:
         assert table.solutions == [int(i) for i in np.flatnonzero(violation_counts(formula) == 0)]
 
     def test_guard(self, monkeypatch):
-        """n = 30 is enumerated and n = 31 refused before any block is walked."""
+        """n = 30 is enumerated and n = 31 refused before any block is walked, by both readers."""
         walked = []
 
         def no_blocks(formula, tops=None):
@@ -161,11 +169,12 @@ class TestUnsatTable:
 
         monkeypatch.setattr(ss.cnf, "violation_blocks", no_blocks)
         wide = ss.parse_dimacs(f"p cnf {ss.cnf.MAX_ENUMERATION_N} 1\n1 0\n")
-        assert ss.build_unsat_table(wide).n == 30
-        for n in (31, 63):
-            with pytest.raises(ss.GuardError, match="n <= 30"):
-                ss.build_unsat_table(ss.parse_dimacs(f"p cnf {n} 1\n1 0\n"))
-        assert walked == [30]
+        for solutions in READERS:
+            assert solutions(wide) == []
+            for n in (31, 63):
+                with pytest.raises(ss.GuardError, match="n <= 30"):
+                    solutions(ss.parse_dimacs(f"p cnf {n} 1\n1 0\n"))
+        assert walked == [30, 30]
 
     def test_enumeration_limit_within_index_limit(self):
         # what lets the table drop a check of the int64 index limit of its own
@@ -173,17 +182,18 @@ class TestUnsatTable:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_solution_list_against_physical_memory(self, threads, monkeypatch):
-        """Each of w runs holds at most 1/w of the solutions that fit; one more is refused."""
+        """Each of w runs holds at most 1/w of the solutions that fit; one more is refused, by both readers."""
         formula = ss.parse_dimacs("p cnf 20 1\n1 0\n")  # 2**19 solutions, 2**18 per half
         monkeypatch.setattr(ss.cnf.os, "cpu_count", lambda: 2)
         for capacity, fits in ((1 << 19, True), ((1 << 19) - 1, False)):
             pages = {"SC_PAGE_SIZE": ss.cnf.SOLUTION_BYTES, "SC_PHYS_PAGES": capacity}
             monkeypatch.setattr(ss.cnf.os, "sysconf", pages.__getitem__)
-            if fits:
-                assert len(ss.build_unsat_table(formula, threads=threads).solutions) == 1 << 19
-            else:
-                with pytest.raises(ss.GuardError, match="physical memory"):
-                    ss.build_unsat_table(formula, threads=threads)
+            for solutions in READERS:
+                if fits:
+                    assert len(solutions(formula, threads=threads)) == 1 << 19
+                else:
+                    with pytest.raises(ss.GuardError, match="physical memory"):
+                        solutions(formula, threads=threads)
 
     def test_threaded_enumeration_identical(self):
         formula = ss.generate_planted_3sat(9, 12, seed=4)
@@ -194,7 +204,7 @@ class TestUnsatTable:
 
     @staticmethod
     def blocked_table_matches_scalar_path(formula, bits, threads):
-        """Walker, table, counts, histogram and solutions with 2**bits-assignment blocks.
+        """Walker, table, counts, histogram and both solution lists with 2**bits-assignment blocks.
 
         Each is checked against ``unsat_count``; the walker also on its first
         indices and on a run of every other block.
@@ -203,6 +213,7 @@ class TestUnsatTable:
             blocks = list(ss.cnf.violation_blocks(formula))
             run = list(ss.cnf.violation_blocks(formula, range(len(blocks))[1::2]))
             table = ss.build_unsat_table(formula, threads=threads)
+            solutions = ss.cnf.satisfying_assignments(formula, threads=threads)
             counts = violation_counts(formula)
         expected = [unsat_count(formula, i) for i in range(formula.assignment_count)]
         size = 1 << min(formula.n, bits)
@@ -213,15 +224,20 @@ class TestUnsatTable:
         ]
         assert counts.tolist() == expected
         assert table.histogram.tolist() == np.bincount(expected, minlength=formula.m + 1).tolist()
-        assert table.solutions == [i for i, u in enumerate(expected) if u == 0]
+        assert table.solutions == solutions == [i for i, u in enumerate(expected) if u == 0]
         return counts
 
     @given(formulas(max_n=8), st.integers(0, 6), st.sampled_from([1, 2, 3]))
     @settings(max_examples=60, deadline=None)
+    # with 4-assignment blocks, x3..x6 are the top bits: a clause on top bits alone
+    @example(ss.parse_dimacs("p cnf 6 3\n3 -6 0\n1 -2 4 0\n-5 0\n"), 2, 2)
+    # every clause holds x6, so each block with x6 = 1 has no clause left and counts all 0
+    @example(ss.parse_dimacs("p cnf 6 3\n6 1 0\n6 -2 5 0\n6 0\n"), 2, 2)
     def test_every_block_split_matches_scalar_path(self, formula, bits, threads):
         # blocks of 1 to 64 assignments: up to 256 blocks, shared by the
-        # workers; from 4 assignments on, a block's product has both a high
-        # and a low half, and literals also land on the block-index bits
+        # workers; from 4 assignments on, a block's product has both a middle
+        # and a low half, and literals also land on the block-index bits,
+        # which leave out of the product the clauses they satisfy
         self.blocked_table_matches_scalar_path(formula, bits, threads)
 
     def test_walker_set_up_at_the_call(self, monkeypatch):
@@ -238,6 +254,7 @@ class TestUnsatTable:
         assert counts.tolist() == [unsat_count(formula, i) for i in range(1 << 8)]
 
     def test_one_submission_per_worker(self, monkeypatch):
+        # the calling thread walks run 0, so the pool gets the other run
         submitted = []
 
         class RecordingPool(ThreadPoolExecutor):
@@ -248,9 +265,10 @@ class TestUnsatTable:
         formula = ss.generate_planted_3sat(12, 40, seed=6)
         single = ss.build_unsat_table(formula, threads=1)
         monkeypatch.setattr(ss.cnf, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(ss.cnf.os, "cpu_count", lambda: 2)  # two runs
         with mock.patch.object(ss.cnf, "BLOCK_BITS", 2):  # 1024 blocks
             threaded = ss.build_unsat_table(formula, threads=2)
-        assert 1 <= len(submitted) <= min(2, os.cpu_count() or 1)
+        assert len(submitted) == 2 - 1
         assert np.array_equal(threaded.histogram, single.histogram)
         assert threaded.solutions == single.solutions
 
@@ -277,9 +295,12 @@ class TestUnsatTable:
 
         formula = ss.generate_planted_3sat(6, 12, seed=2)
         monkeypatch.setattr(ss.cnf, "ThreadPoolExecutor", RecordingPool)
-        huge = ss.build_unsat_table(formula, threads=1 << 20)
-        single = ss.build_unsat_table(formula, threads=1)
-        assert sizes == [min(1 << 20, os.cpu_count() or 1), 1]
+        monkeypatch.setattr(ss.cnf.os, "cpu_count", lambda: 3)
+        with mock.patch.object(ss.cnf, "BLOCK_BITS", 2):  # 16 blocks
+            huge = ss.build_unsat_table(formula, threads=1 << 20)
+            single = ss.build_unsat_table(formula, threads=1)
+        # three runs, the calling thread's and the pool's two; one run starts no pool
+        assert sizes == [3 - 1]
         assert np.array_equal(huge.histogram, single.histogram)
         assert huge.solutions == single.solutions
 

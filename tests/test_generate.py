@@ -1,6 +1,9 @@
+import hashlib
+
 import pytest
 
 import satsearch as ss
+from satsearch.cli import main
 
 from oracles import violation_counts
 
@@ -41,6 +44,21 @@ class TestPlanted3Sat:
         monkeypatch.setattr(ss.generate, "_random_clause_satisfied_by", refuse)
         with pytest.raises(ss.GuardError, match="n <= 30"):
             ss.generate_planted_3sat(31, 155, seed=0)
+
+    def test_survivors_read_no_histogram(self, tmp_path, monkeypatch):
+        """The survivors come from the solutions-only walk; the formulas keep their bytes."""
+
+        def refuse(*args):
+            raise AssertionError("the violation histogram was read")
+
+        monkeypatch.setattr(ss.cnf, "_run_summary", refuse)
+        text = ss.serialize_dimacs(ss.generate_planted_3sat(12, 40, 6))
+        out = tmp_path / "x.cnf"
+        assert main(["gen", "-n", "19", "-m", "95", "--seed", "2", "-o", str(out)]) == 0
+        assert [hashlib.sha256(blob).hexdigest() for blob in (text.encode(), out.read_bytes())] == [
+            "5493a31f33d48eeb4f7b2119983704bedb765271723689042c88b6871b1d9ae6",
+            "78e33ad90672c5690d95988deb2e9722bc0226fdaa847a3f3635b1515d134b35",
+        ]
 
     def test_int64_index_limit_before_the_draw(self):
         # n = 64 would reach numpy's integer draw, which raises ValueError
@@ -104,9 +122,9 @@ CONSTRUCTED = [(ss.generate_planted_chain, 40), (ss.generate_planted_block3sat, 
 @pytest.mark.parametrize("generate, m", CONSTRUCTED, ids=["chain", "block3sat"])
 def test_constructed_beyond_enumeration(generate, m, monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("build_unsat_table called")
+        raise AssertionError("a block was walked")
 
-    monkeypatch.setattr(ss.generate, "build_unsat_table", refuse)
+    monkeypatch.setattr(ss.cnf, "violation_blocks", refuse)
     formula = generate(40, seed=1)
     assert formula.n == 40 and formula.m == m
 

@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import inspect
+from operator import attrgetter
 from pathlib import Path
 
 import satsearch as ss
@@ -20,6 +21,7 @@ PUBLIC = [
 # a knob removed from them cannot return unnoticed
 PARAMETERS = {
     "build_unsat_table": ["formula", "threads"],
+    "cnf.satisfying_assignments": ["formula", "threads"],
     "generate_planted_3sat": ["n", "m", "seed"],
 }
 RUN_CONFIG_FIELDS = ["formula_path", "q_max", "include_grover", "grover_steps", "threads"]
@@ -35,6 +37,13 @@ IMPORTS = {
     "statevector": [],
 }
 
+# the names generate takes from cnf: the random family's survivors come from
+# the solutions-only walk, not from the histogram table
+GENERATE_FROM_CNF = [
+    "Clause", "CnfFormula", "GuardError", "InstanceError", "Literal", "MAX_ENUMERATION_N",
+    "MAX_INDEX_N", "satisfying_assignments", "violation_mask",
+]
+
 SOURCES = {path.stem: ast.parse(path.read_text()) for path in Path(ss.__file__).parent.glob("*.py")}
 
 
@@ -44,7 +53,7 @@ def test_public_names_pinned():
 
 
 def test_knobs_pinned():
-    assert {name: list(inspect.signature(getattr(ss, name)).parameters) for name in PARAMETERS} == PARAMETERS
+    assert {name: list(inspect.signature(attrgetter(name)(ss)).parameters) for name in PARAMETERS} == PARAMETERS
     assert [field.name for field in dataclasses.fields(ss.RunConfig)] == RUN_CONFIG_FIELDS
 
 
@@ -62,6 +71,16 @@ def package_imports(tree):
 
 def test_intra_package_imports_pinned():
     assert {name: package_imports(tree) for name, tree in SOURCES.items()} == IMPORTS
+
+
+def test_generate_imports_pinned():
+    names = [
+        alias.name
+        for node in ast.walk(SOURCES["generate"])
+        if isinstance(node, ast.ImportFrom) and node.module == "cnf"
+        for alias in node.names
+    ]
+    assert names == GENERATE_FROM_CNF
 
 
 def test_only_cnf_walks_the_assignments():

@@ -9,34 +9,49 @@ fixed here once and tested bit-exactly.
 that no input can fail before parsing, and hands the text to ``parse_dimacs``,
 which also accepts the SATLIB ``%`` trailer.
 
-``build_unsat_table`` enumerates every assignment and keeps only the histogram
-and the solutions; ``satisfying_assignments`` walks the same blocks and keeps
-only the solutions, for the planted generator, which reads nothing else.  Their
-oracles, the scalar count and the per-assignment counts, live in
-``tests/oracles.py``.  They are deliberately the only solvers in the package:
-exhaustive, and refused with ``GuardError`` above n = ``MAX_ENUMERATION_N``,
-a constant (30) that bounds time alone, and when the solution list would not
-fit in physical memory.  They need no per-clause pass over the assignments:
-an OR-clause is violated on exactly the indices i with i & care == value,
-where care has the bits of the clause's variables and value those of its
-negated literals.  Split i into low, middle and top bits and that test
-factors into a test on each part.  The assignments are enumerated in fixed
-blocks of 2**BLOCK_BITS, each with its top bits fixed: a clause with a true
-literal there is satisfied on the whole block and drops out of it, and the
-counts of the rest, laid out as a (middle, low) matrix, are one 0/1 matrix
-product, mids.T (middle x clause) @ lows (clause x low), over the clauses left.
-Both tables depend only on the formula and are built once per call.  A block
-is counted in the smallest unsigned dtype that holds m and kept only as its
-zero indices and, for the table alone, its histogram, which is where
-``np.bincount``'s intp copy of the counts is made; so the memory used grows
-with the number of solutions, not with 2**n.  ``violation_blocks``, the one
-pass over the assignments, alone knows the block layout, and the two readers
-are its only readers in the package.  The blocks are split into one
-contiguous run per worker: the calling thread walks run 0 and a pool the
+``build_unsat_table`` enumerates every assignment and keeps the histogram and
+the first two solutions; ``satisfying_assignments`` lists every solution, for
+the planted generator, which reads nothing else.  Their oracles, the scalar
+count and the per-assignment counts, live in ``tests/oracles.py``.  They are
+deliberately the only solvers in the package: exhaustive, and refused with
+``GuardError`` above n = ``MAX_ENUMERATION_N``, a constant (30) that bounds
+time alone, and, for the solution list, when it would not fit in physical
+memory.  Both rest on one fact: an OR-clause is violated on exactly the
+indices i with i & care == value, where care has the bits of the clause's
+variables and value those of its negated literals.
+
+The table needs a count for every assignment.  Split i into low, middle and
+top bits and the test factors into a test on each part.  The assignments are
+enumerated in fixed blocks of 2**BLOCK_BITS, each with its top bits fixed: a
+clause with a true literal there is satisfied on the whole block and drops
+out of it, and the counts of the rest, laid out as a (middle, low) matrix,
+are one 0/1 matrix product, mids.T (middle x clause) @ lows (clause x low),
+over the clauses left.  Both tables depend only on the formula and are built
+once per call.  A block is counted in the smallest unsigned dtype that holds
+m and kept only as its histogram, where ``np.bincount``'s intp copy of the
+counts is made, and its first zeros; so the memory used does not grow with
+2**n.  ``violation_blocks``, the block product, alone knows the block layout,
+and the table is its only reader in the package.  The blocks are split into
+one contiguous run per worker: the calling thread walks run 0 and a pool the
 others, so one run starts no thread.  The set-up of every run's walker runs
 at the call, on the caller's thread: a plain generator that made it in the
 pool worker, BLAS thread variables unset, slowed n = 22 enumeration from
 0.027-0.030 s to 0.035-0.044 s (2 vCPUs, numpy 2.4; cause not known).
+
+The solutions need no counts, so ``satisfying_assignments`` walks bit
+prefixes from x_n down instead (Davis, Logemann and Loveland, CACM 5, 394
+(1962)) and drops a prefix as soon as a clause is decided against it, at the
+bit of the clause's lowest variable.  Its cost is the sum, over the bits, of
+the frontier there times the clauses decided there.  A random planted batch
+of 5n 3-clauses keeps a few thousand prefixes at most (1.8k at n = 22,
+5.7-8.7k at n = 30 on the seeds tried), so at n = 30 the walk takes
+milliseconds where the block product took 2.6 s.  Its worst case is a
+formula whose every clause shares the lowest variable, which decides nothing
+before the last bit: at n = 20, m = 100 with every clause holding x1 negated,
+medians of 40-64 ms against the block product's 22-43 ms, 1.5-2x as long
+(2 vCPUs, numpy 2.4).  The generator's clauses are i.i.d. random and never
+take that shape; on random batches of m = n, 2n and 5n 3-clauses at n = 22
+and 24 the walk was the faster, by 1.2-1.7x at m = n and 4-35x above.
 """
 
 from __future__ import annotations
@@ -46,30 +61,32 @@ import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-# Largest n that build_unsat_table enumerates.  It bounds time, not memory:
-# 2**30 assignments take about 9 s on one thread, and each n above doubles it.
+# Largest n that build_unsat_table and satisfying_assignments enumerate.  It
+# bounds time, not memory: the table's 2**30 assignments take seconds on one
+# thread, and each n above doubles it.
 MAX_ENUMERATION_N = 30
 
 # Assignments per enumeration block: 2**BLOCK_BITS.  Smaller blocks pay numpy's
 # per-call overhead on more, smaller products; larger ones fix fewer top bits,
 # so fewer clauses drop out of each block's product, and hold more memory: the
-# float product and, for the table, the intp copy np.bincount makes.  The
-# per-call tables hold (m x 2**(BLOCK_BITS/2)) floats each.
+# float product and the intp copy np.bincount makes.  The per-call tables hold
+# (m x 2**(BLOCK_BITS/2)) floats each.  The prefix walk extends at most as
+# many prefixes at a time.
 BLOCK_BITS = 16
 
 # Largest n the block kernel can index: its masks and indices are int64.
 # MAX_ENUMERATION_N <= MAX_INDEX_N, so the table needs no check of its own.
 MAX_INDEX_N = 62
 
-# Peak bytes per solution: tracemalloc's peak over build_unsat_table with half
-# of all assignments solutions, n = 16..20, is about 50, and over the planted
-# generator's solutions-only walk and repair loop, which copies the list to an
-# array, 48 to 57 (m = 1, 2; 65 to 78 when it walked the table).  The guard
-# takes 160, twice the largest.
+# Peak bytes per solution of satisfying_assignments: tracemalloc's peak over
+# the walk on p cnf k 1 / 1 0, k = 16..20 (half of all assignments solutions),
+# is 39 to 54, and 44 to 54 with the copy to an array the planted generator's
+# repair loop makes (38 to 54 at m = 2 and for the clause (-1 -2)).  The
+# guard takes 160, more than twice the largest.
 SOLUTION_BYTES = 160
 
 # (first index, violation counts) of one enumeration block.
@@ -270,10 +287,12 @@ def serialize_dimacs(formula: CnfFormula, comments: Sequence[str] = ()) -> str:
 
 @dataclass
 class UnsatTable:
-    """Violation histogram and solution list of a formula.
+    """Violation histogram and first solutions of a formula.
 
     ``histogram[u]`` is the number of assignments violating exactly u clauses
-    and ``solutions`` the indices with zero violations, in increasing order.
+    and ``solutions`` the first two indices with zero violations, in
+    increasing order: enough to name a unique solution, where ``histogram[0]``
+    counts them all.  ``cnf.satisfying_assignments`` lists every solution.
     """
 
     formula: CnfFormula
@@ -293,10 +312,8 @@ class UnsatTable:
         return 1 << self.n
 
     def unique_solution(self) -> int:
-        if len(self.solutions) != 1:
-            raise InstanceError(
-                f"expected exactly one satisfying assignment, found {len(self.solutions)}"
-            )
+        if self.histogram[0] != 1:
+            raise InstanceError(f"expected exactly one satisfying assignment, found {self.histogram[0]}")
         return self.solutions[0]
 
     def to_json_dict(self) -> dict:
@@ -390,47 +407,33 @@ def _room_for(held: int, found: int, max_solutions: int) -> None:
         )
 
 
-def _run_summary(m: int, blocks: Iterator[Block], max_solutions: int) -> tuple[np.ndarray, list[int]]:
-    """Summed histogram and zero-violation indices of ``violation_blocks``' blocks, in order.
+def _check_enumeration(n: int) -> None:
+    """Raise ``GuardError`` when n > ``MAX_ENUMERATION_N``."""
+    if n > MAX_ENUMERATION_N:
+        raise GuardError(f"enumeration over 2**{n} assignments exceeds the limit n <= {MAX_ENUMERATION_N}")
 
-    Raises ``GuardError`` before the indices would number more than ``max_solutions``.
-    """
+
+def _run_summary(m: int, blocks: Iterator[Block]) -> tuple[np.ndarray, list[int]]:
+    """Summed histogram and first two zero-violation indices of ``violation_blocks``' blocks, in order."""
     histogram = np.zeros(m + 1, dtype=np.int64)
     solutions: list[int] = []
     for first, counts in blocks:
         block_histogram = np.bincount(counts, minlength=m + 1)
         histogram += block_histogram
-        if block_histogram[0]:
-            _room_for(len(solutions), block_histogram[0], max_solutions)
-            solutions += (np.flatnonzero(counts == 0) + first).tolist()
+        if block_histogram[0] and len(solutions) < 2:
+            solutions += (np.flatnonzero(counts == 0)[: 2 - len(solutions)] + first).tolist()
     return histogram, solutions
 
 
-def _run_solutions(blocks: Iterator[Block], max_solutions: int) -> list[int]:
-    """``_run_summary``'s indices alone: no histogram, so no ``bincount`` and no intp copy."""
-    solutions: list[int] = []
-    for first, counts in blocks:
-        if not counts.all():
-            zeros = np.flatnonzero(counts == 0)
-            _room_for(len(solutions), zeros.size, max_solutions)
-            solutions += (zeros + first).tolist()
-    return solutions
-
-
-def _walk_runs(formula: CnfFormula, threads: int, read: Callable[[Iterator[Block], int], object]) -> list:
-    """``read(walker, max_solutions)`` of each contiguous run of blocks, in block order.
+def _walk_runs(formula: CnfFormula, threads: int) -> list[tuple[np.ndarray, list[int]]]:
+    """``_run_summary`` of each contiguous run of blocks, in block order.
 
     The blocks are split into one run per worker, ``threads`` of them but at
     most ``os.cpu_count()``.  The calling thread reads run 0 and a pool the
-    others, so one run starts no thread.  ``max_solutions`` is each run's
-    share of physical memory, 1/len(runs) of ``memory_capacity(SOLUTION_BYTES)``.
-    Raises ``GuardError`` when n > ``MAX_ENUMERATION_N``, before any block is
-    walked.
+    others, so one run starts no thread.  Raises ``GuardError`` when
+    n > ``MAX_ENUMERATION_N``, before any block is walked.
     """
-    if formula.n > MAX_ENUMERATION_N:
-        raise GuardError(
-            f"enumeration over 2**{formula.n} assignments exceeds the limit n <= {MAX_ENUMERATION_N}"
-        )
+    _check_enumeration(formula.n)
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     workers = min(threads, os.cpu_count() or 1)
@@ -438,12 +441,12 @@ def _walk_runs(formula: CnfFormula, threads: int, read: Callable[[Iterator[Block
     cuts = [k * len(blocks) // workers for k in range(workers + 1)]
     runs = [blocks[start:stop] for start, stop in zip(cuts, cuts[1:]) if start < stop]
     first, *others = [violation_blocks(formula, run) for run in runs]
-    max_solutions = memory_capacity(SOLUTION_BYTES) // len(runs)
+    read = partial(_run_summary, formula.m)
     if not others:
-        return [read(first, max_solutions)]
+        return [read(first)]
     with ThreadPoolExecutor(max_workers=len(others)) as pool:
-        futures = [pool.submit(read, walker, max_solutions) for walker in others]
-        return [read(first, max_solutions)] + [future.result() for future in futures]
+        futures = [pool.submit(read, walker) for walker in others]
+        return [read(first)] + [future.result() for future in futures]
 
 
 def build_unsat_table(formula: CnfFormula, threads: int = 1) -> UnsatTable:
@@ -452,26 +455,66 @@ def build_unsat_table(formula: CnfFormula, threads: int = 1) -> UnsatTable:
     The assignments are split into blocks of 2**BLOCK_BITS (a single block
     when n <= BLOCK_BITS) whatever the thread count, and each of ``threads``
     workers (at most ``os.cpu_count()``) counts one contiguous run of them.
-    The runs' histograms are summed as integers and their solutions joined
-    in block order, so the result is identical for every thread count.
-    Raises ``GuardError`` when n > ``MAX_ENUMERATION_N``, before any block
-    is walked, and when a run's solutions would outgrow its share of
-    physical memory, 1/len(runs) of ``memory_capacity(SOLUTION_BYTES)``.
+    The runs' histograms are summed as integers and the first two of their
+    solutions kept in block order, so the result is identical for every
+    thread count.  Raises ``GuardError`` when n > ``MAX_ENUMERATION_N``,
+    before any block is walked.
     """
     histogram = np.zeros(formula.m + 1, dtype=np.int64)
     solutions: list[int] = []
-    for run_histogram, run_solutions in _walk_runs(formula, threads, partial(_run_summary, formula.m)):
+    for run_histogram, run_solutions in _walk_runs(formula, threads):
         histogram += run_histogram
-        solutions += run_solutions
+        solutions = (solutions + run_solutions)[:2]
     return UnsatTable(formula, histogram, solutions)
 
 
-def satisfying_assignments(formula: CnfFormula, threads: int = 1) -> list[int]:
-    """``build_unsat_table(formula, threads).solutions``, walked with no histogram.
+def satisfying_assignments(formula: CnfFormula) -> list[int]:
+    """Every index with zero violations, in increasing order, by a pruned walk over bit prefixes.
 
-    Same blocks, runs and guards as the table; only the zero counts are read.
+    The walk fixes x_n first and goes down: each prefix p of the bits fixed
+    so far extends to 2p and 2p+1.  A clause is decided at the bit of its
+    lowest variable; there, each parent whose bits falsify all the clause's
+    other literals loses the one child whose new bit falsifies the last.
+    The prefixes are walked depth-first in chunks of at most 2**BLOCK_BITS,
+    the lower half of an oversized frontier first, so memory stays bounded
+    and the solutions come out in increasing order.  Raises ``GuardError``
+    when n > ``MAX_ENUMERATION_N``, before any prefix is walked, and before
+    the list would outgrow ``memory_capacity(SOLUTION_BYTES)``.
     """
+    _check_enumeration(formula.n)
+    max_solutions = memory_capacity(SOLUTION_BYTES)
+    # decided[b]: care and value above bit b, and the value of bit b that
+    # violates, of each clause whose lowest variable is x_(b+1)
+    decided: list[list[tuple[int, int, int]]] = [[] for _ in range(formula.n)]
+    for clause in formula.clauses:
+        care = sum(1 << (lit.var - 1) for lit in clause.literals)
+        value = sum(1 << (lit.var - 1) for lit in clause.literals if lit.negated)
+        bit = min(lit.var for lit in clause.literals) - 1
+        decided[bit].append((care >> (bit + 1), value >> (bit + 1), (value >> bit) & 1))
+    dtype = np.min_scalar_type(formula.assignment_count - 1)  # holds every index
     solutions: list[int] = []
-    for run_solutions in _walk_runs(formula, threads, _run_solutions):
-        solutions += run_solutions
+    stack = [(formula.n, np.zeros(1, dtype=dtype))]  # (bits left to fix, prefixes)
+    while stack:
+        left, prefixes = stack.pop()
+        if prefixes.size > 1 << BLOCK_BITS:
+            half = prefixes.size // 2
+            stack += [(left, prefixes[half:]), (left, prefixes[:half])]
+        elif left == 0:
+            _room_for(len(solutions), prefixes.size, max_solutions)
+            solutions += prefixes.tolist()
+        else:
+            children = np.empty(2 * prefixes.size, dtype=dtype)
+            np.left_shift(prefixes, 1, out=children[0::2])
+            np.bitwise_or(children[0::2], 1, out=children[1::2])
+            if decided[left - 1]:
+                # one contiguous row per child bit: an in-place test on a
+                # strided view of interleaved flags took several times longer
+                alive = np.ones((2, prefixes.size), dtype=bool)
+                for care_above, value_above, violating in decided[left - 1]:
+                    alive[violating] &= (prefixes & care_above) != value_above
+                keep = np.empty(children.size, dtype=bool)
+                keep[0::2], keep[1::2] = alive
+                children = children[keep]
+            if children.size:
+                stack.append((left - 1, children))
     return solutions

@@ -7,11 +7,13 @@ enumeration), so ``cnf.MAX_ENUMERATION_N`` does not bound them; they only need
 n <= ``cnf.MAX_INDEX_N``:
 
 * ``generate_planted_3sat`` draws random 3-literal clauses satisfied by a
-  hidden assignment, enumerates the assignments that survive them with the
-  solutions-only walk, which builds no histogram, then greedily appends
-  clauses that each kill at least one surviving non-solution until the
-  solution is unique.  The returned clause count is whatever uniqueness
-  required, which for random clauses lands near 5n or above.
+  hidden assignment, lists the assignments that survive them with
+  ``cnf.satisfying_assignments``, a pruned walk over bit prefixes that builds
+  no histogram and keeps a few thousand prefixes at most for a batch of 5n
+  clauses, then greedily appends clauses that each kill at least one
+  surviving non-solution until the solution is unique.  The returned
+  clause count is whatever uniqueness required, which for random clauses
+  lands near 5n or above.
 * ``generate_planted_chain`` builds n nested clauses (lengths 1..n) whose
   violation sets partition the non-solutions, so every wrong assignment
   violates exactly one clause.  That concentrates the violation histogram at
@@ -87,18 +89,18 @@ def generate_planted_3sat(n: int, m: int, seed: int) -> CnfFormula:
     """Random planted 3SAT with exactly one satisfying assignment.
 
     ``m`` is the size of the initial random batch.
-    ``cnf.satisfying_assignments``, the solutions-only walk, finds the
-    assignments that satisfy it; the repair loop then appends further
-    clauses (each falsifying at least one surviving non-solution) until the
-    planted assignment is the unique solution, so the returned formula
-    typically has more than ``m`` clauses.  n above
+    ``cnf.satisfying_assignments``, the pruned prefix walk, lists the
+    assignments that satisfy it in increasing order; the repair loop then
+    appends further clauses (each falsifying the lowest surviving
+    non-solution) until the planted assignment is the unique solution, so
+    the returned formula typically has more than ``m`` clauses.  n above
     ``cnf.MAX_ENUMERATION_N`` raises ``GuardError`` before any clause is drawn.
     """
     return _planted_3sat(n, m, seed)[0]
 
 
-def _planted_3sat(n: int, m: int, seed: int, threads: int = 1) -> tuple[CnfFormula, int]:
-    """``generate_planted_3sat``'s formula and planted assignment; ``threads`` enumerate."""
+def _planted_3sat(n: int, m: int, seed: int) -> tuple[CnfFormula, int]:
+    """``generate_planted_3sat``'s formula and planted assignment."""
     if m < 1:
         raise InstanceError(f"need m >= 1 initial clauses, got m={m}")
     _check_bounds(n, 3, "planted 3SAT")
@@ -110,7 +112,7 @@ def _planted_3sat(n: int, m: int, seed: int, threads: int = 1) -> tuple[CnfFormu
     planted = int(rng.integers(0, 1 << n))
     clauses = [_random_clause_satisfied_by(rng, n, planted) for _ in range(m)]
 
-    survivors = np.array(satisfying_assignments(CnfFormula(n, tuple(clauses)), threads), dtype=np.int64)
+    survivors = np.array(satisfying_assignments(CnfFormula(n, tuple(clauses))), dtype=np.int64)
     while survivors.size > 1:
         target = int(survivors[0]) if int(survivors[0]) != planted else int(survivors[1])
         clause = _separating_clause(rng, n, planted, target)

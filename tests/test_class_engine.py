@@ -96,7 +96,7 @@ class TestAgainstFullVector:
         states = full_vector_states(profile, q_max)
         if table.solutions:
             curve = ss.success_curve(classes, q_max)
-            for solution in table.solutions:
+            for solution in ss.cnf.satisfying_assignments(formula):  # the table keeps only two
                 assert np.max(np.abs(curve - full_vector_curve(states, solution))) <= 1e-12
         assert np.max(np.abs(lift(profile, ss.state_after(classes, q_max)) - states[-1])) <= 1e-12
 

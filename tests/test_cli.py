@@ -47,9 +47,9 @@ class TestGen:
         calls = []
 
         def counted(read):
-            def wrapper(formula, threads=1):
-                calls.append((read.__name__, formula.n, threads))
-                return read(formula, threads)
+            def wrapper(formula, *args):
+                calls.append((read.__name__, formula.n))
+                return read(formula, *args)
 
             return wrapper
 
@@ -57,11 +57,19 @@ class TestGen:
         # solutions alone and builds no table
         monkeypatch.setattr("satsearch.cli.build_unsat_table", counted(ss.build_unsat_table))
         monkeypatch.setattr("satsearch.generate.satisfying_assignments", counted(ss.cnf.satisfying_assignments))
-        for threads in ("1", "4"):  # n = 19 enumerates eight blocks
-            out = str(tmp_path / f"x{threads}.cnf")
-            assert main(["gen", "-n", "19", "-m", "95", "--seed", "2", "--threads", threads, "-o", out]) == 0
-        assert calls == [("satisfying_assignments", 19, 1), ("satisfying_assignments", 19, 4)]
-        assert (tmp_path / "x1.cnf").read_bytes() == (tmp_path / "x4.cnf").read_bytes()
+        for seed in ("2", "3"):
+            out = str(tmp_path / f"x{seed}.cnf")
+            assert main(["gen", "-n", "19", "-m", "95", "--seed", seed, "-o", out]) == 0
+        assert calls == [("satisfying_assignments", 19)] * 2
+
+    @pytest.mark.slow
+    def test_n30_instance(self, tmp_path):
+        """``gen`` at n = 30 writes a formula whose only solution, by the table, is its planted value."""
+        out = tmp_path / "n30.cnf"
+        assert main(["gen", "-n", "30", "-m", "150", "--seed", "1", "-o", str(out)]) == 0
+        text = out.read_text()
+        planted = ss.build_unsat_table(ss.parse_dimacs(text)).unique_solution()
+        assert text.startswith(f"c planted {planted}\nc seed 1\np cnf 30 ")
 
     def test_missing_n_is_usage_error(self, capsys):
         assert main(["gen", "-m", "10"]) == 2
@@ -455,7 +463,7 @@ class TestEnumerationLimit:
 
 
 class TestSolutionGuard:
-    """A solution list that would not fit in physical memory exits 4 with one error line."""
+    """``gen``'s solution list exits 4 with one error line when it would not fit in physical memory."""
 
     @pytest.fixture(autouse=True)
     def small_memory(self, monkeypatch):
@@ -463,11 +471,12 @@ class TestSolutionGuard:
         pages = {"SC_PAGE_SIZE": ss.cnf.SOLUTION_BYTES, "SC_PHYS_PAGES": 100}
         monkeypatch.setattr(ss.cnf.os, "sysconf", pages.__getitem__)
 
-    def test_analyze_exit_4(self, tmp_path, toy_path, capsys):
+    def test_analyze_exit_3_without_a_solution_list(self, tmp_path, toy_path, capsys):
+        # the table keeps two solutions and counts the rest, so it needs no room for them
         path = tmp_path / "half.cnf"
         path.write_text("p cnf 12 1\n1 0\n")  # 2048 solutions
-        assert main(["analyze", "-f", str(path)]) == 4
-        TestUsageErrors.assert_one_line_error(capsys, "physical memory")
+        assert main(["analyze", "-f", str(path)]) == 3
+        assert capsys.readouterr().err == "error: expected exactly one satisfying assignment, found 2048\n"
         assert main(["analyze", "-f", toy_path]) == 0
 
     def test_gen_exit_4(self, tmp_path, capsys):
@@ -538,14 +547,15 @@ class TestJsonText:
 
 
 class TestParser:
-    # each subcommand's option strings after the common ones, pinned like satsearch.__all__
+    # each subcommand's option strings after the common ones, pinned like
+    # satsearch.__all__; --threads only where the violation table is built
     OPTIONS = {
         "gen": "-n -m --seed",
-        "analyze": "-f --formula --table",
-        "sweep": "-f --formula --qmax",
-        "run": "-f --formula --qmax --grover --steps --trials --trials-seed --timings --snapshot",
-        "grover": "-f --formula --steps",
-        "spectrum": "-f --formula",
+        "analyze": "--threads -f --formula --table",
+        "sweep": "--threads -f --formula --qmax",
+        "run": "--threads -f --formula --qmax --grover --steps --trials --trials-seed --timings --snapshot",
+        "grover": "--threads -f --formula --steps",
+        "spectrum": "--threads -f --formula",
     }
 
     def test_option_strings_pinned(self):
@@ -553,7 +563,7 @@ class TestParser:
         assert list(commands.choices) == list(self.OPTIONS)
         for name, sub in commands.choices.items():
             flags = " ".join(flag for action in sub._actions for flag in action.option_strings)
-            assert flags == "-h --help -o --output --threads " + self.OPTIONS[name], name
+            assert flags == "-h --help -o --output " + self.OPTIONS[name], name
 
     @pytest.mark.parametrize("command", list(OPTIONS))
     def test_no_guard_option(self, command, toy_path, capsys):

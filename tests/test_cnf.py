@@ -133,14 +133,6 @@ class TestClauseInvariants:
             ss.CnfFormula(2, ())
 
 
-def table_solutions(formula, threads=1):
-    return ss.build_unsat_table(formula, threads).solutions
-
-
-# the two readers of the solutions, which share the runs and the guards
-READERS = [table_solutions, ss.cnf.satisfying_assignments]
-
-
 class TestUnsatTable:
     def test_toy_hand_enumeration(self, toy_table):
         assert list(toy_table.histogram) == [1, 2, 1]
@@ -157,24 +149,36 @@ class TestUnsatTable:
     def test_histogram_sums_to_assignment_count(self, formula):
         table = ss.build_unsat_table(formula)
         assert int(table.histogram.sum()) == formula.assignment_count
-        assert table.solutions == [int(i) for i in np.flatnonzero(violation_counts(formula) == 0)]
+        assert table.solutions == [int(i) for i in np.flatnonzero(violation_counts(formula) == 0)][:2]
 
     def test_guard(self, monkeypatch):
-        """n = 30 is enumerated and n = 31 refused before any block is walked, by both readers."""
+        """n = 31 and 63 are refused by both readers before any work; n = 30 is enumerated."""
         walked = []
 
         def no_blocks(formula, tops=None):
             walked.append(formula.n)
             return iter(())
 
+        def no_walk(item_bytes):
+            raise AssertionError("the prefix walk began")
+
         monkeypatch.setattr(ss.cnf, "violation_blocks", no_blocks)
-        wide = ss.parse_dimacs(f"p cnf {ss.cnf.MAX_ENUMERATION_N} 1\n1 0\n")
-        for solutions in READERS:
-            assert solutions(wide) == []
+        with monkeypatch.context() as patch:
+            patch.setattr(ss.cnf, "memory_capacity", no_walk)  # the walk's first step after the guard
             for n in (31, 63):
+                wide = ss.parse_dimacs(f"p cnf {n} 1\n1 0\n")
                 with pytest.raises(ss.GuardError, match="n <= 30"):
-                    solutions(ss.parse_dimacs(f"p cnf {n} 1\n1 0\n"))
-        assert walked == [30, 30]
+                    ss.build_unsat_table(wide)
+                with pytest.raises(ss.GuardError, match="n <= 30"):
+                    ss.cnf.satisfying_assignments(wide)
+        assert walked == []
+        n = ss.cnf.MAX_ENUMERATION_N
+        assert ss.build_unsat_table(ss.parse_dimacs(f"p cnf {n} 1\n1 0\n")).solutions == []
+        assert walked == [n]
+        # one unit clause per variable, x_k true for odd k and false for even k
+        units = "".join(f"{k if k % 2 else -k} 0\n" for k in range(1, n + 1))
+        solutions = ss.cnf.satisfying_assignments(ss.parse_dimacs(f"p cnf {n} {n}\n{units}"))
+        assert solutions == [sum(1 << (k - 1) for k in range(1, n + 1, 2))]
 
     def test_enumeration_limit_within_index_limit(self):
         # what lets the table drop a check of the int64 index limit of its own
@@ -182,18 +186,22 @@ class TestUnsatTable:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_solution_list_against_physical_memory(self, threads, monkeypatch):
-        """Each of w runs holds at most 1/w of the solutions that fit; one more is refused, by both readers."""
+        """The walk lists the solutions that fit and refuses one more; the table, on w runs, needs room for two."""
         formula = ss.parse_dimacs("p cnf 20 1\n1 0\n")  # 2**19 solutions, 2**18 per half
         monkeypatch.setattr(ss.cnf.os, "cpu_count", lambda: 2)
         for capacity, fits in ((1 << 19, True), ((1 << 19) - 1, False)):
             pages = {"SC_PAGE_SIZE": ss.cnf.SOLUTION_BYTES, "SC_PHYS_PAGES": capacity}
             monkeypatch.setattr(ss.cnf.os, "sysconf", pages.__getitem__)
-            for solutions in READERS:
-                if fits:
-                    assert len(solutions(formula, threads=threads)) == 1 << 19
-                else:
-                    with pytest.raises(ss.GuardError, match="physical memory"):
-                        solutions(formula, threads=threads)
+            if fits:
+                assert len(ss.cnf.satisfying_assignments(formula)) == 1 << 19
+            else:
+                with pytest.raises(ss.GuardError, match="physical memory"):
+                    ss.cnf.satisfying_assignments(formula)
+        # room for two solutions: the table keeps two, whatever the count
+        pages = {"SC_PAGE_SIZE": ss.cnf.SOLUTION_BYTES, "SC_PHYS_PAGES": 2}
+        monkeypatch.setattr(ss.cnf.os, "sysconf", pages.__getitem__)
+        table = ss.build_unsat_table(formula, threads=threads)
+        assert table.solutions == [1, 3] and table.histogram[0] == 1 << 19
 
     def test_threaded_enumeration_identical(self):
         formula = ss.generate_planted_3sat(9, 12, seed=4)
@@ -204,7 +212,7 @@ class TestUnsatTable:
 
     @staticmethod
     def blocked_table_matches_scalar_path(formula, bits, threads):
-        """Walker, table, counts, histogram and both solution lists with 2**bits-assignment blocks.
+        """Walker, table, counts, histogram and solutions with 2**bits-assignment blocks and prefix chunks.
 
         Each is checked against ``unsat_count``; the walker also on its first
         indices and on a run of every other block.
@@ -213,7 +221,7 @@ class TestUnsatTable:
             blocks = list(ss.cnf.violation_blocks(formula))
             run = list(ss.cnf.violation_blocks(formula, range(len(blocks))[1::2]))
             table = ss.build_unsat_table(formula, threads=threads)
-            solutions = ss.cnf.satisfying_assignments(formula, threads=threads)
+            solutions = ss.cnf.satisfying_assignments(formula)
             counts = violation_counts(formula)
         expected = [unsat_count(formula, i) for i in range(formula.assignment_count)]
         size = 1 << min(formula.n, bits)
@@ -224,7 +232,8 @@ class TestUnsatTable:
         ]
         assert counts.tolist() == expected
         assert table.histogram.tolist() == np.bincount(expected, minlength=formula.m + 1).tolist()
-        assert table.solutions == solutions == [i for i, u in enumerate(expected) if u == 0]
+        assert solutions == [i for i, u in enumerate(expected) if u == 0]
+        assert table.solutions == solutions[:2]
         return counts
 
     @given(formulas(max_n=8), st.integers(0, 6), st.sampled_from([1, 2, 3]))
@@ -233,11 +242,19 @@ class TestUnsatTable:
     @example(ss.parse_dimacs("p cnf 6 3\n3 -6 0\n1 -2 4 0\n-5 0\n"), 2, 2)
     # every clause holds x6, so each block with x6 = 1 has no clause left and counts all 0
     @example(ss.parse_dimacs("p cnf 6 3\n6 1 0\n6 -2 5 0\n6 0\n"), 2, 2)
+    # every clause holds -x1, so the walk prunes nothing until the last bit,
+    # where 128 prefixes pass through chunks of four
+    @example(ss.parse_dimacs("p cnf 8 4\n-1 2 3 0\n-1 -4 5 0\n-1 6 -8 0\n-1 7 0\n"), 2, 2)
+    # one unit clause on x1: the 128 solutions come out of one-prefix chunks
+    @example(ss.parse_dimacs("p cnf 8 1\n1 0\n"), 0, 1)
+    # a random batch with m = n, which leaves many solutions
+    @example(random_3sat(8, 8, seed=1), 1, 3)
     def test_every_block_split_matches_scalar_path(self, formula, bits, threads):
         # blocks of 1 to 64 assignments: up to 256 blocks, shared by the
         # workers; from 4 assignments on, a block's product has both a middle
         # and a low half, and literals also land on the block-index bits,
-        # which leave out of the product the clauses they satisfy
+        # which leave out of the product the clauses they satisfy; the prefix
+        # walk's chunks of 1 to 64 prefixes split every larger frontier
         self.blocked_table_matches_scalar_path(formula, bits, threads)
 
     def test_walker_set_up_at_the_call(self, monkeypatch):

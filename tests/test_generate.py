@@ -60,6 +60,27 @@ class TestPlanted3Sat:
             "78e33ad90672c5690d95988deb2e9722bc0226fdaa847a3f3635b1515d134b35",
         ]
 
+    # sha256 of serialize_dimacs(generate_planted_3sat(n, 5n, seed)), taken
+    # from the block walk the prefix walk replaced: a change in the RNG draws
+    # or in the order the survivors come out moves them
+    PINNED = {
+        (17, 5): "073d99a55b96a1e83291897bbd7f0d8e8b91ec024a28621405cabdfea58f2792",
+        (17, 6): "f67c687a2675870a3d0a92969897622fd7617b07890663c07faaac4fe5b32a35",
+        (18, 5): "f3995602dd40fa1cc46ce9f49314bde8cbb49d158ee88223456f7a655f841b03",
+        (18, 6): "d01f492b224ca60b06df3a7f3aa70260daf76f163242fd18b8635dd0d16cd999",
+        (22, 5): "166f27dd0c4644a0fb06d5c8df9f14be56ca1b8acecf9d02b0953e2ad3094ddd",
+        (22, 6): "17c70a461655441de91dc4abe0d67f164a7f437d45e0a1d0a9775bec132c23f6",
+        (26, 1): "50c9ceec05b0ea890939aaa91a5fa3c3eb095a8adc7d2cd78ad1a78b6dd1c60c",
+    }
+
+    @pytest.mark.parametrize("n, seed", list(PINNED))
+    def test_bytes_pinned(self, n, seed):
+        formula, planted = ss.generate._planted_3sat(n, 5 * n, seed)
+        assert formula == ss.generate_planted_3sat(n, 5 * n, seed)
+        assert hashlib.sha256(ss.serialize_dimacs(formula).encode()).hexdigest() == self.PINNED[n, seed]
+        if n == 26:  # the table, an independent oracle, confirms the one solution
+            assert ss.build_unsat_table(formula).unique_solution() == planted
+
     def test_int64_index_limit_before_the_draw(self):
         # n = 64 would reach numpy's integer draw, which raises ValueError
         with pytest.raises(ss.GuardError, match="n <= 62"):

@@ -21,7 +21,7 @@ PUBLIC = [
 # a knob removed from them cannot return unnoticed
 PARAMETERS = {
     "build_unsat_table": ["formula", "threads"],
-    "cnf.satisfying_assignments": ["formula", "threads"],
+    "cnf.satisfying_assignments": ["formula"],
     "generate_planted_3sat": ["n", "m", "seed"],
 }
 RUN_CONFIG_FIELDS = ["formula_path", "q_max", "include_grover", "grover_steps", "threads"]

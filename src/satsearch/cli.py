@@ -16,13 +16,13 @@ any two of ``-f``, ``-o``, ``run --snapshot`` and ``analyze --table`` naming
 the same file, which is checked before anything is read or written), 3
 invalid instance or formula (any bytes that do not parse as DIMACS, or a file
 that cannot be read), 4 guard exceeded: n above ``cnf.MAX_ENUMERATION_N``
-(30) for any command that enumerates, ``gen`` included, ``gen``'s solution
-list or a curve (--qmax, --steps) that would not fit in physical memory, or a
-matrix dimension (``spectrum``).
+(30) for any command that enumerates, ``gen`` included, a DIMACS file (before
+parsing), ``gen``'s solution list or a curve (--qmax, --steps) that would not
+fit in physical memory, or a matrix dimension (``spectrum``).
 
 ``gen`` finds the solutions of its random batch by ``cnf``'s pruned prefix
-walk, on one thread; every other command builds the violation table, over
-``--threads`` workers.
+walk, on one thread; every other command builds the violation table in
+``_table``, over ``--threads`` workers, and hands it on.
 
 ``run --trials 0`` (the default) takes no samples; a negative count, or one of
 2**63 or more (numpy's binomial draw takes a C long), is a usage error.
@@ -47,6 +47,7 @@ from .cnf import (
     FormulaError,
     GuardError,
     InstanceError,
+    UnsatTable,
     build_unsat_table,
     read_dimacs,
     serialize_dimacs,
@@ -194,9 +195,13 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _table(args) -> UnsatTable:
+    """The violation table of the DIMACS file ``-f``, enumerated over ``--threads`` workers."""
+    return build_unsat_table(read_dimacs(args.formula), threads=args.threads)
+
+
 def _cmd_analyze(args) -> int:
-    formula = read_dimacs(args.formula)
-    table = build_unsat_table(formula, threads=args.threads)
+    table = _table(args)
     summary = spectral_summary(table)
     if args.table is not None:
         _emit(_json_text(table.to_json_dict()), args.table)
@@ -204,41 +209,40 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _run_config(args, **grover) -> RunConfig:
-    return RunConfig(args.formula, args.qmax, threads=args.threads, **grover)
-
-
 def _cmd_sweep(args) -> int:
-    report = run_sweep(_run_config(args))
+    report = run_sweep(_table(args), RunConfig(args.formula, args.qmax))
     _emit(curve_csv("q,p_marginal,p_overlap", report.curve), args.output)
     return 0
 
 
 def _cmd_run(args) -> int:
-    config = _run_config(args, include_grover=args.grover, grover_steps=args.steps)
-    report = run_sweep(config, snapshot=args.snapshot is not None)
+    t0 = time.perf_counter()
+    table = _table(args)
+    timings = {"enumerate_s": time.perf_counter() - t0}
+    report = run_sweep(table, RunConfig(args.formula, args.qmax, args.grover, args.steps), args.snapshot is not None)
+    report.timings = timings | report.timings
     if report.snapshot is not None:
         _emit(_json_text(report.snapshot), args.snapshot)
     if args.trials > 0:
         t0 = time.perf_counter()
-        report.repeat_stats = repeat_until_success_stats(config, args.trials, args.trials_seed or 0)
+        # a second read and enumeration of the same file, kept because perfbench's
+        # report-n17 pins two; ROADMAP.md item 1 drops both the call and the pin
+        report.repeat_stats = repeat_until_success_stats(_table(args), args.trials, args.trials_seed or 0)
         report.timings["trials_s"] = time.perf_counter() - t0
     _emit(_json_text(report.to_json_dict(include_timings=args.timings)), args.output)
     return 0
 
 
 def _cmd_grover(args) -> int:
-    formula = read_dimacs(args.formula)
-    table = build_unsat_table(formula, threads=args.threads)
+    table = _table(args)
     table.unique_solution()  # rejects instances without exactly one solution
-    steps = args.steps if args.steps is not None else grover_optimal_steps(formula.assignment_count)
-    _emit(curve_csv("step,p_r", run_grover_baseline(formula.assignment_count, steps)), args.output)
+    steps = args.steps if args.steps is not None else grover_optimal_steps(table.assignment_count)
+    _emit(curve_csv("step,p_r", run_grover_baseline(table.assignment_count, steps)), args.output)
     return 0
 
 
 def _cmd_spectrum(args) -> int:
-    formula = read_dimacs(args.formula)
-    table = build_unsat_table(formula, threads=args.threads)
+    table = _table(args)
     summary = spectral_summary(table)
     report = dense_eigencheck(PhaseProfile.from_histogram(table.m, table.histogram))
     payload = report.to_json_dict()

@@ -5,9 +5,10 @@ bit k-1 of i holds the value of variable x_k.  Every other component (phase
 operators, spectral sums, success metrics) is keyed to this encoding, so it is
 fixed here once and tested bit-exactly.
 
-``read_dimacs`` is the only reader of DIMACS files: it decodes the bytes so
-that no input can fail before parsing, and hands the text to ``parse_dimacs``,
-which also accepts the SATLIB ``%`` trailer.
+``read_dimacs`` is the only reader of DIMACS files: it refuses one that would
+not fit in memory, decodes the bytes so that no input can fail before parsing,
+and hands the text to ``parse_dimacs``, which also accepts the SATLIB ``%``
+trailer.
 
 ``build_unsat_table`` enumerates every assignment and keeps the histogram and
 the first two solutions; ``satisfying_assignments`` lists every solution, for
@@ -16,9 +17,9 @@ count and the per-assignment counts, live in ``tests/oracles.py``.  They are
 deliberately the only solvers in the package: exhaustive, and refused with
 ``GuardError`` above n = ``MAX_ENUMERATION_N``, a constant (30) that bounds
 time alone, and, for the solution list, when it would not fit in physical
-memory.  Both rest on one fact: an OR-clause is violated on exactly the
-indices i with i & care == value, where care has the bits of the clause's
-variables and value those of its negated literals.
+memory.  Both rest on one fact, as does every test of a clause: an OR-clause
+is violated on exactly the indices i with i & ``Clause.care`` ==
+``Clause.value``, the bits of its variables and of its negated literals.
 
 The table needs a count for every assignment.  Split i into low, middle and
 top bits and the test factors into a test on each part.  The assignments are
@@ -60,7 +61,7 @@ import os
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -88,6 +89,12 @@ MAX_INDEX_N = 62
 # repair loop makes (38 to 54 at m = 2 and for the clause (-1 -2)).  The
 # guard takes 160, more than twice the largest.
 SOLUTION_BYTES = 160
+
+# Peak bytes per input byte of read_dimacs: tracemalloc's peak over a file at
+# the bound, 0.4 to 8 MB of 1-, 2-, 3- or 9-literal clauses, is 50 to 66 (66
+# with every clause on one line); comment lines take 4.  The guard takes 140,
+# more than twice the largest.
+DIMACS_BYTES = 140
 
 # (first index, violation counts) of one enumeration block.
 Block = tuple[int, np.ndarray]
@@ -134,10 +141,6 @@ class Literal:
             raise FormulaError("literal 0 is reserved as the clause terminator")
         return cls(abs(lit), lit < 0)
 
-    def holds(self, assignment: int) -> bool:
-        bit = (assignment >> (self.var - 1)) & 1
-        return bool(bit) != self.negated
-
 
 @dataclass(frozen=True)
 class Clause:
@@ -153,9 +156,7 @@ class Clause:
             seen.setdefault((lit.var, lit.negated), lit)
         if not seen:
             raise FormulaError("empty clause")
-        positive = {v for v, neg in seen if not neg}
-        negative = {v for v, neg in seen if neg}
-        if positive & negative:
+        if len({var for var, _ in seen}) < len(seen):  # a variable with both signs
             raise FormulaError("tautological clause: contains a literal and its negation")
         object.__setattr__(self, "literals", tuple(seen.values()))
 
@@ -166,8 +167,23 @@ class Clause:
     def to_ints(self) -> tuple[int, ...]:
         return tuple(lit.to_int() for lit in self.literals)
 
+    # at first read, not at construction: a parsed clause may name a variable
+    # in the billions, and its mask would take that many bits
+    @cached_property
+    def _masks(self) -> tuple[int, int]:
+        care = value = 0
+        for lit in self.literals:
+            bit = 1 << (lit.var - 1)
+            care |= bit
+            if lit.negated:
+                value |= bit
+        return care, value
+
+    care = property(lambda self: self._masks[0], doc="Bit k-1 set for each variable x_k of the clause.")
+    value = property(lambda self: self._masks[1], doc="Bit k-1 set for each negated x_k of the clause.")
+
     def satisfied_by(self, assignment: int) -> bool:
-        return any(lit.holds(assignment) for lit in self.literals)
+        return (assignment & self.care) != self.value
 
 
 @dataclass(frozen=True)
@@ -267,14 +283,23 @@ def parse_dimacs(text: str) -> CnfFormula:
 def read_dimacs(path) -> CnfFormula:
     """Parse the DIMACS CNF file at ``path``.
 
-    This is the one place where file bytes become a formula.  The bytes are
-    decoded as Latin-1, which maps every byte to one character and never
-    fails, so any file either parses or raises ``DimacsError``.  Comments may
-    hold any bytes, UTF-8 included; a non-ASCII character inside a header or
-    clause token makes that token non-integer.
+    This is the one place where file bytes become a formula.  A file longer
+    than ``memory_capacity(DIMACS_BYTES)`` bytes raises ``GuardError`` before
+    parsing.  Otherwise the bytes are decoded as Latin-1, which maps every
+    byte to one character and never fails, so the file either parses or
+    raises ``DimacsError``.  Comments may hold any bytes, UTF-8 included; a
+    non-ASCII character inside a header or clause token makes that token
+    non-integer.
     """
+    limit = memory_capacity(DIMACS_BYTES)
+    data = bytearray()
     with open(path, "rb") as handle:
-        return parse_dimacs(handle.read().decode("latin-1"))
+        # in chunks: one read of limit + 1 bytes would allocate that much up front
+        while len(data) <= limit and (chunk := handle.read(min(1 << 20, limit + 1 - len(data)))):
+            data += chunk
+    if len(data) > limit:
+        raise GuardError(f"a file over {limit} bytes does not fit in physical memory at {DIMACS_BYTES} bytes each")
+    return parse_dimacs(data.decode("latin-1"))
 
 
 def serialize_dimacs(formula: CnfFormula, comments: Sequence[str] = ()) -> str:
@@ -327,11 +352,7 @@ class UnsatTable:
 
 def violation_mask(clause: Clause, indices: np.ndarray) -> np.ndarray:
     """Boolean mask over assignment indices: True where the clause is violated."""
-    violated = np.ones(indices.shape, dtype=bool)
-    for lit in clause.literals:
-        bit = (indices >> (lit.var - 1)) & 1
-        violated &= (bit == 1) == lit.negated
-    return violated
+    return (indices & clause.care) == clause.value
 
 
 def _blocks(formula: CnfFormula) -> range:
@@ -369,13 +390,8 @@ def violation_blocks(formula: CnfFormula, tops: range | None = None) -> Iterator
     """
     bits = min(formula.n, BLOCK_BITS)
     low_bits = bits // 2
-    care = np.array(
-        [sum(1 << (lit.var - 1) for lit in c.literals) for c in formula.clauses], dtype=np.int64
-    )
-    value = np.array(
-        [sum(1 << (lit.var - 1) for lit in c.literals if lit.negated) for c in formula.clauses],
-        dtype=np.int64,
-    )
+    care = np.array([c.care for c in formula.clauses], dtype=np.int64)
+    value = np.array([c.value for c in formula.clauses], dtype=np.int64)
     product_dtype = _product_dtype(formula.m)
 
     def violated(shift: int, width: int) -> np.ndarray:
@@ -487,10 +503,8 @@ def satisfying_assignments(formula: CnfFormula) -> list[int]:
     # violates, of each clause whose lowest variable is x_(b+1)
     decided: list[list[tuple[int, int, int]]] = [[] for _ in range(formula.n)]
     for clause in formula.clauses:
-        care = sum(1 << (lit.var - 1) for lit in clause.literals)
-        value = sum(1 << (lit.var - 1) for lit in clause.literals if lit.negated)
         bit = min(lit.var for lit in clause.literals) - 1
-        decided[bit].append((care >> (bit + 1), value >> (bit + 1), (value >> bit) & 1))
+        decided[bit].append((clause.care >> (bit + 1), clause.value >> (bit + 1), (clause.value >> bit) & 1))
     dtype = np.min_scalar_type(formula.assignment_count - 1)  # holds every index
     solutions: list[int] = []
     stack = [(formula.n, np.zeros(1, dtype=dtype))]  # (bits left to fix, prefixes)

@@ -1,11 +1,13 @@
 """End-to-end runs: iteration sweeps, Grover baseline, sampling statistics.
 
-A sweep starts from the uniform state and applies the search iterate up to
-q_max times, recording two success metrics per iteration count: the
-data-register marginal probability of reading the solution (what a lab
-measurement gives) and the squared overlap with the amplified state
-(|0,r> + |1,r>)/sqrt(2), which is what the closed-form peak 1/B**2 bounds.
-The marginal is never smaller than the overlap, so both are kept.
+Every run takes a violation table (``cnf.UnsatTable``) as given, however it
+was built; the CLI reads and enumerates a DIMACS file for it.  A sweep starts
+from the uniform state and applies the search iterate up to q_max times,
+recording two success metrics per iteration count: the data-register
+marginal probability of reading the solution (what a lab measurement gives)
+and the squared overlap with the amplified state (|0,r> + |1,r>)/sqrt(2),
+which is what the closed-form peak 1/B**2 bounds.  The marginal is never
+smaller than the overlap, so both are kept.
 
 Every path runs in class coordinates (see ``statevector``): the class
 profile comes from the table's histogram, the solutions are its entry 0 (the
@@ -45,7 +47,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cnf import MAX_ENUMERATION_N, GuardError, InstanceError, build_unsat_table, memory_capacity, read_dimacs
+from .cnf import MAX_ENUMERATION_N, GuardError, InstanceError, UnsatTable, memory_capacity
 from .spectral import SpectralSummary, spectral_summary
 from .statevector import PhaseProfile, search_step, state_snapshot
 
@@ -58,7 +60,7 @@ CURVE_ROW_BYTES = 590
 
 @dataclass
 class RunConfig:
-    """Which DIMACS file to read and how far to sweep.
+    """How far to sweep, and the instance file name the report echoes; ``run_sweep`` takes the table.
 
     ``q_max=None`` means 2*q_m, which covers the full first oscillation lobe
     so the peak position is measurable.
@@ -68,17 +70,15 @@ class RunConfig:
     q_max: int | None = None
     include_grover: bool = False
     grover_steps: int | None = None
-    threads: int = 1
 
     def __post_init__(self) -> None:
         if self.q_max is not None and self.q_max < 1:
             raise ValueError("q_max must be >= 1")
 
     def echo(self) -> dict:
-        # threads and the path's directory have no effect on any emitted value;
-        # leaving them out keeps reports byte-identical across thread counts
-        # and across spellings of the path.  guard_n echoes the constant
-        # enumeration limit, so the report keeps its keys
+        # the path's directory changes no emitted value, so leaving it out keeps
+        # reports byte-identical across spellings of the path; guard_n echoes
+        # the constant enumeration limit, so the report keeps its keys
         return {
             "formula_path": Path(self.formula_path).name,
             "q_max": self.q_max,
@@ -149,12 +149,6 @@ def _check_curve_rows(rows: int) -> None:
         raise GuardError(f"a curve of {rows} rows does not fit in physical memory at {CURVE_ROW_BYTES} bytes each")
 
 
-def _check_trials(trials: int) -> None:
-    """numpy's binomial draw takes the trial count as a C long."""
-    if not 1 <= trials < 1 << 63:
-        raise ValueError(f"trials must be >= 1 and < 2**63, got {trials}")
-
-
 def _squared_moduli(z: np.ndarray) -> np.ndarray:
     """|z|**2 per element, rounded as numpy's scalar ``abs(z) ** 2`` is: C hypot, then C pow.
 
@@ -208,21 +202,16 @@ def state_after(classes: PhaseProfile, iterations: int) -> np.ndarray:
     return state
 
 
-def run_sweep(config: RunConfig, snapshot: bool = False) -> RunReport:
-    """Full pipeline: read, enumerate, predict, sweep, compare.
+def run_sweep(table: UnsatTable, config: RunConfig, snapshot: bool = False) -> RunReport:
+    """Full pipeline from the violation table ``table``, however the caller built it: predict, sweep, compare.
 
     With ``snapshot``, the snapshot document of the class state at q_max
     (see ``statevector.state_snapshot``) goes on ``RunReport.snapshot``;
     computing that state is timed as ``final_state_s`` and building the
     document as ``snapshot_s``.
     """
-    timings: dict[str, float] = {}
-    t0 = time.perf_counter()
-    formula = read_dimacs(config.formula_path)
-    table = build_unsat_table(formula, threads=config.threads)
     solution = table.unique_solution()
-    timings["enumerate_s"] = time.perf_counter() - t0
-
+    timings: dict[str, float] = {}
     t0 = time.perf_counter()
     summary = spectral_summary(table)
     timings["spectral_s"] = time.perf_counter() - t0
@@ -311,7 +300,8 @@ def measurement_success_rate(
     from the full 2N-amplitude distribution, in O(1) memory for any
     ``trials``.
     """
-    _check_trials(trials)
+    if not 1 <= trials < 1 << 63:  # numpy's binomial draw takes the trial count as a C long
+        raise ValueError(f"trials must be >= 1 and < 2**63, got {trials}")
     _check_solution_class(classes)
     marginal, _ = _read_solution(classes, state_after(classes, iterations)[None, :: classes.size])
     rng = np.random.default_rng(rng_seed)
@@ -320,20 +310,17 @@ def measurement_success_rate(
 
 
 def repeat_until_success_stats(
-    config: RunConfig,
+    table: UnsatTable,
     trials: int,
     rng_seed: int,
 ) -> dict:
-    """Sample data-register measurements at q = q_m: the run report's ``repeat_stats``.
+    """Sample data-register measurements at q = q_m of ``table``: the run report's ``repeat_stats``.
 
     Returns ``trials``, ``rng_seed``, the fraction of trials that read out the
     solution and the implied geometric-distribution mean repeat count 1/rate
     (None when no trial succeeded), in that key order.  Sampling uses numpy's
     PCG64 generator seeded with ``rng_seed``.
     """
-    _check_trials(trials)
-    formula = read_dimacs(config.formula_path)
-    table = build_unsat_table(formula, threads=config.threads)
     summary = spectral_summary(table)
     classes = PhaseProfile.from_histogram(table.m, table.histogram)
     rate = measurement_success_rate(classes, summary.q_m, trials, rng_seed)

@@ -56,8 +56,8 @@ def _random_clause_satisfied_by(rng: np.random.Generator, n: int, planted: int) 
         negations = rng.integers(0, 2, size=3)
         clause = Clause(
             tuple(
-                Literal(int(pos) + 1, bool(neg))
-                for pos, neg in zip(positions, negations)
+                Literal(pos + 1, bool(neg))
+                for pos, neg in zip(positions.tolist(), negations.tolist())
             )
         )
         if clause.satisfied_by(planted):

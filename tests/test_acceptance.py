@@ -203,8 +203,9 @@ def test_criterion_8_unitarity_and_determinism(tmp_path):
 
     inst = tmp_path / "inst.cnf"
     assert main(["gen", "-n", "10", "-m", "12", "--seed", "3", "-o", str(inst)]) == 0
-    a = ss.run_sweep(ss.RunConfig(formula_path=str(inst), q_max=80, threads=1))
-    b = ss.run_sweep(ss.RunConfig(formula_path=str(inst), q_max=80, threads=4))
+    formula, config = ss.read_dimacs(inst), ss.RunConfig(formula_path=str(inst), q_max=80)
+    a = ss.run_sweep(ss.build_unsat_table(formula, threads=1), config)
+    b = ss.run_sweep(ss.build_unsat_table(formula, threads=4), config)
     assert _json_text(a.to_json_dict()) == _json_text(b.to_json_dict())
 
     # same through the CLI, comparing emitted bytes

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -211,7 +212,7 @@ class TestRun:
                     monkeypatch.setattr(module, name, wrapper)
         argv = ["run", "-f", str(inst), "--grover", "--trials", "50", "--snapshot", str(tmp_path / "s.json")]
         assert main([*argv, "-o", str(tmp_path / "r.json")]) == 0
-        assert calls["build_unsat_table"] == 2  # the sweep's and the trials' tables
+        assert calls["build_unsat_table"] == 2  # the run's table and the trials' second one
         assert calls["violation_blocks"] == calls["build_unsat_table"]
 
     def test_no_snapshot_file_when_the_sweep_fails(self, multi_path, tmp_path, capsys):
@@ -484,6 +485,43 @@ class TestSolutionGuard:
         assert main(["gen", "-n", "12", "-m", "1"]) == 4
         TestUsageErrors.assert_one_line_error(capsys, "physical memory")
         assert main(["gen", "-n", "12", "-m", "60", "-o", str(tmp_path / "x.cnf")]) == 0
+
+
+class TestDimacsGuard:
+    """A DIMACS file longer than ``memory_capacity(DIMACS_BYTES)`` exits 4 with one error line, unparsed."""
+
+    BOUND = 40
+
+    @pytest.fixture(autouse=True)
+    def small_memory(self, monkeypatch):
+        # room for a DIMACS file of BOUND bytes
+        pages = {"SC_PAGE_SIZE": ss.cnf.DIMACS_BYTES, "SC_PHYS_PAGES": self.BOUND}
+        monkeypatch.setattr(ss.cnf.os, "sysconf", pages.__getitem__)
+
+    @staticmethod
+    def refuse_parsing(monkeypatch):
+        def refuse(text):
+            raise AssertionError("the text was parsed")
+
+        monkeypatch.setattr(ss.cnf, "parse_dimacs", refuse)
+
+    def test_bound(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "padded.cnf"
+        text = TOY_DIMACS + "c" * (self.BOUND - len(TOY_DIMACS) - 1) + "\n"
+        path.write_text(text)
+        assert path.stat().st_size == self.BOUND
+        assert main(["analyze", "-f", str(path)]) == 0
+        capsys.readouterr()
+        path.write_text(text + "\n")
+        self.refuse_parsing(monkeypatch)
+        assert main(["analyze", "-f", str(path)]) == 4
+        TestUsageErrors.assert_one_line_error(capsys, f"over {self.BOUND} bytes")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+    def test_endless_file(self, capsys, monkeypatch):
+        self.refuse_parsing(monkeypatch)
+        assert main(["run", "-f", "/dev/zero"]) == 4
+        TestUsageErrors.assert_one_line_error(capsys, "physical memory")
 
 
 class TestCurveGuard:

@@ -124,6 +124,21 @@ class TestClauseInvariants:
         with pytest.raises(ss.FormulaError):
             ss.Clause.from_ints([2, -2])
 
+    def test_masks(self):
+        clause = ss.Clause.from_ints([3, -1, 3, -4])
+        assert clause.to_ints() == (3, -1, -4)
+        assert (clause.care, clause.value) == (0b1101, 0b1001)
+
+    def test_masks_wait_for_a_read(self):
+        # a clause on x_4000000000 parses without building its 500 MB mask
+        tracemalloc.start()
+        try:
+            ss.parse_dimacs("p cnf 4000000000 1\n-4000000000 0\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_variable_bound_checked(self):
         with pytest.raises(ss.FormulaError):
             ss.CnfFormula(2, (ss.Clause.from_ints([3]),))
@@ -391,6 +406,16 @@ class TestReadDimacs:
     def test_non_ascii_clause_token_rejected(self, token):
         with pytest.raises(ss.DimacsError, match="non-integer"):
             read_bytes_as_dimacs(b"p cnf 2 1\n1 " + token + b" 0\n")
+
+    def test_file_at_the_memory_bound(self, monkeypatch):
+        """A file of memory_capacity(DIMACS_BYTES) bytes parses; one byte more raises GuardError unparsed."""
+        data = TOY_DIMACS.encode()
+        pages = {"SC_PAGE_SIZE": ss.cnf.DIMACS_BYTES, "SC_PHYS_PAGES": len(data)}
+        monkeypatch.setattr(ss.cnf.os, "sysconf", pages.__getitem__)
+        assert read_bytes_as_dimacs(data) == ss.parse_dimacs(TOY_DIMACS)
+        monkeypatch.setattr(ss.cnf, "parse_dimacs", mock.Mock(side_effect=AssertionError("parsed")))
+        with pytest.raises(ss.GuardError, match=f"over {len(data)} bytes"):
+            read_bytes_as_dimacs(data + b"\n")
 
     @given(
         st.one_of(

@@ -22,18 +22,24 @@ def traced_peak(call):
         tracemalloc.stop()
 
 
-def planted_config(tmp_path, n, m, seed, **options):
-    """RunConfig of the planted 3SAT instance (n, m, seed), written as DIMACS."""
-    path = tmp_path / f"planted-{n}-{m}-{seed}.cnf"
-    path.write_text(ss.serialize_dimacs(ss.generate_planted_3sat(n, m, seed)))
-    return ss.RunConfig(formula_path=str(path), **options)
+def planted_table(n, m, seed, threads=1):
+    """Violation table of the planted 3SAT instance (n, m, seed)."""
+    return ss.build_unsat_table(ss.generate_planted_3sat(n, m, seed), threads=threads)
 
 
-# Entry points that read an instance and require exactly one solution.
+def dimacs_table(text):
+    return ss.build_unsat_table(ss.parse_dimacs(text))
+
+
+def config(**options):
+    return ss.RunConfig(formula_path="inst.cnf", **options)
+
+
+# Entry points that take a violation table and require exactly one solution.
 UNIQUE_SOLUTION_RUNS = [
-    pytest.param(ss.run_sweep, id="run_sweep"),
+    pytest.param(lambda table: ss.run_sweep(table, config()), id="run_sweep"),
     pytest.param(
-        lambda config: ss.repeat_until_success_stats(config, 10, 0),
+        lambda table: ss.repeat_until_success_stats(table, 10, 0),
         id="repeat_until_success_stats",
     ),
 ]
@@ -105,50 +111,58 @@ class TestSuccessCurve:
 
 
 class TestRunSweep:
-    def test_toy_report_shape(self, tmp_path):
-        path = tmp_path / "toy.cnf"
-        path.write_text("p cnf 2 2\n1 0\n2 0\n")
-        report = ss.run_sweep(ss.RunConfig(formula_path=str(path)))
+    def test_toy_report_shape(self, toy_table):
+        report = ss.run_sweep(toy_table, config())
         assert report.spectral.q_m == 2
         assert report.curve.shape == (2 * 2 + 1, 3)  # q = 0..2*q_m
         assert report.q_peak_measured <= 4
         assert report.solution == 3
 
     @pytest.mark.parametrize("run", UNIQUE_SOLUTION_RUNS)
-    def test_rejects_multiple_solutions(self, tmp_path, run):
-        path = tmp_path / "multi.cnf"
-        path.write_text("p cnf 2 1\n1 2 0\n")
+    def test_rejects_multiple_solutions(self, run):
         with pytest.raises(ss.InstanceError, match="found 3"):
-            run(ss.RunConfig(formula_path=str(path)))
+            run(dimacs_table("p cnf 2 1\n1 2 0\n"))
 
     @pytest.mark.parametrize("run", UNIQUE_SOLUTION_RUNS)
-    def test_rejects_unsatisfiable(self, tmp_path, run):
-        path = tmp_path / "unsat.cnf"
-        path.write_text("p cnf 1 2\n1 0\n-1 0\n")
+    def test_rejects_unsatisfiable(self, run):
         with pytest.raises(ss.InstanceError, match="found 0"):
-            run(ss.RunConfig(formula_path=str(path)))
+            run(dimacs_table("p cnf 1 2\n1 0\n-1 0\n"))
 
-    def test_peak_matches_prediction_in_valid_regime(self, tmp_path):
-        report = ss.run_sweep(planted_config(tmp_path, 12, 16, 5))
+    def test_peak_matches_prediction_in_valid_regime(self):
+        report = ss.run_sweep(planted_table(12, 16, 5), config())
         s = report.spectral
         assert s.validity_ratio < 0.1
         p_at_qm = report.curve[s.q_m, 2]
         assert abs(p_at_qm - s.predicted_success) <= 0.25 * s.predicted_success
         assert abs(report.q_peak_measured - s.q_m) <= max(2, 0.1 * s.q_m)
 
-    def test_deterministic_json(self, tmp_path):
-        a = ss.run_sweep(planted_config(tmp_path, 9, 12, 2, q_max=40))
-        b = ss.run_sweep(planted_config(tmp_path, 9, 12, 2, q_max=40, threads=2))
+    def test_deterministic_json(self):
+        a = ss.run_sweep(planted_table(9, 12, 2), config(q_max=40))
+        b = ss.run_sweep(planted_table(9, 12, 2, threads=2), config(q_max=40))
         assert _json_text(a.to_json_dict()) == _json_text(b.to_json_dict())
 
-    def test_timings_excluded_by_default(self, tmp_path):
-        report = ss.run_sweep(planted_config(tmp_path, 8, 10, 1, q_max=10))
+    def test_hand_built_table_runs_as_enumerated(self):
+        """A table that no enumeration built gives the bytes of the enumerated one."""
+        formula = ss.generate_planted_block3sat(12)
+        # four blocks of three variables; an assignment violates one clause in
+        # each block it gets wrong, and each block has 7 wrong patterns
+        histogram = [math.comb(4, u) * 7**u for u in range(5)] + [0] * (formula.m - 4)
+        (r,) = ss.cnf.satisfying_assignments(formula)
+        outputs = []
+        for table in (ss.UnsatTable(formula, histogram, [r]), ss.build_unsat_table(formula)):
+            report = ss.run_sweep(table, config(include_grover=True), snapshot=True)
+            report.repeat_stats = ss.repeat_until_success_stats(table, 1000, 3)
+            outputs.append((_json_text(report.to_json_dict()), _json_text(report.snapshot)))
+        assert outputs[0] == outputs[1]
+
+    def test_timings_excluded_by_default(self):
+        report = ss.run_sweep(planted_table(8, 10, 1), config(q_max=10))
         assert "timings" not in report.to_json_dict()
         assert "timings" in report.to_json_dict(include_timings=True)
         assert report.timings["sweep_s"] >= 0
 
-    def test_csv_format(self, tmp_path):
-        report = ss.run_sweep(planted_config(tmp_path, 8, 10, 1, q_max=10))
+    def test_csv_format(self):
+        report = ss.run_sweep(planted_table(8, 10, 1), config(q_max=10))
         lines = curve_csv("q,p_marginal,p_overlap", report.curve).strip().split("\n")
         assert lines[0] == "q,p_marginal,p_overlap"
         assert len(lines) == 12
@@ -233,28 +247,27 @@ class TestSampling:
         rate = ss.measurement_success_rate(profile, q_m, trials=2000, rng_seed=7)
         assert rate >= 0.9
 
-    def test_mean_repeats_tracks_peak(self, tmp_path):
+    def test_mean_repeats_tracks_peak(self):
         # needs the validity regime: off it, spectator interference makes the
         # curve wiggle several tens of percent between adjacent q values
-        config = planted_config(tmp_path, 14, 16, 1)
-        report = ss.run_sweep(config)
+        table = planted_table(14, 16, 1)
+        report = ss.run_sweep(table, config())
         assert report.spectral.validity_ratio <= 0.05
-        stats = ss.repeat_until_success_stats(config, trials=10_000, rng_seed=11)
+        stats = ss.repeat_until_success_stats(table, trials=10_000, rng_seed=11)
         assert list(stats) == ["trials", "rng_seed", "empirical_success_rate", "mean_repeats"]
         assert stats["empirical_success_rate"] > 0
         assert stats["mean_repeats"] == pytest.approx(1 / report.p_peak_measured, rel=0.30)
 
-    def test_trials_validated(self, tmp_path):
-        config = planted_config(tmp_path, 8, 10, 0)
+    def test_trials_validated(self):
         with pytest.raises(ValueError):
-            ss.repeat_until_success_stats(config, trials=0, rng_seed=0)
+            ss.repeat_until_success_stats(planted_table(8, 10, 0), trials=0, rng_seed=0)
 
-    def test_trials_beyond_c_long(self, tmp_path):
+    def test_trials_beyond_c_long(self):
         classes = ss.PhaseProfile.from_histogram(2, [1, 2, 1])
         with pytest.raises(ValueError, match=r"2\*\*63"):
             ss.measurement_success_rate(classes, 1, 1 << 63, 0)
         with pytest.raises(ValueError, match=r"2\*\*63"):
-            ss.repeat_until_success_stats(planted_config(tmp_path, 8, 10, 0), 1 << 63, 0)
+            ss.repeat_until_success_stats(planted_table(8, 10, 0), 1 << 63, 0)
 
     def test_negative_iterations_rejected(self):
         profile = fold_classes(all_violated(4, 3))
@@ -300,16 +313,14 @@ class TestSampling:
 
 
 class TestCostReport:
-    def test_toy_scaling_figure(self, tmp_path):
-        path = tmp_path / "toy.cnf"
-        path.write_text("p cnf 2 2\n1 0\n2 0\n")
-        report = ss.run_sweep(ss.RunConfig(formula_path=str(path)))
+    def test_toy_scaling_figure(self, toy_table):
+        report = ss.run_sweep(toy_table, config())
         cost = report.to_json_dict()["cost"]
         assert cost["iterations_per_run"] == 2
         assert cost["scaling_figure"] == pytest.approx(math.pi * 1.5**1.5 * 2 / 4, abs=1e-12)
         assert cost["expected_total_iterations"] >= cost["iterations_per_run"]
 
-    def test_expected_total_uses_measured_peak(self, tmp_path):
-        report = ss.run_sweep(planted_config(tmp_path, 8, 10, 1, q_max=10))
+    def test_expected_total_uses_measured_peak(self):
+        report = ss.run_sweep(planted_table(8, 10, 1), config(q_max=10))
         cost = report.to_json_dict()["cost"]
         assert cost["expected_total_iterations"] == report.spectral.q_m / report.p_peak_measured

@@ -24,7 +24,7 @@ PARAMETERS = {
     "cnf.satisfying_assignments": ["formula"],
     "generate_planted_3sat": ["n", "m", "seed"],
 }
-RUN_CONFIG_FIELDS = ["formula_path", "q_max", "include_grover", "grover_steps", "threads"]
+RUN_CONFIG_FIELDS = ["formula_path", "q_max", "include_grover", "grover_steps"]
 
 # the satsearch modules each module imports; "__init__" is the package itself
 IMPORTS = {
@@ -93,3 +93,16 @@ def test_only_cnf_walks_the_assignments():
         )
 
     assert [name for name, tree in SOURCES.items() if references(tree)] == ["cnf"]
+
+
+def test_only_cli_turns_files_into_tables():
+    """experiment takes a violation table; only the CLI reads a DIMACS file and enumerates it."""
+    readers = {"read_dimacs", "build_unsat_table"}
+
+    def calls(tree):
+        return any(
+            isinstance(node, ast.Call) and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) in readers
+            for node in ast.walk(tree)
+        )
+
+    assert [name for name, tree in SOURCES.items() if calls(tree)] == ["cli"]

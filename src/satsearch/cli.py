@@ -10,19 +10,20 @@ produce byte-identical files.  Reports are strict JSON: the encoder refuses
 NaN and Infinity, and ``mean_repeats`` is null when no trial succeeds.
 
 Exit codes: 0 success, 2 usage error (including out-of-range values of
---qmax, --steps, --trials, --seed, --trials-seed and --threads, ``run
---steps`` without ``--grover``, ``--trials-seed`` without ``--trials``, and
-any two of ``-f``, ``-o``, ``run --snapshot`` and ``analyze --table`` naming
-the same file, which is checked before anything is read or written), 3
-invalid instance or formula (any bytes that do not parse as DIMACS, or a file
-that cannot be read), 4 guard exceeded: n above ``cnf.MAX_ENUMERATION_N``
-(30) for any command that enumerates, ``gen`` included, a DIMACS file (before
+--qmax, --steps, --trials, --seed and --trials-seed, ``run --steps``
+without ``--grover``, ``--trials-seed`` without ``--trials``, and any two of
+``-f``, ``-o``, ``run --snapshot`` and ``analyze --table`` naming the same
+file, which is checked before anything is read or written), 3 invalid
+instance or formula (any bytes that do not parse as DIMACS, or a file that
+cannot be read), 4 guard exceeded: n above ``cnf.MAX_ENUMERATION_N`` (30) for
+any command that enumerates, ``gen`` included, a DIMACS file (before
 parsing), ``gen``'s solution list or a curve (--qmax, --steps) that would not
 fit in physical memory, or a matrix dimension (``spectrum``).
 
 ``gen`` finds the solutions of its random batch by ``cnf``'s pruned prefix
 walk, on one thread; every other command builds the violation table in
-``_table``, over ``--threads`` workers, and hands it on.
+``_table``, over the workers ``cnf.build_unsat_table`` picks, and hands it
+on.
 
 ``run --trials 0`` (the default) takes no samples; a negative count, or one of
 2**63 or more (numpy's binomial draw takes a C long), is a usage error.
@@ -94,8 +95,6 @@ def _check_ranges(args) -> None:
     for (flag, path), (other, other_path) in combinations(files, 2):
         if os.path.realpath(path) == os.path.realpath(other_path):
             raise UsageError(f"{flag} and {other} name the same file: {other_path}")
-    if getattr(args, "threads", 1) < 1:
-        raise UsageError(f"--threads must be >= 1, got {args.threads}")
 
 
 def _int_or_auto(text: str):
@@ -111,13 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("-o", "--output", default=None, help="write result to this file instead of stdout")
-    threaded = argparse.ArgumentParser(add_help=False, parents=[common])
-    threaded.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="worker threads for the violation table's enumeration (default 1)",
-    )
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -126,15 +118,15 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("-m", type=int, required=True, help="initial random clause count")
     gen.add_argument("--seed", type=int, default=0, help="RNG seed (PCG64)")
 
-    analyze = sub.add_parser("analyze", parents=[threaded], help="spectral summary of an instance")
+    analyze = sub.add_parser("analyze", parents=[common], help="spectral summary of an instance")
     analyze.add_argument("-f", "--formula", required=True, help="DIMACS CNF file")
     analyze.add_argument("--table", default=None, help="also write the violation table JSON here")
 
-    sweep = sub.add_parser("sweep", parents=[threaded], help="success-probability curve over iterations")
+    sweep = sub.add_parser("sweep", parents=[common], help="success-probability curve over iterations")
     sweep.add_argument("-f", "--formula", required=True)
     sweep.add_argument("--qmax", type=_int_or_auto, default=None, help="sweep bound ('auto' = 2*q_m)")
 
-    run = sub.add_parser("run", parents=[threaded], help="full run report (JSON)")
+    run = sub.add_parser("run", parents=[common], help="full run report (JSON)")
     run.add_argument("-f", "--formula", required=True)
     run.add_argument("--qmax", type=_int_or_auto, default=None)
     run.add_argument("--grover", action="store_true", help="include the Grover baseline curve")
@@ -144,11 +136,11 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--timings", action="store_true", help="include wall times (breaks byte-determinism)")
     run.add_argument("--snapshot", default=None, help="write the final class-state amplitudes (JSON) here")
 
-    grover = sub.add_parser("grover", parents=[threaded], help="Grover baseline curve")
+    grover = sub.add_parser("grover", parents=[common], help="Grover baseline curve")
     grover.add_argument("-f", "--formula", required=True)
     grover.add_argument("--steps", type=_int_or_auto, default=None)
 
-    spectrum = sub.add_parser("spectrum", parents=[threaded], help="dense eigendecomposition check")
+    spectrum = sub.add_parser("spectrum", parents=[common], help="dense eigendecomposition check")
     spectrum.add_argument("-f", "--formula", required=True)
 
     return parser
@@ -196,8 +188,8 @@ def _cmd_gen(args) -> int:
 
 
 def _table(args) -> UnsatTable:
-    """The violation table of the DIMACS file ``-f``, enumerated over ``--threads`` workers."""
-    return build_unsat_table(read_dimacs(args.formula), threads=args.threads)
+    """The violation table of the DIMACS file ``-f``."""
+    return build_unsat_table(read_dimacs(args.formula))
 
 
 def _cmd_analyze(args) -> int:

@@ -34,10 +34,16 @@ counts is made, and its first zeros; so the memory used does not grow with
 2**n.  ``violation_blocks``, the block product, alone knows the block layout,
 and the table is its only reader in the package.  The blocks are split into
 one contiguous run per worker: the calling thread walks run 0 and a pool the
-others, so one run starts no thread.  The set-up of every run's walker runs
-at the call, on the caller's thread: a plain generator that made it in the
-pool worker, BLAS thread variables unset, slowed n = 22 enumeration from
-0.027-0.030 s to 0.035-0.044 s (2 vCPUs, numpy 2.4; cause not known).
+others, so one run starts no thread, and every run's walker is set up at the
+call, on the caller's thread.  The table takes one worker per
+``MIN_BLOCKS_PER_WORKER`` blocks, at most the CPUs of the process's affinity
+mask, so a small table stays on the calling thread.  A block's product is too
+small to share: with the BLAS thread variables unset, OpenBLAS spread it over
+the cores the pool uses, and at n = 30 two workers took 5.3 s against 4.8 s
+for one (2 vCPUs, numpy 2.4).  So the walk holds the OpenBLAS that numpy
+loaded at one thread, through ``ctypes``, and then restores the count it
+found; where numpy's BLAS is another, whose threads it cannot set, it keeps
+one worker.
 
 The solutions need no counts, so ``satisfying_assignments`` walks bit
 prefixes from x_n down instead (Davis, Logemann and Loveland, CACM 5, 394
@@ -57,14 +63,22 @@ and 24 the walk was the faster, by 1.2-1.7x at m = n and 4-35x above.
 
 from __future__ import annotations
 
+import ctypes
 import os
 import re
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property, partial
-from typing import Iterable, Iterator, Sequence
+from functools import cache, cached_property, partial
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
+
+try:  # the extension that runs numpy's matrix products, and so loads its BLAS
+    from numpy._core import _multiarray_umath
+except ImportError:  # numpy < 2
+    from numpy.core import _multiarray_umath
 
 # Largest n that build_unsat_table and satisfying_assignments enumerate.  It
 # bounds time, not memory: the table's 2**30 assignments take seconds on one
@@ -79,6 +93,16 @@ MAX_ENUMERATION_N = 30
 # many prefixes at a time.
 BLOCK_BITS = 16
 
+# Fewest blocks per worker for which build_unsat_table, left to choose,
+# starts a pool; a smaller table stays on the calling thread.  Two workers
+# against one, OpenBLAS on one thread, on planted 5n batches at n = 17..22
+# (medians of 41 to 101 alternating calls, 2 vCPUs, numpy 2.4): at 1, 2 and
+# 4 blocks per worker the one worker took 0.68-0.74, 0.78-0.99 and
+# 0.85-1.21 times as long as the two, at 8 0.99-1.34 times, and at 16 and
+# 32 1.26-1.55 times.  A pool also leaves its thread's malloc arena behind,
+# about 1 MiB of resident memory.
+MIN_BLOCKS_PER_WORKER = 8
+
 # Largest n the block kernel can index: its masks and indices are int64.
 # MAX_ENUMERATION_N <= MAX_INDEX_N, so the table needs no check of its own.
 MAX_INDEX_N = 62
@@ -91,9 +115,10 @@ MAX_INDEX_N = 62
 SOLUTION_BYTES = 160
 
 # Peak bytes per input byte of read_dimacs: tracemalloc's peak over a file at
-# the bound, 0.4 to 8 MB of 1-, 2-, 3- or 9-literal clauses, is 50 to 66 (66
-# with every clause on one line); comment lines take 4.  The guard takes 140,
-# more than twice the largest.
+# the bound, 0.4 to 2 MB of 1-, 2-, 3- or 9-literal clauses on 9 variables, is
+# 43 to 62 (56 to 62 with every clause on one line), nearly all of it the
+# clauses the formula keeps; comment lines take 2.  The guard takes 140, more
+# than twice the largest.
 DIMACS_BYTES = 140
 
 # (first index, violation counts) of one enumeration block.
@@ -102,6 +127,9 @@ Block = tuple[int, np.ndarray]
 # A DIMACS integer: optional minus sign and ASCII digits.  Python's int() would
 # also take '+3', '1_0' and non-ASCII digits.
 _DIMACS_INT = re.compile(r"-?[0-9]+")
+
+# The line boundaries of str.splitlines(), to read a file one line at a time.
+_LINE_BREAK = re.compile("\r\n|[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
 
 
 class FormulaError(ValueError):
@@ -216,6 +244,16 @@ class CnfFormula:
         return 1 << self.n
 
 
+def _lines(text: str) -> Iterator[str]:
+    """``text.splitlines()``, one line at a time: the list would hold every line at once."""
+    start = 0
+    for brk in _LINE_BREAK.finditer(text):
+        yield text[start : brk.start()]
+        start = brk.end()
+    if start < len(text):
+        yield text[start:]
+
+
 def parse_dimacs(text: str) -> CnfFormula:
     """Parse DIMACS CNF text.
 
@@ -229,8 +267,9 @@ def parse_dimacs(text: str) -> CnfFormula:
     mismatch, out-of-range literals, empty clauses, or tautological clauses.
     """
     n = m = None
-    tokens: list[str] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    clauses: list[Clause] = []
+    current: list[int] = []
+    for lineno, raw in enumerate(_lines(text), 1):
         line = raw.strip()
         if line.startswith("%"):
             break
@@ -252,27 +291,23 @@ def parse_dimacs(text: str) -> CnfFormula:
             continue
         if n is None:
             raise DimacsError(f"line {lineno}: clause data before 'p cnf' header")
-        tokens.extend(line.split())
+        for tok in line.split():
+            if not _DIMACS_INT.fullmatch(tok):
+                raise DimacsError(f"non-integer token {tok!r} in clause data")
+            lit = int(tok)
+            if lit == 0:
+                try:
+                    clauses.append(Clause.from_ints(current))
+                except FormulaError as exc:
+                    raise DimacsError(f"clause {len(clauses) + 1}: {exc}") from None
+                current = []
+            else:
+                if abs(lit) > n:
+                    raise DimacsError(f"literal {lit} out of range for n={n}")
+                current.append(lit)
 
     if n is None or m is None:
         raise DimacsError("missing 'p cnf' header")
-
-    clauses: list[Clause] = []
-    current: list[int] = []
-    for tok in tokens:
-        if not _DIMACS_INT.fullmatch(tok):
-            raise DimacsError(f"non-integer token {tok!r} in clause data")
-        lit = int(tok)
-        if lit == 0:
-            try:
-                clauses.append(Clause.from_ints(current))
-            except FormulaError as exc:
-                raise DimacsError(f"clause {len(clauses) + 1}: {exc}") from None
-            current = []
-        else:
-            if abs(lit) > n:
-                raise DimacsError(f"literal {lit} out of range for n={n}")
-            current.append(lit)
     if current:
         raise DimacsError("unterminated clause (missing trailing 0)")
     if len(clauses) != m:
@@ -441,39 +476,104 @@ def _run_summary(m: int, blocks: Iterator[Block]) -> tuple[np.ndarray, list[int]
     return histogram, solutions
 
 
-def _walk_runs(formula: CnfFormula, threads: int) -> list[tuple[np.ndarray, list[int]]]:
+def _cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one, else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_BlasThreads = tuple[Callable[[], int], Callable[[int], None]]
+
+
+@cache
+def _openblas() -> _BlasThreads | None:
+    """(getter, setter) of the thread count of the OpenBLAS numpy loaded, or None for any other BLAS.
+
+    The symbols are looked up through numpy's own extension, whose handle
+    reaches the libraries it links; the names are those of the scipy-openblas
+    build numpy's wheels bundle and of OpenBLAS with and without its 64-bit
+    integer suffix.  Looked up once per process: about 30 us a call.
+    """
+    try:
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+    except OSError:
+        return None
+    for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+        try:
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}")
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}")
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return None
+
+
+# The BLAS thread count is one per process: two walks that each saved and
+# restored it on their own could leave it at 1.
+_BLAS_PIN = threading.Lock()
+
+
+@contextmanager
+def _one_blas_thread(blas: _BlasThreads | None) -> Iterator[None]:
+    """Hold ``blas`` at one thread while the body runs, then restore the count found; no-op for None."""
+    if blas is None:
+        yield
+        return
+    get, put = blas
+    with _BLAS_PIN:
+        found = get()
+        put(1)
+        try:
+            yield
+        finally:
+            put(found)
+
+
+def _walk_runs(formula: CnfFormula, threads: int | None) -> list[tuple[np.ndarray, list[int]]]:
     """``_run_summary`` of each contiguous run of blocks, in block order.
 
-    The blocks are split into one run per worker, ``threads`` of them but at
-    most ``os.cpu_count()``.  The calling thread reads run 0 and a pool the
-    others, so one run starts no thread.  Raises ``GuardError`` when
+    The blocks are split into one run per worker, as many as
+    ``build_unsat_table`` says.  The calling thread reads run 0 and a pool
+    the others, so one run starts no thread, and OpenBLAS runs each product
+    on one thread while the runs are read.  Raises ``GuardError`` when
     n > ``MAX_ENUMERATION_N``, before any block is walked.
     """
     _check_enumeration(formula.n)
-    if threads < 1:
+    if threads is not None and threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    workers = min(threads, os.cpu_count() or 1)
+    blas = _openblas()
     blocks = _blocks(formula)
+    if threads is None:
+        threads = len(blocks) // MIN_BLOCKS_PER_WORKER if blas else 1
+    workers = max(1, min(threads, _cpus()))
     cuts = [k * len(blocks) // workers for k in range(workers + 1)]
     runs = [blocks[start:stop] for start, stop in zip(cuts, cuts[1:]) if start < stop]
     first, *others = [violation_blocks(formula, run) for run in runs]
     read = partial(_run_summary, formula.m)
-    if not others:
-        return [read(first)]
-    with ThreadPoolExecutor(max_workers=len(others)) as pool:
-        futures = [pool.submit(read, walker) for walker in others]
-        return [read(first)] + [future.result() for future in futures]
+    with _one_blas_thread(blas):
+        if not others:
+            return [read(first)]
+        with ThreadPoolExecutor(max_workers=len(others)) as pool:
+            futures = [pool.submit(read, walker) for walker in others]
+            return [read(first)] + [future.result() for future in futures]
 
 
-def build_unsat_table(formula: CnfFormula, threads: int = 1) -> UnsatTable:
+def build_unsat_table(formula: CnfFormula, threads: int | None = None) -> UnsatTable:
     """Exhaustively enumerate all 2**n assignments.
 
     The assignments are split into blocks of 2**BLOCK_BITS (a single block
-    when n <= BLOCK_BITS) whatever the thread count, and each of ``threads``
-    workers (at most ``os.cpu_count()``) counts one contiguous run of them.
-    The runs' histograms are summed as integers and the first two of their
-    solutions kept in block order, so the result is identical for every
-    thread count.  Raises ``GuardError`` when n > ``MAX_ENUMERATION_N``,
+    when n <= BLOCK_BITS) whatever the worker count, and each worker counts
+    one contiguous run of them.  By default there is one worker per
+    ``MIN_BLOCKS_PER_WORKER`` blocks, at least one and at most the CPUs this
+    process may run on, and a single worker where numpy's BLAS is not
+    OpenBLAS; ``threads`` sets the count instead, still at most the CPUs.
+    OpenBLAS is held at one thread during the walk and its count then
+    restored.  The runs' histograms are summed as integers and the first two
+    of their solutions kept in block order, so the result is identical for
+    every worker count.  Raises ``GuardError`` when n > ``MAX_ENUMERATION_N``,
     before any block is walked.
     """
     histogram = np.zeros(formula.m + 1, dtype=np.int64)

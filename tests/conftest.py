@@ -1,3 +1,6 @@
+from contextlib import contextmanager
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -38,6 +41,28 @@ def class_profile(request):
     }[request.param]()
     table = ss.build_unsat_table(formula)
     return ss.PhaseProfile.from_histogram(table.m, table.histogram)
+
+
+@contextmanager
+def enumeration_walkers(cpus: int):
+    """Show the enumeration ``cpus`` CPUs and 4-assignment blocks; yields the list of the runs it walks.
+
+    With 2**(n-2) blocks, a table at n >= 9 has enough of them for a worker
+    on each of up to 16 CPUs.
+    """
+    runs = []
+    summary = ss.cnf._run_summary
+
+    def walk(m, blocks):
+        runs.append(blocks)
+        return summary(m, blocks)
+
+    with (
+        mock.patch.object(ss.cnf.os, "sched_getaffinity", lambda pid: set(range(cpus)), create=True),
+        mock.patch.object(ss.cnf, "BLOCK_BITS", 2),
+        mock.patch.object(ss.cnf, "_run_summary", walk),
+    ):
+        yield runs
 
 
 def random_state(dim: int, seed: int) -> np.ndarray:

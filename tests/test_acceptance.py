@@ -13,7 +13,7 @@ import pytest
 import satsearch as ss
 from satsearch.cli import _json_text, main
 
-from conftest import random_3sat, random_state
+from conftest import enumeration_walkers, random_3sat, random_state
 from oracles import all_violated, apply_clause_phases_factored, fold_classes, from_table
 from oracles import grover_closed_form, grover_step, profile_for, two_branch_lambda1
 
@@ -201,16 +201,23 @@ def test_criterion_8_unitarity_and_determinism(tmp_path):
         state = ss.search_step(state, profile)
     assert abs(np.linalg.norm(state) - 1.0) <= 1e-10
 
+    # 4-assignment blocks, 256 of them at n = 10, so that four workers each walk a run
     inst = tmp_path / "inst.cnf"
     assert main(["gen", "-n", "10", "-m", "12", "--seed", "3", "-o", str(inst)]) == 0
     formula, config = ss.read_dimacs(inst), ss.RunConfig(formula_path=str(inst), q_max=80)
-    a = ss.run_sweep(ss.build_unsat_table(formula, threads=1), config)
-    b = ss.run_sweep(ss.build_unsat_table(formula, threads=4), config)
+    with enumeration_walkers(4) as runs:
+        a = ss.run_sweep(ss.build_unsat_table(formula, threads=1), config)
+        b = ss.run_sweep(ss.build_unsat_table(formula, threads=4), config)
+    assert len(runs) == 1 + 4
     assert _json_text(a.to_json_dict()) == _json_text(b.to_json_dict())
 
-    # same through the CLI, comparing emitted bytes
-    out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
-    assert main(["run", "-f", str(inst), "--qmax", "80", "--threads", "1", "-o", str(out1)]) == 0
-    assert main(["run", "-f", str(inst), "--qmax", "80", "--threads", "4", "-o", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
+    # same through the CLI, comparing emitted bytes, with as many walkers as CPUs
+    # where numpy's BLAS is OpenBLAS and one otherwise
+    outputs = []
+    for cpus in (1, 4):
+        outputs.append(tmp_path / f"r{cpus}.json")
+        with enumeration_walkers(cpus) as runs:
+            assert main(["run", "-f", str(inst), "--qmax", "80", "-o", str(outputs[-1])]) == 0
+        assert len(runs) == (cpus if ss.cnf._openblas() else 1)
+    assert outputs[0].read_bytes() == outputs[1].read_bytes()
     _verdict(8, "unitarity and determinism")

@@ -15,7 +15,7 @@ import satsearch as ss
 from satsearch import spectral
 from satsearch.cli import _json_text, build_parser, main
 
-from conftest import TOY_DIMACS, counter_formula
+from conftest import TOY_DIMACS, counter_formula, enumeration_walkers
 from oracles import lift_snapshot
 
 
@@ -237,13 +237,16 @@ class TestRun:
         assert "timings" not in payload
 
     def test_byte_identical_across_threads(self, tmp_path):
+        # one walker against four, each over a run of the 128 4-assignment blocks
         inst = tmp_path / "inst.cnf"
         assert main(["gen", "-n", "9", "-m", "12", "--seed", "5", "-o", str(inst)]) == 0
-        out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
-        args = ["run", "-f", str(inst), "--qmax", "60"]
-        assert main(args + ["--threads", "1", "-o", str(out1)]) == 0
-        assert main(args + ["--threads", "4", "-o", str(out2)]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
+        outputs = []
+        for cpus in (1, 4):
+            outputs.append(tmp_path / f"r{cpus}.json")
+            with enumeration_walkers(cpus) as runs:
+                assert main(["run", "-f", str(inst), "--qmax", "60", "-o", str(outputs[-1])]) == 0
+            assert len(runs) == (cpus if ss.cnf._openblas() else 1)
+        assert outputs[0].read_bytes() == outputs[1].read_bytes()
 
     def test_timings_flag(self, toy_path, tmp_path):
         out = tmp_path / "report.json"
@@ -418,11 +421,6 @@ class TestUsageErrors:
         assert main([command, "-f", toy_path, "--seed", "5"]) == 2
         assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("threads", ["0", "-3"])
-    def test_threads_below_one(self, threads, toy_path, capsys):
-        assert main(["analyze", "-f", toy_path, "--threads", threads]) == 2
-        self.assert_one_line_error(capsys, "--threads")
-
     def test_steps_without_grover(self, toy_path, tmp_path, capsys):
         # without --grover no baseline runs, so a step count would be ignored
         assert main(["run", "-f", toy_path, "--steps", "5", "--qmax", "2"]) == 2
@@ -586,14 +584,14 @@ class TestJsonText:
 
 class TestParser:
     # each subcommand's option strings after the common ones, pinned like
-    # satsearch.__all__; --threads only where the violation table is built
+    # satsearch.__all__
     OPTIONS = {
         "gen": "-n -m --seed",
-        "analyze": "--threads -f --formula --table",
-        "sweep": "--threads -f --formula --qmax",
-        "run": "--threads -f --formula --qmax --grover --steps --trials --trials-seed --timings --snapshot",
-        "grover": "--threads -f --formula --steps",
-        "spectrum": "--threads -f --formula",
+        "analyze": "-f --formula --table",
+        "sweep": "-f --formula --qmax",
+        "run": "-f --formula --qmax --grover --steps --trials --trials-seed --timings --snapshot",
+        "grover": "-f --formula --steps",
+        "spectrum": "-f --formula",
     }
 
     def test_option_strings_pinned(self):
@@ -608,6 +606,13 @@ class TestParser:
         argv = ["gen", "-n", "8", "-m", "12"] if command == "gen" else [command, "-f", toy_path]
         assert main([*argv, "--guard-n", "40"]) == 2
         assert "unrecognized arguments: --guard-n 40" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", list(OPTIONS))
+    def test_no_threads_option(self, command, toy_path, capsys):
+        # the enumeration picks its own workers
+        argv = ["gen", "-n", "8", "-m", "12"] if command == "gen" else [command, "-f", toy_path]
+        assert main([*argv, "--threads", "2"]) == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", ["sweep --format json", "sweep --snapshot x", "grover --format json"])
     def test_json_and_snapshot_only_from_run(self, argv, toy_path, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import os
+import sys
 import tempfile
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 import satsearch as ss
 from satsearch.cnf import violation_mask
 
-from conftest import TOY_DIMACS, formula_with_assignment, counter_formula, formulas, random_3sat
+from conftest import TOY_DIMACS, enumeration_walkers, formula_with_assignment, counter_formula, formulas, random_3sat
 from oracles import unsat_count, violation_counts
 
 
@@ -83,6 +84,26 @@ class TestParseDimacs:
     def test_clause_tokens_must_be_ascii_integers(self, token):
         with pytest.raises(ss.DimacsError, match="non-integer token"):
             ss.parse_dimacs(f"p cnf 10 1\n{token} 0\n")
+
+    @given(st.text(alphabet="a 0\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\u2028\u2029", max_size=12))
+    def test_lines_are_splitlines(self, text):
+        assert list(ss.cnf._lines(text)) == text.splitlines()
+
+    @pytest.mark.parametrize("line, clauses", [("c a comment line\n", 0), ("-7 0\n", 1), ("1 -4 6 0\n", 1)])
+    def test_parse_holds_one_line_at_a_time(self, line, clauses, tmp_path):
+        # beyond the formula it returns, parsing holds the file's bytes, their
+        # text and one line; lists of every line or token held 8 to 17 B more
+        # per input byte
+        path = tmp_path / "lines.cnf"
+        path.write_text(f"p cnf 9 {20_000 * clauses or 1}\n" + line * 20_000 + ("" if clauses else "1 0\n"))
+        tracemalloc.start()
+        try:
+            formula = ss.read_dimacs(path)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert formula.m == (20_000 * clauses or 1)
+        assert peak - kept <= 6 * path.stat().st_size
 
     def test_serialize_comments(self):
         text = ss.serialize_dimacs(ss.parse_dimacs(TOY_DIMACS), comments=["planted 3"])
@@ -189,7 +210,7 @@ class TestUnsatTable:
         assert walked == []
         n = ss.cnf.MAX_ENUMERATION_N
         assert ss.build_unsat_table(ss.parse_dimacs(f"p cnf {n} 1\n1 0\n")).solutions == []
-        assert walked == [n]
+        assert set(walked) == {n}  # one walker per worker
         # one unit clause per variable, x_k true for odd k and false for even k
         units = "".join(f"{k if k % 2 else -k} 0\n" for k in range(1, n + 1))
         solutions = ss.cnf.satisfying_assignments(ss.parse_dimacs(f"p cnf {n} {n}\n{units}"))
@@ -203,7 +224,7 @@ class TestUnsatTable:
     def test_solution_list_against_physical_memory(self, threads, monkeypatch):
         """The walk lists the solutions that fit and refuses one more; the table, on w runs, needs room for two."""
         formula = ss.parse_dimacs("p cnf 20 1\n1 0\n")  # 2**19 solutions, 2**18 per half
-        monkeypatch.setattr(ss.cnf.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(ss.cnf.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         for capacity, fits in ((1 << 19, True), ((1 << 19) - 1, False)):
             pages = {"SC_PAGE_SIZE": ss.cnf.SOLUTION_BYTES, "SC_PHYS_PAGES": capacity}
             monkeypatch.setattr(ss.cnf.os, "sysconf", pages.__getitem__)
@@ -297,7 +318,7 @@ class TestUnsatTable:
         formula = ss.generate_planted_3sat(12, 40, seed=6)
         single = ss.build_unsat_table(formula, threads=1)
         monkeypatch.setattr(ss.cnf, "ThreadPoolExecutor", RecordingPool)
-        monkeypatch.setattr(ss.cnf.os, "cpu_count", lambda: 2)  # two runs
+        monkeypatch.setattr(ss.cnf.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)  # two runs
         with mock.patch.object(ss.cnf, "BLOCK_BITS", 2):  # 1024 blocks
             threaded = ss.build_unsat_table(formula, threads=2)
         assert len(submitted) == 2 - 1
@@ -327,7 +348,9 @@ class TestUnsatTable:
 
         formula = ss.generate_planted_3sat(6, 12, seed=2)
         monkeypatch.setattr(ss.cnf, "ThreadPoolExecutor", RecordingPool)
-        monkeypatch.setattr(ss.cnf.os, "cpu_count", lambda: 3)
+        # the CPUs the process may run on, not every CPU the machine has
+        monkeypatch.setattr(ss.cnf.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        monkeypatch.setattr(ss.cnf.os, "cpu_count", lambda: 8)
         with mock.patch.object(ss.cnf, "BLOCK_BITS", 2):  # 16 blocks
             huge = ss.build_unsat_table(formula, threads=1 << 20)
             single = ss.build_unsat_table(formula, threads=1)
@@ -376,6 +399,95 @@ class TestUnsatTable:
         multi = ss.build_unsat_table(ss.parse_dimacs("p cnf 2 1\n1 2 0\n"))
         with pytest.raises(ss.InstanceError, match="found 3"):
             multi.unique_solution()
+
+
+class TestEnumerationWorkers:
+    """The table's own worker count, and OpenBLAS held at one thread while the blocks are walked."""
+
+    @pytest.fixture
+    def blas(self):
+        """The real OpenBLAS getter and setter, set to 2 threads, so that a pin to 1 shows."""
+        blas = ss.cnf._openblas()
+        if blas is None:
+            pytest.skip("numpy's BLAS is not OpenBLAS")
+        get, put = blas
+        found = get()
+        put(2)
+        yield blas
+        put(found)
+
+    @pytest.mark.parametrize("n, workers", [(3, 1), (4, 1), (5, 2), (6, 4), (8, 4)])
+    def test_one_worker_per_min_blocks(self, n, workers, monkeypatch):
+        # 2**(n-2) blocks, at least 4 per worker, at most 4 CPUs: a table of
+        # fewer than 8 blocks starts no pool
+        monkeypatch.setattr(ss.cnf, "MIN_BLOCKS_PER_WORKER", 4)
+        monkeypatch.setattr(ss.cnf, "_openblas", lambda: (lambda: 1, lambda count: None))
+        formula = random_3sat(n, 2 * n, seed=n)
+        single = ss.build_unsat_table(formula, threads=1)
+        with enumeration_walkers(4) as runs:
+            table = ss.build_unsat_table(formula)
+        assert len(runs) == workers
+        assert np.array_equal(table.histogram, single.histogram)
+        assert table.solutions == single.solutions
+
+    def test_no_pool_without_openblas(self, monkeypatch):
+        # a BLAS whose threads the walk cannot set keeps the table on the calling thread
+        monkeypatch.setattr(ss.cnf, "_openblas", lambda: None)
+        monkeypatch.setattr(ss.cnf, "ThreadPoolExecutor", mock.Mock(side_effect=AssertionError("pool started")))
+        formula = ss.generate_planted_3sat(10, 40, seed=2)
+        with enumeration_walkers(4) as runs:
+            table = ss.build_unsat_table(formula)
+        assert len(runs) == 1
+        assert table.histogram.tolist() == ss.build_unsat_table(formula, threads=1).histogram.tolist()
+
+    def test_blas_count_restored(self, blas, monkeypatch):
+        get, _ = blas
+        before = get()
+        ss.build_unsat_table(ss.generate_planted_3sat(10, 40, seed=2))
+        assert get() == before
+        monkeypatch.setattr(ss.cnf, "_run_summary", mock.Mock(side_effect=RuntimeError("walk failed")))
+        with pytest.raises(RuntimeError, match="walk failed"):
+            ss.build_unsat_table(ss.generate_planted_3sat(10, 40, seed=2))
+        assert get() == before
+
+    def test_products_on_one_blas_thread(self, blas, monkeypatch):
+        get, put = blas
+        before = get()
+        puts, seen = [], []
+        summary = ss.cnf._run_summary
+
+        def read(m, blocks):
+            def each():
+                for block in blocks:
+                    seen.append(get())  # right after the block's product
+                    yield block
+
+            return summary(m, each())
+
+        monkeypatch.setattr(ss.cnf, "_openblas", lambda: (get, lambda count: (puts.append(count), put(count))))
+        monkeypatch.setattr(ss.cnf, "_run_summary", read)
+        with mock.patch.object(ss.cnf, "BLOCK_BITS", 4):  # 64 blocks
+            ss.build_unsat_table(ss.generate_planted_3sat(10, 40, seed=2), threads=2)
+        assert puts == [1, before]
+        assert seen == [1] * 64
+
+    def test_concurrent_walks_restore_blas_count(self, blas):
+        # each walk saves and restores the one count of the process: unserialised,
+        # a walk could save another's pin of 1 and restore that
+        get, _ = blas
+        before = get()
+        formula = ss.generate_planted_3sat(12, 40, seed=6)
+        expected = ss.build_unsat_table(formula, threads=1).histogram.tolist()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(ss.build_unsat_table, formula, 2) for _ in range(64)]
+                tables = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert get() == before
+        assert all(table.histogram.tolist() == expected for table in tables)
 
 
 class TestViolationMask:

@@ -9,7 +9,6 @@ from .cnf import (
     FormulaError,
     GuardError,
     InstanceError,
-    Literal,
     UnsatTable,
     build_unsat_table,
     parse_dimacs,
@@ -54,7 +53,6 @@ __all__ = [
     "FormulaError",
     "GuardError",
     "InstanceError",
-    "Literal",
     "PhaseProfile",
     "RunConfig",
     "RunReport",

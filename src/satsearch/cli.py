@@ -17,8 +17,9 @@ file, which is checked before anything is read or written), 3 invalid
 instance or formula (any bytes that do not parse as DIMACS, or a file that
 cannot be read), 4 guard exceeded: n above ``cnf.MAX_ENUMERATION_N`` (30) for
 any command that enumerates, ``gen`` included, a DIMACS file (before
-parsing), ``gen``'s solution list or a curve (--qmax, --steps) that would not
-fit in physical memory, or a matrix dimension (``spectrum``).
+parsing), ``gen``'s clause count (-m, before any clause is drawn), ``gen``'s
+solution list or a curve (--qmax, --steps) that would not fit in physical
+memory, or a matrix dimension (``spectrum``).
 
 ``gen`` finds the solutions of its random batch by ``cnf``'s pruned prefix
 walk, on one thread; every other command builds the violation table in

@@ -3,7 +3,8 @@
 An assignment of n variables is packed into an integer index i in [0, 2**n):
 bit k-1 of i holds the value of variable x_k.  Every other component (phase
 operators, spectral sums, success metrics) is keyed to this encoding, so it is
-fixed here once and tested bit-exactly.
+fixed here once and tested bit-exactly.  A clause is its literals as DIMACS
+writes them, signed ints: k for x_k and -k for its negation.
 
 ``read_dimacs`` is the only reader of DIMACS files: it refuses one that would
 not fit in memory, decodes the bytes so that no input can fail before parsing,
@@ -71,7 +72,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -116,9 +117,10 @@ SOLUTION_BYTES = 160
 
 # Peak bytes per input byte of read_dimacs: tracemalloc's peak over a file at
 # the bound, 0.4 to 2 MB of 1-, 2-, 3- or 9-literal clauses on 9 variables, is
-# 43 to 62 (56 to 62 with every clause on one line), nearly all of it the
-# clauses the formula keeps; comment lines take 2.  The guard takes 140, more
-# than twice the largest.
+# 13 to 36 with one clause per line, nearly all of it the clauses the formula
+# keeps, and 26 to 45 with every clause on one line, whose tokens are listed at
+# once; comment lines take 2 to 5.  The guard takes 140, more than twice the
+# largest.
 DIMACS_BYTES = 140
 
 # (first index, violation counts) of one enumeration block.
@@ -154,46 +156,24 @@ def memory_capacity(item_bytes: int) -> int:
 
 
 @dataclass(frozen=True)
-class Literal:
-    """A 1-indexed Boolean variable or its negation."""
-
-    var: int
-    negated: bool = False
-
-    def to_int(self) -> int:
-        return -self.var if self.negated else self.var
-
-    @classmethod
-    def from_int(cls, lit: int) -> "Literal":
-        if lit == 0:
-            raise FormulaError("literal 0 is reserved as the clause terminator")
-        return cls(abs(lit), lit < 0)
-
-
-@dataclass(frozen=True)
 class Clause:
-    """Disjunction of literals.  Duplicates are dropped; tautologies rejected."""
+    """Disjunction of literals, each a signed DIMACS int: k is x_k and -k its negation.
 
-    literals: tuple[Literal, ...]
+    Any iterable of ints is kept as a tuple, duplicates dropped after their
+    first occurrence; a 0, an empty clause and a tautology are rejected.
+    """
+
+    literals: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        seen: dict[tuple[int, bool], Literal] = {}
-        for lit in self.literals:
-            if lit.var < 1:
-                raise FormulaError(f"variable index {lit.var} out of range")
-            seen.setdefault((lit.var, lit.negated), lit)
-        if not seen:
+        literals = tuple(dict.fromkeys(self.literals))
+        if 0 in literals:
+            raise FormulaError("literal 0 is reserved as the clause terminator")
+        if not literals:
             raise FormulaError("empty clause")
-        if len({var for var, _ in seen}) < len(seen):  # a variable with both signs
+        if len(set(map(abs, literals))) < len(literals):  # a variable with both signs
             raise FormulaError("tautological clause: contains a literal and its negation")
-        object.__setattr__(self, "literals", tuple(seen.values()))
-
-    @classmethod
-    def from_ints(cls, lits: Iterable[int]) -> "Clause":
-        return cls(tuple(Literal.from_int(lit) for lit in lits))
-
-    def to_ints(self) -> tuple[int, ...]:
-        return tuple(lit.to_int() for lit in self.literals)
+        object.__setattr__(self, "literals", literals)
 
     # at first read, not at construction: a parsed clause may name a variable
     # in the billions, and its mask would take that many bits
@@ -201,9 +181,9 @@ class Clause:
     def _masks(self) -> tuple[int, int]:
         care = value = 0
         for lit in self.literals:
-            bit = 1 << (lit.var - 1)
+            bit = 1 << (abs(lit) - 1)
             care |= bit
-            if lit.negated:
+            if lit < 0:
                 value |= bit
         return care, value
 
@@ -228,11 +208,9 @@ class CnfFormula:
         if not clauses:
             raise FormulaError("formula needs at least one clause")
         for clause in clauses:
-            for lit in clause.literals:
-                if lit.var > self.n:
-                    raise FormulaError(
-                        f"variable x{lit.var} exceeds declared count n={self.n}"
-                    )
+            var = max(map(abs, clause.literals))
+            if var > self.n:
+                raise FormulaError(f"variable x{var} exceeds declared count n={self.n}")
         object.__setattr__(self, "clauses", clauses)
 
     @property
@@ -297,7 +275,7 @@ def parse_dimacs(text: str) -> CnfFormula:
             lit = int(tok)
             if lit == 0:
                 try:
-                    clauses.append(Clause.from_ints(current))
+                    clauses.append(Clause(current))
                 except FormulaError as exc:
                     raise DimacsError(f"clause {len(clauses) + 1}: {exc}") from None
                 current = []
@@ -341,7 +319,7 @@ def serialize_dimacs(formula: CnfFormula, comments: Sequence[str] = ()) -> str:
     lines = [f"c {comment}" for comment in comments]
     lines.append(f"p cnf {formula.n} {formula.m}")
     for clause in formula.clauses:
-        lines.append(" ".join(str(lit) for lit in clause.to_ints()) + " 0")
+        lines.append(" ".join(map(str, clause.literals)) + " 0")
     return "\n".join(lines) + "\n"
 
 
@@ -603,7 +581,7 @@ def satisfying_assignments(formula: CnfFormula) -> list[int]:
     # violates, of each clause whose lowest variable is x_(b+1)
     decided: list[list[tuple[int, int, int]]] = [[] for _ in range(formula.n)]
     for clause in formula.clauses:
-        bit = min(lit.var for lit in clause.literals) - 1
+        bit = min(map(abs, clause.literals)) - 1
         decided[bit].append((clause.care >> (bit + 1), clause.value >> (bit + 1), (clause.value >> bit) & 1))
     dtype = np.min_scalar_type(formula.assignment_count - 1)  # holds every index
     solutions: list[int] = []

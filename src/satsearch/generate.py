@@ -13,7 +13,8 @@ n <= ``cnf.MAX_INDEX_N``:
   clauses, then greedily appends clauses that each kill at least one
   surviving non-solution until the solution is unique.  The returned
   clause count is whatever uniqueness required, which for random clauses
-  lands near 5n or above.
+  lands near 5n or above.  A batch that would not fit in physical memory at
+  ``CLAUSE_BYTES`` per clause is refused before its first draw.
 * ``generate_planted_chain`` builds n nested clauses (lengths 1..n) whose
   violation sets partition the non-solutions, so every wrong assignment
   violates exactly one clause.  That concentrates the violation histogram at
@@ -25,6 +26,9 @@ n <= ``cnf.MAX_INDEX_N``:
   that forbid every wrong value pattern of the block.  A remainder block of
   one or two variables borrows variables from the first block.  Clause count
   is about 7n/3, far below what the random family needs for uniqueness.
+
+Every family draws variables by 0-based position k and writes each literal as
+DIMACS does, k + 1 or, negated, -(k + 1).
 """
 
 from __future__ import annotations
@@ -38,28 +42,35 @@ from .cnf import (
     CnfFormula,
     GuardError,
     InstanceError,
-    Literal,
     MAX_ENUMERATION_N,
     MAX_INDEX_N,
+    memory_capacity,
     satisfying_assignments,
     violation_mask,
 )
+
+# Peak bytes per initial clause of _planted_3sat and serialize_dimacs of its
+# formula: tracemalloc's peak over both, divided by m, is 407 to 413 at n = 10
+# and 456 to 498 at n = 20 and 30, for m = 10**4 to 3 * 10**5 (batches this
+# large leave the planted assignment unique, so the formula keeps m clauses).
+# The guard takes 1024, more than twice the largest.
+CLAUSE_BYTES = 1024
 
 
 def _bit(assignment: int, position: int) -> int:
     return (assignment >> position) & 1
 
 
+def _literal(position: int, negated: int) -> int:
+    """DIMACS literal of the variable at 0-based ``position``: negative when ``negated``."""
+    return -(position + 1) if negated else position + 1
+
+
 def _random_clause_satisfied_by(rng: np.random.Generator, n: int, planted: int) -> Clause:
     while True:
         positions = rng.choice(n, size=3, replace=False)
         negations = rng.integers(0, 2, size=3)
-        clause = Clause(
-            tuple(
-                Literal(pos + 1, bool(neg))
-                for pos, neg in zip(positions.tolist(), negations.tolist())
-            )
-        )
+        clause = Clause(map(_literal, positions.tolist(), negations.tolist()))
         if clause.satisfied_by(planted):
             return clause
 
@@ -70,10 +81,10 @@ def _separating_clause(rng: np.random.Generator, n: int, planted: int, survivor:
     anchor = int(rng.choice(differing))
     pool = [k for k in range(n) if k != anchor]
     others = rng.choice(pool, size=2, replace=False)
-    literals = [Literal(anchor + 1, negated=not _bit(planted, anchor))]
-    for k in others:
-        literals.append(Literal(int(k) + 1, negated=bool(_bit(survivor, int(k)))))
-    return Clause(tuple(literals))
+    literals = [_literal(anchor, not _bit(planted, anchor))]
+    for k in others.tolist():
+        literals.append(_literal(k, _bit(survivor, k)))
+    return Clause(literals)
 
 
 def _check_bounds(n: int, minimum: int, family: str) -> None:
@@ -94,7 +105,8 @@ def generate_planted_3sat(n: int, m: int, seed: int) -> CnfFormula:
     appends further clauses (each falsifying the lowest surviving
     non-solution) until the planted assignment is the unique solution, so
     the returned formula typically has more than ``m`` clauses.  n above
-    ``cnf.MAX_ENUMERATION_N`` raises ``GuardError`` before any clause is drawn.
+    ``cnf.MAX_ENUMERATION_N``, or m above ``cnf.memory_capacity(CLAUSE_BYTES)``,
+    raises ``GuardError`` before any clause is drawn.
     """
     return _planted_3sat(n, m, seed)[0]
 
@@ -107,6 +119,11 @@ def _planted_3sat(n: int, m: int, seed: int) -> tuple[CnfFormula, int]:
     if n > MAX_ENUMERATION_N:
         raise GuardError(
             f"uniqueness check over 2**{n} assignments exceeds the limit n <= {MAX_ENUMERATION_N}"
+        )
+    limit = memory_capacity(CLAUSE_BYTES)
+    if m > limit:
+        raise GuardError(
+            f"m={m} initial clauses exceed the {limit} that fit in physical memory at {CLAUSE_BYTES} bytes each"
         )
     rng = np.random.default_rng(seed)
     planted = int(rng.integers(0, 1 << n))
@@ -139,12 +156,9 @@ def generate_planted_chain(n: int, extras: int = 0, seed: int = 0) -> CnfFormula
 
     clauses = []
     for j in range(n):
-        literals = [
-            Literal(order[t] + 1, negated=bool(_bit(planted, order[t])))
-            for t in range(j)
-        ]
-        literals.append(Literal(order[j] + 1, negated=not _bit(planted, order[j])))
-        clauses.append(Clause(tuple(literals)))
+        literals = [_literal(order[t], _bit(planted, order[t])) for t in range(j)]
+        literals.append(_literal(order[j], not _bit(planted, order[j])))
+        clauses.append(Clause(literals))
     for _ in range(extras):
         clauses.append(_random_clause_satisfied_by(rng, n, planted))
     return CnfFormula(n, tuple(clauses))
@@ -166,9 +180,7 @@ def generate_planted_block3sat(n: int, seed: int = 0) -> CnfFormula:
     full, remainder = divmod(n, 3)
 
     def pattern_clause(variables: list[int], pattern: tuple[int, ...]) -> Clause:
-        return Clause(
-            tuple(Literal(v + 1, negated=bool(p)) for v, p in zip(variables, pattern))
-        )
+        return Clause(map(_literal, variables, pattern))
 
     clauses = []
     for b in range(full):

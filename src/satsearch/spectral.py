@@ -20,10 +20,10 @@ to the uniform state, they keep D's phases +pi*u/m and -pi*u/m exactly, and
 the report adds them to the matrix's own.  A phase within ZERO_PHASE_FLOOR
 of zero is reported as 0.0, so the row of the zero-phase spectator
 (|0,r> - |1,r>)/sqrt(2) does not carry the eigensolver's last bits.  The
-kernel takes any profile, so
-on the per-assignment profile of ``tests/oracles.py`` (every weight 1) it is
-the dense oracle the class spectrum is checked against.  The matrix dimension
-2 * profile.size is guarded at 2048: 64 MiB, n <= 10 per assignment.
+kernel takes any profile, so on the per-assignment profile of
+``tests/oracles.py`` (every weight 1) it is the dense oracle the class
+spectrum is checked against.  The matrix dimension 2 * profile.size is
+guarded at 2048: 64 MiB, n <= 10 per assignment.
 """
 
 from __future__ import annotations

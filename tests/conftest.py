@@ -78,14 +78,7 @@ def random_3sat(n: int, m: int, seed: int) -> ss.CnfFormula:
     for _ in range(m):
         positions = rng.choice(n, size=3, replace=False)
         negations = rng.integers(0, 2, size=3)
-        clauses.append(
-            ss.Clause(
-                tuple(
-                    ss.Literal(int(p) + 1, bool(g))
-                    for p, g in zip(positions, negations)
-                )
-            )
-        )
+        clauses.append(ss.Clause(-(p + 1) if g else p + 1 for p, g in zip(positions.tolist(), negations.tolist())))
     return ss.CnfFormula(n, tuple(clauses))
 
 
@@ -95,7 +88,7 @@ def counter_formula(n: int) -> ss.CnfFormula:
     Clause (not x_k) appears 2**(k-1) times, so m = 2**n - 1 and every
     assignment is its own violation class.
     """
-    clauses = [ss.Clause((ss.Literal(k, True),)) for k in range(1, n + 1) for _ in range(1 << (k - 1))]
+    clauses = [ss.Clause((-k,)) for k in range(1, n + 1) for _ in range(1 << (k - 1))]
     return ss.CnfFormula(n, tuple(clauses))
 
 
@@ -108,11 +101,7 @@ def formulas(draw, max_n: int = 6, max_m: int = 8):
         width = draw(st.integers(1, min(3, n)))
         variables = draw(st.permutations(range(1, n + 1)))[:width]
         negations = draw(st.lists(st.booleans(), min_size=width, max_size=width))
-        clauses.append(
-            ss.Clause(
-                tuple(ss.Literal(v, g) for v, g in zip(variables, negations))
-            )
-        )
+        clauses.append(ss.Clause(-v if g else v for v, g in zip(variables, negations)))
     return ss.CnfFormula(n, tuple(clauses))
 
 

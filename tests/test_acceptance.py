@@ -30,14 +30,7 @@ def _random_formula(rng: np.random.Generator) -> ss.CnfFormula:
         width = int(rng.integers(1, min(3, n) + 1))
         positions = rng.choice(n, size=width, replace=False)
         negations = rng.integers(0, 2, size=width)
-        clauses.append(
-            ss.Clause(
-                tuple(
-                    ss.Literal(int(p) + 1, bool(g))
-                    for p, g in zip(positions, negations)
-                )
-            )
-        )
+        clauses.append(ss.Clause(-(p + 1) if g else p + 1 for p, g in zip(positions.tolist(), negations.tolist())))
     return ss.CnfFormula(n, tuple(clauses))
 
 

@@ -478,10 +478,12 @@ class TestSolutionGuard:
         assert capsys.readouterr().err == "error: expected exactly one satisfying assignment, found 2048\n"
         assert main(["analyze", "-f", toy_path]) == 0
 
-    def test_gen_exit_4(self, tmp_path, capsys):
+    def test_gen_exit_4(self, tmp_path, capsys, monkeypatch):
+        # the solution list, not the 60 clauses, is what this memory bounds
+        monkeypatch.setattr(ss.generate, "CLAUSE_BYTES", 1)
         # one initial clause leaves 7/8 of the 4096 assignments
         assert main(["gen", "-n", "12", "-m", "1"]) == 4
-        TestUsageErrors.assert_one_line_error(capsys, "physical memory")
+        TestUsageErrors.assert_one_line_error(capsys, "the solution list outgrows its share of physical memory")
         assert main(["gen", "-n", "12", "-m", "60", "-o", str(tmp_path / "x.cnf")]) == 0
 
 
@@ -520,6 +522,30 @@ class TestDimacsGuard:
         self.refuse_parsing(monkeypatch)
         assert main(["run", "-f", "/dev/zero"]) == 4
         TestUsageErrors.assert_one_line_error(capsys, "physical memory")
+
+
+class TestClauseGuard:
+    """``gen -m`` above ``memory_capacity(CLAUSE_BYTES)`` exits 4 with one error line, before any clause is drawn."""
+
+    BOUND = 40
+
+    @pytest.fixture(autouse=True)
+    def small_memory(self, monkeypatch):
+        # room for BOUND initial clauses
+        pages = {"SC_PAGE_SIZE": ss.generate.CLAUSE_BYTES, "SC_PHYS_PAGES": self.BOUND}
+        monkeypatch.setattr(ss.cnf.os, "sysconf", pages.__getitem__)
+
+    def test_bound(self, capsys, monkeypatch):
+        assert main(["gen", "-n", "10", "-m", str(self.BOUND)]) == 0
+        assert ss.parse_dimacs(capsys.readouterr().out).m >= self.BOUND
+
+        def refuse(*args):
+            raise AssertionError("a clause was drawn")
+
+        monkeypatch.setattr(ss.generate, "_random_clause_satisfied_by", refuse)
+        for m in (self.BOUND + 1, 100_000_000):
+            assert main(["gen", "-n", "10", "-m", str(m)]) == 4
+            TestUsageErrors.assert_one_line_error(capsys, f"the {self.BOUND} that fit in physical memory")
 
 
 class TestCurveGuard:

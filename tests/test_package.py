@@ -8,8 +8,8 @@ import satsearch as ss
 
 PUBLIC = [
     "__version__", "Clause", "CnfFormula", "DimacsError", "EigenPairReport",
-    "FormulaError", "GuardError", "InstanceError", "Literal", "PhaseProfile", "RunConfig",
-    "RunReport", "SpectralSummary", "UnsatTable", "build_unsat_table", "dense_eigencheck",
+    "FormulaError", "GuardError", "InstanceError", "PhaseProfile", "RunConfig", "RunReport",
+    "SpectralSummary", "UnsatTable", "build_unsat_table", "dense_eigencheck",
     "generate_planted_3sat", "generate_planted_block3sat", "generate_planted_chain",
     "grover_optimal_steps", "lambda2_from_histogram", "measurement_success_rate",
     "parse_dimacs", "read_dimacs", "repeat_until_success_stats", "run_grover_baseline",
@@ -26,6 +26,9 @@ PARAMETERS = {
 }
 RUN_CONFIG_FIELDS = ["formula_path", "q_max", "include_grover", "grover_steps"]
 
+# a clause is its signed DIMACS literals: a second representation cannot return unnoticed
+CLAUSE_FIELDS = ["literals"]
+
 # the satsearch modules each module imports; "__init__" is the package itself
 IMPORTS = {
     "__init__": ["cnf", "experiment", "generate", "spectral", "statevector"],
@@ -40,8 +43,8 @@ IMPORTS = {
 # the names generate takes from cnf: the random family's survivors come from
 # the solutions-only walk, not from the histogram table
 GENERATE_FROM_CNF = [
-    "Clause", "CnfFormula", "GuardError", "InstanceError", "Literal", "MAX_ENUMERATION_N",
-    "MAX_INDEX_N", "satisfying_assignments", "violation_mask",
+    "Clause", "CnfFormula", "GuardError", "InstanceError", "MAX_ENUMERATION_N", "MAX_INDEX_N",
+    "memory_capacity", "satisfying_assignments", "violation_mask",
 ]
 
 SOURCES = {path.stem: ast.parse(path.read_text()) for path in Path(ss.__file__).parent.glob("*.py")}
@@ -55,6 +58,7 @@ def test_public_names_pinned():
 def test_knobs_pinned():
     assert {name: list(inspect.signature(attrgetter(name)(ss)).parameters) for name in PARAMETERS} == PARAMETERS
     assert [field.name for field in dataclasses.fields(ss.RunConfig)] == RUN_CONFIG_FIELDS
+    assert [field.name for field in dataclasses.fields(ss.Clause)] == CLAUSE_FIELDS
 
 
 def package_imports(tree):

@@ -110,7 +110,7 @@ class TestMonotonicity:
         table = ss.build_unsat_table(formula)
         r = table.unique_solution()
         # append a clause the solution satisfies; no count may decrease
-        extra = ss.Clause.from_ints([(1 if (r >> 0) & 1 else -1), 2, 3])
+        extra = ss.Clause([(1 if (r >> 0) & 1 else -1), 2, 3])
         grown = ss.CnfFormula(formula.n, formula.clauses + (extra,))
         grown_counts = violation_counts(grown)
         assert grown_counts[r] == 0
@@ -142,7 +142,7 @@ def unique_solution_formulas(draw):
     for var in range(1, formula.n + 1):
         if len(solutions) == 1:
             break
-        pin = ss.Clause((ss.Literal(var, not (solutions[0] >> (var - 1)) & 1),))
+        pin = ss.Clause((var if (solutions[0] >> (var - 1)) & 1 else -var,))
         formula = ss.CnfFormula(formula.n, formula.clauses + (pin,))
         solutions = ss.build_unsat_table(formula).solutions
     return formula

@@ -31,7 +31,8 @@ on.
 Seeds (``gen --seed``, ``run --trials-seed``) must be >= 0, as numpy's PCG64
 requires.  ``run --snapshot`` writes the class-state document of
 ``statevector.state_snapshot``, at most 2(m+1) rows, once the sweep has
-succeeded; ``run --timings`` reports building it as ``snapshot_s``.
+succeeded.  Curves are written here alone, row by row: column 0 as an int,
+the others as repr floats.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ import argparse
 import json
 import os
 import sys
-import time
 from itertools import combinations
 
 import numpy as np
@@ -56,8 +56,6 @@ from .cnf import (
 )
 from .experiment import (
     RunConfig,
-    curve_csv,
-    curve_rows,
     grover_optimal_steps,
     repeat_until_success_stats,
     run_grover_baseline,
@@ -134,7 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--steps", type=_int_or_auto, default=None, help="baseline steps ('auto' = floor(pi/4*sqrt(N)))")
     run.add_argument("--trials", type=int, default=0, help="repeat-until-success sampling trials")
     run.add_argument("--trials-seed", type=int, help="sampling seed (PCG64, default 0)")
-    run.add_argument("--timings", action="store_true", help="include wall times (breaks byte-determinism)")
     run.add_argument("--snapshot", default=None, help="write the final class-state amplitudes (JSON) here")
 
     grover = sub.add_parser("grover", parents=[common], help="Grover baseline curve")
@@ -155,13 +152,24 @@ def _emit(text: str, output: str | None) -> None:
             handle.write(text)
 
 
+def _curve_rows(curve: np.ndarray, separator: str) -> list[str]:
+    """Each row of ``curve`` as text: column 0 as an int, the others as repr floats."""
+    template = separator.join(["%d"] + ["%r"] * (curve.shape[1] - 1))
+    return [template % tuple(row) for row in curve.tolist()]
+
+
+def _curve_csv(header: str, curve: np.ndarray) -> str:
+    """CSV of curve rows under ``header``, as ``_curve_rows`` writes them."""
+    return "\n".join([header, *_curve_rows(curve, ",")]) + "\n"
+
+
 def _array_text(array: np.ndarray) -> str:
     """A 2-D array as ``json.dumps`` writes its list of rows at depth 1 with ``indent=2``."""
     if not np.isfinite(array).all():
         raise ValueError("Out of range float values are not JSON compliant")
     if not len(array):
         return "[]"
-    return "[\n    [\n      " + "\n    ],\n    [\n      ".join(curve_rows(array, ",\n      ")) + "\n    ]\n  ]"
+    return "[\n    [\n      " + "\n    ],\n    [\n      ".join(_curve_rows(array, ",\n      ")) + "\n    ]\n  ]"
 
 
 def _json_text(payload: dict) -> str:
@@ -204,25 +212,20 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_sweep(args) -> int:
     report = run_sweep(_table(args), RunConfig(args.formula, args.qmax))
-    _emit(curve_csv("q,p_marginal,p_overlap", report.curve), args.output)
+    _emit(_curve_csv("q,p_marginal,p_overlap", report.curve), args.output)
     return 0
 
 
 def _cmd_run(args) -> int:
-    t0 = time.perf_counter()
-    table = _table(args)
-    timings = {"enumerate_s": time.perf_counter() - t0}
-    report = run_sweep(table, RunConfig(args.formula, args.qmax, args.grover, args.steps), args.snapshot is not None)
-    report.timings = timings | report.timings
+    config = RunConfig(args.formula, args.qmax, args.grover, args.steps)
+    report = run_sweep(_table(args), config, args.snapshot is not None)
     if report.snapshot is not None:
         _emit(_json_text(report.snapshot), args.snapshot)
     if args.trials > 0:
-        t0 = time.perf_counter()
         # a second read and enumeration of the same file, kept because perfbench's
         # report-n17 pins two; ROADMAP.md item 1 drops both the call and the pin
         report.repeat_stats = repeat_until_success_stats(_table(args), args.trials, args.trials_seed or 0)
-        report.timings["trials_s"] = time.perf_counter() - t0
-    _emit(_json_text(report.to_json_dict(include_timings=args.timings)), args.output)
+    _emit(_json_text(report.to_json_dict()), args.output)
     return 0
 
 
@@ -230,7 +233,7 @@ def _cmd_grover(args) -> int:
     table = _table(args)
     table.unique_solution()  # rejects instances without exactly one solution
     steps = args.steps if args.steps is not None else grover_optimal_steps(table.assignment_count)
-    _emit(curve_csv("step,p_r", run_grover_baseline(table.assignment_count, steps)), args.output)
+    _emit(_curve_csv("step,p_r", run_grover_baseline(table.assignment_count, steps)), args.output)
     return 0
 
 

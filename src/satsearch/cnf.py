@@ -22,6 +22,10 @@ memory.  Both rest on one fact, as does every test of a clause: an OR-clause
 is violated on exactly the indices i with i & ``Clause.care`` ==
 ``Clause.value``, the bits of its variables and of its negated literals.
 
+An ``UnsatTable`` is four facts, n, m, the histogram and those first
+solutions, and holds no formula: any source may build one, and
+``to_json_dict`` writes exactly those fields.
+
 The table needs a count for every assignment.  Split i into low, middle and
 top bits and the test factors into a test on each part.  The assignments are
 enumerated in fixed blocks of 2**BLOCK_BITS, each with its top bits fixed: a
@@ -130,6 +134,12 @@ Block = tuple[int, np.ndarray]
 # also take '+3', '1_0' and non-ASCII digits.
 _DIMACS_INT = re.compile(r"-?[0-9]+")
 
+# Most digits of a header count, leading zeros aside: every such count fits in
+# an int64, and a literal past it is out of range.  int() refuses more than
+# 4300 digits, a limit that sys.set_int_max_str_digits moves for the whole
+# process.
+MAX_COUNT_DIGITS = 18
+
 # The line boundaries of str.splitlines(), to read a file one line at a time.
 _LINE_BREAK = re.compile("\r\n|[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
 
@@ -232,6 +242,21 @@ def _lines(text: str) -> Iterator[str]:
         yield text[start:]
 
 
+def _bounded_int(token: str) -> int | None:
+    """The value of the DIMACS integer ``token``, or None past ``MAX_COUNT_DIGITS`` digits, leading zeros aside."""
+    digits = token.lstrip("-").lstrip("0") or "0"
+    if len(digits) > MAX_COUNT_DIGITS:
+        return None
+    return -int(digits) if token.startswith("-") else int(digits)
+
+
+def _out_of_range(lit: int | None, n: int) -> DimacsError:
+    """The error for a literal past n; one past ``MAX_COUNT_DIGITS`` digits (None) is not echoed."""
+    if lit is None or abs(lit) >= 10**MAX_COUNT_DIGITS:
+        return DimacsError(f"literal of more than {MAX_COUNT_DIGITS} digits out of range for n={n}")
+    return DimacsError(f"literal {lit} out of range for n={n}")
+
+
 def parse_dimacs(text: str) -> CnfFormula:
     """Parse DIMACS CNF text.
 
@@ -243,6 +268,8 @@ def parse_dimacs(text: str) -> CnfFormula:
     formula: SATLIB files close with a ``%`` line and a lone ``0``, and both
     are ignored.  Raises ``DimacsError`` on a malformed header, a clause count
     mismatch, out-of-range literals, empty clauses, or tautological clauses.
+    A header count may have at most ``MAX_COUNT_DIGITS`` digits after its
+    leading zeros, and no message echoes an integer that has more.
     """
     n = m = None
     clauses: list[Clause] = []
@@ -263,7 +290,9 @@ def parse_dimacs(text: str) -> CnfFormula:
                 )
             if not all(_DIMACS_INT.fullmatch(part) for part in parts[2:]):
                 raise DimacsError(f"line {lineno}: non-integer counts in header {line!r}")
-            n, m = int(parts[2]), int(parts[3])
+            n, m = map(_bounded_int, parts[2:])
+            if n is None or m is None:
+                raise DimacsError(f"line {lineno}: header count of more than {MAX_COUNT_DIGITS} digits")
             if n < 1 or m < 1:
                 raise DimacsError(f"line {lineno}: header requires n >= 1 and m >= 1")
             continue
@@ -272,7 +301,12 @@ def parse_dimacs(text: str) -> CnfFormula:
         for tok in line.split():
             if not _DIMACS_INT.fullmatch(tok):
                 raise DimacsError(f"non-integer token {tok!r} in clause data")
-            lit = int(tok)
+            try:
+                lit = int(tok)
+            except ValueError:  # past int()'s 4300 digits, which only leading zeros keep in range
+                lit = _bounded_int(tok)
+                if lit is None:
+                    raise _out_of_range(None, n) from None
             if lit == 0:
                 try:
                     clauses.append(Clause(current))
@@ -281,7 +315,7 @@ def parse_dimacs(text: str) -> CnfFormula:
                 current = []
             else:
                 if abs(lit) > n:
-                    raise DimacsError(f"literal {lit} out of range for n={n}")
+                    raise _out_of_range(lit, n)
                 current.append(lit)
 
     if n is None or m is None:
@@ -325,25 +359,21 @@ def serialize_dimacs(formula: CnfFormula, comments: Sequence[str] = ()) -> str:
 
 @dataclass
 class UnsatTable:
-    """Violation histogram and first solutions of a formula.
+    """Violation table of n variables and m clauses: four facts, and no formula.
 
     ``histogram[u]`` is the number of assignments violating exactly u clauses
     and ``solutions`` the first two indices with zero violations, in
     increasing order: enough to name a unique solution, where ``histogram[0]``
-    counts them all.  ``cnf.satisfying_assignments`` lists every solution.
+    counts them all.  ``build_unsat_table`` fills it by enumeration, but any
+    source may, a closed form included; every run reads only these fields,
+    and ``to_json_dict`` is exactly them.  ``cnf.satisfying_assignments``
+    lists every solution.
     """
 
-    formula: CnfFormula
+    n: int
+    m: int
     histogram: np.ndarray
     solutions: list[int]
-
-    @property
-    def n(self) -> int:
-        return self.formula.n
-
-    @property
-    def m(self) -> int:
-        return self.formula.m
 
     @property
     def assignment_count(self) -> int:
@@ -559,7 +589,7 @@ def build_unsat_table(formula: CnfFormula, threads: int | None = None) -> UnsatT
     for run_histogram, run_solutions in _walk_runs(formula, threads):
         histogram += run_histogram
         solutions = (solutions + run_solutions)[:2]
-    return UnsatTable(formula, histogram, solutions)
+    return UnsatTable(formula.n, formula.m, histogram, solutions)
 
 
 def satisfying_assignments(formula: CnfFormula) -> list[int]:

@@ -30,16 +30,14 @@ The whole run report is assembled here: ``RunReport.to_json_dict`` fixes the
 key order, derives ``cost``, passes the curves as arrays for the CLI's writer
 to format row by row, and writes ``repeat_stats`` as
 ``repeat_until_success_stats`` returns it (stable key order, full-precision
-floats).  Timing information is collected but excluded from the JSON by
-default so that identical configurations produce byte-identical output.
-All sampling uses numpy's seeded PCG64 generator, so runs are reproducible
-across platforms.
+floats).  No clock is read: identical configurations give byte-identical
+reports.  All sampling uses numpy's seeded PCG64 generator, so runs are
+reproducible across platforms.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
@@ -101,11 +99,10 @@ class RunReport:
     q_peak_measured: int
     p_peak_measured: float
     grover_curve: np.ndarray | None
-    timings: dict[str, float]
     repeat_stats: dict | None = None  # see repeat_until_success_stats
     snapshot: dict | None = None  # see statevector.state_snapshot; not in the report JSON
 
-    def to_json_dict(self, include_timings: bool = False) -> dict:
+    def to_json_dict(self) -> dict:
         """The run report in its key order; ``repeat_stats`` comes last when trials ran.
 
         ``curve`` and ``grover_curve`` stay arrays (``cli._json_text`` writes
@@ -124,13 +121,11 @@ class RunReport:
             "p_peak_measured": self.p_peak_measured,
             "curve": self.curve,
             "grover_curve": self.grover_curve,
-        }
-        if include_timings:
-            out["timings"] = self.timings
-        out["cost"] = {  # expected total: q_m per run times 1/p_peak runs on average
-            "iterations_per_run": s.q_m,
-            "expected_total_iterations": expected,
-            "scaling_figure": math.pi * s.B**3 * math.sqrt(1 << s.n) / 4.0,
+            "cost": {  # expected total: q_m per run times 1/p_peak runs on average
+                "iterations_per_run": s.q_m,
+                "expected_total_iterations": expected,
+                "scaling_figure": math.pi * s.B**3 * math.sqrt(1 << s.n) / 4.0,
+            },
         }
         if self.repeat_stats is not None:
             out["repeat_stats"] = self.repeat_stats
@@ -206,21 +201,13 @@ def run_sweep(table: UnsatTable, config: RunConfig, snapshot: bool = False) -> R
     """Full pipeline from the violation table ``table``, however the caller built it: predict, sweep, compare.
 
     With ``snapshot``, the snapshot document of the class state at q_max
-    (see ``statevector.state_snapshot``) goes on ``RunReport.snapshot``;
-    computing that state is timed as ``final_state_s`` and building the
-    document as ``snapshot_s``.
+    (see ``statevector.state_snapshot``) goes on ``RunReport.snapshot``.
     """
     solution = table.unique_solution()
-    timings: dict[str, float] = {}
-    t0 = time.perf_counter()
     summary = spectral_summary(table)
-    timings["spectral_s"] = time.perf_counter() - t0
-
     q_max = config.q_max if config.q_max is not None else 2 * summary.q_m
     classes = PhaseProfile.from_histogram(table.m, table.histogram)
-    t0 = time.perf_counter()
     curve = success_curve(classes, q_max)
-    timings["sweep_s"] = time.perf_counter() - t0
     q_peak = int(np.argmax(curve[:, 2]))
     p_peak = float(curve[q_peak, 2])
 
@@ -229,9 +216,7 @@ def run_sweep(table: UnsatTable, config: RunConfig, snapshot: bool = False) -> R
         steps = config.grover_steps
         if steps is None:
             steps = grover_optimal_steps(table.assignment_count)
-        t0 = time.perf_counter()
         grover_curve = run_grover_baseline(table.assignment_count, steps)
-        timings["grover_s"] = time.perf_counter() - t0
 
     report = RunReport(
         config=config.echo(),
@@ -243,15 +228,9 @@ def run_sweep(table: UnsatTable, config: RunConfig, snapshot: bool = False) -> R
         q_peak_measured=q_peak,
         p_peak_measured=p_peak,
         grover_curve=grover_curve,
-        timings=timings,
     )
     if snapshot:
-        t0 = time.perf_counter()
-        final_state = state_after(classes, q_max)
-        timings["final_state_s"] = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        report.snapshot = state_snapshot(classes, final_state)
-        timings["snapshot_s"] = time.perf_counter() - t0
+        report.snapshot = state_snapshot(classes, state_after(classes, q_max))
     return report
 
 
@@ -330,14 +309,3 @@ def repeat_until_success_stats(
         "empirical_success_rate": rate,
         "mean_repeats": None if rate == 0.0 else 1.0 / rate,
     }
-
-
-def curve_rows(curve: np.ndarray, separator: str) -> list[str]:
-    """Each row of ``curve`` as text: column 0 as an int, the others as repr floats."""
-    template = separator.join(["%d"] + ["%r"] * (curve.shape[1] - 1))
-    return [template % tuple(row) for row in curve.tolist()]
-
-
-def curve_csv(header: str, curve: np.ndarray) -> str:
-    """CSV of curve rows: the first column as an int, the others as repr floats."""
-    return "\n".join([header, *curve_rows(curve, ",")]) + "\n"

@@ -24,10 +24,10 @@ def violation_counts(formula):
     return np.concatenate([block_counts for _, block_counts in violation_blocks(formula)])
 
 
-def from_table(table):
-    """Per-assignment profile of a violation table."""
-    weights = np.ones(table.assignment_count, dtype=np.int64)
-    return ss.PhaseProfile(table.m, violation_counts(table.formula), weights)
+def profile_for(formula):
+    """Per-assignment profile of a formula: one entry of weight 1 per assignment."""
+    weights = np.ones(formula.assignment_count, dtype=np.int64)
+    return ss.PhaseProfile(formula.m, violation_counts(formula), weights)
 
 
 def all_violated(n, solution):
@@ -148,20 +148,13 @@ def measure_distribution(state, solution):
     return float(marginal), float(overlap)
 
 
-def two_branch_lambda1(table):
-    """Explicit signed cot(theta/2) sum over both ancilla branches."""
-    r = table.unique_solution()
-    u = violation_counts(table.formula).astype(np.float64)
-    mask = np.ones(u.shape, dtype=bool)
-    mask[r] = False
-    half = np.pi * u[mask] / (2.0 * table.m)
+def two_branch_lambda1(formula):
+    """Explicit signed cot(theta/2) sum over both ancilla branches, every non-solution assignment."""
+    u = violation_counts(formula).astype(np.float64)
+    half = np.pi * u[u > 0] / (2.0 * formula.m)
     plus_branch = float(np.sum(np.cos(half) / np.sin(half)))
     minus_branch = float(np.sum(np.cos(-half) / np.sin(-half)))
-    return (plus_branch + minus_branch) / (2.0 * table.assignment_count)
-
-
-def profile_for(formula):
-    return from_table(ss.build_unsat_table(formula))
+    return (plus_branch + minus_branch) / (2.0 * formula.assignment_count)
 
 
 def zero_profile(total):

@@ -14,7 +14,7 @@ import satsearch as ss
 from satsearch.cli import _json_text, main
 
 from conftest import enumeration_walkers, random_3sat, random_state
-from oracles import all_violated, apply_clause_phases_factored, fold_classes, from_table
+from oracles import all_violated, apply_clause_phases_factored, fold_classes
 from oracles import grover_closed_form, grover_step, profile_for, two_branch_lambda1
 
 
@@ -40,9 +40,9 @@ def test_criterion_1_lambda1_identity():
     for seed in range(100):
         n = 8 + seed % 9          # cycles 8..16
         m = 8 + (5 * seed) % 41   # cycles within 8..48
-        table = ss.build_unsat_table(ss.generate_planted_3sat(n, m, seed))
-        assert ss.spectral_summary(table).lambda1 == 0.0
-        assert abs(two_branch_lambda1(table)) < 1e-10
+        formula = ss.generate_planted_3sat(n, m, seed)
+        assert ss.spectral_summary(ss.build_unsat_table(formula)).lambda1 == 0.0
+        assert abs(two_branch_lambda1(formula)) < 1e-10
         checked += 1
     assert checked == 100
     _verdict(1, "lambda1 identity")
@@ -84,7 +84,7 @@ def test_criterion_3_eigenphase_prediction():
         table = ss.build_unsat_table(formula)
         summary = ss.spectral_summary(table)
         assert summary.validity_ratio <= 0.05
-        report = ss.dense_eigencheck(from_table(table))
+        report = ss.dense_eigencheck(profile_for(formula))
         assert abs(abs(report.lambda_plus) - summary.lambda_pm) <= 0.05 * summary.lambda_pm
         assert abs(report.lambda_plus + report.lambda_minus) < 1e-6
         assert report.span_weight >= 0.95

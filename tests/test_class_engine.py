@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import satsearch as ss
 
 from conftest import formulas
-from oracles import class_entries, fold_classes, from_table, full_vector_curve, full_vector_states, lift
+from oracles import class_entries, fold_classes, full_vector_curve, full_vector_states, lift, profile_for
 
 
 def ones(size):
@@ -36,16 +36,16 @@ class TestClassProfile:
         assert class_entries(classes, profile.u).tolist() == [2, 1, 1, 0]
 
     def test_from_histogram_is_the_fold(self, planted14):
-        _, table, _ = planted14
-        folded = fold_classes(from_table(table))
+        formula, table, _ = planted14
+        folded = fold_classes(profile_for(formula))
         classes = ss.PhaseProfile.from_histogram(table.m, table.histogram)
         assert classes.u.tolist() == folded.u.tolist()
         assert classes.weights.tolist() == folded.weights.tolist()
         assert classes.total == folded.total == 1 << 14
 
     def test_uniform_lifts_to_uniform_state(self, planted14):
-        _, table, _ = planted14
-        profile = from_table(table)
+        formula, _, _ = planted14
+        profile = profile_for(formula)
         uniform = np.full(2 << 14, 1 / math.sqrt(2 << 14), dtype=np.complex128)
         lifted = lift(profile, fold_classes(profile).uniform())
         assert np.max(np.abs(lifted - uniform)) < 1e-15
@@ -72,7 +72,7 @@ class TestClassProfile:
         ids=["success_curve", "measurement_success_rate"],
     )
     def test_no_solution_class(self, read):
-        per_assignment = from_table(ss.build_unsat_table(UNSATISFIABLE))
+        per_assignment = profile_for(UNSATISFIABLE)
         for profile in (
             per_assignment,
             fold_classes(per_assignment),
@@ -90,7 +90,7 @@ class TestAgainstFullVector:
         # formulas() includes multi-solution and unsatisfiable instances: the
         # curve is every solution's, and the lifted final state every index's
         table = ss.build_unsat_table(formula)
-        profile = from_table(table)
+        profile = profile_for(formula)
         classes = fold_classes(profile)
         q_max = data.draw(st.integers(1, 40))
         states = full_vector_states(profile, q_max)
@@ -101,8 +101,8 @@ class TestAgainstFullVector:
         assert np.max(np.abs(lift(profile, ss.state_after(classes, q_max)) - states[-1])) <= 1e-12
 
     def test_planted_n14(self, planted14):
-        _, table, summary = planted14
-        profile = from_table(table)
+        formula, table, summary = planted14
+        profile = profile_for(formula)
         classes = fold_classes(profile)
         q_max = 2 * summary.q_m
         states = full_vector_states(profile, q_max)
@@ -112,8 +112,7 @@ class TestAgainstFullVector:
 
     def test_class_norm_drift_n18(self):
         # the n = 18, seed 0 instance of acceptance criterion 4
-        table = ss.build_unsat_table(ss.generate_planted_3sat(18, 16, 0))
-        classes = fold_classes(from_table(table))
+        classes = fold_classes(profile_for(ss.generate_planted_3sat(18, 16, 0)))
         state = classes.uniform()
         for _ in range(10_000):
             state = ss.search_step(state, classes)

@@ -146,6 +146,24 @@ class TestAnalyze:
         assert captured.out == ""
 
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("p cnf 5 1\n" + "7" * 5000 + " 0\n", "literal of more than 18 digits out of range for n=5"),
+            ("p cnf " + "7" * 5000 + " 1\n1 0\n", "line 1: header count of more than 18 digits"),
+            ("p cnf " + "7" * 100 + " 1\n1 0\n", "line 1: header count of more than 18 digits"),
+        ],
+        ids=["5000-digit-literal", "5000-digit-count", "100-digit-count"],
+    )
+    def test_long_integer_exit_3(self, text, message, tmp_path, capsys):
+        # int() refuses more than 4300 digits, and no message echoes the digits
+        path = tmp_path / "long.cnf"
+        path.write_text(text)
+        assert main(["analyze", "-f", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert "Traceback" not in captured.err and captured.out == ""
+
     @pytest.mark.parametrize("text", ["p cnf 1_0 1\n1 0\n", "p cnf 2 1\n+1 0\n"])
     def test_non_strict_integer_exit_3(self, text, tmp_path, capsys):
         path = tmp_path / "loose.cnf"
@@ -247,30 +265,6 @@ class TestRun:
                 assert main(["run", "-f", str(inst), "--qmax", "60", "-o", str(outputs[-1])]) == 0
             assert len(runs) == (cpus if ss.cnf._openblas() else 1)
         assert outputs[0].read_bytes() == outputs[1].read_bytes()
-
-    def test_timings_flag(self, toy_path, tmp_path):
-        out = tmp_path / "report.json"
-        assert main(["run", "-f", toy_path, "--timings", "-o", str(out)]) == 0
-        assert "timings" in json.loads(out.read_text())
-
-    def test_timings_cover_final_state_and_trials(self, toy_path, tmp_path):
-        out = tmp_path / "report.json"
-        assert main([
-            "run", "-f", toy_path, "--timings", "--trials", "10",
-            "--snapshot", str(tmp_path / "snap.json"), "-o", str(out),
-        ]) == 0
-        timings = json.loads(out.read_text())["timings"]
-        assert {"enumerate_s", "spectral_s", "sweep_s", "final_state_s", "trials_s"} <= set(timings)
-
-    def test_timings_cover_snapshot(self, toy_path, tmp_path):
-        out = tmp_path / "report.json"
-        assert main([
-            "run", "-f", toy_path, "--timings",
-            "--snapshot", str(tmp_path / "snap.json"), "-o", str(out),
-        ]) == 0
-        assert "snapshot_s" in json.loads(out.read_text())["timings"]
-        assert main(["run", "-f", toy_path, "--timings", "-o", str(out)]) == 0
-        assert "snapshot_s" not in json.loads(out.read_text())["timings"]
 
     def test_zero_trials_takes_no_samples(self, toy_path, tmp_path):
         out = tmp_path / "report.json"
@@ -615,7 +609,7 @@ class TestParser:
         "gen": "-n -m --seed",
         "analyze": "-f --formula --table",
         "sweep": "-f --formula --qmax",
-        "run": "-f --formula --qmax --grover --steps --trials --trials-seed --timings --snapshot",
+        "run": "-f --formula --qmax --grover --steps --trials --trials-seed --snapshot",
         "grover": "-f --formula --steps",
         "spectrum": "-f --formula",
     }
@@ -639,6 +633,12 @@ class TestParser:
         argv = ["gen", "-n", "8", "-m", "12"] if command == "gen" else [command, "-f", toy_path]
         assert main([*argv, "--threads", "2"]) == 2
         assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
+    def test_no_timings_option(self, toy_path, tmp_path, capsys):
+        # a run reads no clock: its report is a function of the table alone
+        assert main(["run", "-f", toy_path, "--timings", "-o", str(tmp_path / "out")]) == 2
+        assert "unrecognized arguments: --timings" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv", ["sweep --format json", "sweep --snapshot x", "grover --format json"])
     def test_json_and_snapshot_only_from_run(self, argv, toy_path, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import os
 import sys
 import tempfile
@@ -11,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import satsearch as ss
+from satsearch.cli import main
 from satsearch.cnf import violation_mask
 
 from conftest import TOY_DIMACS, enumeration_walkers, formula_with_assignment, counter_formula, formulas, random_3sat
@@ -46,6 +49,24 @@ class TestParseDimacs:
     def test_literal_out_of_range(self):
         with pytest.raises(ss.DimacsError, match="out of range"):
             ss.parse_dimacs("p cnf 2 1\n1 3 0\n")
+
+    @pytest.mark.parametrize("digits", [19, 100, 4300, 4301, 9000])
+    def test_long_literal_not_echoed(self, digits):
+        with pytest.raises(ss.DimacsError) as raised:
+            ss.parse_dimacs(f"p cnf 2 1\n1 -{'9' * digits} 0\n")
+        assert str(raised.value) == "literal of more than 18 digits out of range for n=2"
+
+    def test_leading_zeros_past_int_digit_limit(self):
+        formula = ss.parse_dimacs("p cnf 0002 1\n1 -" + "0" * 5000 + "2 0\n")
+        assert formula == ss.parse_dimacs("p cnf 2 1\n1 -2 0\n")
+
+    def test_header_count_digit_bound(self):
+        formula = ss.parse_dimacs("p cnf 2 " + "0" * 30 + "1\n1 0\n")
+        assert formula.m == 1
+        with pytest.raises(ss.DimacsError, match="declares 999999999999999999 clauses"):
+            ss.parse_dimacs("p cnf 2 " + "9" * 18 + "\n1 0\n")
+        with pytest.raises(ss.DimacsError, match="header count of more than 18 digits"):
+            ss.parse_dimacs("p cnf 2 1" + "0" * 18 + "\n1 0\n")
 
     def test_malformed_header(self):
         with pytest.raises(ss.DimacsError, match="header"):
@@ -189,10 +210,10 @@ class TestClauseInvariants:
 
 
 class TestUnsatTable:
-    def test_toy_hand_enumeration(self, toy_table):
+    def test_toy_hand_enumeration(self, toy_formula, toy_table):
         assert list(toy_table.histogram) == [1, 2, 1]
         assert toy_table.solutions == [3]
-        assert list(violation_counts(toy_table.formula)) == [2, 1, 1, 0]
+        assert list(violation_counts(toy_formula)) == [2, 1, 1, 0]
 
     def test_single_clause_single_variable(self):
         table = ss.build_unsat_table(ss.parse_dimacs("p cnf 1 1\n1 0\n"))
@@ -518,6 +539,28 @@ class TestViolationMask:
             assert mask[i] == (not clause.satisfied_by(i))
 
 
+@st.composite
+def long_digit_files(draw):
+    """DIMACS bytes with one run of 4301 to 9000 digits, its first nonzero, as a literal or a header count."""
+    pattern = draw(st.text("0123456789", min_size=1, max_size=16))
+    length = draw(st.integers(4301, 9000))
+    run = draw(st.sampled_from("123456789")) + (pattern * length)[: length - 1]
+    literal = draw(st.sampled_from(["", "-"])) + run
+    before = " ".join(map(str, draw(st.lists(st.integers(-3, 3).filter(bool), max_size=3))))
+    header, clauses = draw(
+        st.sampled_from(
+            [
+                (f"p cnf {run} 1", "1 0"),
+                (f"p cnf 3 {run}", "1 0"),
+                ("p cnf 3 2", f"1 0 {before} {literal} 2 0"),
+                ("p cnf 3 1", f"{before}\n{literal} 0"),
+            ]
+        )
+    )
+    comment = draw(st.sampled_from(["", "c fuzz\n"]))
+    return f"{comment}{header}\n{clauses}\n".encode()
+
+
 def read_bytes_as_dimacs(data: bytes):
     # hypothesis rejects function-scoped fixtures such as tmp_path, so each
     # example makes its own file
@@ -561,3 +604,16 @@ class TestReadDimacs:
         except ss.DimacsError:
             return
         assert isinstance(formula, ss.CnfFormula)
+
+    @given(long_digit_files())
+    @settings(max_examples=50, deadline=None)
+    def test_long_digit_run_exit_3(self, data):
+        """A literal or header count past int()'s 4300 digits exits 3 with one short line."""
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "long.cnf")
+            with open(path, "wb") as handle:
+                handle.write(data)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                assert main(["analyze", "-f", path]) == 3
+        assert err.getvalue().count("\n") == 1 and len(err.getvalue()) < 100, err.getvalue()[:200]

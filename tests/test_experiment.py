@@ -6,10 +6,11 @@ import pytest
 
 import satsearch as ss
 from satsearch.cli import _json_text
-from satsearch.experiment import _read_solution, curve_csv
+from satsearch.cli import _curve_csv
+from satsearch.experiment import _read_solution
 
-from oracles import all_violated, fold_classes, from_table, grover_closed_form, grover_step, lifted_marginal
-from oracles import scalar_curve, scalar_read_out
+from oracles import all_violated, fold_classes, grover_closed_form, grover_step, lifted_marginal
+from oracles import profile_for, scalar_curve, scalar_read_out
 
 
 def traced_peak(call):
@@ -149,21 +150,17 @@ class TestRunSweep:
         histogram = [math.comb(4, u) * 7**u for u in range(5)] + [0] * (formula.m - 4)
         (r,) = ss.cnf.satisfying_assignments(formula)
         outputs = []
-        for table in (ss.UnsatTable(formula, histogram, [r]), ss.build_unsat_table(formula)):
+        for table in (ss.UnsatTable(12, formula.m, histogram, [r]), ss.build_unsat_table(formula)):
             report = ss.run_sweep(table, config(include_grover=True), snapshot=True)
             report.repeat_stats = ss.repeat_until_success_stats(table, 1000, 3)
-            outputs.append((_json_text(report.to_json_dict()), _json_text(report.snapshot)))
+            outputs.append(
+                (_json_text(report.to_json_dict()), _json_text(report.snapshot), _json_text(table.to_json_dict()))
+            )
         assert outputs[0] == outputs[1]
-
-    def test_timings_excluded_by_default(self):
-        report = ss.run_sweep(planted_table(8, 10, 1), config(q_max=10))
-        assert "timings" not in report.to_json_dict()
-        assert "timings" in report.to_json_dict(include_timings=True)
-        assert report.timings["sweep_s"] >= 0
 
     def test_csv_format(self):
         report = ss.run_sweep(planted_table(8, 10, 1), config(q_max=10))
-        lines = curve_csv("q,p_marginal,p_overlap", report.curve).strip().split("\n")
+        lines = _curve_csv("q,p_marginal,p_overlap", report.curve).strip().split("\n")
         assert lines[0] == "q,p_marginal,p_overlap"
         assert len(lines) == 12
         q, pm, po = lines[1].split(",")
@@ -284,8 +281,8 @@ class TestSampling:
         assert a == b
 
     def test_draws_from_lifted_marginal(self, planted14, monkeypatch):
-        _, table, summary = planted14
-        profile = from_table(table)
+        formula, table, summary = planted14
+        profile = profile_for(formula)
         drawn = []
 
         class Recorder:

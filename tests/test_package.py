@@ -29,6 +29,13 @@ RUN_CONFIG_FIELDS = ["formula_path", "q_max", "include_grover", "grover_steps"]
 # a clause is its signed DIMACS literals: a second representation cannot return unnoticed
 CLAUSE_FIELDS = ["literals"]
 
+# a violation table is four facts, with no formula, and a run report carries no clock
+UNSAT_TABLE_FIELDS = ["n", "m", "histogram", "solutions"]
+RUN_REPORT_FIELDS = [
+    "config", "version", "spectral", "histogram", "solution", "curve", "q_peak_measured",
+    "p_peak_measured", "grover_curve", "repeat_stats", "snapshot",
+]
+
 # the satsearch modules each module imports; "__init__" is the package itself
 IMPORTS = {
     "__init__": ["cnf", "experiment", "generate", "spectral", "statevector"],
@@ -59,6 +66,9 @@ def test_knobs_pinned():
     assert {name: list(inspect.signature(attrgetter(name)(ss)).parameters) for name in PARAMETERS} == PARAMETERS
     assert [field.name for field in dataclasses.fields(ss.RunConfig)] == RUN_CONFIG_FIELDS
     assert [field.name for field in dataclasses.fields(ss.Clause)] == CLAUSE_FIELDS
+    assert [field.name for field in dataclasses.fields(ss.UnsatTable)] == UNSAT_TABLE_FIELDS
+    assert [field.name for field in dataclasses.fields(ss.RunReport)] == RUN_REPORT_FIELDS
+    assert list(inspect.signature(ss.RunReport.to_json_dict).parameters) == ["self"]
 
 
 def package_imports(tree):

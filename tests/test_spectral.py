@@ -8,20 +8,18 @@ from hypothesis import strategies as st
 import satsearch as ss
 
 from conftest import TOY_DIMACS, formulas
-from oracles import all_violated, fold_classes, from_table, violation_counts
+from oracles import all_violated, fold_classes, profile_for, violation_counts
 
 
-def direct_lambda2(table):
+def direct_lambda2(formula):
     """Independent oracle: sum cot^2 over every non-solution assignment."""
-    r = table.unique_solution()
-    u = violation_counts(table.formula)
     total = 0.0
-    for i in range(table.assignment_count):
-        if i == r:
+    for u in violation_counts(formula).tolist():
+        if u == 0:
             continue
-        half = math.pi * int(u[i]) / (2 * table.m)
+        half = math.pi * u / (2 * formula.m)
         total += (math.cos(half) / math.sin(half)) ** 2
-    return total / table.assignment_count
+    return total / formula.assignment_count
 
 
 class TestLambda2:
@@ -33,7 +31,7 @@ class TestLambda2:
         formula = ss.generate_planted_3sat(14, 40, seed=6)
         table = ss.build_unsat_table(formula)
         histogram_value = ss.lambda2_from_histogram(table.histogram, table.m)
-        assert histogram_value == pytest.approx(direct_lambda2(table), abs=1e-10)
+        assert histogram_value == pytest.approx(direct_lambda2(formula), abs=1e-10)
 
     def test_defined_for_multi_solution_histograms(self):
         table = ss.build_unsat_table(ss.parse_dimacs("p cnf 2 1\n1 2 0\n"))
@@ -117,9 +115,10 @@ class TestMonotonicity:
         assert np.all(grown_counts >= violation_counts(formula))
 
 
-def both_profiles(table):
-    """The per-assignment oracle profile and the class profile of one table."""
-    return from_table(table), ss.PhaseProfile.from_histogram(table.m, table.histogram)
+def both_profiles(formula):
+    """The per-assignment oracle profile and the class profile of one formula."""
+    table = ss.build_unsat_table(formula)
+    return profile_for(formula), ss.PhaseProfile.from_histogram(table.m, table.histogram)
 
 
 def circle_points(report):
@@ -153,15 +152,14 @@ class TestDenseEigencheck:
         formula = ss.generate_planted_chain(8, extras=2, seed=3)
         table = ss.build_unsat_table(formula)
         summary = ss.spectral_summary(table)
-        report = ss.dense_eigencheck(from_table(table))
+        report = ss.dense_eigencheck(profile_for(formula))
         assert abs(report.lambda_plus) == pytest.approx(summary.lambda_pm, rel=0.05)
         assert report.lambda_plus + report.lambda_minus == pytest.approx(0.0, abs=1e-6)
         assert report.span_weight >= 0.95
 
     def test_eigenphase_count(self):
         formula = ss.generate_planted_chain(6, seed=2)
-        table = ss.build_unsat_table(formula)
-        for profile in both_profiles(table):
+        for profile in both_profiles(formula):
             report = ss.dense_eigencheck(profile)
             assert int(report.multiplicities.sum()) == 2 * formula.assignment_count
             assert np.all(report.multiplicities >= 1)
@@ -171,8 +169,7 @@ class TestDenseEigencheck:
     @given(unique_solution_formulas())
     @settings(max_examples=60, deadline=None)
     def test_class_profile_matches_oracle(self, formula):
-        table = ss.build_unsat_table(formula)
-        oracle, classes = (ss.dense_eigencheck(p) for p in both_profiles(table))
+        oracle, classes = (ss.dense_eigencheck(p) for p in both_profiles(formula))
         assert abs(classes.lambda_plus - oracle.lambda_plus) <= 1e-12
         assert abs(classes.lambda_minus - oracle.lambda_minus) <= 1e-12
         assert abs(classes.span_weight - oracle.span_weight) <= 1e-10
@@ -208,22 +205,20 @@ class TestDenseEigencheck:
 
     def test_dimension_guard(self):
         formula = ss.generate_planted_chain(11, seed=0)
-        table = ss.build_unsat_table(formula)
         with pytest.raises(ss.GuardError, match="4096"):
-            ss.dense_eigencheck(from_table(table))
+            ss.dense_eigencheck(profile_for(formula))
 
     def test_requires_unique_solution(self):
         formula = ss.parse_dimacs("p cnf 2 1\n1 2 0\n")
-        table = ss.build_unsat_table(formula)
-        for profile in both_profiles(table):
+        for profile in both_profiles(formula):
             with pytest.raises(ss.InstanceError):
                 ss.dense_eigencheck(profile)
 
 
 class TestIterateMatrix:
-    def test_unitary(self, toy_table):
+    def test_unitary(self, toy_formula):
         from satsearch.spectral import iterate_matrix
 
-        matrix = iterate_matrix(from_table(toy_table))
+        matrix = iterate_matrix(profile_for(toy_formula))
         identity = matrix.conj().T @ matrix
         assert np.max(np.abs(identity - np.eye(8))) < 1e-12

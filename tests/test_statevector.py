@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import satsearch as ss
 
 from conftest import formulas, random_state
-from oracles import apply_clause_phases_factored, expression_search_step, from_table, grover_step, lift
+from oracles import apply_clause_phases_factored, expression_search_step, grover_step, lift
 from oracles import lift_snapshot, measure_distribution, oracle_snapshot, profile_for, violation_counts, zero_profile
 
 
@@ -43,7 +43,7 @@ class TestClausePhases:
         assert out[0] == pytest.approx(-1.0, abs=1e-15)
 
     def test_solution_fiber_untouched_exactly(self, toy_formula, toy_table):
-        profile = from_table(toy_table)
+        profile = profile_for(toy_formula)
         r = toy_table.unique_solution()
         for index in (r, 4 + r):
             state = np.zeros(8, dtype=complex)
@@ -54,8 +54,7 @@ class TestClausePhases:
     @pytest.mark.parametrize("n,m_req,seed", [(4, 6, 0), (6, 10, 1)])
     def test_eigenbasis_phases(self, n, m_req, seed):
         formula = ss.generate_planted_3sat(n, m_req, seed)
-        table = ss.build_unsat_table(formula)
-        profile = from_table(table)
+        profile = profile_for(formula)
         u = violation_counts(formula)
         total = 1 << n
         for b in (0, 1):
@@ -64,11 +63,11 @@ class TestClausePhases:
                 state[b * total + i] = 1.0
                 out = state * profile.phase_vector()
                 sign = 1.0 if b == 0 else -1.0
-                expected = np.exp(sign * 1j * np.pi * u[i] / table.m)
+                expected = np.exp(sign * 1j * np.pi * u[i] / formula.m)
                 assert abs(out[b * total + i] - expected) < 1e-12
 
-    def test_dimension_mismatch(self, toy_table):
-        profile = from_table(toy_table)
+    def test_dimension_mismatch(self, toy_formula):
+        profile = profile_for(toy_formula)
         with pytest.raises(ValueError, match="amplitudes"):
             ss.search_step(np.zeros(4, dtype=complex), profile)
 
@@ -137,15 +136,15 @@ class TestReflection:
 
 
 class TestSearchStep:
-    def test_composition(self, toy_table):
-        profile = from_table(toy_table)
+    def test_composition(self, toy_formula):
+        profile = profile_for(toy_formula)
         state = random_state(8, seed=13)
         phased = state * profile.phase_vector()
         composed = phased - phased.sum() / 4  # psi - 2<+|psi>|+> over 8 amplitudes
         assert np.max(np.abs(ss.search_step(state, profile) - composed)) < 1e-14
 
-    def test_norm_preserved(self, toy_table):
-        profile = from_table(toy_table)
+    def test_norm_preserved(self, toy_formula):
+        profile = profile_for(toy_formula)
         state = random_state(8, seed=14)
         for _ in range(1000):
             state = ss.search_step(state, profile)
@@ -227,7 +226,7 @@ class TestSnapshot:
         classes = ss.PhaseProfile.from_histogram(table.m, table.histogram)
         state = ss.state_after(classes, 2 * summary.q_m)
         snapshot = json.loads(json.dumps(ss.state_snapshot(classes, state)))
-        lifted = lift(from_table(table), state)
+        lifted = lift(profile_for(formula), state)
         for threshold in (0, 1e-6):
             # line lists, not strings: pytest's diff of two megabyte strings runs for minutes
             assert lift_snapshot(formula, snapshot, threshold).split("\n") == oracle_snapshot(

@@ -28,9 +28,9 @@ from .statevector import (
 from .spectral import (
     EigenPairReport,
     SpectralSummary,
-    dense_eigencheck,
     lambda2_from_histogram,
     spectral_summary,
+    spectrum,
 )
 from .experiment import (
     RunConfig,
@@ -59,7 +59,6 @@ __all__ = [
     "SpectralSummary",
     "UnsatTable",
     "build_unsat_table",
-    "dense_eigencheck",
     "generate_planted_3sat",
     "generate_planted_block3sat",
     "generate_planted_chain",
@@ -74,6 +73,7 @@ __all__ = [
     "search_step",
     "serialize_dimacs",
     "spectral_summary",
+    "spectrum",
     "state_after",
     "state_snapshot",
     "success_curve",

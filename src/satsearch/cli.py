@@ -3,7 +3,7 @@
 One writer per output: ``gen`` the DIMACS instance, ``analyze`` the spectral
 summary JSON (and ``--table``), ``run`` the run report JSON (and
 ``--snapshot``), ``sweep`` the ``q,p_marginal,p_overlap`` CSV, ``grover`` the
-``step,p_r`` CSV and ``spectrum`` the eigencheck JSON.  Every command is
+``step,p_r`` CSV and ``spectrum`` the eigenphase JSON.  Every command is
 deterministic given its flags (``gen`` alone takes ``--seed``); JSON output
 has a fixed key order and full-precision floats, so identical invocations
 produce byte-identical files.  Reports are strict JSON: the encoder refuses
@@ -18,8 +18,8 @@ instance or formula (any bytes that do not parse as DIMACS, or a file that
 cannot be read), 4 guard exceeded: n above ``cnf.MAX_ENUMERATION_N`` (30) for
 any command that enumerates, ``gen`` included, a DIMACS file (before
 parsing), ``gen``'s clause count (-m, before any clause is drawn), ``gen``'s
-solution list or a curve (--qmax, --steps) that would not fit in physical
-memory, or a matrix dimension (``spectrum``).
+solution list, the violation table's clause tables (before they are built)
+or a curve (--qmax, --steps) that would not fit in physical memory.
 
 ``gen`` finds the solutions of its random batch by ``cnf``'s pruned prefix
 walk, on one thread; every other command builds the violation table in
@@ -62,8 +62,7 @@ from .experiment import (
     run_sweep,
 )
 from .generate import _planted_3sat
-from .spectral import dense_eigencheck, spectral_summary
-from .statevector import PhaseProfile
+from .spectral import spectral_summary, spectrum
 
 
 class UsageError(Exception):
@@ -138,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     grover.add_argument("-f", "--formula", required=True)
     grover.add_argument("--steps", type=_int_or_auto, default=None)
 
-    spectrum = sub.add_parser("spectrum", parents=[common], help="dense eigendecomposition check")
+    spectrum = sub.add_parser("spectrum", parents=[common], help="eigenphases of the search iterate (JSON)")
     spectrum.add_argument("-f", "--formula", required=True)
 
     return parser
@@ -240,8 +239,7 @@ def _cmd_grover(args) -> int:
 def _cmd_spectrum(args) -> int:
     table = _table(args)
     summary = spectral_summary(table)
-    report = dense_eigencheck(PhaseProfile.from_histogram(table.m, table.histogram))
-    payload = report.to_json_dict()
+    payload = spectrum(table).to_json_dict()
     payload["predicted_lambda_pm"] = summary.lambda_pm
     _emit(_json_text(payload), args.output)
     return 0

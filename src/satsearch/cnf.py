@@ -17,9 +17,10 @@ the planted generator, which reads nothing else.  Their oracles, the scalar
 count and the per-assignment counts, live in ``tests/oracles.py``.  They are
 deliberately the only solvers in the package: exhaustive, and refused with
 ``GuardError`` above n = ``MAX_ENUMERATION_N``, a constant (30) that bounds
-time alone, and, for the solution list, when it would not fit in physical
-memory.  Both rest on one fact, as does every test of a clause: an OR-clause
-is violated on exactly the indices i with i & ``Clause.care`` ==
+time alone, and only through n (each block's product also grows with m),
+and when what they hold would not fit in physical memory: the solution
+list, or the table's clause tables, one set per worker.  Both rest on one fact, as does every test of a clause: an
+OR-clause is violated on exactly the indices i with i & ``Clause.care`` ==
 ``Clause.value``, the bits of its variables and of its negated literals.
 
 An ``UnsatTable`` is four facts, n, m, the histogram and those first
@@ -126,6 +127,17 @@ SOLUTION_BYTES = 160
 # once; comment lines take 2 to 5.  The guard takes 140, more than twice the
 # largest.
 DIMACS_BYTES = 140
+
+# Peak bytes per clause per worker of build_unsat_table, whose every worker
+# builds its own clause tables: tracemalloc's peak over files of m = 2e4 and
+# 5e4 clauses, each `1 0` or three random literals, at n = 16 (one worker)
+# and n = 20 (one and two), is 3.8 to 4.3 KB per clause per worker with the
+# float32 product, and 7.2 to 8.3 KB with the float64 one that m >= 2**24
+# takes.  The guard takes 17000, more than twice the largest.
+TABLE_BYTES = 17000
+
+# Most characters of an input line or token that a DIMACS error message echoes.
+ECHO_CHARS = 32
 
 # (first index, violation counts) of one enumeration block.
 Block = tuple[int, np.ndarray]
@@ -250,6 +262,13 @@ def _bounded_int(token: str) -> int | None:
     return -int(digits) if token.startswith("-") else int(digits)
 
 
+def _echo(text: str) -> str:
+    """``repr(text)``, or the repr of its first ``ECHO_CHARS`` characters plus '...' when it is longer."""
+    if len(text) <= ECHO_CHARS:
+        return repr(text)
+    return f"{text[:ECHO_CHARS]!r}..."
+
+
 def _out_of_range(lit: int | None, n: int) -> DimacsError:
     """The error for a literal past n; one past ``MAX_COUNT_DIGITS`` digits (None) is not echoed."""
     if lit is None or abs(lit) >= 10**MAX_COUNT_DIGITS:
@@ -269,7 +288,8 @@ def parse_dimacs(text: str) -> CnfFormula:
     are ignored.  Raises ``DimacsError`` on a malformed header, a clause count
     mismatch, out-of-range literals, empty clauses, or tautological clauses.
     A header count may have at most ``MAX_COUNT_DIGITS`` digits after its
-    leading zeros, and no message echoes an integer that has more.
+    leading zeros, and no message echoes an integer that has more, nor more
+    than ``ECHO_CHARS`` characters of a line or token.
     """
     n = m = None
     clauses: list[Clause] = []
@@ -286,10 +306,10 @@ def parse_dimacs(text: str) -> CnfFormula:
             parts = line.split()
             if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
                 raise DimacsError(
-                    f"line {lineno}: malformed header {line!r}, expected 'p cnf <vars> <clauses>'"
+                    f"line {lineno}: malformed header {_echo(line)}, expected 'p cnf <vars> <clauses>'"
                 )
             if not all(_DIMACS_INT.fullmatch(part) for part in parts[2:]):
-                raise DimacsError(f"line {lineno}: non-integer counts in header {line!r}")
+                raise DimacsError(f"line {lineno}: non-integer counts in header {_echo(line)}")
             n, m = map(_bounded_int, parts[2:])
             if n is None or m is None:
                 raise DimacsError(f"line {lineno}: header count of more than {MAX_COUNT_DIGITS} digits")
@@ -300,7 +320,7 @@ def parse_dimacs(text: str) -> CnfFormula:
             raise DimacsError(f"line {lineno}: clause data before 'p cnf' header")
         for tok in line.split():
             if not _DIMACS_INT.fullmatch(tok):
-                raise DimacsError(f"non-integer token {tok!r} in clause data")
+                raise DimacsError(f"non-integer token {_echo(tok)} in clause data")
             try:
                 lit = int(tok)
             except ValueError:  # past int()'s 4300 digits, which only leading zeros keep in range
@@ -547,7 +567,9 @@ def _walk_runs(formula: CnfFormula, threads: int | None) -> list[tuple[np.ndarra
     ``build_unsat_table`` says.  The calling thread reads run 0 and a pool
     the others, so one run starts no thread, and OpenBLAS runs each product
     on one thread while the runs are read.  Raises ``GuardError`` when
-    n > ``MAX_ENUMERATION_N``, before any block is walked.
+    n > ``MAX_ENUMERATION_N``, before any block is walked, and when the m
+    clauses on the runs' workers pass ``memory_capacity(TABLE_BYTES)``,
+    before any clause table is built.
     """
     _check_enumeration(formula.n)
     if threads is not None and threads < 1:
@@ -559,6 +581,12 @@ def _walk_runs(formula: CnfFormula, threads: int | None) -> list[tuple[np.ndarra
     workers = max(1, min(threads, _cpus()))
     cuts = [k * len(blocks) // workers for k in range(workers + 1)]
     runs = [blocks[start:stop] for start, stop in zip(cuts, cuts[1:]) if start < stop]
+    limit = memory_capacity(TABLE_BYTES)
+    if formula.m * len(runs) > limit:
+        raise GuardError(
+            f"the clause tables outgrow physical memory: {formula.m} clauses on {len(runs)} workers, "
+            f"more than {limit} at {TABLE_BYTES} bytes per clause per worker"
+        )
     first, *others = [violation_blocks(formula, run) for run in runs]
     read = partial(_run_summary, formula.m)
     with _one_blas_thread(blas):
@@ -582,7 +610,8 @@ def build_unsat_table(formula: CnfFormula, threads: int | None = None) -> UnsatT
     restored.  The runs' histograms are summed as integers and the first two
     of their solutions kept in block order, so the result is identical for
     every worker count.  Raises ``GuardError`` when n > ``MAX_ENUMERATION_N``,
-    before any block is walked.
+    before any block is walked, and when m times the workers passes
+    ``memory_capacity(TABLE_BYTES)``, before any clause table is built.
     """
     histogram = np.zeros(formula.m + 1, dtype=np.int64)
     solutions: list[int] = []

@@ -2,6 +2,18 @@
 
 The per-assignment ``PhaseProfile`` has one entry of weight 1 per assignment,
 so the same ``search_step`` kernel steps the full 2**(n+1)-amplitude vector.
+
+``dense_eigencheck`` materializes the iterate column by column through
+``search_step`` and hands it to a dense eigensolver: the oracle of
+``satsearch.spectrum``'s secular roots.  An entry of weight w also stands for
+w - 1 directions per branch that sum to zero over its assignments: orthogonal
+to the uniform state, they keep D's phases +pi*u/m and -pi*u/m exactly, and
+the report adds them to the matrix's own.  A phase within ZERO_PHASE_FLOOR
+of zero is reported as 0.0, so the row of the zero-phase spectator
+(|0,r> - |1,r>)/sqrt(2) does not carry the eigensolver's last bits.  The
+kernel takes any profile, the per-assignment one (every weight 1) and the
+class profile alike.  The matrix dimension 2 * profile.size is guarded at
+2048: 64 MiB, n <= 10 per assignment.
 """
 
 import json
@@ -12,6 +24,14 @@ import numpy as np
 import satsearch as ss
 from satsearch.cnf import violation_blocks, violation_mask
 from satsearch.statevector import _check_dimension
+
+MAX_EIGENCHECK_DIM = 2048
+# dense_eigencheck: eigenphases at or below ZERO_PHASE_FLOOR count as zero and
+# are reported as 0.0, and eigenvectors whose squared overlap with the
+# amplified state is at or below OVERLAP_FLOOR are spectators of the search
+# dynamics
+ZERO_PHASE_FLOOR = 1e-9
+OVERLAP_FLOOR = 1e-6
 
 
 def unsat_count(formula, assignment):
@@ -211,3 +231,69 @@ def lift_snapshot(formula, snapshot, threshold):
     per_class = np.zeros(2 * (m + 1), dtype=complex)
     per_class[keys] = values / np.sqrt(sizes[keys].astype(np.float64))
     return oracle_snapshot(np.concatenate([per_class[counts], per_class[m + 1 + counts]]), threshold)
+
+
+def iterate_matrix(profile):
+    """Materialize the search iterate column by column through ``search_step``."""
+    dim = 2 * profile.size
+    matrix = np.empty((dim, dim), dtype=np.complex128)
+    basis = np.zeros(dim, dtype=np.complex128)
+    for k in range(dim):
+        basis[k] = 1.0
+        matrix[:, k] = ss.search_step(basis, profile)
+        basis[k] = 0.0
+    return matrix
+
+
+def dense_eigencheck(profile):
+    """Full eigendecomposition of the iterate; extracts the principal pair.
+
+    The principal pair is the conjugate eigenphase pair of smallest nonzero
+    magnitude with nonzero overlap against the amplified state (|0,r> +
+    |1,r>)/sqrt(2); the overlap floor filters the exact zero-phase spectator
+    (|0,r> - |1,r>)/sqrt(2), which is orthogonal to everything the search
+    dynamics touches.  The u = 0 entries must hold one assignment r.
+    """
+    dim = 2 * profile.size
+    if dim > MAX_EIGENCHECK_DIM:
+        raise ss.GuardError(
+            f"dense eigencheck limited to matrix dimension {MAX_EIGENCHECK_DIM}, got {dim}"
+        )
+    solution = np.flatnonzero(profile.u == 0)
+    found = int(profile.weights[solution].sum())
+    if found != 1:
+        raise ss.InstanceError(f"expected exactly one satisfying assignment, found {found}")
+    values, vectors = np.linalg.eig(iterate_matrix(profile))
+    if np.max(np.abs(np.abs(values) - 1.0)) > 1e-8:
+        raise RuntimeError("eigensolver returned non-unimodular eigenvalues for a unitary")
+
+    phases = np.angle(values)
+    target = np.zeros(dim, dtype=np.complex128)
+    target[solution] = target[profile.size + solution] = 1.0 / math.sqrt(2.0)
+    overlaps = np.abs(vectors.conj().T @ target) ** 2
+
+    eligible = np.flatnonzero((np.abs(phases) > ZERO_PHASE_FLOOR) & (overlaps > OVERLAP_FLOOR))
+    if eligible.size < 2:
+        raise RuntimeError("no principal eigenphase pair found above the overlap floor")
+    eligible = eligible[np.argsort(np.abs(phases[eligible]))]
+    first = eligible[0]
+    opposite = [k for k in eligible[1:] if phases[k] * phases[first] < 0]
+    if not opposite:
+        raise RuntimeError("principal eigenphases do not form a conjugate pair")
+    second = opposite[0]
+    plus, minus = (first, second) if phases[first] > 0 else (second, first)
+
+    # the matrix's phases once each, then each entry's w - 1 spectators per branch
+    every = np.concatenate([phases, np.angle(profile.phase_vector())])
+    count = np.concatenate([np.ones(dim, dtype=np.int64), np.tile(profile.weights - 1, 2)])
+    every[every == -np.pi] = np.pi
+    every[np.abs(every) <= ZERO_PHASE_FLOOR] = 0.0  # e.g. the exact spectator's LAPACK noise
+    kept = count > 0
+    distinct, position = np.unique(every[kept], return_inverse=True)
+    return ss.EigenPairReport(
+        eigenphases=distinct,
+        multiplicities=np.bincount(position, weights=count[kept]).astype(np.int64),
+        lambda_plus=float(phases[plus]),
+        lambda_minus=float(phases[minus]),
+        span_weight=float(overlaps[plus] + overlaps[minus]),
+    )

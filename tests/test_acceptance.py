@@ -14,7 +14,7 @@ import satsearch as ss
 from satsearch.cli import _json_text, main
 
 from conftest import enumeration_walkers, random_3sat, random_state
-from oracles import all_violated, apply_clause_phases_factored, fold_classes
+from oracles import all_violated, apply_clause_phases_factored, dense_eigencheck, fold_classes
 from oracles import grover_closed_form, grover_step, profile_for, two_branch_lambda1
 
 
@@ -84,7 +84,8 @@ def test_criterion_3_eigenphase_prediction():
         table = ss.build_unsat_table(formula)
         summary = ss.spectral_summary(table)
         assert summary.validity_ratio <= 0.05
-        report = ss.dense_eigencheck(profile_for(formula))
+        report = dense_eigencheck(profile_for(formula))
+        assert abs(ss.spectrum(table).lambda_plus - report.lambda_plus) <= 1e-12
         assert abs(abs(report.lambda_plus) - summary.lambda_pm) <= 0.05 * summary.lambda_pm
         assert abs(report.lambda_plus + report.lambda_minus) < 1e-6
         assert report.span_weight >= 0.95

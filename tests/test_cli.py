@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import satsearch as ss
-from satsearch import spectral
 from satsearch.cli import _json_text, build_parser, main
 
 from conftest import TOY_DIMACS, counter_formula, enumeration_walkers
@@ -302,20 +301,14 @@ class TestSpectrum:
         assert abs(payload["lambda_plus"]) == pytest.approx(payload["predicted_lambda_pm"], rel=0.05)
         assert payload["span_weight"] >= 0.95
 
-    def test_dimension_guard_exit_4(self, tmp_path, capsys, monkeypatch):
-        # 2048 classes, so the class matrix would have dimension 4096
+    def test_2048_classes(self, tmp_path):
+        # every assignment its own class: K = 2048 secular roots, no dimension guard
         path = tmp_path / "counter.cnf"
         path.write_text(ss.serialize_dimacs(counter_formula(11)))
-
-        def refuse(profile):
-            raise AssertionError("iterate matrix allocated")
-
-        monkeypatch.setattr(spectral, "iterate_matrix", refuse)
-        assert main(["spectrum", "-f", str(path)]) == 4
-        captured = capsys.readouterr()
-        lines = captured.err.strip().split("\n")
-        assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
-        assert "4096" in lines[0]
+        out = tmp_path / "spec.json"
+        assert main(["spectrum", "-f", str(path), "-o", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert sum(k for _, k in payload["eigenphases"]) == 2**12
 
     def test_beyond_the_per_assignment_limit(self, tmp_path):
         formula = ss.generate_planted_chain(16, extras=2, seed=4)
@@ -460,9 +453,10 @@ class TestSolutionGuard:
 
     @pytest.fixture(autouse=True)
     def small_memory(self, monkeypatch):
-        # room for 100 solutions, or 27 curve rows
+        # room for 100 solutions, or 27 curve rows; the clause tables take 1 byte
         pages = {"SC_PAGE_SIZE": ss.cnf.SOLUTION_BYTES, "SC_PHYS_PAGES": 100}
         monkeypatch.setattr(ss.cnf.os, "sysconf", pages.__getitem__)
+        monkeypatch.setattr(ss.cnf, "TABLE_BYTES", 1)
 
     def test_analyze_exit_3_without_a_solution_list(self, tmp_path, toy_path, capsys):
         # the table keeps two solutions and counts the rest, so it needs no room for them
@@ -488,9 +482,10 @@ class TestDimacsGuard:
 
     @pytest.fixture(autouse=True)
     def small_memory(self, monkeypatch):
-        # room for a DIMACS file of BOUND bytes
+        # room for a DIMACS file of BOUND bytes; the clause tables take 1 byte
         pages = {"SC_PAGE_SIZE": ss.cnf.DIMACS_BYTES, "SC_PHYS_PAGES": self.BOUND}
         monkeypatch.setattr(ss.cnf.os, "sysconf", pages.__getitem__)
+        monkeypatch.setattr(ss.cnf, "TABLE_BYTES", 1)
 
     @staticmethod
     def refuse_parsing(monkeypatch):
@@ -516,6 +511,39 @@ class TestDimacsGuard:
         self.refuse_parsing(monkeypatch)
         assert main(["run", "-f", "/dev/zero"]) == 4
         TestUsageErrors.assert_one_line_error(capsys, "physical memory")
+
+
+class TestTableGuard:
+    """m clauses on w workers above ``memory_capacity(TABLE_BYTES)`` exit 4 with one error line, before any table is built."""
+
+    BOUND = 40
+
+    @pytest.fixture(autouse=True)
+    def small_memory(self, monkeypatch):
+        # room for the clause tables of BOUND clauses on one worker
+        pages = {"SC_PAGE_SIZE": ss.cnf.TABLE_BYTES, "SC_PHYS_PAGES": self.BOUND}
+        monkeypatch.setattr(ss.cnf.os, "sysconf", pages.__getitem__)
+
+    def test_bound(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "units.cnf"
+        path.write_text(f"p cnf 1 {self.BOUND}\n" + "1 0\n" * self.BOUND)
+        assert main(["analyze", "-f", str(path)]) == 0
+        capsys.readouterr()
+        path.write_text(f"p cnf 1 {self.BOUND + 1}\n" + "1 0\n" * (self.BOUND + 1))
+        monkeypatch.setattr(ss.cnf, "violation_blocks", TestEnumerationLimit.refuse)
+        assert main(["analyze", "-f", str(path)]) == 4
+        TestUsageErrors.assert_one_line_error(capsys, f"{self.BOUND + 1} clauses on 1 workers")
+
+    def test_every_worker_counts(self, tmp_path, capsys, monkeypatch):
+        # 2**(n-2) blocks of 4 assignments on two CPUs, and a pool whatever numpy's
+        # BLAS: two workers, so half the clauses fill the memory
+        path = tmp_path / "units.cnf"
+        path.write_text(f"p cnf 12 {self.BOUND // 2 + 1}\n" + "1 0\n" * (self.BOUND // 2 + 1))
+        monkeypatch.setattr(ss.cnf, "_openblas", lambda: (lambda: 1, lambda count: None))
+        monkeypatch.setattr(ss.cnf, "violation_blocks", TestEnumerationLimit.refuse)
+        with enumeration_walkers(2):
+            assert main(["analyze", "-f", str(path)]) == 4
+        TestUsageErrors.assert_one_line_error(capsys, "on 2 workers")
 
 
 class TestClauseGuard:
@@ -659,10 +687,9 @@ class TestOutputBytes:
     """Every command's output bytes on one fixed n = 8 instance, pinned by sha256.
 
     Any change to these digests is a change of the output format or of the
-    numbers.  The float digits come from numpy's elementwise exp and sqrt and
-    its pairwise sums, and those of ``spectrum.json`` also from LAPACK's
-    eigensolver; a platform whose math library rounds differently would need
-    the digests taken again.
+    numbers.  The float digits come from numpy's elementwise exp, sin, arcsin
+    and sqrt and its pairwise sums; a platform whose math library rounds
+    differently would need the digests taken again.
     """
 
     COMMANDS = [
@@ -681,7 +708,7 @@ class TestOutputBytes:
         "grover.csv": "a037eb0c6434317dff84b4f1d636292e195e23bcd6b774211405b10eeb6411cb",
         "run.json": "8413d8146309bea9c0583078f3b302b7b72cdaeda8acd1c057ee3237ba77fb48",
         "snap.json": "d1c3ea97cf16f2b30f1cbcb83b94d07cade410c82b6d140c0e0962cba0409062",
-        "spectrum.json": "fe26b8b79a589a6d695d43cc1249efb05a4b2bfca60c1219a5daeae87ed9114c",
+        "spectrum.json": "894a6053ea0536559df70ba33626911aed72486b29e3685dc014ab00bf62d80b",
     }
     # the per-assignment document the pinned snap.json lifts to: one
     # (index, re, im) row per amplitude of modulus above 1e-6

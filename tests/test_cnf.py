@@ -273,9 +273,11 @@ class TestUnsatTable:
             else:
                 with pytest.raises(ss.GuardError, match="physical memory"):
                     ss.cnf.satisfying_assignments(formula)
-        # room for two solutions: the table keeps two, whatever the count
+        # room for two solutions: the table keeps two, whatever the count;
+        # the clause tables, which this memory does not bound, take 1 byte
         pages = {"SC_PAGE_SIZE": ss.cnf.SOLUTION_BYTES, "SC_PHYS_PAGES": 2}
         monkeypatch.setattr(ss.cnf.os, "sysconf", pages.__getitem__)
+        monkeypatch.setattr(ss.cnf, "TABLE_BYTES", 1)
         table = ss.build_unsat_table(formula, threads=threads)
         assert table.solutions == [1, 3] and table.histogram[0] == 1 << 19
 
@@ -617,3 +619,34 @@ class TestReadDimacs:
             with contextlib.redirect_stderr(err):
                 assert main(["analyze", "-f", path]) == 3
         assert err.getvalue().count("\n") == 1 and len(err.getvalue()) < 100, err.getvalue()[:200]
+
+    @pytest.mark.parametrize(
+        "text, fragment",
+        [
+            ("p cnf 5 1\n" + "x" * 5000 + " 0\n", "non-integer token 'xxxx"),
+            ("p cnf " + "x" * 5000 + " 1\n", "non-integer counts in header 'p cnf xxxx"),
+            ("p " + "x" * 5000 + "\n", "malformed header 'p xxxx"),
+        ],
+        ids=["token", "header-counts", "header"],
+    )
+    def test_long_input_echo_is_cut(self, text, fragment, tmp_path, capsys):
+        """A 5000-character token or header exits 3 with one short line that echoes its first characters."""
+        path = tmp_path / "long.cnf"
+        path.write_text(text)
+        assert main(["analyze", "-f", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err.encode()) < 200 and "Traceback" not in err, err[:300]
+        assert fragment in err and "..." in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("p cnf 2 1\n1 x 0\n", "non-integer token 'x' in clause data"),
+            ("p cnf 2 x\n", "line 1: non-integer counts in header 'p cnf 2 x'"),
+            ("p cnf 2\n", "line 1: malformed header 'p cnf 2', expected 'p cnf <vars> <clauses>'"),
+        ],
+    )
+    def test_short_input_echoed_whole(self, text, message):
+        with pytest.raises(ss.DimacsError) as caught:
+            ss.parse_dimacs(text)
+        assert str(caught.value) == message

@@ -9,12 +9,12 @@ import satsearch as ss
 PUBLIC = [
     "__version__", "Clause", "CnfFormula", "DimacsError", "EigenPairReport",
     "FormulaError", "GuardError", "InstanceError", "PhaseProfile", "RunConfig", "RunReport",
-    "SpectralSummary", "UnsatTable", "build_unsat_table", "dense_eigencheck",
+    "SpectralSummary", "UnsatTable", "build_unsat_table",
     "generate_planted_3sat", "generate_planted_block3sat", "generate_planted_chain",
     "grover_optimal_steps", "lambda2_from_histogram", "measurement_success_rate",
     "parse_dimacs", "read_dimacs", "repeat_until_success_stats", "run_grover_baseline",
-    "run_sweep", "search_step", "serialize_dimacs", "spectral_summary", "state_after",
-    "state_snapshot", "success_curve",
+    "run_sweep", "search_step", "serialize_dimacs", "spectral_summary", "spectrum",
+    "state_after", "state_snapshot", "success_curve",
 ]
 
 # parameters of the library's entry points and fields of the run configuration:
@@ -39,11 +39,11 @@ RUN_REPORT_FIELDS = [
 # the satsearch modules each module imports; "__init__" is the package itself
 IMPORTS = {
     "__init__": ["cnf", "experiment", "generate", "spectral", "statevector"],
-    "cli": ["cnf", "experiment", "generate", "spectral", "statevector"],
+    "cli": ["cnf", "experiment", "generate", "spectral"],
     "cnf": [],
     "experiment": ["__init__", "cnf", "spectral", "statevector"],
     "generate": ["cnf"],
-    "spectral": ["cnf", "statevector"],
+    "spectral": ["cnf"],
     "statevector": [],
 }
 
@@ -120,3 +120,18 @@ def test_only_cli_turns_files_into_tables():
         )
 
     assert [name for name, tree in SOURCES.items() if calls(tree)] == ["cli"]
+
+
+def test_no_dense_linear_algebra():
+    """The spectrum is a secular solve: no module reaches numpy.linalg, whose dense eig is the tests' oracle."""
+
+    def references(tree):
+        return any(
+            getattr(node, "id", None) == "linalg"
+            or getattr(node, "attr", None) == "linalg"
+            or (isinstance(node, ast.alias) and "linalg" in node.name.split("."))
+            or (isinstance(node, ast.ImportFrom) and "linalg" in (node.module or "").split("."))
+            for node in ast.walk(tree)
+        )
+
+    assert [name for name, tree in SOURCES.items() if references(tree)] == []

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 import satsearch as ss
 
 from conftest import TOY_DIMACS, formulas
-from oracles import all_violated, fold_classes, profile_for, violation_counts
+from oracles import all_violated, dense_eigencheck, iterate_matrix, profile_for, violation_counts
 
 
 def direct_lambda2(formula):
@@ -115,12 +116,6 @@ class TestMonotonicity:
         assert np.all(grown_counts >= violation_counts(formula))
 
 
-def both_profiles(formula):
-    """The per-assignment oracle profile and the class profile of one formula."""
-    table = ss.build_unsat_table(formula)
-    return profile_for(formula), ss.PhaseProfile.from_histogram(table.m, table.histogram)
-
-
 def circle_points(report):
     """Every eigenvalue on the unit circle, repeated by multiplicity, in phase order.
 
@@ -148,19 +143,20 @@ def unique_solution_formulas(draw):
 
 
 class TestDenseEigencheck:
+    """``spectrum``'s secular roots against the dense eigensolver of ``tests/oracles.py``, and that oracle."""
+
     def test_chain_instance_matches_prediction(self):
         formula = ss.generate_planted_chain(8, extras=2, seed=3)
         table = ss.build_unsat_table(formula)
         summary = ss.spectral_summary(table)
-        report = ss.dense_eigencheck(profile_for(formula))
+        report = dense_eigencheck(profile_for(formula))
         assert abs(report.lambda_plus) == pytest.approx(summary.lambda_pm, rel=0.05)
         assert report.lambda_plus + report.lambda_minus == pytest.approx(0.0, abs=1e-6)
         assert report.span_weight >= 0.95
 
     def test_eigenphase_count(self):
         formula = ss.generate_planted_chain(6, seed=2)
-        for profile in both_profiles(formula):
-            report = ss.dense_eigencheck(profile)
+        for report in (dense_eigencheck(profile_for(formula)), ss.spectrum(ss.build_unsat_table(formula))):
             assert int(report.multiplicities.sum()) == 2 * formula.assignment_count
             assert np.all(report.multiplicities >= 1)
             assert np.all(np.diff(report.eigenphases) > 0)
@@ -169,7 +165,8 @@ class TestDenseEigencheck:
     @given(unique_solution_formulas())
     @settings(max_examples=60, deadline=None)
     def test_class_profile_matches_oracle(self, formula):
-        oracle, classes = (ss.dense_eigencheck(p) for p in both_profiles(formula))
+        oracle = dense_eigencheck(profile_for(formula))
+        classes = ss.spectrum(ss.build_unsat_table(formula))
         assert abs(classes.lambda_plus - oracle.lambda_plus) <= 1e-12
         assert abs(classes.lambda_minus - oracle.lambda_minus) <= 1e-12
         assert abs(classes.span_weight - oracle.span_weight) <= 1e-10
@@ -180,8 +177,8 @@ class TestDenseEigencheck:
     def test_minus_one_is_one_row_at_pi(self):
         # every non-solution violates the one clause: 2N - 3 = 13 eigenvalues
         # -1, 2N - 4 of them spectators of the class profile at +pi and -pi
-        profile = all_violated(3, 5)
-        oracle, classes = ss.dense_eigencheck(profile), ss.dense_eigencheck(fold_classes(profile))
+        oracle = dense_eigencheck(all_violated(3, 5))
+        classes = ss.spectrum(ss.UnsatTable(3, 1, np.array([1, 7]), [5]))
         assert (classes.eigenphases[-1], classes.multiplicities[-1]) == (np.pi, 13)
         assert np.all(np.abs(classes.eigenphases[:-1]) < 3.0)
         assert np.max(np.abs(circle_points(classes) - circle_points(oracle))) <= 1e-12
@@ -196,9 +193,8 @@ class TestDenseEigencheck:
         ids=["toy", "planted8", "chain6"],
     )
     def test_zero_phase_row_is_exact(self, formula):
-        # eig puts the spectator (|0,r> - |1,r>)/sqrt(2) within about 1e-16 of 0
-        table = ss.build_unsat_table(formula)
-        report = ss.dense_eigencheck(ss.PhaseProfile.from_histogram(table.m, table.histogram))
+        # the spectator (|0,r> - |1,r>)/sqrt(2) is the one row at 0, and it is +0.0
+        report = ss.spectrum(ss.build_unsat_table(formula))
         near_zero = [row for row in report.to_json_dict()["eigenphases"] if abs(row[0]) < 1e-6]
         assert near_zero == [[0.0, 1]]
         assert math.copysign(1.0, near_zero[0][0]) == 1.0  # not -0.0
@@ -206,19 +202,60 @@ class TestDenseEigencheck:
     def test_dimension_guard(self):
         formula = ss.generate_planted_chain(11, seed=0)
         with pytest.raises(ss.GuardError, match="4096"):
-            ss.dense_eigencheck(profile_for(formula))
+            dense_eigencheck(profile_for(formula))
 
     def test_requires_unique_solution(self):
         formula = ss.parse_dimacs("p cnf 2 1\n1 2 0\n")
-        for profile in both_profiles(formula):
-            with pytest.raises(ss.InstanceError):
-                ss.dense_eigencheck(profile)
+        with pytest.raises(ss.InstanceError):
+            ss.spectrum(ss.build_unsat_table(formula))
+        with pytest.raises(ss.InstanceError):
+            dense_eigencheck(profile_for(formula))
+
+
+def secular_root_50_digits(table):
+    """lambda_+ = 2*asin(sqrt(t)) of the root t in (0, sigma_1), bisected 200 times at 50 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        u = np.flatnonzero(table.histogram[1:]) + 1
+        sigma = [mpmath.sin(mpmath.pi * k / (2 * table.m)) ** 2 for k in u.tolist()]
+        counts = table.histogram[u].tolist()
+        lo, hi = mpmath.mpf(0), sigma[0]
+        for _ in range(200):
+            t = (lo + hi) / 2
+            if sum(c * t / (s - t) for c, s in zip(counts, sigma)) < int(table.histogram[0]):
+                lo = t
+            else:
+                hi = t
+        return 2 * mpmath.asin(mpmath.sqrt((lo + hi) / 2))
+
+
+class TestSpectrum:
+    """The secular solve alone: its accuracy, and its memory where no dense matrix would fit."""
+
+    @pytest.mark.parametrize(
+        "formula",
+        [ss.generate_planted_3sat(8, 12, seed=1), ss.generate_planted_3sat(14, 40, seed=6)],
+        ids=["planted8", "planted14"],
+    )
+    def test_principal_root_against_50_digits(self, formula):
+        table = ss.build_unsat_table(formula)
+        exact = secular_root_50_digits(table)
+        assert float(abs(ss.spectrum(table).lambda_plus - exact) / exact) <= 1e-15
+
+    def test_2048_classes_in_bounded_memory(self):
+        # counter_formula(11)'s table: every assignment its own class, K = 2048
+        table = ss.UnsatTable(11, 2047, np.ones(2048, dtype=np.int64), [0])
+        tracemalloc.start()
+        try:
+            ss.spectrum(table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 << 20
 
 
 class TestIterateMatrix:
     def test_unitary(self, toy_formula):
-        from satsearch.spectral import iterate_matrix
-
         matrix = iterate_matrix(profile_for(toy_formula))
         identity = matrix.conj().T @ matrix
         assert np.max(np.abs(identity - np.eye(8))) < 1e-12

@@ -27,12 +27,16 @@ walk, on one thread; every other command builds the violation table in
 on.
 
 ``run --trials 0`` (the default) takes no samples; a negative count, or one of
-2**63 or more (numpy's binomial draw takes a C long), is a usage error.
-Seeds (``gen --seed``, ``run --trials-seed``) must be >= 0, as numpy's PCG64
-requires.  ``run --snapshot`` writes the class-state document of
-``statevector.state_snapshot``, at most 2(m+1) rows, once the sweep has
-succeeded.  Curves are written here alone, row by row: column 0 as an int,
-the others as repr floats.
+2**63 or more (the binomial draw takes an int64, as numpy's does), is a usage
+error.  Seeds (``gen --seed``, ``run --trials-seed``) must be >= 0, as
+numpy's ``SeedSequence`` requires: ``gen`` draws from numpy's PCG64, and
+``run --trials`` reproduces that stream and numpy's binomial draw in
+``experiment``, without importing ``numpy.random``.  Each command imports its
+layers in its handler, so ``analyze`` never loads the dynamics and only
+``gen`` loads the generator.  ``run --snapshot`` writes the class-state
+document of ``statevector.state_snapshot``, at most 2(m+1) rows, once the
+sweep has succeeded.  Curves are written here alone, row by row: column 0 as
+an int, the others as repr floats.
 """
 
 from __future__ import annotations
@@ -54,15 +58,6 @@ from .cnf import (
     read_dimacs,
     serialize_dimacs,
 )
-from .experiment import (
-    RunConfig,
-    grover_optimal_steps,
-    repeat_until_success_stats,
-    run_grover_baseline,
-    run_sweep,
-)
-from .generate import _planted_3sat
-from .spectral import spectral_summary, spectrum
 
 
 class UsageError(Exception):
@@ -130,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--grover", action="store_true", help="include the Grover baseline curve")
     run.add_argument("--steps", type=_int_or_auto, default=None, help="baseline steps ('auto' = floor(pi/4*sqrt(N)))")
     run.add_argument("--trials", type=int, default=0, help="repeat-until-success sampling trials")
-    run.add_argument("--trials-seed", type=int, help="sampling seed (PCG64, default 0)")
+    run.add_argument("--trials-seed", type=int, help="sampling seed (numpy's PCG64 stream, default 0)")
     run.add_argument("--snapshot", default=None, help="write the final class-state amplitudes (JSON) here")
 
     grover = sub.add_parser("grover", parents=[common], help="Grover baseline curve")
@@ -189,6 +184,8 @@ def _json_text(payload: dict) -> str:
 
 
 def _cmd_gen(args) -> int:
+    from .generate import _planted_3sat
+
     formula, planted = _planted_3sat(args.n, args.m, args.seed)
     text = serialize_dimacs(formula, comments=[f"planted {planted}", f"seed {args.seed}"])
     _emit(text, args.output)
@@ -201,6 +198,8 @@ def _table(args) -> UnsatTable:
 
 
 def _cmd_analyze(args) -> int:
+    from .spectral import spectral_summary
+
     table = _table(args)
     summary = spectral_summary(table)
     if args.table is not None:
@@ -210,12 +209,16 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from .experiment import RunConfig, run_sweep
+
     report = run_sweep(_table(args), RunConfig(args.formula, args.qmax))
     _emit(_curve_csv("q,p_marginal,p_overlap", report.curve), args.output)
     return 0
 
 
 def _cmd_run(args) -> int:
+    from .experiment import RunConfig, repeat_until_success_stats, run_sweep
+
     config = RunConfig(args.formula, args.qmax, args.grover, args.steps)
     report = run_sweep(_table(args), config, args.snapshot is not None)
     if report.snapshot is not None:
@@ -229,6 +232,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_grover(args) -> int:
+    from .experiment import grover_optimal_steps, run_grover_baseline
+
     table = _table(args)
     table.unique_solution()  # rejects instances without exactly one solution
     steps = args.steps if args.steps is not None else grover_optimal_steps(table.assignment_count)
@@ -237,6 +242,8 @@ def _cmd_grover(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    from .spectral import spectral_summary, spectrum
+
     table = _table(args)
     summary = spectral_summary(table)
     payload = spectrum(table).to_json_dict()

@@ -39,14 +39,14 @@ m and kept only as its histogram, where ``np.bincount``'s intp copy of the
 counts is made, and its first zeros; so the memory used does not grow with
 2**n.  ``violation_blocks``, the block product, alone knows the block layout,
 and the table is its only reader in the package.  The blocks are split into
-one contiguous run per worker: the calling thread walks run 0 and a pool the
-others, so one run starts no thread, and every run's walker is set up at the
-call, on the caller's thread.  The table takes one worker per
-``MIN_BLOCKS_PER_WORKER`` blocks, at most the CPUs of the process's affinity
-mask, so a small table stays on the calling thread.  A block's product is too
-small to share: with the BLAS thread variables unset, OpenBLAS spread it over
-the cores the pool uses, and at n = 30 two workers took 5.3 s against 4.8 s
-for one (2 vCPUs, numpy 2.4).  So the walk holds the OpenBLAS that numpy
+one contiguous run per worker: the calling thread walks run 0 and one started
+thread each of the others, so one run starts no thread, and every run's
+walker is set up at the call, on the caller's thread.  The table takes one
+worker per ``MIN_BLOCKS_PER_WORKER`` blocks, at most the CPUs of the process's
+affinity mask, so a small table stays on the calling thread.  A block's
+product is too small to share: with the BLAS thread variables unset, OpenBLAS
+spread it over the cores the worker threads use, and at n = 30 two workers
+took 5.3 s against 4.8 s for one (2 vCPUs, numpy 2.4).  So the walk holds the OpenBLAS that numpy
 loaded at one thread, through ``ctypes``, and then restores the count it
 found; where numpy's BLAS is another, whose threads it cannot set, it keeps
 one worker.
@@ -73,7 +73,6 @@ import ctypes
 import os
 import re
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
@@ -100,12 +99,12 @@ MAX_ENUMERATION_N = 30
 BLOCK_BITS = 16
 
 # Fewest blocks per worker for which build_unsat_table, left to choose,
-# starts a pool; a smaller table stays on the calling thread.  Two workers
-# against one, OpenBLAS on one thread, on planted 5n batches at n = 17..22
-# (medians of 41 to 101 alternating calls, 2 vCPUs, numpy 2.4): at 1, 2 and
-# 4 blocks per worker the one worker took 0.68-0.74, 0.78-0.99 and
-# 0.85-1.21 times as long as the two, at 8 0.99-1.34 times, and at 16 and
-# 32 1.26-1.55 times.  A pool also leaves its thread's malloc arena behind,
+# starts worker threads; a smaller table stays on the calling thread.  Two
+# workers against one, OpenBLAS on one thread, on planted 5n batches at
+# n = 17..22 (medians of 41 to 101 alternating calls, 2 vCPUs, numpy 2.4):
+# at 1, 2 and 4 blocks per worker the one worker took 0.68-0.74, 0.78-0.99
+# and 0.85-1.21 times as long as the two, at 8 0.99-1.34 times, and at 16
+# and 32 1.26-1.55 times.  A worker thread also leaves its malloc arena behind,
 # about 1 MiB of resident memory.
 MIN_BLOCKS_PER_WORKER = 8
 
@@ -560,16 +559,39 @@ def _one_blas_thread(blas: _BlasThreads | None) -> Iterator[None]:
             put(found)
 
 
+class _Run(threading.Thread):
+    """One run of blocks, read on its own thread; ``summary()`` joins it and returns or raises what the read did."""
+
+    def __init__(self, read: Callable, walker: Iterator[Block]) -> None:
+        super().__init__()
+        self._read, self._walker = read, walker
+        self._outcome: tuple | None = None
+
+    def run(self) -> None:
+        try:
+            self._outcome = (self._read(self._walker), None)
+        except BaseException as exc:  # handed to the calling thread by summary()
+            self._outcome = (None, exc)
+
+    def summary(self) -> tuple[np.ndarray, list[int]]:
+        self.join()
+        value, error = self._outcome
+        if error is not None:
+            raise error
+        return value
+
+
 def _walk_runs(formula: CnfFormula, threads: int | None) -> list[tuple[np.ndarray, list[int]]]:
     """``_run_summary`` of each contiguous run of blocks, in block order.
 
     The blocks are split into one run per worker, as many as
-    ``build_unsat_table`` says.  The calling thread reads run 0 and a pool
-    the others, so one run starts no thread, and OpenBLAS runs each product
-    on one thread while the runs are read.  Raises ``GuardError`` when
-    n > ``MAX_ENUMERATION_N``, before any block is walked, and when the m
-    clauses on the runs' workers pass ``memory_capacity(TABLE_BYTES)``,
-    before any clause table is built.
+    ``build_unsat_table`` says.  The calling thread reads run 0 and one
+    started thread each of the others, so one run starts no thread, and
+    OpenBLAS runs each product on one thread until every run is read.  A
+    worker's exception is raised again on the calling thread.  Raises
+    ``GuardError`` when n > ``MAX_ENUMERATION_N``, before any block is
+    walked, and when the m clauses on the runs' workers pass
+    ``memory_capacity(TABLE_BYTES)``, before any clause table is built.
     """
     _check_enumeration(formula.n)
     if threads is not None and threads < 1:
@@ -590,11 +612,17 @@ def _walk_runs(formula: CnfFormula, threads: int | None) -> list[tuple[np.ndarra
     first, *others = [violation_blocks(formula, run) for run in runs]
     read = partial(_run_summary, formula.m)
     with _one_blas_thread(blas):
-        if not others:
-            return [read(first)]
-        with ThreadPoolExecutor(max_workers=len(others)) as pool:
-            futures = [pool.submit(read, walker) for walker in others]
-            return [read(first)] + [future.result() for future in futures]
+        started: list[_Run] = []
+        try:
+            for walker in others:
+                run = _Run(read, walker)
+                run.start()
+                started.append(run)
+            summaries = [read(first)]
+        finally:
+            for run in started:
+                run.join()
+        return summaries + [run.summary() for run in started]
 
 
 def build_unsat_table(formula: CnfFormula, threads: int | None = None) -> UnsatTable:

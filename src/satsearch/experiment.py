@@ -31,8 +31,11 @@ key order, derives ``cost``, passes the curves as arrays for the CLI's writer
 to format row by row, and writes ``repeat_stats`` as
 ``repeat_until_success_stats`` returns it (stable key order, full-precision
 floats).  No clock is read: identical configurations give byte-identical
-reports.  All sampling uses numpy's seeded PCG64 generator, so runs are
-reproducible across platforms.
+reports.  The sampling draw is numpy's: ``_binomial`` reproduces the PCG64
+stream and binomial algorithm of ``np.random.default_rng(seed).binomial`` in
+plain Python, bit for bit (the tests check it against ``numpy.random``), so
+runs are reproducible across platforms and a run never imports
+``numpy.random``.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ import math
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -159,7 +163,7 @@ def _read_solution(classes: PhaseProfile, pairs: np.ndarray) -> tuple[np.ndarray
     marginal is the sum of their squared moduli and the overlap half the
     squared modulus of their sum.
     """
-    a0, a1 = (pairs * (1.0 / classes.reflection_axis()[0])).T
+    a0, a1 = (pairs * (1.0 / classes.axis[0])).T
     return _squared_moduli(a0) + _squared_moduli(a1), 0.5 * _squared_moduli(a0 + a1)
 
 
@@ -275,17 +279,17 @@ def measurement_success_rate(
     iteration count and reads one solution's data-register marginal p from the
     two amplitudes of the u = 0 class.  Each trial reads that solution with
     probability p, independently, so the number of hits is one binomial
-    draw from numpy's PCG64 generator: the same law as sampling every trial
-    from the full 2N-amplitude distribution, in O(1) memory for any
-    ``trials``.
+    draw, ``_binomial``: the same law as sampling every trial from the full
+    2N-amplitude distribution, in O(1) memory for any ``trials``.  The draw
+    is the one ``np.random.default_rng(rng_seed).binomial(trials, p)``
+    makes, so a negative ``rng_seed`` raises ``ValueError`` as numpy does.
     """
-    if not 1 <= trials < 1 << 63:  # numpy's binomial draw takes the trial count as a C long
+    if not 1 <= trials < 1 << 63:  # numpy's binomial draw takes the trial count as an int64
         raise ValueError(f"trials must be >= 1 and < 2**63, got {trials}")
     _check_solution_class(classes)
     marginal, _ = _read_solution(classes, state_after(classes, iterations)[None, :: classes.size])
-    rng = np.random.default_rng(rng_seed)
     # rounding can put a certain read-out a few ulp above 1
-    return int(rng.binomial(trials, min(float(marginal[0]), 1.0))) / trials
+    return _binomial(trials, min(float(marginal[0]), 1.0), rng_seed) / trials
 
 
 def repeat_until_success_stats(
@@ -297,8 +301,9 @@ def repeat_until_success_stats(
 
     Returns ``trials``, ``rng_seed``, the fraction of trials that read out the
     solution and the implied geometric-distribution mean repeat count 1/rate
-    (None when no trial succeeded), in that key order.  Sampling uses numpy's
-    PCG64 generator seeded with ``rng_seed``.
+    (None when no trial succeeded), in that key order.  The draw is numpy's
+    PCG64 stream seeded with ``rng_seed`` and numpy's binomial algorithm,
+    reproduced by ``_binomial``.
     """
     summary = spectral_summary(table)
     classes = PhaseProfile.from_histogram(table.m, table.histogram)
@@ -309,3 +314,210 @@ def repeat_until_success_stats(
         "empirical_success_rate": rate,
         "mean_repeats": None if rate == 0.0 else 1.0 / rate,
     }
+
+
+# The binomial draw of np.random.default_rng(seed).binomial(n, p), in plain
+# Python so that a run never imports numpy.random (about 8 ms and 6 MiB on
+# first use).  Three parts, each as numpy implements it: SeedSequence turns the
+# seed into PCG64's 128-bit state and increment; PCG64 (O'Neill, 2014) steps a
+# 128-bit LCG and outputs XSL-RR, of which next_double keeps the top 53 bits;
+# random_binomial draws by inversion when min(p, 1 - p) * n <= 30, else by
+# BTPE (Kachitvichyanukul and Schmeiser, CACM 31(2), 216 (1988)).  Floats
+# follow the C expressions operation by operation, and the two integer
+# expressions that can pass 2**63, n + 1 and -k * k, wrap as numpy's int64
+# arithmetic does.
+
+_MASK32 = (1 << 32) - 1
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _int64(value: int) -> int:
+    """``value`` wrapped to a two's-complement int64, as C's int64 arithmetic leaves it."""
+    return ((value + (1 << 63)) & _MASK64) - (1 << 63)
+
+
+def _hashmix(constant: int, multiplier: int):
+    """SeedSequence's hashmix: each call XORs with the running constant and multiplies by its next value."""
+
+    def hashmix(value: int) -> int:
+        nonlocal constant
+        value ^= constant
+        constant = constant * multiplier & _MASK32
+        value = value * constant & _MASK32
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _mix(x: int, y: int) -> int:
+    result = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+    return result ^ result >> 16
+
+
+def _pcg64_seed(seed: int) -> tuple[int, int]:
+    """(state, increment) of ``PCG64(seed)``: ``SeedSequence(seed)``'s four state words, then PCG's seeding."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    entropy = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    hashmix = _hashmix(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(word) for word in (entropy + [0] * 4)[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    hashmix = _hashmix(0x8B51F9DD, 0x58F38DED)
+    words = [hashmix(pool[k % 4]) for k in range(8)]
+    # four little-endian uint64s: the seed state's high and low halves, then the stream's
+    state_high, state_low, stream_high, stream_low = (words[k] | words[k + 1] << 32 for k in range(0, 8, 2))
+    increment = ((stream_high << 64 | stream_low) << 1 | 1) & _MASK128
+    # from state 0: one step, add the seed state, one more step
+    state = ((increment + (state_high << 64 | state_low)) * _PCG64_MULTIPLIER + increment) & _MASK128
+    return state, increment
+
+
+def _pcg64_doubles(state: int, increment: int) -> Iterator[float]:
+    """PCG64's ``next_double`` outputs from (state, increment): step, XSL-RR, top 53 bits."""
+    while True:
+        state = (state * _PCG64_MULTIPLIER + increment) & _MASK128
+        rotation = state >> 122
+        word = (state >> 64 ^ state) & _MASK64
+        word = (word >> rotation | word << (64 - rotation)) & _MASK64
+        yield (word >> 11) * (1.0 / 9007199254740992.0)
+
+
+def _log(x: float) -> float:
+    """C's log: -inf at 0 and NaN below, where ``math.log`` raises."""
+    if x > 0.0:
+        return math.log(x)
+    return -math.inf if x == 0.0 else math.nan
+
+
+def _binomial_inversion(doubles: Iterator[float], n: int, p: float) -> int:
+    """numpy's ``random_binomial_inversion``: walk the probabilities up from 0, restarting past a bound."""
+    q = 1.0 - p
+    qn = math.exp(n * math.log1p(-p))
+    mean = n * p
+    bound = int(min(n, mean + 10.0 * math.sqrt(mean * q + 1)))
+    x = 0
+    px = qn
+    u = next(doubles)
+    while u > px:
+        x += 1
+        if x > bound:
+            x = 0
+            px = qn
+            u = next(doubles)
+        else:
+            u -= px
+            px = ((n - x + 1) * p * px) / (x * q)
+    return x
+
+
+def _stirling_tail(x: float) -> float:
+    """The correction terms of Stirling's series for log x!, as BTPE's final bound writes them."""
+    x2 = x * x
+    return (13680.0 - (462.0 - (132.0 - (99.0 - 140.0 / x2) / x2) / x2) / x2) / x / 166320.0
+
+
+def _binomial_btpe(doubles: Iterator[float], n: int, p: float) -> int:
+    """numpy's ``random_binomial_btpe`` for p <= 0.5: triangle, parallelograms and exponential tails, then squeezes."""
+    r = min(p, 1.0 - p)
+    q = 1.0 - r
+    fm = n * r + r
+    m = math.floor(fm)
+    p1 = math.floor(2.195 * math.sqrt(n * r * q) - 4.6 * q) + 0.5
+    xm = m + 0.5
+    xl = xm - p1
+    xr = xm + p1
+    c = 0.134 + 20.5 / (15.3 + m)
+    a = (fm - xl) / (fm - xl * r)
+    laml = a * (1.0 + a / 2.0)
+    a = (xr - fm) / (xr * q)
+    lamr = a * (1.0 + a / 2.0)
+    p2 = p1 * (1.0 + 2.0 * c)
+    p3 = p2 + c / laml
+    p4 = p3 + c / lamr
+    nrq = n * r * q
+    while True:
+        u = next(doubles) * p4
+        v = next(doubles)
+        if u <= p1:  # the triangle: accepted at once
+            return math.floor(xm - p1 * v + u)
+        if u <= p2:
+            x = xl + (u - p1) / c
+            v = v * c + 1.0 - abs(m - x + 0.5) / p1
+            if v > 1.0:
+                continue
+            y = math.floor(x)
+        elif u <= p3:
+            if v == 0.0:
+                continue
+            y = math.floor(xl + math.log(v) / laml)
+            if y < 0:
+                continue
+            v = v * (u - p2) * laml
+        else:
+            if v == 0.0:
+                continue
+            y = math.floor(xr - math.log(v) / lamr)
+            if y > n:
+                continue
+            v = v * (u - p3) * lamr
+        k = abs(y - m)
+        if k <= 20 or float(k) >= nrq / 2.0 - 1:
+            # the exact ratio f(y) / f(m), one factor per step from m to y
+            s = r / q
+            a = s * _int64(n + 1)
+            f = 1.0
+            for i in range(m + 1, y + 1):
+                f *= a / i - s
+            for i in range(y + 1, m + 1):
+                f /= a / i - s
+            if v > f:
+                continue
+            return y
+        # squeeze on log f(y) / f(m), then Stirling's bound on it; numpy
+        # computes x1, f1, z and w in floating point
+        rho = (k / nrq) * ((k * (k / 3.0 + 0.625) + 0.16666666666666666) / nrq + 0.5)
+        t = _int64(-k * k) / (2 * nrq)
+        big_a = _log(v)
+        if big_a < t - rho:
+            return y
+        if big_a > t + rho:
+            continue
+        x1 = float(y) + 1.0
+        f1 = float(m) + 1.0
+        z = float(n) + 1.0 - m
+        w = float(n) - y + 1.0
+        if big_a > (
+            xm * _log(f1 / x1)
+            + (n - m + 0.5) * _log(z / w)
+            + (y - m) * _log(w * r / (x1 * q))
+            + _stirling_tail(f1)
+            + _stirling_tail(z)
+            + _stirling_tail(x1)
+            + _stirling_tail(w)
+        ):
+            continue
+        return y
+
+
+def _binomial(n: int, p: float, seed: int) -> int:
+    """``int(np.random.default_rng(seed).binomial(n, p))`` for 0 <= n < 2**63 and 0 <= p <= 1.
+
+    Raises ``ValueError`` for a negative seed, as numpy does.
+    """
+    doubles = _pcg64_doubles(*_pcg64_seed(seed))
+    if n == 0 or p == 0.0:
+        return 0
+    if p <= 0.5:
+        draw = _binomial_inversion if p * n <= 30.0 else _binomial_btpe
+        return draw(doubles, n, p)
+    q = 1.0 - p
+    draw = _binomial_inversion if q * n <= 30.0 else _binomial_btpe
+    return n - draw(doubles, n, q)

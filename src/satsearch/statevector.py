@@ -23,8 +23,8 @@ depend on threading.  The per-assignment profile, its fold and lift, and the
 other per-assignment oracles live in ``tests/oracles.py``.
 
 One kernel per job.  ``search_step`` is the only implementation of the
-iterate; its diagonal pass ``state * profile.phase_vector()`` is the clause
-phase operator D, and on a profile whose every count is 0 it is the bare
+iterate; its diagonal pass ``state * profile.phases`` is the clause phase
+operator D, and on a profile whose every count is 0 it is the bare
 reflection about the uniform state.  ``PhaseProfile.uniform()`` is the only
 start state.
 
@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -49,15 +50,17 @@ class PhaseProfile:
     """Violation counts with multiplicities plus clause count; caches derived vectors.
 
     Entry k stands for ``weights[k]`` assignments.  ``total`` is N, the
-    assignments the entries stand for.
+    assignments the entries stand for, and ``size`` the entries per ancilla
+    branch: a state holds 2 * size amplitudes.  Both are computed once, and
+    ``phases`` and ``axis`` on first read, so that ``search_step`` derives
+    nothing per call.
     """
 
     m: int
     u: np.ndarray
     weights: np.ndarray
     total: int = field(init=False, repr=False, compare=False)
-    _phases: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _axis: np.ndarray | None = field(default=None, repr=False, compare=False)
+    size: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.m < 1:
@@ -67,6 +70,7 @@ class PhaseProfile:
         if self.weights.shape != self.u.shape or np.any(self.weights < 1):
             raise ValueError("weights must be positive, one per violation count")
         self.total = int(self.weights.sum())
+        self.size = int(self.u.shape[0])
 
     @classmethod
     def from_histogram(cls, m: int, histogram) -> "PhaseProfile":
@@ -78,28 +82,22 @@ class PhaseProfile:
         occupied = np.flatnonzero(histogram)
         return cls(m, occupied, histogram[occupied].astype(np.int64))
 
-    @property
-    def size(self) -> int:
-        """Entries per ancilla branch: amplitudes of a state are 2 * size."""
-        return int(self.u.shape[0])
+    @cached_property
+    def phases(self) -> np.ndarray:
+        """The clause phases D per amplitude: exp(+i*pi*u/m) on branch 0, the conjugate on branch 1."""
+        theta = (np.pi / self.m) * self.u.astype(np.float64)
+        upper = np.exp(1j * theta)
+        return np.concatenate([upper, upper.conj()])
 
-    def phase_vector(self) -> np.ndarray:
-        if self._phases is None:
-            theta = (np.pi / self.m) * self.u.astype(np.float64)
-            upper = np.exp(1j * theta)
-            self._phases = np.concatenate([upper, upper.conj()])
-        return self._phases
-
-    def reflection_axis(self) -> np.ndarray:
+    @cached_property
+    def axis(self) -> np.ndarray:
         """sqrt(weight) per amplitude: the uniform state times sqrt(2N)."""
-        if self._axis is None:
-            root = np.sqrt(self.weights.astype(np.float64))
-            self._axis = np.concatenate([root, root])
-        return self._axis
+        root = np.sqrt(self.weights.astype(np.float64))
+        return np.concatenate([root, root])
 
     def uniform(self) -> np.ndarray:
         """Equal superposition over all 2N basis states, in this profile's coordinates."""
-        return self.reflection_axis() * (1.0 / math.sqrt(2 * self.total)) + 0j
+        return self.axis * (1.0 / math.sqrt(2 * self.total)) + 0j
 
 
 def _check_dimension(state: np.ndarray, data_dim: int) -> None:
@@ -115,9 +113,10 @@ def search_step(state: np.ndarray, profile: PhaseProfile) -> np.ndarray:
     With the axis r = sqrt(weight) = sqrt(2N) * s, 2s(s.out) = r(r.out)/N.
     The one scratch array holds r*out, then r times its sum over N.
     """
-    _check_dimension(state, profile.size)
-    out = state * profile.phase_vector()
-    axis = profile.reflection_axis()
+    if state.shape[0] != 2 * profile.size:  # checked inline: one call fewer per step
+        _check_dimension(state, profile.size)
+    out = state * profile.phases
+    axis = profile.axis
     tmp = axis * out
     np.multiply(axis, np.add.reduce(tmp) / profile.total, out=tmp)
     out -= tmp

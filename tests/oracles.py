@@ -80,7 +80,7 @@ def lift(profile, class_state):
     """
     folded = fold_classes(profile)
     _check_dimension(class_state, folded.size)
-    per_assignment = class_state / folded.reflection_axis()
+    per_assignment = class_state / folded.axis
     position = class_entries(folded, profile.u)
     return np.concatenate(
         [per_assignment[: folded.size][position], per_assignment[folded.size :][position]]
@@ -92,7 +92,7 @@ def apply_clause_phases_factored(state, formula):
 
     Each clause multiplies branch b=0 by exp(i*pi/m) on the assignments it
     leaves unsatisfied, and branch b=1 by the conjugate, with no violation
-    table: the independent check of ``state * profile.phase_vector()``.
+    table: the independent check of ``state * profile.phases``.
     """
     data_dim = 1 << formula.n
     _check_dimension(state, data_dim)
@@ -113,15 +113,15 @@ def expression_search_step(state, profile):
     pairwise sum and the same scalar division.
     """
     _check_dimension(state, profile.size)
-    out = state * profile.phase_vector()
-    axis = profile.reflection_axis()
+    out = state * profile.phases
+    axis = profile.axis
     out -= axis * ((axis * out).sum() / profile.total)
     return out
 
 
 def scalar_read_out(classes, state):
     """Marginal and overlap of one solution, from numpy scalars: a_(b,0) / sqrt(N_0) on branch b."""
-    scale = 1.0 / classes.reflection_axis()[0]
+    scale = 1.0 / classes.axis[0]
     a0 = state[0] * scale
     a1 = state[classes.size] * scale
     return float(abs(a0) ** 2 + abs(a1) ** 2), float(0.5 * abs(a0 + a1) ** 2)
@@ -284,7 +284,7 @@ def dense_eigencheck(profile):
     plus, minus = (first, second) if phases[first] > 0 else (second, first)
 
     # the matrix's phases once each, then each entry's w - 1 spectators per branch
-    every = np.concatenate([phases, np.angle(profile.phase_vector())])
+    every = np.concatenate([phases, np.angle(profile.phases)])
     count = np.concatenate([np.ones(dim, dtype=np.int64), np.tile(profile.weights - 1, 2)])
     every[every == -np.pi] = np.pi
     every[np.abs(every) <= ZERO_PHASE_FLOOR] = 0.0  # e.g. the exact spectator's LAPACK noise

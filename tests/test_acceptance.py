@@ -51,7 +51,7 @@ def test_criterion_1_lambda1_identity():
 def test_criterion_2_clause_phase_equivalence():
     """Factored per-clause path equals the single diagonal pass, any clause order.
 
-    The diagonal pass is ``state * profile.phase_vector()``, the multiply that
+    The diagonal pass is ``state * profile.phases``, the multiply that
     ``search_step`` makes before its reflection.
     """
     rng = np.random.default_rng(2024)
@@ -61,7 +61,7 @@ def test_criterion_2_clause_phase_equivalence():
         dim = 2 * formula.assignment_count
         for state_index in range(100):
             state = random_state(dim, seed=1000 * formula_index + state_index)
-            fast = state * profile.phase_vector()
+            fast = state * profile.phases
             factored = apply_clause_phases_factored(state, formula)
             assert np.max(np.abs(fast - factored)) < 1e-10
         # clause order is irrelevant for the factored product

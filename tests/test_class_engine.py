@@ -55,7 +55,7 @@ class TestClassProfile:
         # class c carries exp(+i*pi*u_c/m) on branch b=0 and its conjugate on b=1
         classes = fold_classes(ss.PhaseProfile(m=2, u=np.array([0, 1, 2, 2]), weights=ones(4)))
         upper = np.exp(1j * np.pi * np.arange(3) / 2)
-        assert np.array_equal(classes.phase_vector(), np.concatenate([upper, upper.conj()]))
+        assert np.array_equal(classes.phases, np.concatenate([upper, upper.conj()]))
 
     def test_weights_validated(self):
         with pytest.raises(ValueError, match="weights"):

@@ -3,6 +3,7 @@ import io
 import os
 import sys
 import tempfile
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
@@ -18,6 +19,19 @@ from satsearch.cnf import violation_mask
 
 from conftest import TOY_DIMACS, enumeration_walkers, formula_with_assignment, counter_formula, formulas, random_3sat
 from oracles import unsat_count, violation_counts
+
+
+def record_thread_starts(monkeypatch) -> list:
+    """Patch the table's worker threads to note each start in the returned list."""
+    started = []
+    start = ss.cnf._Run.start
+
+    def record(run):
+        started.append(run)
+        start(run)
+
+    monkeypatch.setattr(ss.cnf._Run, "start", record)
+    return started
 
 
 class TestParseDimacs:
@@ -349,21 +363,14 @@ class TestUnsatTable:
         assert counts.tolist() == [unsat_count(formula, i) for i in range(1 << 8)]
 
     def test_one_submission_per_worker(self, monkeypatch):
-        # the calling thread walks run 0, so the pool gets the other run
-        submitted = []
-
-        class RecordingPool(ThreadPoolExecutor):
-            def submit(self, fn, /, *args, **kwargs):
-                submitted.append(args)
-                return super().submit(fn, *args, **kwargs)
-
+        # the calling thread walks run 0, so one thread is started for the other run
+        started = record_thread_starts(monkeypatch)
         formula = ss.generate_planted_3sat(12, 40, seed=6)
         single = ss.build_unsat_table(formula, threads=1)
-        monkeypatch.setattr(ss.cnf, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(ss.cnf.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)  # two runs
         with mock.patch.object(ss.cnf, "BLOCK_BITS", 2):  # 1024 blocks
             threaded = ss.build_unsat_table(formula, threads=2)
-        assert len(submitted) == 2 - 1
+        assert len(started) == 2 - 1
         assert np.array_equal(threaded.histogram, single.histogram)
         assert threaded.solutions == single.solutions
 
@@ -381,23 +388,16 @@ class TestUnsatTable:
         assert counts.dtype == np.uint16 and counts.max() >= 256
 
     def test_huge_thread_count_capped_at_cpu_count(self, monkeypatch):
-        sizes = []
-
-        class RecordingPool(ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-                super().__init__(max_workers)
-
+        started = record_thread_starts(monkeypatch)
         formula = ss.generate_planted_3sat(6, 12, seed=2)
-        monkeypatch.setattr(ss.cnf, "ThreadPoolExecutor", RecordingPool)
         # the CPUs the process may run on, not every CPU the machine has
         monkeypatch.setattr(ss.cnf.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
         monkeypatch.setattr(ss.cnf.os, "cpu_count", lambda: 8)
         with mock.patch.object(ss.cnf, "BLOCK_BITS", 2):  # 16 blocks
             huge = ss.build_unsat_table(formula, threads=1 << 20)
             single = ss.build_unsat_table(formula, threads=1)
-        # three runs, the calling thread's and the pool's two; one run starts no pool
-        assert sizes == [3 - 1]
+        # three runs, the calling thread's and two started threads; one run starts no thread
+        assert len(started) == 3 - 1
         assert np.array_equal(huge.histogram, single.histogram)
         assert huge.solutions == single.solutions
 
@@ -475,7 +475,7 @@ class TestEnumerationWorkers:
     def test_no_pool_without_openblas(self, monkeypatch):
         # a BLAS whose threads the walk cannot set keeps the table on the calling thread
         monkeypatch.setattr(ss.cnf, "_openblas", lambda: None)
-        monkeypatch.setattr(ss.cnf, "ThreadPoolExecutor", mock.Mock(side_effect=AssertionError("pool started")))
+        monkeypatch.setattr(ss.cnf._Run, "start", mock.Mock(side_effect=AssertionError("thread started")))
         formula = ss.generate_planted_3sat(10, 40, seed=2)
         with enumeration_walkers(4) as runs:
             table = ss.build_unsat_table(formula)
@@ -491,6 +491,30 @@ class TestEnumerationWorkers:
         with pytest.raises(RuntimeError, match="walk failed"):
             ss.build_unsat_table(ss.generate_planted_3sat(10, 40, seed=2))
         assert get() == before
+
+    @pytest.mark.parametrize("failing", ["worker", "caller"])
+    def test_worker_error_raised_on_the_caller(self, failing, monkeypatch):
+        # one run fails, on the started thread or on the calling thread; the
+        # error reaches the caller only once the started thread has finished
+        caller = threading.get_ident()
+        summary = ss.cnf._run_summary
+        finished = []
+
+        def read(m, blocks):
+            if (threading.get_ident() == caller) == (failing == "caller"):
+                raise RuntimeError(f"{failing} failed")
+            return summary(m, blocks)
+
+        def joined(run, timeout=None):
+            threading.Thread.join(run, timeout)
+            finished.append(not run.is_alive())
+
+        monkeypatch.setattr(ss.cnf, "_run_summary", read)
+        monkeypatch.setattr(ss.cnf._Run, "join", joined)
+        monkeypatch.setattr(ss.cnf.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        with mock.patch.object(ss.cnf, "BLOCK_BITS", 4), pytest.raises(RuntimeError, match=f"{failing} failed"):
+            ss.build_unsat_table(ss.generate_planted_3sat(10, 40, seed=2), threads=2)
+        assert finished and all(finished)
 
     def test_products_on_one_blas_thread(self, blas, monkeypatch):
         get, put = blas

@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 import satsearch as ss
 from satsearch.cli import _json_text
 from satsearch.cli import _curve_csv
-from satsearch.experiment import _read_solution
+from satsearch.experiment import _binomial, _read_solution
 
 from oracles import all_violated, fold_classes, grover_closed_form, grover_step, lifted_marginal
 from oracles import profile_for, scalar_curve, scalar_read_out
@@ -285,12 +286,11 @@ class TestSampling:
         profile = profile_for(formula)
         drawn = []
 
-        class Recorder:
-            def binomial(self, trials, p):
-                drawn.append(p)
-                return trials // 2
+        def binomial(trials, p, seed):
+            drawn.append(p)
+            return trials // 2
 
-        monkeypatch.setattr(np.random, "default_rng", lambda seed: Recorder())
+        monkeypatch.setattr(ss.experiment, "_binomial", binomial)
         for iterations in (0, summary.q_m, 2 * summary.q_m + 1):
             assert ss.measurement_success_rate(fold_classes(profile), iterations, 10, 0) == 0.5
             expected = lifted_marginal(profile, table.unique_solution(), iterations)
@@ -307,6 +307,65 @@ class TestSampling:
         classes = ss.PhaseProfile.from_histogram(table.m, table.histogram)
         peak = traced_peak(lambda: ss.measurement_success_rate(classes, 50, 1000, 0))
         assert peak < 64 * 1024
+
+
+def numpy_binomial(n, p, seed):
+    return int(np.random.default_rng(seed).binomial(n, p))
+
+
+class TestBinomialDraw:
+    """``experiment._binomial`` is ``np.random.default_rng(seed).binomial(n, p)``, draw for draw.
+
+    numpy draws by inversion when min(p, 1 - p) * n <= 30 and by BTPE above,
+    and takes n minus the draw at 1 - p when p > 0.5.
+    """
+
+    # n from 1 to the int64 limit; at 2**62 and above, BTPE's -k*k passes 2**63
+    # and n + 1 wraps at 2**63 - 1
+    GRID_N = [1, 2, 7, 30, 31, 61, 100, 1000, 10**6, 2**31 - 1, 2**32 + 5, 2**53 + 1, 2**62, 2**63 - 1]
+    # 0 and 1, tiny p (inversion up to n = 30 / p; 5e-18 and 1e-17 take BTPE's
+    # exact-ratio branch, where n + 1 wraps, at n = 2**63 - 1), p around 1/2,
+    # and p above 1/2 on both sides of the inversion bound
+    GRID_P = [
+        0.0, 1e-300, 1e-18, 5e-18, 1e-17, 1e-9, 0.001, 0.03, 0.1, 0.3, 0.4999, 0.5, 0.5000001, 0.7, 0.97,
+        1 - 1e-12, 1.0,
+    ]
+
+    @pytest.mark.parametrize("seed", [0, 1 << 32, (1 << 64) + 3])
+    def test_grid(self, seed):
+        for n in self.GRID_N:
+            for p in self.GRID_P:
+                assert _binomial(n, p, seed) == numpy_binomial(n, p, seed), (n, p, seed)
+
+    def test_grid_takes_every_path(self):
+        small = [(n, p) for n in self.GRID_N for p in self.GRID_P if 0 < min(p, 1 - p) * n <= 30]
+        large = [(n, p) for n in self.GRID_N for p in self.GRID_P if min(p, 1 - p) * n > 30]
+        assert any(p < 0.5 for _, p in small) and any(p > 0.5 for _, p in small)
+        assert any(p < 0.5 for _, p in large) and any(p > 0.5 for _, p in large)
+
+    def test_seeded_random_cases(self):
+        rng = random.Random(20261019)
+        for _ in range(10_000):
+            seed = rng.getrandbits(rng.choice([8, 32, 64, 128]))
+            n = rng.randrange(1, 1 << rng.randint(1, 63))
+            kind = rng.random()
+            if kind < 0.6:
+                p = rng.random()
+            elif kind < 0.8:  # n * p anywhere from far below to far above 30
+                p = rng.random() * 10.0 ** -rng.randrange(1, 20)
+            else:
+                p = 1.0 - rng.random() * 10.0 ** -rng.randrange(1, 15)
+            assert _binomial(n, p, seed) == numpy_binomial(n, p, seed), (n, p, seed)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError):
+            numpy_binomial(10, 0.5, -1)
+        for p in (0.0, 0.5):
+            with pytest.raises(ValueError, match="seed"):
+                _binomial(10, p, -1)
+        classes = ss.PhaseProfile.from_histogram(2, [1, 2, 1])
+        with pytest.raises(ValueError, match="seed"):
+            ss.measurement_success_rate(classes, 1, 100, -1)
 
 
 class TestCostReport:

@@ -1,10 +1,16 @@
 import ast
 import dataclasses
 import inspect
+import os
+import subprocess
+import sys
 from operator import attrgetter
 from pathlib import Path
 
+import pytest
+
 import satsearch as ss
+from satsearch.cli import main
 
 PUBLIC = [
     "__version__", "Clause", "CnfFormula", "DimacsError", "EigenPairReport",
@@ -36,9 +42,10 @@ RUN_REPORT_FIELDS = [
     "p_peak_measured", "grover_curve", "repeat_stats", "snapshot",
 ]
 
-# the satsearch modules each module imports; "__init__" is the package itself
+# the satsearch modules each module imports; "__init__" is the package itself,
+# which imports none: it resolves its public names on first use
 IMPORTS = {
-    "__init__": ["cnf", "experiment", "generate", "spectral", "statevector"],
+    "__init__": [],
     "cli": ["cnf", "experiment", "generate", "spectral"],
     "cnf": [],
     "experiment": ["__init__", "cnf", "spectral", "statevector"],
@@ -135,3 +142,42 @@ def test_no_dense_linear_algebra():
         )
 
     assert [name for name, tree in SOURCES.items() if references(tree)] == []
+
+
+# A fresh interpreter runs one command on the pinned n = 8 toy and prints the
+# modules it loaded.
+FOOTPRINT = """
+import sys
+from satsearch.cli import main
+assert main(sys.argv[1:]) == 0
+print("\\n".join(sys.modules))
+"""
+
+
+@pytest.mark.parametrize(
+    "command, absent",
+    [
+        (
+            ["analyze"],
+            ["numpy.random", "concurrent.futures", "satsearch.experiment", "satsearch.statevector", "satsearch.generate"],
+        ),
+        (
+            ["run", "--trials", "50", "--snapshot", "snap.json"],
+            ["numpy.random", "concurrent.futures", "satsearch.generate"],
+        ),
+    ],
+    ids=["analyze", "run"],
+)
+def test_import_footprint(command, absent, tmp_path):
+    """Each command loads only its layers: no numpy.random, no thread pool, no generator outside ``gen``."""
+    assert main(["gen", "-n", "8", "-m", "12", "--seed", "1", "-o", str(tmp_path / "inst.cnf")]) == 0
+    env = {**os.environ, "PYTHONPATH": str(Path(ss.__file__).parent.parent)}
+    argv = [*command, "-f", "inst.cnf", "-o", "out.json"]
+    child = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT, *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    loaded = set(child.stdout.split())
+    assert "satsearch.cnf" in loaded
+    assert sorted(loaded.intersection(absent)) == []

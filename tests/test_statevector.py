@@ -39,7 +39,7 @@ class TestClausePhases:
         profile = profile_for(formula)
         state = np.zeros(4, dtype=complex)
         state[0] = 1.0  # (b=0, i=0)
-        out = state * profile.phase_vector()
+        out = state * profile.phases
         assert out[0] == pytest.approx(-1.0, abs=1e-15)
 
     def test_solution_fiber_untouched_exactly(self, toy_formula, toy_table):
@@ -48,7 +48,7 @@ class TestClausePhases:
         for index in (r, 4 + r):
             state = np.zeros(8, dtype=complex)
             state[index] = 1.0
-            out = state * profile.phase_vector()
+            out = state * profile.phases
             assert out[index] == 1.0 + 0.0j  # eigenvalue exactly 1 on the solution fiber
 
     @pytest.mark.parametrize("n,m_req,seed", [(4, 6, 0), (6, 10, 1)])
@@ -61,7 +61,7 @@ class TestClausePhases:
             for i in range(total):
                 state = np.zeros(2 * total, dtype=complex)
                 state[b * total + i] = 1.0
-                out = state * profile.phase_vector()
+                out = state * profile.phases
                 sign = 1.0 if b == 0 else -1.0
                 expected = np.exp(sign * 1j * np.pi * u[i] / formula.m)
                 assert abs(out[b * total + i] - expected) < 1e-12
@@ -78,7 +78,7 @@ class TestFactoredEquivalence:
     def test_matches_single_pass(self, formula, seed):
         profile = profile_for(formula)
         state = random_state(2 * formula.assignment_count, seed)
-        fast = state * profile.phase_vector()
+        fast = state * profile.phases
         factored = apply_clause_phases_factored(state, formula)
         assert np.max(np.abs(fast - factored)) < 1e-10
 
@@ -96,7 +96,7 @@ class TestFactoredEquivalence:
         state = random_state(8, seed=5)
         assert np.max(
             np.abs(
-                state * profile.phase_vector()
+                state * profile.phases
                 - apply_clause_phases_factored(state, formula)
             )
         ) < 1e-14
@@ -139,7 +139,7 @@ class TestSearchStep:
     def test_composition(self, toy_formula):
         profile = profile_for(toy_formula)
         state = random_state(8, seed=13)
-        phased = state * profile.phase_vector()
+        phased = state * profile.phases
         composed = phased - phased.sum() / 4  # psi - 2<+|psi>|+> over 8 amplitudes
         assert np.max(np.abs(ss.search_step(state, profile) - composed)) < 1e-14
 

@@ -11,20 +11,25 @@ smaller than the overlap, so both are kept.
 
 Every path runs in class coordinates (see ``statevector``): the class
 profile comes from the table's histogram, the solutions are its entry 0 (the
-u = 0 class), and ``search_step`` advances at most 2(m+1) class amplitudes.
-``success_curve``, ``state_after`` and ``measurement_success_rate`` take that
-profile as given; the first and last raise ``InstanceError`` when entry 0 is
-not u = 0.  The class state is exact: each of the N_0 solutions has amplitude
-a_(b,0) / sqrt(N_0) on branch b, so with k solutions each reads the same
-curve (Boyer, Brassard, Hoyer and Tapp, quant-ph/9605034).  A sweep records,
-then reads: each step is one ``search_step`` and one copy of the pair
-(a_(0,0), a_(1,0)), and one pass after the loop turns all pairs into rows,
-rounding as numpy's scalar ``abs(a) ** 2`` does, so every row is the bits a
-per-step read-out gives.  The Grover baseline has the same symmetry with two
-classes, the solution and the other N - 1 assignments, so it steps two real
-amplitudes.  The per-assignment state vector and the textbook Grover step are
-the tests' oracles, in ``tests/oracles.py``.  A curve whose rows would not fit
-in physical memory is refused with ``GuardError`` before it is allocated.
+u = 0 class), and ``search_step`` advances at most m + 1 class amplitudes,
+those of branch 0.  ``success_curve``, ``state_after`` and
+``measurement_success_rate`` take that profile as given; the first and last
+raise ``InstanceError`` when entry 0 is not u = 0.  The class state is exact:
+each of the N_0 solutions has amplitude a_(b,0) / sqrt(N_0) on branch b, so
+with k solutions each reads the same curve (Boyer, Brassard, Hoyer and Tapp,
+quant-ph/9605034).  Branch 1 is the conjugate of branch 0, so with
+a = a_(0,0) / sqrt(N_0) a solution's marginal is 2|a|**2 and its overlap
+2 Re(a)**2.  A sweep records, then reads: each step is one ``search_step``
+and one copy of a_(0,0), one copy of the pair (a_(0,0), conj a_(0,0)).  One
+pass after the loop turns all copies into rows as 2 (Re(a)**2 + Im(a)**2) and
+2 Re(a)**2, elementwise, which rounds as the same expressions on numpy
+scalars do: every row is the bits a per-step read-out gives, and no overlap
+exceeds its marginal, not even by rounding.  The Grover baseline has the same
+symmetry with two classes, the solution and the other N - 1 assignments, so
+it steps two real amplitudes.  The two-branch and per-assignment state
+vectors and the textbook Grover step are the tests' oracles, in
+``tests/oracles.py``.  A curve whose rows would not fit in physical memory is
+refused with ``GuardError`` before it is allocated.
 
 The whole run report is assembled here: ``RunReport.to_json_dict`` fixes the
 key order, derives ``cost``, passes the curves as arrays for the CLI's writer
@@ -42,7 +47,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
 from typing import Iterator
 
@@ -55,8 +59,9 @@ from .statevector import PhaseProfile, search_step, state_snapshot
 
 # Peak bytes per curve row: tracemalloc's peak over run_sweep plus the output
 # text, toy instance, q_max 10**5 and 4 * 10**5, is about 300 for JSON and 285
-# for CSV.  The guard takes 590 for every curve, Grover's included, which
-# leaves room above both.
+# for CSV.  The sweep's own 16 bytes a row of recorded amplitudes are freed
+# before the text is built, so they do not reach that peak.  The guard takes
+# 590 for every curve, Grover's included, which leaves room above both.
 CURVE_ROW_BYTES = 590
 
 
@@ -148,51 +153,47 @@ def _check_curve_rows(rows: int) -> None:
         raise GuardError(f"a curve of {rows} rows does not fit in physical memory at {CURVE_ROW_BYTES} bytes each")
 
 
-def _squared_moduli(z: np.ndarray) -> np.ndarray:
-    """|z|**2 per element, rounded as numpy's scalar ``abs(z) ** 2`` is: C hypot, then C pow.
+def _read_solution(classes: PhaseProfile, amplitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Marginal and overlap of each solution, one per amplitude a_(0,0) in ``amplitudes``.
 
-    Array ``np.abs`` and array ``** 2`` round differently in the last bit.
+    Each solution has amplitude a = a_(0,0) / sqrt(N_0) on branch 0 and
+    conj(a) on branch 1; the marginal is the sum of their squared moduli and
+    the overlap half the squared modulus of their sum.
     """
-    return np.fromiter(map(math.pow, np.hypot(z.real, z.imag).tolist(), repeat(2.0)), np.float64, len(z))
-
-
-def _read_solution(classes: PhaseProfile, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Marginal and overlap of each solution, one per row (a_(0,0), a_(1,0)) of ``pairs``.
-
-    Each solution has amplitude a_(b,0) / sqrt(N_0) on branch b; the
-    marginal is the sum of their squared moduli and the overlap half the
-    squared modulus of their sum.
-    """
-    a0, a1 = (pairs * (1.0 / classes.axis[0])).T
-    return _squared_moduli(a0) + _squared_moduli(a1), 0.5 * _squared_moduli(a0 + a1)
+    a = amplitudes * (1.0 / classes.axis[0])
+    real, imag = a.real, a.imag
+    square = real * real
+    return 2.0 * (square + imag * imag), 2.0 * square
 
 
 def success_curve(classes: PhaseProfile, q_max: int) -> np.ndarray:
     """Rows (q, p_marginal, p_overlap) of a solution after q = 0..q_max iterate applications.
 
-    Steps the class profile ``classes``, records the two amplitudes of the
-    solution class at every step, then reads all rows in one pass; with k
+    Steps the class profile ``classes``, records the solution class's
+    amplitude a_(0,0) at every step, then reads all rows in one pass; with k
     solutions the rows are those of each one.
     """
     if q_max < 1:
         raise ValueError("q_max must be >= 1")
     _check_solution_class(classes)
     _check_curve_rows(q_max + 1)
-    size = classes.size
     state = classes.uniform()
-    pairs = np.empty((q_max + 1, 2), dtype=np.complex128)
-    pairs[0] = state[::size]
+    amplitudes = np.empty(q_max + 1, dtype=np.complex128)
+    amplitudes[0] = state[0]
     for q in range(1, q_max + 1):
         state = search_step(state, classes)
-        pairs[q] = state[::size]
+        amplitudes[q] = state[0]
     out = np.empty((q_max + 1, 3))
     out[:, 0] = np.arange(q_max + 1)
-    out[:, 1], out[:, 2] = _read_solution(classes, pairs)
+    out[:, 1], out[:, 2] = _read_solution(classes, amplitudes)
     return out
 
 
 def state_after(classes: PhaseProfile, iterations: int) -> np.ndarray:
-    """State of the class profile ``classes`` after the given number of iterate applications."""
+    """State of the class profile ``classes`` after the given number of iterate applications.
+
+    The state is branch 0, as ``search_step`` holds it; branch 1 is its conjugate.
+    """
     if iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
     state = classes.uniform()
@@ -277,9 +278,9 @@ def measurement_success_rate(
 
     Evolves the uniform state of the class profile ``classes`` for the given
     iteration count and reads one solution's data-register marginal p from the
-    two amplitudes of the u = 0 class.  Each trial reads that solution with
-    probability p, independently, so the number of hits is one binomial
-    draw, ``_binomial``: the same law as sampling every trial from the full
+    u = 0 class's amplitude a_(0,0) and its conjugate a_(1,0).  Each trial
+    reads that solution with probability p, independently, so the number of
+    hits is one binomial draw, ``_binomial``: the same law as sampling every trial from the full
     2N-amplitude distribution, in O(1) memory for any ``trials``.  The draw
     is the one ``np.random.default_rng(rng_seed).binomial(trials, p)``
     makes, so a negative ``rng_seed`` raises ``ValueError`` as numpy does.
@@ -287,7 +288,7 @@ def measurement_success_rate(
     if not 1 <= trials < 1 << 63:  # numpy's binomial draw takes the trial count as an int64
         raise ValueError(f"trials must be >= 1 and < 2**63, got {trials}")
     _check_solution_class(classes)
-    marginal, _ = _read_solution(classes, state_after(classes, iterations)[None, :: classes.size])
+    marginal, _ = _read_solution(classes, state_after(classes, iterations)[:1])
     # rounding can put a certain read-out a few ulp above 1
     return _binomial(trials, min(float(marginal[0]), 1.0), rng_seed) / trials
 

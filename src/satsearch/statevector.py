@@ -14,26 +14,34 @@ N_u, from the histogram (``from_histogram``); entry 0 is the solution class
 u = 0.  The unit vector of class (b, u) is the normalized indicator of its N_u
 assignments, the uniform state is s with s_(b,u) = sqrt(N_u / 2N), and the
 iterate is exactly (I - 2ss^T)D on 2(m+1) amplitudes at most, with D the class
-phases.  The weighted reflection out -= 2s(s.out) is written with the
-unnormalized axis sqrt(weight), so on a profile whose every weight is 1 it is
-the plain out.sum()/N of the per-assignment state vector, bit for bit.  A
-state holds 2 * size amplitudes, entry k of branch b at b * size + k, and the
-reflection's sum is numpy's fixed pairwise reduction, so results do not
-depend on threading.  The per-assignment profile, its fold and lift, and the
-other per-assignment oracles live in ``tests/oracles.py``.
+phases.
+
+One branch.  A state holds branch b = 0 only, ``size`` amplitudes a_(0,u);
+branch 1 is their conjugate, a_(1,u) = conj(a_(0,u)).  The symmetry is
+exact: the uniform state is real and equal on both branches, D multiplies
+branch 1 by the conjugates of branch 0's phases, and the reflection axis s is
+real and the same on both branches, so each factor maps a state (a, conj a)
+to another one.  On such a state s.(a, conj a) = 2 s.Re(a) is real, so the
+reflection changes real parts only.  The step is therefore real-linear, not
+complex-linear, and ``search_step`` computes no branch-1 amplitude and no
+imaginary part of the sum.  Its sum over the axis is one ``np.dot``, as
+``spectral``'s lambda2 is.  The two-branch kernel, the per-assignment
+profile, its fold and lift, and the other per-assignment oracles live in
+``tests/oracles.py``.
 
 One kernel per job.  ``search_step`` is the only implementation of the
 iterate; its diagonal pass ``state * profile.phases`` is the clause phase
-operator D, and on a profile whose every count is 0 it is the bare
-reflection about the uniform state.  ``PhaseProfile.uniform()`` is the only
-start state.
+operator D on branch 0, and on a profile whose every count is 0 it is the
+bare reflection about the uniform state.  ``PhaseProfile.uniform()`` is the
+only start state.
 
 Snapshots.  ``state_snapshot`` returns the class state itself as a JSON-ready
 document: one row [b*(m+1) + u, re, im] per occupied class u on each branch b,
-at most 2(m+1) rows.  Each of the N_u assignments of class u has amplitude
-a_(b,u) / sqrt(N_u), so the rows and the histogram hold the whole 2N-amplitude
-state, and nothing grows with 2**n.  ``tests/oracles.py`` lifts a snapshot
-back to per-assignment rows.
+at most 2(m+1) rows, the branch-1 rows the exact conjugates of the branch-0
+ones.  Each of the N_u assignments of class u has amplitude a_(b,u) / sqrt(N_u),
+so the rows and the histogram hold the whole 2N-amplitude state, and nothing
+grows with 2**n.  ``tests/oracles.py`` lifts a snapshot back to
+per-assignment rows.
 """
 
 from __future__ import annotations
@@ -50,10 +58,10 @@ class PhaseProfile:
     """Violation counts with multiplicities plus clause count; caches derived vectors.
 
     Entry k stands for ``weights[k]`` assignments.  ``total`` is N, the
-    assignments the entries stand for, and ``size`` the entries per ancilla
-    branch: a state holds 2 * size amplitudes.  Both are computed once, and
-    ``phases`` and ``axis`` on first read, so that ``search_step`` derives
-    nothing per call.
+    assignments the entries stand for, and ``size`` the number of entries,
+    which is also the number of amplitudes a state holds: one per entry, on
+    branch 0.  Both are computed once, and ``phases`` and ``axis`` on first
+    read, so that ``search_step`` derives nothing per call.
     """
 
     m: int
@@ -84,54 +92,52 @@ class PhaseProfile:
 
     @cached_property
     def phases(self) -> np.ndarray:
-        """The clause phases D per amplitude: exp(+i*pi*u/m) on branch 0, the conjugate on branch 1."""
+        """The clause phases D on branch 0, exp(+i*pi*u/m) per entry; branch 1 has their conjugates."""
         theta = (np.pi / self.m) * self.u.astype(np.float64)
-        upper = np.exp(1j * theta)
-        return np.concatenate([upper, upper.conj()])
+        return np.exp(1j * theta)
 
     @cached_property
     def axis(self) -> np.ndarray:
-        """sqrt(weight) per amplitude: the uniform state times sqrt(2N)."""
-        root = np.sqrt(self.weights.astype(np.float64))
-        return np.concatenate([root, root])
+        """sqrt(weight) per entry: the uniform state times sqrt(2N), on either branch."""
+        return np.sqrt(self.weights.astype(np.float64))
 
     def uniform(self) -> np.ndarray:
-        """Equal superposition over all 2N basis states, in this profile's coordinates."""
+        """Branch 0 of the equal superposition over all 2N basis states: ``size`` amplitudes of squared norm 1/2."""
         return self.axis * (1.0 / math.sqrt(2 * self.total)) + 0j
 
 
-def _check_dimension(state: np.ndarray, data_dim: int) -> None:
-    if state.shape[0] != 2 * data_dim:
-        raise ValueError(
-            f"state has {state.shape[0]} amplitudes, expected {2 * data_dim}"
-        )
+def _check_dimension(state: np.ndarray, size: int) -> None:
+    if state.shape[0] != size:
+        raise ValueError(f"state has {state.shape[0]} amplitudes, expected {size}")
 
 
 def search_step(state: np.ndarray, profile: PhaseProfile) -> np.ndarray:
-    """One search iteration: clause phases D, then the reflection I - 2ss^T.
+    """One search iteration on branch 0: clause phases D, then the reflection I - 2ss^T.
 
-    With the axis r = sqrt(weight) = sqrt(2N) * s, 2s(s.out) = r(r.out)/N.
-    The one scratch array holds r*out, then r times its sum over N.
+    ``state`` holds a_(0,u), and branch 1 is its conjugate, so the reflection
+    changes real parts only.  With the axis r = sqrt(weight) = sqrt(2N) * s,
+    2s(s.(out, conj out)) on branch 0 is r(r.Re(out)) * 2/N.
     """
-    if state.shape[0] != 2 * profile.size:  # checked inline: one call fewer per step
+    if state.shape[0] != profile.size:  # checked inline: one call fewer per step
         _check_dimension(state, profile.size)
     out = state * profile.phases
+    real = out.real
     axis = profile.axis
-    tmp = axis * out
-    np.multiply(axis, np.add.reduce(tmp) / profile.total, out=tmp)
-    out -= tmp
+    real -= axis * (np.dot(axis, real) * (2.0 / profile.total))
     return out
 
 
 def state_snapshot(classes: PhaseProfile, state: np.ndarray) -> dict:
     """The snapshot document ``{"m": m, "amplitudes": rows}`` of a class state.
 
-    ``state`` is in the coordinates of the class profile ``classes``, whose
-    entries come in increasing u.  There is one row [b*(m+1) + u, re, im] per
-    entry on each branch b, in increasing key, with the amplitude a_(b,u) as
-    it is: the rows' squared moduli sum to the state's norm.
+    ``state`` is branch 0 in the coordinates of the class profile ``classes``,
+    whose entries come in increasing u.  There is one row [u, re, im] per
+    entry with a_(0,u) as it is, then one row [m + 1 + u, re, -im] per entry
+    with its exact conjugate a_(1,u), so the keys increase and the rows'
+    squared moduli sum to the norm of the two-branch state.
     """
     _check_dimension(state, classes.size)
-    keys = np.concatenate([classes.u, classes.u + (classes.m + 1)]).tolist()
-    rows = [[k, a.real, a.imag] for k, a in zip(keys, state.tolist())]
+    rows = [[u, a.real, a.imag] for u, a in zip(classes.u.tolist(), state.tolist())]
+    shift = classes.m + 1
+    rows += [[u + shift, re, -im] for u, re, im in rows]
     return {"m": classes.m, "amplitudes": rows}

@@ -1,10 +1,17 @@
-"""Per-assignment oracles the class-coordinate package is checked against.
+"""Two-branch and per-assignment oracles the class-coordinate package is checked against.
 
-The per-assignment ``PhaseProfile`` has one entry of weight 1 per assignment,
-so the same ``search_step`` kernel steps the full 2**(n+1)-amplitude vector.
+``FullKernel`` is the search iterate on both ancilla branches: its own phase
+vector (D, conj D) and axis (r, r) over 2 * profile.size amplitudes, built here
+from the profile's counts and weights, and a reflection whose sum is complex.
+In float64 it is, bit for bit, the two-branch ``search_step`` that the
+package's one-branch kernel replaced; in ``np.clongdouble`` it is the
+extended-precision stepping reference.  The per-assignment ``PhaseProfile``
+has one entry of weight 1 per assignment, so the same kernel steps the full
+2**(n+1)-amplitude vector.
 
 ``dense_eigencheck`` materializes the iterate column by column through
-``search_step`` and hands it to a dense eigensolver: the oracle of
+``FullKernel`` (the package's step is only real-linear, so it has no matrix
+over the complex numbers) and hands it to a dense eigensolver: the oracle of
 ``satsearch.spectrum``'s secular roots.  An entry of weight w also stands for
 w - 1 directions per branch that sum to zero over its assignments: orthogonal
 to the uniform state, they keep D's phases +pi*u/m and -pi*u/m exactly, and
@@ -32,6 +39,44 @@ MAX_EIGENCHECK_DIM = 2048
 # dynamics
 ZERO_PHASE_FLOOR = 1e-9
 OVERLAP_FLOOR = 1e-6
+
+
+def _check_two_branch(state, size):
+    if state.shape[0] != 2 * size:
+        raise ValueError(f"state has {state.shape[0]} amplitudes, expected {2 * size}")
+
+
+class FullKernel:
+    """The search iterate on both branches of ``profile``, in the real type ``real``.
+
+    Entry k of branch b is amplitude b * size + k.  ``step`` is
+    ``out = state * phases`` then ``out -= axis * ((axis * out).sum() / N)``.
+    """
+
+    def __init__(self, profile, real=np.float64):
+        pi = 4 * np.arctan(real(1))  # np.pi itself in float64
+        upper = np.exp(1j * ((pi / profile.m) * profile.u.astype(real)))
+        root = np.sqrt(profile.weights.astype(real))
+        self.phases = np.concatenate([upper, upper.conj()])
+        self.axis = np.concatenate([root, root])
+        self.real = real
+        self.total = profile.total
+        self.size = profile.size
+
+    def uniform(self):
+        """Equal superposition over all 2N basis states."""
+        return self.axis * (1 / np.sqrt(self.real(2 * self.total))) + 0j
+
+    def step(self, state):
+        _check_two_branch(state, self.size)
+        out = state * self.phases
+        out -= self.axis * ((self.axis * out).sum() / self.total)
+        return out
+
+
+def two_branch(state):
+    """The two-branch state (a, conj a) of a one-branch state a."""
+    return np.concatenate([state, state.conj()])
 
 
 def unsat_count(formula, assignment):
@@ -73,18 +118,16 @@ def class_entries(classes, counts):
 
 
 def lift(profile, class_state):
-    """Per-entry amplitudes of ``profile`` for a state in ``fold_classes(profile)`` coordinates.
+    """Two-branch per-entry amplitudes of ``profile`` for a state in ``fold_classes(profile)`` coordinates.
 
-    Each of the N_c assignments of class c gets a_c / sqrt(N_c) on each
-    branch; for a per-assignment profile this is the full state vector.
+    ``class_state`` is branch 0, as the package holds it.  Each of the N_c
+    assignments of class c gets a_c / sqrt(N_c) on branch 0 and its conjugate
+    on branch 1; for a per-assignment profile this is the full state vector.
     """
     folded = fold_classes(profile)
     _check_dimension(class_state, folded.size)
-    per_assignment = class_state / folded.axis
-    position = class_entries(folded, profile.u)
-    return np.concatenate(
-        [per_assignment[: folded.size][position], per_assignment[folded.size :][position]]
-    )
+    per_assignment = class_state / np.sqrt(folded.weights.astype(np.float64))
+    return two_branch(per_assignment[class_entries(folded, profile.u)])
 
 
 def apply_clause_phases_factored(state, formula):
@@ -92,10 +135,10 @@ def apply_clause_phases_factored(state, formula):
 
     Each clause multiplies branch b=0 by exp(i*pi/m) on the assignments it
     leaves unsatisfied, and branch b=1 by the conjugate, with no violation
-    table: the independent check of ``state * profile.phases``.
+    table: the independent check of the diagonal pass.
     """
     data_dim = 1 << formula.n
-    _check_dimension(state, data_dim)
+    _check_two_branch(state, data_dim)
     indices = np.arange(data_dim, dtype=np.int64)
     out = np.array(state, dtype=np.complex128, copy=True)
     factor = np.exp(1j * np.pi / formula.m)
@@ -110,21 +153,18 @@ def expression_search_step(state, profile):
     """``search_step`` as one numpy expression, with a temporary for each operation.
 
     ``search_step`` must equal it bit for bit: the same products, the same
-    pairwise sum and the same scalar division.
+    dot and the same scalar factor.
     """
     _check_dimension(state, profile.size)
     out = state * profile.phases
-    axis = profile.axis
-    out -= axis * ((axis * out).sum() / profile.total)
+    out.real -= profile.axis * (np.dot(profile.axis, out.real) * (2.0 / profile.total))
     return out
 
 
 def scalar_read_out(classes, state):
-    """Marginal and overlap of one solution, from numpy scalars: a_(b,0) / sqrt(N_0) on branch b."""
-    scale = 1.0 / classes.axis[0]
-    a0 = state[0] * scale
-    a1 = state[classes.size] * scale
-    return float(abs(a0) ** 2 + abs(a1) ** 2), float(0.5 * abs(a0 + a1) ** 2)
+    """Marginal and overlap of one solution, from numpy scalars: a = a_(0,0) / sqrt(N_0) and its conjugate."""
+    a = state[0] * (1.0 / classes.axis[0])
+    return float(2.0 * (a.real * a.real + a.imag * a.imag)), float(2.0 * (a.real * a.real))
 
 
 def scalar_curve(classes, q_max):
@@ -186,25 +226,26 @@ def zero_profile(total):
     return ss.PhaseProfile(m=1, u=np.zeros(total, dtype=np.int32), weights=np.ones(total, dtype=np.int64))
 
 
-def lifted_marginal(profile, solution, iterations):
-    """Data-register marginal of solution, read from the full 2N-amplitude state."""
-    state = lift(profile, ss.state_after(fold_classes(profile), iterations))
-    return measure_distribution(state, solution)[0]
-
-
-def full_vector_states(profile, iterations):
-    """Per-assignment states after q = 0..iterations applications of the iterate."""
-    state = profile.uniform()
-    states = [state]
+def full_vector_states(profile, iterations, real=np.float64):
+    """Two-branch states of ``profile`` after q = 0..iterations applications of ``FullKernel``, one at a time."""
+    kernel = FullKernel(profile, real)
+    state = kernel.uniform()
+    yield state
     for _ in range(iterations):
-        state = ss.search_step(state, profile)
-        states.append(state)
-    return states
+        state = kernel.step(state)
+        yield state
 
 
 def full_vector_curve(states, index):
-    """Rows (q, p_marginal, p_overlap) of index over per-assignment states q = 0, 1, ..."""
+    """Rows (q, p_marginal, p_overlap) of index over two-branch states q = 0, 1, ..."""
     return np.asarray([(q, *measure_distribution(state, index)) for q, state in enumerate(states)])
+
+
+def lifted_marginal(profile, solution, iterations):
+    """Data-register marginal of solution, read from the per-assignment state that ``FullKernel`` steps."""
+    for state in full_vector_states(profile, iterations):
+        pass
+    return measure_distribution(state, solution)[0]
 
 
 def oracle_snapshot(state, threshold):
@@ -234,13 +275,14 @@ def lift_snapshot(formula, snapshot, threshold):
 
 
 def iterate_matrix(profile):
-    """Materialize the search iterate column by column through ``search_step``."""
+    """Materialize the two-branch search iterate column by column through ``FullKernel``."""
+    kernel = FullKernel(profile)
     dim = 2 * profile.size
     matrix = np.empty((dim, dim), dtype=np.complex128)
     basis = np.zeros(dim, dtype=np.complex128)
     for k in range(dim):
         basis[k] = 1.0
-        matrix[:, k] = ss.search_step(basis, profile)
+        matrix[:, k] = kernel.step(basis)
         basis[k] = 0.0
     return matrix
 
@@ -284,7 +326,7 @@ def dense_eigencheck(profile):
     plus, minus = (first, second) if phases[first] > 0 else (second, first)
 
     # the matrix's phases once each, then each entry's w - 1 spectators per branch
-    every = np.concatenate([phases, np.angle(profile.phases)])
+    every = np.concatenate([phases, np.angle(FullKernel(profile).phases)])
     count = np.concatenate([np.ones(dim, dtype=np.int64), np.tile(profile.weights - 1, 2)])
     every[every == -np.pi] = np.pi
     every[np.abs(every) <= ZERO_PHASE_FLOOR] = 0.0  # e.g. the exact spectator's LAPACK noise

@@ -14,8 +14,8 @@ import satsearch as ss
 from satsearch.cli import _json_text, main
 
 from conftest import enumeration_walkers, random_3sat, random_state
-from oracles import all_violated, apply_clause_phases_factored, dense_eigencheck, fold_classes
-from oracles import grover_closed_form, grover_step, profile_for, two_branch_lambda1
+from oracles import FullKernel, all_violated, apply_clause_phases_factored, dense_eigencheck, fold_classes
+from oracles import grover_closed_form, grover_step, profile_for, two_branch, two_branch_lambda1
 
 
 def _verdict(number: int, name: str) -> None:
@@ -51,17 +51,20 @@ def test_criterion_1_lambda1_identity():
 def test_criterion_2_clause_phase_equivalence():
     """Factored per-clause path equals the single diagonal pass, any clause order.
 
-    The diagonal pass is ``state * profile.phases``, the multiply that
-    ``search_step`` makes before its reflection.
+    The diagonal pass is the two-branch kernel's ``state * phases``.  Its
+    branch 0 is ``profile.phases``, the multiply that ``search_step`` makes
+    before its reflection.
     """
     rng = np.random.default_rng(2024)
     for formula_index in range(20):
         formula = _random_formula(rng)
         profile = profile_for(formula)
+        phases = FullKernel(profile).phases
+        assert phases[: profile.size].tobytes() == profile.phases.tobytes()
         dim = 2 * formula.assignment_count
         for state_index in range(100):
             state = random_state(dim, seed=1000 * formula_index + state_index)
-            fast = state * profile.phases
+            fast = state * phases
             factored = apply_clause_phases_factored(state, formula)
             assert np.max(np.abs(fast - factored)) < 1e-10
         # clause order is irrelevant for the factored product
@@ -187,13 +190,19 @@ def test_criterion_7_threesat_b_scale():
 
 
 def test_criterion_8_unitarity_and_determinism(tmp_path):
-    """Norm drift <= 1e-10 over 1e4 iterations; byte-identical reports across threads."""
+    """Norm drift <= 1e-10 over 1e4 iterations; byte-identical reports across threads.
+
+    The drift is checked on the two-branch kernel and on ``search_step``'s
+    one-branch state lifted to (a, conj a), both per assignment.
+    """
     formula = ss.generate_planted_3sat(8, 12, seed=1)
     profile = profile_for(formula)
-    state = profile.uniform()
+    kernel = FullKernel(profile)
+    full, state = kernel.uniform(), profile.uniform()
     for _ in range(10_000):
-        state = ss.search_step(state, profile)
-    assert abs(np.linalg.norm(state) - 1.0) <= 1e-10
+        full, state = kernel.step(full), ss.search_step(state, profile)
+    assert abs(np.linalg.norm(full) - 1.0) <= 1e-10
+    assert abs(np.linalg.norm(two_branch(state)) - 1.0) <= 1e-10
 
     # 4-assignment blocks, 256 of them at n = 10, so that four workers each walk a run
     inst = tmp_path / "inst.cnf"

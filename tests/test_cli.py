@@ -688,8 +688,9 @@ class TestOutputBytes:
 
     Any change to these digests is a change of the output format or of the
     numbers.  The float digits come from numpy's elementwise exp, sin, arcsin
-    and sqrt and its pairwise sums; a platform whose math library rounds
-    differently would need the digests taken again.
+    and sqrt, its pairwise sums and its BLAS dot products; a platform whose
+    math library or BLAS rounds differently would need the digests taken
+    again.
     """
 
     COMMANDS = [
@@ -704,15 +705,15 @@ class TestOutputBytes:
     SHA256 = {
         "inst.cnf": "b046d53e02cb3a9a680eeee9d3369ed605a58bd891646e2fc61a839135ea71e9",
         "analyze.json": "4ddcea610bacefb861a44bce5eb8c98997a9cd589ea0da066bb16fe5b69f5bc1",
-        "sweep.csv": "160447cd62a66bdb3042a03767b143cc5fe2bb9c7d517322a4c1ed7d7e68f791",
+        "sweep.csv": "bec6fd1b45ecf007b7191c324e00e65c5243b77070aaeadc52a0103dff13fccf",
         "grover.csv": "a037eb0c6434317dff84b4f1d636292e195e23bcd6b774211405b10eeb6411cb",
-        "run.json": "8413d8146309bea9c0583078f3b302b7b72cdaeda8acd1c057ee3237ba77fb48",
-        "snap.json": "d1c3ea97cf16f2b30f1cbcb83b94d07cade410c82b6d140c0e0962cba0409062",
+        "run.json": "42a2229ad916d3b55e2cadf5fcc8279f69d282025b57ec58996958f91c98e0fa",
+        "snap.json": "482ee63a52a6868aa6c674cc9254c0d35a92e0db57b7b7d41f9975add76babdb",
         "spectrum.json": "894a6053ea0536559df70ba33626911aed72486b29e3685dc014ab00bf62d80b",
     }
     # the per-assignment document the pinned snap.json lifts to: one
     # (index, re, im) row per amplitude of modulus above 1e-6
-    PER_ASSIGNMENT_SNAP_SHA256 = "42d7b6944d927a6b09fafda0b4df1e81168050ff3b3c27e65ad6b287839d8199"
+    PER_ASSIGNMENT_SNAP_SHA256 = "a88be147c8d4291398e6e039128f0990984aee672a16b9bbca4c2d0e669d66e6"
 
     def digests(self, directory):
         """Run every command with its files in ``directory``; sha256 of each file."""

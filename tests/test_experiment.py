@@ -93,7 +93,7 @@ class TestSuccessCurve:
     def test_marginal_dominates_overlap(self, planted14):
         formula, table, summary = planted14
         curve = ss.success_curve(ss.PhaseProfile.from_histogram(table.m, table.histogram), 50)
-        assert np.all(curve[:, 1] >= curve[:, 2] - 1e-15)
+        assert np.all(curve[:, 1] >= curve[:, 2])  # exactly, see test_read_out_rounds_as_numpy_scalars
         assert np.all((curve[:, 1:] >= -1e-15) & (curve[:, 1:] <= 1 + 1e-15))
 
     def test_bit_exact_against_scalar_read_out(self, class_profile):
@@ -101,15 +101,17 @@ class TestSuccessCurve:
         assert ss.success_curve(class_profile, 3000).tobytes() == scalar_curve(class_profile, 3000).tobytes()
 
     def test_read_out_rounds_as_numpy_scalars(self):
-        """On random amplitudes, where array ``np.abs`` and ``** 2`` differ in the last bit."""
+        """On random amplitudes, the array read-out is a scalar read-out of the single amplitude, bit for bit."""
         classes = ss.PhaseProfile.from_histogram(2, [3, 4, 1])
         rng = np.random.default_rng(5)
-        pairs = rng.normal(size=(20000, 2)) + 1j * rng.normal(size=(20000, 2))
-        marginal, overlap = _read_solution(classes, pairs)
-        states = np.zeros((len(pairs), 2 * classes.size), dtype=np.complex128)
-        states[:, :: classes.size] = pairs
+        amplitudes = rng.normal(size=20000) + 1j * rng.normal(size=20000)
+        amplitudes[:3] = [0.0, 1e-170j, 1e-170]  # zero, and squares below the smallest subnormal
+        marginal, overlap = _read_solution(classes, amplitudes)
+        states = np.zeros((len(amplitudes), classes.size), dtype=np.complex128)
+        states[:, 0] = amplitudes
         expected = np.array([scalar_read_out(classes, state) for state in states])
         assert np.column_stack([marginal, overlap]).tobytes() == expected.tobytes()
+        assert np.all(overlap <= marginal)  # exactly: the marginal adds Im(a)**2 >= 0 to the same Re(a)**2
 
 
 class TestRunSweep:

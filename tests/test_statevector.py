@@ -10,26 +10,34 @@ import satsearch as ss
 
 from conftest import formulas, random_state
 from oracles import apply_clause_phases_factored, expression_search_step, grover_step, lift
-from oracles import lift_snapshot, measure_distribution, oracle_snapshot, profile_for, violation_counts, zero_profile
+from oracles import lift_snapshot, measure_distribution, oracle_snapshot, profile_for, two_branch
+from oracles import violation_counts, zero_profile
 
 
 def uniform(n):
     return zero_profile(1 << n).uniform()
 
 
+def half_state(size, seed):
+    """A random one-branch state whose two-branch state (a, conj a) has norm 1."""
+    return random_state(size, seed) / math.sqrt(2)
+
+
 class TestUniformState:
     def test_n1_amplitudes(self):
         state = uniform(1)
         assert np.allclose(state, 0.5)
-        assert state.shape == (4,)
+        assert state.shape == (2,)  # branch 0 of the 4 amplitudes
 
     def test_n2_single_amplitude(self):
         state = uniform(2)
-        assert state[1 * 4 + 3] == pytest.approx(1 / math.sqrt(8))
+        assert state[3] == pytest.approx(1 / math.sqrt(8))
+        assert two_branch(state)[1 * 4 + 3] == pytest.approx(1 / math.sqrt(8))
 
     @pytest.mark.parametrize("n", [1, 3, 7, 12])
     def test_normalized(self, n):
-        assert np.linalg.norm(uniform(n)) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(uniform(n)) == pytest.approx(math.sqrt(0.5), abs=1e-12)
+        assert np.linalg.norm(two_branch(uniform(n))) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestClausePhases:
@@ -37,7 +45,7 @@ class TestClausePhases:
         # one clause (x1), n=1: assignment 0 violates it, phase exp(i*pi) = -1
         formula = ss.parse_dimacs("p cnf 1 1\n1 0\n")
         profile = profile_for(formula)
-        state = np.zeros(4, dtype=complex)
+        state = np.zeros(2, dtype=complex)
         state[0] = 1.0  # (b=0, i=0)
         out = state * profile.phases
         assert out[0] == pytest.approx(-1.0, abs=1e-15)
@@ -45,11 +53,11 @@ class TestClausePhases:
     def test_solution_fiber_untouched_exactly(self, toy_formula, toy_table):
         profile = profile_for(toy_formula)
         r = toy_table.unique_solution()
-        for index in (r, 4 + r):
-            state = np.zeros(8, dtype=complex)
-            state[index] = 1.0
-            out = state * profile.phases
-            assert out[index] == 1.0 + 0.0j  # eigenvalue exactly 1 on the solution fiber
+        state = np.zeros(4, dtype=complex)
+        state[r] = 1.0
+        out = state * profile.phases
+        assert out[r] == 1.0 + 0.0j  # eigenvalue exactly 1 on the solution fiber
+        assert out.conj()[r] == 1.0 + 0.0j  # and so on branch 1
 
     @pytest.mark.parametrize("n,m_req,seed", [(4, 6, 0), (6, 10, 1)])
     def test_eigenbasis_phases(self, n, m_req, seed):
@@ -57,19 +65,23 @@ class TestClausePhases:
         profile = profile_for(formula)
         u = violation_counts(formula)
         total = 1 << n
-        for b in (0, 1):
-            for i in range(total):
-                state = np.zeros(2 * total, dtype=complex)
-                state[b * total + i] = 1.0
-                out = state * profile.phases
-                sign = 1.0 if b == 0 else -1.0
+        for i in range(total):
+            state = np.zeros(total, dtype=complex)
+            state[i] = 1.0
+            out = state * profile.phases
+            for b, sign in ((0, 1.0), (1, -1.0)):
                 expected = np.exp(sign * 1j * np.pi * u[i] / formula.m)
-                assert abs(out[b * total + i] - expected) < 1e-12
+                assert abs(two_branch(out)[b * total + i] - expected) < 1e-12
 
     def test_dimension_mismatch(self, toy_formula):
         profile = profile_for(toy_formula)
-        with pytest.raises(ValueError, match="amplitudes"):
-            ss.search_step(np.zeros(4, dtype=complex), profile)
+        with pytest.raises(ValueError, match="state has 8 amplitudes, expected 4"):
+            ss.search_step(np.zeros(8, dtype=complex), profile)
+
+
+def single_pass(state, profile):
+    """The diagonal pass on a two-branch state: ``profile.phases`` on branch 0, their conjugates on branch 1."""
+    return state * np.concatenate([profile.phases, profile.phases.conj()])
 
 
 class TestFactoredEquivalence:
@@ -78,7 +90,7 @@ class TestFactoredEquivalence:
     def test_matches_single_pass(self, formula, seed):
         profile = profile_for(formula)
         state = random_state(2 * formula.assignment_count, seed)
-        fast = state * profile.phases
+        fast = single_pass(state, profile)
         factored = apply_clause_phases_factored(state, formula)
         assert np.max(np.abs(fast - factored)) < 1e-10
 
@@ -94,61 +106,56 @@ class TestFactoredEquivalence:
         formula = ss.parse_dimacs("p cnf 2 1\n1 -2 0\n")
         profile = profile_for(formula)
         state = random_state(8, seed=5)
-        assert np.max(
-            np.abs(
-                state * profile.phases
-                - apply_clause_phases_factored(state, formula)
-            )
-        ) < 1e-14
+        assert np.max(np.abs(single_pass(state, profile) - apply_clause_phases_factored(state, formula))) < 1e-14
 
 
 class TestReflection:
-    """``search_step`` on an all-zero-violation profile is the bare reflection."""
+    """``search_step`` on an all-zero-violation profile is the bare reflection, here of (a, conj a)."""
 
     @staticmethod
     def reflect(state):
-        return ss.search_step(state, zero_profile(state.shape[0] // 2))
+        return ss.search_step(state, zero_profile(state.shape[0]))
 
     def test_uniform_negated(self):
         state = uniform(3)
         assert np.max(np.abs(self.reflect(state) + state)) < 1e-14
 
     def test_orthogonal_state_unchanged(self):
-        # (|0> - |1>) x |i> / sqrt(2) has zero overlap with the uniform state
-        state = np.zeros(16, dtype=complex)
-        state[3] = 1 / math.sqrt(2)
-        state[8 + 3] = -1 / math.sqrt(2)
+        # i(|0> - |1>) x |i> / sqrt(2) has zero overlap with the uniform state
+        state = np.zeros(8, dtype=complex)
+        state[3] = 1j / math.sqrt(2)
+        assert two_branch(state)[8 + 3] == -1j / math.sqrt(2)
         assert np.max(np.abs(self.reflect(state) - state)) < 1e-15
 
     def test_self_inverse(self):
-        state = random_state(32, seed=8)
+        state = half_state(16, seed=8)
         twice = self.reflect(self.reflect(state))
         assert np.max(np.abs(twice - state)) < 1e-12
 
     def test_negates_only_uniform_component(self):
-        state = random_state(16, seed=9)
+        state = half_state(8, seed=9)
         out = self.reflect(state)
         axis = np.full(16, 1 / 4.0, dtype=complex)
-        assert np.vdot(axis, out) == pytest.approx(-np.vdot(axis, state), abs=1e-12)
-        # the difference is purely along the uniform direction
+        assert np.vdot(axis, two_branch(out)) == pytest.approx(-np.vdot(axis, two_branch(state)), abs=1e-12)
+        # the difference is purely along the uniform direction, which is real
         diff = out - state
-        assert np.max(np.abs(diff - diff[0])) < 1e-12
+        assert np.max(np.abs(diff - diff[0].real)) < 1e-12
 
 
 class TestSearchStep:
     def test_composition(self, toy_formula):
         profile = profile_for(toy_formula)
-        state = random_state(8, seed=13)
-        phased = state * profile.phases
+        state = half_state(4, seed=13)
+        phased = single_pass(two_branch(state), profile)
         composed = phased - phased.sum() / 4  # psi - 2<+|psi>|+> over 8 amplitudes
-        assert np.max(np.abs(ss.search_step(state, profile) - composed)) < 1e-14
+        assert np.max(np.abs(two_branch(ss.search_step(state, profile)) - composed)) < 1e-14
 
     def test_norm_preserved(self, toy_formula):
         profile = profile_for(toy_formula)
-        state = random_state(8, seed=14)
+        state = half_state(4, seed=14)
         for _ in range(1000):
             state = ss.search_step(state, profile)
-        assert abs(np.linalg.norm(state) - 1.0) < 1e-12
+        assert abs(np.linalg.norm(two_branch(state)) - 1.0) < 1e-12
 
     def test_zero_violations_reduces_to_reflection(self):
         # all-zero violation counts: the phase pass is the identity
@@ -186,7 +193,7 @@ class TestMeasureDistribution:
         assert overlap == pytest.approx(1.0)
 
     def test_uniform_state(self):
-        marginal, overlap = measure_distribution(uniform(3), 5)
+        marginal, overlap = measure_distribution(two_branch(uniform(3)), 5)
         assert marginal == pytest.approx(1 / 8)
         assert overlap == pytest.approx(1 / 8)
 
@@ -199,27 +206,33 @@ class TestMeasureDistribution:
 
     def test_bad_solution_index(self):
         with pytest.raises(ValueError):
-            measure_distribution(uniform(2), 4)
+            measure_distribution(two_branch(uniform(2)), 4)
 
 
 class TestSnapshot:
     def test_matches_per_element_formula(self, planted14):
         _, table, _ = planted14
         classes = ss.PhaseProfile.from_histogram(table.m, table.histogram)
-        state = random_state(2 * classes.size, seed=21)
+        state = half_state(classes.size, seed=21)
+        full = two_branch(state)
         expected = [
             [b * (table.m + 1) + int(u), float(a.real), float(a.imag)]
             for b in (0, 1)
-            for u, a in zip(classes.u, state[b * classes.size : (b + 1) * classes.size])
+            for u, a in zip(classes.u, full[b * classes.size : (b + 1) * classes.size])
         ]
         snapshot = ss.state_snapshot(classes, state)
         assert snapshot == {"m": table.m, "amplitudes": expected}
         assert all(type(v) in (int, float) for row in snapshot["amplitudes"] for v in row)
+        # exact conjugates, the sign of a zero imaginary part included
+        rows = snapshot["amplitudes"]
+        conjugates = [[k + table.m + 1, re, -im] for k, re, im in rows[: classes.size]]
+        assert json.dumps(rows[classes.size :]) == json.dumps(conjugates)
+        assert sum(re * re + im * im for _, re, im in rows) == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_state_of_other_classes(self):
         classes = ss.PhaseProfile.from_histogram(2, [1, 2, 1])
-        with pytest.raises(ValueError, match="amplitudes"):
-            ss.state_snapshot(classes, np.zeros(4, dtype=complex))
+        with pytest.raises(ValueError, match="state has 6 amplitudes, expected 3"):
+            ss.state_snapshot(classes, np.zeros(6, dtype=complex))  # both branches
 
     def test_lifted_planted_state(self, planted14):
         formula, table, summary = planted14

@@ -28,40 +28,7 @@ _EXPORTS = {
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 _MODULES = {"cli", *_EXPORTS}
 
-__all__ = [
-    "__version__",
-    "Clause",
-    "CnfFormula",
-    "DimacsError",
-    "EigenPairReport",
-    "FormulaError",
-    "GuardError",
-    "InstanceError",
-    "PhaseProfile",
-    "RunConfig",
-    "RunReport",
-    "SpectralSummary",
-    "UnsatTable",
-    "build_unsat_table",
-    "generate_planted_3sat",
-    "generate_planted_block3sat",
-    "generate_planted_chain",
-    "grover_optimal_steps",
-    "lambda2_from_histogram",
-    "measurement_success_rate",
-    "parse_dimacs",
-    "read_dimacs",
-    "repeat_until_success_stats",
-    "run_grover_baseline",
-    "run_sweep",
-    "search_step",
-    "serialize_dimacs",
-    "spectral_summary",
-    "spectrum",
-    "state_after",
-    "state_snapshot",
-    "success_curve",
-]
+__all__ = ["__version__", *sorted(_HOME)]
 
 
 def __getattr__(name: str):

@@ -2,8 +2,9 @@
 
 One writer per output: ``gen`` the DIMACS instance, ``analyze`` the spectral
 summary JSON (and ``--table``), ``run`` the run report JSON (and
-``--snapshot``), ``sweep`` the ``q,p_marginal,p_overlap`` CSV, ``grover`` the
-``step,p_r`` CSV and ``spectrum`` the eigenphase JSON.  Every command is
+``--snapshot``), ``sweep`` the ``q,p_marginal,p_overlap`` CSV (its two
+probability columns are equal for this iterate), ``grover`` the ``step,p_r``
+CSV and ``spectrum`` the eigenphase JSON.  Every command is
 deterministic given its flags (``gen`` alone takes ``--seed``); JSON output
 has a fixed key order and full-precision floats, so identical invocations
 produce byte-identical files.  Reports are strict JSON: the encoder refuses

@@ -3,11 +3,11 @@
 Every run takes a violation table (``cnf.UnsatTable``) as given, however it
 was built; the CLI reads and enumerates a DIMACS file for it.  A sweep starts
 from the uniform state and applies the search iterate up to q_max times,
-recording two success metrics per iteration count: the data-register
-marginal probability of reading the solution (what a lab measurement gives)
-and the squared overlap with the amplified state (|0,r> + |1,r>)/sqrt(2),
-which is what the closed-form peak 1/B**2 bounds.  The marginal is never
-smaller than the overlap, so both are kept.
+recording one success probability per iteration count.  It is the
+data-register marginal probability of reading the solution (what a lab
+measurement gives) and equally the squared overlap with the amplified state
+(|0,r> + |1,r>)/sqrt(2), which the closed-form peak 1/B**2 bounds; the
+report keeps it in both columns.
 
 Every path runs in class coordinates (see ``statevector``): the class
 profile comes from the table's histogram, the solutions are its entry 0 (the
@@ -17,14 +17,13 @@ those of branch 0.  ``success_curve``, ``state_after`` and
 raise ``InstanceError`` when entry 0 is not u = 0.  The class state is exact:
 each of the N_0 solutions has amplitude a_(b,0) / sqrt(N_0) on branch b, so
 with k solutions each reads the same curve (Boyer, Brassard, Hoyer and Tapp,
-quant-ph/9605034).  Branch 1 is the conjugate of branch 0, so with
-a = a_(0,0) / sqrt(N_0) a solution's marginal is 2|a|**2 and its overlap
-2 Re(a)**2.  A sweep records, then reads: each step is one ``search_step``
-and one copy of a_(0,0), one copy of the pair (a_(0,0), conj a_(0,0)).  One
-pass after the loop turns all copies into rows as 2 (Re(a)**2 + Im(a)**2) and
-2 Re(a)**2, elementwise, which rounds as the same expressions on numpy
-scalars do: every row is the bits a per-step read-out gives, and no overlap
-exceeds its marginal, not even by rounding.  The Grover baseline has the same
+quant-ph/9605034).  Branch 1 is the conjugate of branch 0, and a_(0,0) is
+real, because the u = 0 phase is exactly 1 and the reflection writes real
+parts only; so with a = a_(0,0) / sqrt(N_0) a solution's marginal 2|a|**2
+and its overlap 2 Re(a)**2 are both 2a**2, to the bit.  A sweep records,
+then reads: each step is one ``search_step`` and one copy of a_(0,0), and
+one pass after the loop turns the copies' real parts into 2a**2, rounded as
+the same expression on numpy scalars.  The Grover baseline has the same
 symmetry with two classes, the solution and the other N - 1 assignments, so
 it steps two real amplitudes.  The two-branch and per-assignment state
 vectors and the textbook Grover step are the tests' oracles, in
@@ -104,7 +103,7 @@ class RunReport:
     spectral: SpectralSummary
     histogram: list[int]
     solution: int
-    curve: np.ndarray  # rows (q, p_marginal, p_overlap) for q = 0..q_max
+    curve: np.ndarray  # rows (q, p_marginal, p_overlap) for q = 0..q_max; the two probabilities are equal
     q_peak_measured: int
     p_peak_measured: float
     grover_curve: np.ndarray | None
@@ -153,17 +152,14 @@ def _check_curve_rows(rows: int) -> None:
         raise GuardError(f"a curve of {rows} rows does not fit in physical memory at {CURVE_ROW_BYTES} bytes each")
 
 
-def _read_solution(classes: PhaseProfile, amplitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Marginal and overlap of each solution, one per amplitude a_(0,0) in ``amplitudes``.
+def _solution_probability(classes: PhaseProfile, real: np.ndarray) -> np.ndarray:
+    """2a**2 for each real solution amplitude a_(0,0) in ``real``, with a = a_(0,0) / sqrt(N_0).
 
-    Each solution has amplitude a = a_(0,0) / sqrt(N_0) on branch 0 and
-    conj(a) on branch 1; the marginal is the sum of their squared moduli and
-    the overlap half the squared modulus of their sum.
+    A solution has amplitude a on both branches, so this is both its marginal
+    and its overlap.
     """
-    a = amplitudes * (1.0 / classes.axis[0])
-    real, imag = a.real, a.imag
-    square = real * real
-    return 2.0 * (square + imag * imag), 2.0 * square
+    a = real * (1.0 / classes.axis[0])
+    return 2.0 * (a * a)
 
 
 def success_curve(classes: PhaseProfile, q_max: int) -> np.ndarray:
@@ -171,7 +167,8 @@ def success_curve(classes: PhaseProfile, q_max: int) -> np.ndarray:
 
     Steps the class profile ``classes``, records the solution class's
     amplitude a_(0,0) at every step, then reads all rows in one pass; with k
-    solutions the rows are those of each one.
+    solutions the rows are those of each one.  The two probability columns
+    are equal, since a_(0,0) is real.
     """
     if q_max < 1:
         raise ValueError("q_max must be >= 1")
@@ -185,7 +182,7 @@ def success_curve(classes: PhaseProfile, q_max: int) -> np.ndarray:
         amplitudes[q] = state[0]
     out = np.empty((q_max + 1, 3))
     out[:, 0] = np.arange(q_max + 1)
-    out[:, 1], out[:, 2] = _read_solution(classes, amplitudes)
+    out[:, 1] = out[:, 2] = _solution_probability(classes, amplitudes.real)
     return out
 
 
@@ -278,7 +275,7 @@ def measurement_success_rate(
 
     Evolves the uniform state of the class profile ``classes`` for the given
     iteration count and reads one solution's data-register marginal p from the
-    u = 0 class's amplitude a_(0,0) and its conjugate a_(1,0).  Each trial
+    u = 0 class's real amplitude a_(0,0).  Each trial
     reads that solution with probability p, independently, so the number of
     hits is one binomial draw, ``_binomial``: the same law as sampling every trial from the full
     2N-amplitude distribution, in O(1) memory for any ``trials``.  The draw
@@ -288,9 +285,9 @@ def measurement_success_rate(
     if not 1 <= trials < 1 << 63:  # numpy's binomial draw takes the trial count as an int64
         raise ValueError(f"trials must be >= 1 and < 2**63, got {trials}")
     _check_solution_class(classes)
-    marginal, _ = _read_solution(classes, state_after(classes, iterations)[:1])
+    p = _solution_probability(classes, state_after(classes, iterations)[:1].real)
     # rounding can put a certain read-out a few ulp above 1
-    return _binomial(trials, min(float(marginal[0]), 1.0), rng_seed) / trials
+    return _binomial(trials, min(float(p[0]), 1.0), rng_seed) / trials
 
 
 def repeat_until_success_stats(

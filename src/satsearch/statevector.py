@@ -25,7 +25,9 @@ to another one.  On such a state s.(a, conj a) = 2 s.Re(a) is real, so the
 reflection changes real parts only.  The step is therefore real-linear, not
 complex-linear, and ``search_step`` computes no branch-1 amplitude and no
 imaginary part of the sum.  Its sum over the axis is one ``np.dot``, as
-``spectral``'s lambda2 is.  The two-branch kernel, the per-assignment
+``spectral``'s lambda2 is.  The solution amplitude a_(0,0) stays real, its
+imaginary part exactly 0.0: the u = 0 phase is exactly 1+0j, and the
+reflection writes real parts only.  The two-branch kernel, the per-assignment
 profile, its fold and lift, and the other per-assignment oracles live in
 ``tests/oracles.py``.
 

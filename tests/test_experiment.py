@@ -8,10 +8,10 @@ import pytest
 import satsearch as ss
 from satsearch.cli import _json_text
 from satsearch.cli import _curve_csv
-from satsearch.experiment import _binomial, _read_solution
+from satsearch.experiment import _binomial, _solution_probability
 
 from oracles import all_violated, fold_classes, grover_closed_form, grover_step, lifted_marginal
-from oracles import profile_for, scalar_curve, scalar_read_out
+from oracles import profile_for, scalar_curve
 
 
 def traced_peak(call):
@@ -90,10 +90,10 @@ class TestSuccessCurve:
         assert curve[0, 1] == pytest.approx(1 / 16)
         assert curve[0, 2] == pytest.approx(1 / 16)
 
-    def test_marginal_dominates_overlap(self, planted14):
+    def test_marginal_equals_overlap(self, planted14):
         formula, table, summary = planted14
         curve = ss.success_curve(ss.PhaseProfile.from_histogram(table.m, table.histogram), 50)
-        assert np.all(curve[:, 1] >= curve[:, 2])  # exactly, see test_read_out_rounds_as_numpy_scalars
+        assert curve[:, 1].tobytes() == curve[:, 2].tobytes()
         assert np.all((curve[:, 1:] >= -1e-15) & (curve[:, 1:] <= 1 + 1e-15))
 
     def test_bit_exact_against_scalar_read_out(self, class_profile):
@@ -101,17 +101,14 @@ class TestSuccessCurve:
         assert ss.success_curve(class_profile, 3000).tobytes() == scalar_curve(class_profile, 3000).tobytes()
 
     def test_read_out_rounds_as_numpy_scalars(self):
-        """On random amplitudes, the array read-out is a scalar read-out of the single amplitude, bit for bit."""
+        """On random real amplitudes, the array read-out is 2a**2 on numpy scalars, bit for bit."""
         classes = ss.PhaseProfile.from_histogram(2, [3, 4, 1])
         rng = np.random.default_rng(5)
-        amplitudes = rng.normal(size=20000) + 1j * rng.normal(size=20000)
-        amplitudes[:3] = [0.0, 1e-170j, 1e-170]  # zero, and squares below the smallest subnormal
-        marginal, overlap = _read_solution(classes, amplitudes)
-        states = np.zeros((len(amplitudes), classes.size), dtype=np.complex128)
-        states[:, 0] = amplitudes
-        expected = np.array([scalar_read_out(classes, state) for state in states])
-        assert np.column_stack([marginal, overlap]).tobytes() == expected.tobytes()
-        assert np.all(overlap <= marginal)  # exactly: the marginal adds Im(a)**2 >= 0 to the same Re(a)**2
+        amplitudes = rng.normal(size=20000)
+        amplitudes[:3] = [0.0, -1e-170, 1e-170]  # zero, and squares below the smallest subnormal
+        scale = 1.0 / classes.axis[0]
+        expected = np.array([2.0 * ((real * scale) * (real * scale)) for real in amplitudes])
+        assert _solution_probability(classes, amplitudes).tobytes() == expected.tobytes()
 
 
 class TestRunSweep:

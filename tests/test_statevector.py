@@ -23,6 +23,15 @@ def half_state(size, seed):
     return random_state(size, seed) / math.sqrt(2)
 
 
+def assert_solution_amplitude_real(classes, steps):
+    """Im a_(0,0) is exactly 0.0 from the uniform state through ``steps`` steps of ``search_step``."""
+    state = classes.uniform()
+    assert state[0].imag == 0.0
+    for step in range(1, steps + 1):
+        state = ss.search_step(state, classes)
+        assert state[0].imag == 0.0, step
+
+
 class TestUniformState:
     def test_n1_amplitudes(self):
         state = uniform(1)
@@ -169,6 +178,19 @@ class TestSearchStep:
             state = ss.search_step(state, class_profile)
             expected = expression_search_step(expected, class_profile)
             assert state.tobytes() == expected.tobytes(), step
+
+    def test_solution_amplitude_stays_real(self, class_profile):
+        """Im a_(0,0) is exactly 0.0 after every step: the u = 0 phase is 1+0j and the reflection writes real parts only."""
+        assert class_profile.u[0] == 0
+        assert_solution_amplitude_real(class_profile, 3000)
+
+    def test_solution_amplitude_stays_real_planted_n22(self):
+        """The same over the full 2*q_m = 19064 steps of ``gen -n 22 -m 110 --seed 1``."""
+        table = ss.build_unsat_table(ss.generate_planted_3sat(22, 110, 1))
+        classes = ss.PhaseProfile.from_histogram(table.m, table.histogram)
+        q_max = 2 * ss.spectral_summary(table).q_m
+        assert q_max == 19064
+        assert_solution_amplitude_real(classes, q_max)
 
 
 class TestGroverStep:

@@ -28,11 +28,11 @@ walk, on one thread; every other command builds the violation table in
 on.
 
 ``run --trials 0`` (the default) takes no samples; a negative count, or one of
-2**63 or more (the binomial draw takes an int64, as numpy's does), is a usage
-error.  Seeds (``gen --seed``, ``run --trials-seed``) must be >= 0, as
-numpy's ``SeedSequence`` requires: ``gen`` draws from numpy's PCG64, and
-``run --trials`` reproduces that stream and numpy's binomial draw in
-``experiment``, without importing ``numpy.random``.  Each command imports its
+2**63 or more (numpy's binomial algorithm does int64 arithmetic on it), is a
+usage error.  Seeds must be >= 0: ``gen --seed`` seeds numpy's PCG64, as its
+``SeedSequence`` requires, and ``run --trials-seed`` Python's Mersenne
+Twister, ``random.Random``, which takes |seed|; ``experiment`` runs numpy's
+binomial algorithm on it, without ``numpy.random``.  Each command imports its
 layers in its handler, so ``analyze`` never loads the dynamics and only
 ``gen`` loads the generator.  ``run --snapshot`` writes the class-state
 document of ``statevector.state_snapshot``, at most 2(m+1) rows, once the
@@ -126,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--grover", action="store_true", help="include the Grover baseline curve")
     run.add_argument("--steps", type=_int_or_auto, default=None, help="baseline steps ('auto' = floor(pi/4*sqrt(N)))")
     run.add_argument("--trials", type=int, default=0, help="repeat-until-success sampling trials")
-    run.add_argument("--trials-seed", type=int, help="sampling seed (numpy's PCG64 stream, default 0)")
+    run.add_argument("--trials-seed", type=int, help="sampling seed (Python's Mersenne Twister, default 0)")
     run.add_argument("--snapshot", default=None, help="write the final class-state amplitudes (JSON) here")
 
     grover = sub.add_parser("grover", parents=[common], help="Grover baseline curve")

@@ -35,16 +35,17 @@ key order, derives ``cost``, passes the curves as arrays for the CLI's writer
 to format row by row, and writes ``repeat_stats`` as
 ``repeat_until_success_stats`` returns it (stable key order, full-precision
 floats).  No clock is read: identical configurations give byte-identical
-reports.  The sampling draw is numpy's: ``_binomial`` reproduces the PCG64
-stream and binomial algorithm of ``np.random.default_rng(seed).binomial`` in
-plain Python, bit for bit (the tests check it against ``numpy.random``), so
-runs are reproducible across platforms and a run never imports
-``numpy.random``.
+reports.  The sampling draw is numpy's binomial algorithm in plain Python on
+the uniforms of Python's Mersenne Twister, ``random.Random(seed)``; both are
+fixed across platforms, so runs are reproducible and never import
+``numpy.random``.  The tests feed the algorithm numpy's own uniforms and
+check it against ``np.random.default_rng(seed).binomial`` bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
@@ -278,11 +279,10 @@ def measurement_success_rate(
     u = 0 class's real amplitude a_(0,0).  Each trial
     reads that solution with probability p, independently, so the number of
     hits is one binomial draw, ``_binomial``: the same law as sampling every trial from the full
-    2N-amplitude distribution, in O(1) memory for any ``trials``.  The draw
-    is the one ``np.random.default_rng(rng_seed).binomial(trials, p)``
-    makes, so a negative ``rng_seed`` raises ``ValueError`` as numpy does.
+    2N-amplitude distribution, in O(1) memory for any ``trials``.  A negative
+    ``rng_seed``, which ``random.Random`` would take as |rng_seed|, raises ``ValueError``.
     """
-    if not 1 <= trials < 1 << 63:  # numpy's binomial draw takes the trial count as an int64
+    if not 1 <= trials < 1 << 63:  # the binomial algorithm's arithmetic on the trial count is int64
         raise ValueError(f"trials must be >= 1 and < 2**63, got {trials}")
     _check_solution_class(classes)
     p = _solution_probability(classes, state_after(classes, iterations)[:1].real)
@@ -299,9 +299,8 @@ def repeat_until_success_stats(
 
     Returns ``trials``, ``rng_seed``, the fraction of trials that read out the
     solution and the implied geometric-distribution mean repeat count 1/rate
-    (None when no trial succeeded), in that key order.  The draw is numpy's
-    PCG64 stream seeded with ``rng_seed`` and numpy's binomial algorithm,
-    reproduced by ``_binomial``.
+    (None when no trial succeeded), in that key order.  The draw is
+    ``_binomial``'s: numpy's binomial algorithm on ``random.Random(rng_seed)``.
     """
     summary = spectral_summary(table)
     classes = PhaseProfile.from_histogram(table.m, table.histogram)
@@ -314,78 +313,21 @@ def repeat_until_success_stats(
     }
 
 
-# The binomial draw of np.random.default_rng(seed).binomial(n, p), in plain
-# Python so that a run never imports numpy.random (about 8 ms and 6 MiB on
-# first use).  Three parts, each as numpy implements it: SeedSequence turns the
-# seed into PCG64's 128-bit state and increment; PCG64 (O'Neill, 2014) steps a
-# 128-bit LCG and outputs XSL-RR, of which next_double keeps the top 53 bits;
-# random_binomial draws by inversion when min(p, 1 - p) * n <= 30, else by
+# The binomial draw: numpy's algorithm, random_binomial, on the uniforms of
+# Python's Mersenne Twister (MT19937; Matsumoto and Nishimura, ACM TOMACS 8, 3
+# (1998)), which importing numpy 2.4 already loads, so a run never imports
+# numpy.random.  numpy draws by inversion when min(p, 1 - p) * n <= 30, else by
 # BTPE (Kachitvichyanukul and Schmeiser, CACM 31(2), 216 (1988)).  Floats
 # follow the C expressions operation by operation, and the two integer
 # expressions that can pass 2**63, n + 1 and -k * k, wrap as numpy's int64
-# arithmetic does.
+# arithmetic does, so numpy's own uniforms give numpy's draw bit for bit.
 
-_MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
-_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def _int64(value: int) -> int:
     """``value`` wrapped to a two's-complement int64, as C's int64 arithmetic leaves it."""
     return ((value + (1 << 63)) & _MASK64) - (1 << 63)
-
-
-def _hashmix(constant: int, multiplier: int):
-    """SeedSequence's hashmix: each call XORs with the running constant and multiplies by its next value."""
-
-    def hashmix(value: int) -> int:
-        nonlocal constant
-        value ^= constant
-        constant = constant * multiplier & _MASK32
-        value = value * constant & _MASK32
-        return value ^ value >> 16
-
-    return hashmix
-
-
-def _mix(x: int, y: int) -> int:
-    result = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
-    return result ^ result >> 16
-
-
-def _pcg64_seed(seed: int) -> tuple[int, int]:
-    """(state, increment) of ``PCG64(seed)``: ``SeedSequence(seed)``'s four state words, then PCG's seeding."""
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    entropy = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
-    hashmix = _hashmix(0x43B0D7E5, 0x931E8875)
-    pool = [hashmix(word) for word in (entropy + [0] * 4)[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-    hashmix = _hashmix(0x8B51F9DD, 0x58F38DED)
-    words = [hashmix(pool[k % 4]) for k in range(8)]
-    # four little-endian uint64s: the seed state's high and low halves, then the stream's
-    state_high, state_low, stream_high, stream_low = (words[k] | words[k + 1] << 32 for k in range(0, 8, 2))
-    increment = ((stream_high << 64 | stream_low) << 1 | 1) & _MASK128
-    # from state 0: one step, add the seed state, one more step
-    state = ((increment + (state_high << 64 | state_low)) * _PCG64_MULTIPLIER + increment) & _MASK128
-    return state, increment
-
-
-def _pcg64_doubles(state: int, increment: int) -> Iterator[float]:
-    """PCG64's ``next_double`` outputs from (state, increment): step, XSL-RR, top 53 bits."""
-    while True:
-        state = (state * _PCG64_MULTIPLIER + increment) & _MASK128
-        rotation = state >> 122
-        word = (state >> 64 ^ state) & _MASK64
-        word = (word >> rotation | word << (64 - rotation)) & _MASK64
-        yield (word >> 11) * (1.0 / 9007199254740992.0)
 
 
 def _log(x: float) -> float:
@@ -505,17 +447,29 @@ def _binomial_btpe(doubles: Iterator[float], n: int, p: float) -> int:
         return y
 
 
-def _binomial(n: int, p: float, seed: int) -> int:
-    """``int(np.random.default_rng(seed).binomial(n, p))`` for 0 <= n < 2**63 and 0 <= p <= 1.
+def _draw_binomial(doubles: Iterator[float], n: int, p: float) -> int:
+    """numpy's ``random_binomial`` for 0 <= n < 2**63 and 0 <= p <= 1, on the uniforms in [0, 1) from ``doubles``.
 
-    Raises ``ValueError`` for a negative seed, as numpy does.
+    Draws nothing when n or p is 0; above p = 1/2 it returns n minus the draw at 1 - p.
     """
-    doubles = _pcg64_doubles(*_pcg64_seed(seed))
     if n == 0 or p == 0.0:
         return 0
-    if p <= 0.5:
-        draw = _binomial_inversion if p * n <= 30.0 else _binomial_btpe
-        return draw(doubles, n, p)
-    q = 1.0 - p
-    draw = _binomial_inversion if q * n <= 30.0 else _binomial_btpe
-    return n - draw(doubles, n, q)
+    r = p if p <= 0.5 else 1.0 - p
+    x = (_binomial_inversion if r * n <= 30.0 else _binomial_btpe)(doubles, n, r)
+    return x if p <= 0.5 else n - x
+
+
+def _binomial(n: int, p: float, seed: int) -> int:
+    """A Binomial(n, p) draw for 0 <= n < 2**63 and 0 <= p <= 1: numpy's algorithm on a fresh ``random.Random(seed)``.
+
+    A fresh generator, not the module-global one, so the draw depends on ``seed`` alone.  ``Random`` seeds with
+    |seed|, so a negative seed, which would repeat a positive one, raises ``ValueError``.
+
+    Near n = 2**63 the draw inherits the algorithm's departure from Binomial(n, p).  Over seeds 0..3999, numpy's
+    own ``default_rng(s).binomial`` gives a mean z of -5.5 at (2**63 - 1, 1e-17), and variance ratios of 1.19 at
+    (2**63 - 1, 0.5) and 1.08 at (2**62, 0.5); this draw gives -5.9, 1.14 and 1.05.  No fix is made: it would
+    depart from numpy's algorithm, against which the tests check this one bit for bit.
+    """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return _draw_binomial(iter(random.Random(seed).random, None), n, p)

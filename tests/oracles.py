@@ -11,7 +11,8 @@ has one entry of weight 1 per assignment, so the same kernel steps the full
 
 ``dense_eigencheck`` materializes the iterate column by column through
 ``FullKernel`` (the package's step is only real-linear, so it has no matrix
-over the complex numbers) and hands it to a dense eigensolver: the oracle of
+over the complex numbers) and hands it to a dense eigenvalue solver, with
+inverse iteration for the principal eigenvectors: the oracle of
 ``satsearch.spectrum``'s secular roots.  An entry of weight w also stands for
 w - 1 directions per branch that sum to zero over its assignments: orthogonal
 to the uniform state, they keep D's phases +pi*u/m and -pi*u/m exactly, and
@@ -287,14 +288,34 @@ def iterate_matrix(profile):
     return matrix
 
 
+def _eigenvector_overlap(matrix, value, target):
+    """|<v|target>|**2 for the unit eigenvector v of ``matrix`` at the eigenvalue ``value``.
+
+    Inverse iteration: one solve of (matrix - value) x = b from a fixed random
+    b.  The iterate is unitary, so normal, and ``value`` is within a few ulp
+    of an eigenvalue; the solve scales v's part of b by the inverse of that
+    distance, and each other eigenvector's by the inverse of its eigenvalue's
+    distance from ``value``.
+    """
+    dim = matrix.shape[0]
+    shifted = matrix.copy()
+    shifted.flat[:: dim + 1] -= value
+    rng = np.random.default_rng(0)
+    vector = np.linalg.solve(shifted, rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+    return abs(np.vdot(vector, target)) ** 2 / np.vdot(vector, vector).real
+
+
 def dense_eigencheck(profile):
-    """Full eigendecomposition of the iterate; extracts the principal pair.
+    """Dense eigenvalues of the iterate; extracts the principal pair.
 
     The principal pair is the conjugate eigenphase pair of smallest nonzero
     magnitude with nonzero overlap against the amplified state (|0,r> +
     |1,r>)/sqrt(2); the overlap floor filters the exact zero-phase spectator
     (|0,r> - |1,r>)/sqrt(2), which is orthogonal to everything the search
-    dynamics touches.  The u = 0 entries must hold one assignment r.
+    dynamics touches.  The u = 0 entries must hold one assignment r.  The
+    phases come from the eigenvalues alone; an eigenvector is found, by
+    inverse iteration, only for each candidate phase, in order of magnitude,
+    until the pair is complete.
     """
     dim = 2 * profile.size
     if dim > MAX_EIGENCHECK_DIM:
@@ -305,25 +326,28 @@ def dense_eigencheck(profile):
     found = int(profile.weights[solution].sum())
     if found != 1:
         raise ss.InstanceError(f"expected exactly one satisfying assignment, found {found}")
-    values, vectors = np.linalg.eig(iterate_matrix(profile))
+    matrix = iterate_matrix(profile)
+    values = np.linalg.eigvals(matrix)
     if np.max(np.abs(np.abs(values) - 1.0)) > 1e-8:
         raise RuntimeError("eigensolver returned non-unimodular eigenvalues for a unitary")
 
     phases = np.angle(values)
     target = np.zeros(dim, dtype=np.complex128)
     target[solution] = target[profile.size + solution] = 1.0 / math.sqrt(2.0)
-    overlaps = np.abs(vectors.conj().T @ target) ** 2
 
-    eligible = np.flatnonzero((np.abs(phases) > ZERO_PHASE_FLOOR) & (overlaps > OVERLAP_FLOOR))
-    if eligible.size < 2:
-        raise RuntimeError("no principal eigenphase pair found above the overlap floor")
-    eligible = eligible[np.argsort(np.abs(phases[eligible]))]
-    first = eligible[0]
-    opposite = [k for k in eligible[1:] if phases[k] * phases[first] < 0]
-    if not opposite:
-        raise RuntimeError("principal eigenphases do not form a conjugate pair")
-    second = opposite[0]
-    plus, minus = (first, second) if phases[first] > 0 else (second, first)
+    # the smallest-magnitude phase of each sign whose eigenvector is above the overlap floor
+    overlaps = {}
+    candidates = np.flatnonzero(np.abs(phases) > ZERO_PHASE_FLOOR)
+    for k in candidates[np.argsort(np.abs(phases[candidates]))]:
+        if not any(phases[j] * phases[k] > 0 for j in overlaps):
+            overlap = _eigenvector_overlap(matrix, values[k], target)
+            if overlap > OVERLAP_FLOOR:
+                overlaps[k] = overlap
+                if len(overlaps) == 2:
+                    break
+    if len(overlaps) < 2:
+        raise RuntimeError("no conjugate principal eigenphase pair found above the overlap floor")
+    plus, minus = sorted(overlaps, key=lambda k: -phases[k])
 
     # the matrix's phases once each, then each entry's w - 1 spectators per branch
     every = np.concatenate([phases, np.angle(FullKernel(profile).phases)])

@@ -698,7 +698,11 @@ class TestOutputBytes:
         ["analyze", "-f", "inst.cnf", "-o", "analyze.json"],
         ["sweep", "-f", "inst.cnf", "-o", "sweep.csv"],
         ["grover", "-f", "inst.cnf", "-o", "grover.csv"],
-        ["run", "-f", "inst.cnf", "--grover", "--trials", "50", "--snapshot", "snap.json", "-o", "run.json"],
+        # trials seed 1 draws no hit, which test_strict_json_without_a_hit needs
+        [
+            "run", "-f", "inst.cnf", "--grover", "--trials", "50", "--trials-seed", "1",
+            "--snapshot", "snap.json", "-o", "run.json",
+        ],
         ["spectrum", "-f", "inst.cnf", "-o", "spectrum.json"],
     ]
     FILES = {"inst.cnf", "analyze.json", "sweep.csv", "grover.csv", "run.json", "snap.json", "spectrum.json"}
@@ -707,7 +711,7 @@ class TestOutputBytes:
         "analyze.json": "4ddcea610bacefb861a44bce5eb8c98997a9cd589ea0da066bb16fe5b69f5bc1",
         "sweep.csv": "bec6fd1b45ecf007b7191c324e00e65c5243b77070aaeadc52a0103dff13fccf",
         "grover.csv": "a037eb0c6434317dff84b4f1d636292e195e23bcd6b774211405b10eeb6411cb",
-        "run.json": "42a2229ad916d3b55e2cadf5fcc8279f69d282025b57ec58996958f91c98e0fa",
+        "run.json": "99cc2bad33b3fb7f19014fa2eeba97bd9ac37be52ae2c19cd031353800d7078b",
         "snap.json": "482ee63a52a6868aa6c674cc9254c0d35a92e0db57b7b7d41f9975add76babdb",
         "spectrum.json": "894a6053ea0536559df70ba33626911aed72486b29e3685dc014ab00bf62d80b",
     }

@@ -1,5 +1,6 @@
 import math
 import random
+import statistics
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 import satsearch as ss
 from satsearch.cli import _json_text
 from satsearch.cli import _curve_csv
-from satsearch.experiment import _binomial, _solution_probability
+from satsearch.experiment import _binomial, _draw_binomial, _solution_probability
 
 from oracles import all_violated, fold_classes, grover_closed_form, grover_step, lifted_marginal
 from oracles import profile_for, scalar_curve
@@ -312,11 +313,27 @@ def numpy_binomial(n, p, seed):
     return int(np.random.default_rng(seed).binomial(n, p))
 
 
+def numpy_driven(n, p, seed):
+    """``experiment._draw_binomial`` on the uniforms of ``np.random.default_rng(seed)``."""
+    return _draw_binomial(iter(np.random.default_rng(seed).random, None), n, p)
+
+
+def binomial_pmf(n, p):
+    """P(X = k) for k = 0..n, X ~ Binomial(n, p), in log space (relative error about 1e-13 at n = 1000)."""
+    log_p, log_q = math.log(p), math.log1p(-p)
+    return [
+        math.exp(math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1) + k * log_p + (n - k) * log_q)
+        for k in range(n + 1)
+    ]
+
+
 class TestBinomialDraw:
-    """``experiment._binomial`` is ``np.random.default_rng(seed).binomial(n, p)``, draw for draw.
+    """numpy's binomial algorithm fed numpy's uniforms is ``np.random.default_rng(seed).binomial(n, p)``, draw for draw.
 
     numpy draws by inversion when min(p, 1 - p) * n <= 30 and by BTPE above,
-    and takes n minus the draw at 1 - p when p > 0.5.
+    and takes n minus the draw at 1 - p when p > 0.5.  ``_binomial`` runs the
+    same algorithm on Python's Mersenne Twister, which no bit-exact oracle
+    covers, so its draws are checked against the binomial law itself.
     """
 
     # n from 1 to the int64 limit; at 2**62 and above, BTPE's -k*k passes 2**63
@@ -334,7 +351,7 @@ class TestBinomialDraw:
     def test_grid(self, seed):
         for n in self.GRID_N:
             for p in self.GRID_P:
-                assert _binomial(n, p, seed) == numpy_binomial(n, p, seed), (n, p, seed)
+                assert numpy_driven(n, p, seed) == numpy_binomial(n, p, seed), (n, p, seed)
 
     def test_grid_takes_every_path(self):
         small = [(n, p) for n in self.GRID_N for p in self.GRID_P if 0 < min(p, 1 - p) * n <= 30]
@@ -354,11 +371,51 @@ class TestBinomialDraw:
                 p = rng.random() * 10.0 ** -rng.randrange(1, 20)
             else:
                 p = 1.0 - rng.random() * 10.0 ** -rng.randrange(1, 15)
-            assert _binomial(n, p, seed) == numpy_binomial(n, p, seed), (n, p, seed)
+            assert numpy_driven(n, p, seed) == numpy_binomial(n, p, seed), (n, p, seed)
+
+    # One draw for each seed 0..19999, as runs with consecutive --trials-seed
+    # make them, binned so that every bin expects at least 5.  Bound: the
+    # Wilson-Hilferty z of the chi-square statistic is at most 4 (upper tail
+    # about 3e-5 per case); these seeds give z from -0.1 to 2.4.
+    @pytest.mark.parametrize(
+        "n, p",
+        [(50, 0.0047), (30, 0.03), (1000, 0.3), (1000, 0.97)],
+        ids=["inversion-n50", "inversion-n30", "btpe", "btpe-above-half"],
+    )
+    def test_law_chi_square(self, n, p):
+        draws = 20_000
+        expected = [draws * f for f in binomial_pmf(n, p)]
+        observed = [0] * (n + 1)
+        for seed in range(draws):
+            observed[_binomial(n, p, seed)] += 1
+        bins, tail = [], [0, 0.0]  # (observed, expected) per bin, and the bin being filled
+        for k in range(n + 1):
+            tail = [tail[0] + observed[k], tail[1] + expected[k]]
+            if tail[1] >= 5 and sum(expected[k + 1 :]) >= 5:
+                bins.append(tail)
+                tail = [0, 0.0]
+        bins[-1] = [bins[-1][0] + tail[0], bins[-1][1] + tail[1]]
+        dof = len(bins) - 1
+        chi2 = sum((o - e) ** 2 / e for o, e in bins)
+        z = ((chi2 / dof) ** (1 / 3) - (1 - 2 / (9 * dof))) / math.sqrt(2 / (9 * dof))
+        assert dof >= 2 and z <= 4.0, (chi2, dof, z)
+
+    # 4000 draws (seeds 0..3999) on each branch at n = 10**12: the mean within
+    # 4 standard errors of n*p, the variance within 4 * sqrt(2 / 3999) of
+    # n*p*(1 - p), relative
+    @pytest.mark.parametrize("p", [2e-11, 0.3, 0.97], ids=["inversion", "btpe", "btpe-above-half"])
+    def test_moments_at_n_1e12(self, p):
+        n, draws = 10**12, 4000
+        centre = round(n * p)
+        deviations = [_binomial(n, p, seed) - centre for seed in range(draws)]
+        mean = centre + sum(deviations) / draws
+        variance = n * p * (1 - p)
+        assert abs(mean - n * p) <= 4 * math.sqrt(variance / draws), mean
+        assert abs(statistics.variance(deviations) / variance - 1) <= 4 * math.sqrt(2 / (draws - 1))
 
     def test_negative_seed_rejected(self):
-        with pytest.raises(ValueError):
-            numpy_binomial(10, 0.5, -1)
+        # Random seeds with |seed|, so a negative seed would repeat a positive one
+        assert random.Random(-7).random() == random.Random(7).random()
         for p in (0.0, 0.5):
             with pytest.raises(ValueError, match="seed"):
                 _binomial(10, p, -1)

@@ -170,6 +170,19 @@ print("\\n".join(sys.modules))
 )
 def test_import_footprint(command, absent, tmp_path):
     """Each command loads only its layers: no numpy.random, no thread pool, no generator outside ``gen``."""
+    loaded = loaded_modules(command, tmp_path)
+    assert "satsearch.cnf" in loaded
+    assert sorted(loaded.intersection(absent)) == []
+
+
+def test_trials_import_nothing_more(tmp_path):
+    """``run --trials`` loads exactly the modules a run without trials loads: its draw needs no import of its own."""
+    snapshot = ["--snapshot", "snap.json"]
+    assert loaded_modules(["run", "--trials", "50", *snapshot], tmp_path) == loaded_modules(["run", *snapshot], tmp_path)
+
+
+def loaded_modules(command, tmp_path):
+    """The modules a fresh interpreter has loaded after one command on the pinned n = 8 toy."""
     assert main(["gen", "-n", "8", "-m", "12", "--seed", "1", "-o", str(tmp_path / "inst.cnf")]) == 0
     env = {**os.environ, "PYTHONPATH": str(Path(ss.__file__).parent.parent)}
     argv = [*command, "-f", "inst.cnf", "-o", "out.json"]
@@ -178,6 +191,4 @@ def test_import_footprint(command, absent, tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
     )
     assert child.returncode == 0, child.stderr
-    loaded = set(child.stdout.split())
-    assert "satsearch.cnf" in loaded
-    assert sorted(loaded.intersection(absent)) == []
+    return set(child.stdout.split())

@@ -16,11 +16,12 @@ without ``--grover``, ``--trials-seed`` without ``--trials``, and any two of
 ``-f``, ``-o``, ``run --snapshot`` and ``analyze --table`` naming the same
 file, which is checked before anything is read or written), 3 invalid
 instance or formula (any bytes that do not parse as DIMACS, or a file that
-cannot be read), 4 guard exceeded: n above ``cnf.MAX_ENUMERATION_N`` (30) for
-any command that enumerates, ``gen`` included, a DIMACS file (before
-parsing), ``gen``'s clause count (-m, before any clause is drawn), ``gen``'s
-solution list, the violation table's clause tables (before they are built)
-or a curve (--qmax, --steps) that would not fit in physical memory.
+cannot be read), 4 guard exceeded: ``cnf.check_enumeration``, n above
+``cnf.MAX_ENUMERATION_N`` (30) for any command that enumerates, ``gen``
+included, or ``cnf.check_fits``, what would not fit in physical memory: a
+DIMACS file (before parsing), ``gen``'s clause count (-m, before any clause
+is drawn), ``gen``'s solution list, the violation table's clause tables
+(before they are built) or a curve (--qmax, --steps).
 
 ``gen`` finds the solutions of its random batch by ``cnf``'s pruned prefix
 walk, on one thread; every other command builds the violation table in

@@ -6,22 +6,23 @@ operators, spectral sums, success metrics) is keyed to this encoding, so it is
 fixed here once and tested bit-exactly.  A clause is its literals as DIMACS
 writes them, signed ints: k for x_k and -k for its negation.
 
-``read_dimacs`` is the only reader of DIMACS files: it refuses one that would
-not fit in memory, decodes the bytes so that no input can fail before parsing,
-and hands the text to ``parse_dimacs``, which also accepts the SATLIB ``%``
-trailer.
+``read_dimacs`` is the only reader of DIMACS files: it refuses, by
+``check_fits``, one that would not fit in memory, decodes the bytes so that
+no input can fail before parsing, and hands the text to ``parse_dimacs``,
+which also accepts the SATLIB ``%`` trailer.
 
 ``build_unsat_table`` enumerates every assignment and keeps the histogram and
 the first two solutions; ``satisfying_assignments`` lists every solution, for
 the planted generator, which reads nothing else.  Their oracles, the scalar
 count and the per-assignment counts, live in ``tests/oracles.py``.  They are
-deliberately the only solvers in the package: exhaustive, and refused with
-``GuardError`` above n = ``MAX_ENUMERATION_N``, a constant (30) that bounds
-time alone, and only through n (each block's product also grows with m),
-and when what they hold would not fit in physical memory: the solution
-list, or the table's clause tables, one set per worker.  Both rest on one fact, as does every test of a clause: an
-OR-clause is violated on exactly the indices i with i & ``Clause.care`` ==
-``Clause.value``, the bits of its variables and of its negated literals.
+deliberately the only solvers in the package, and exhaustive.  Every guard of
+the package is one of two calls here: ``check_enumeration`` refuses n above
+``MAX_ENUMERATION_N``, and ``check_fits`` refuses a count of items that would
+not fit in physical memory, at the item's measured peak bytes; ``GuardError``
+says what they bound and what they do not.  Both solvers rest on one fact, as
+does every test of a clause: an OR-clause is violated on exactly the indices i
+with i & ``Clause.care`` == ``Clause.value``, the bits of its variables and of
+its negated literals.
 
 An ``UnsatTable`` is four facts, n, m, the histogram and those first
 solutions, and holds no formula: any source may build one, and
@@ -168,12 +169,36 @@ class InstanceError(ValueError):
 
 
 class GuardError(RuntimeError):
-    """Enumeration, memory or matrix-dimension guard exceeded."""
+    """A request too large for this machine, refused before the work it would start.
+
+    Raised only by ``check_enumeration``, ``check_fits`` and the generators'
+    int64 index check (n <= ``MAX_INDEX_N``).  The guards bound two things:
+    n <= ``MAX_ENUMERATION_N`` for every enumeration, and the bytes of what
+    grows with the input (the file, the solution list, the clause tables,
+    the initial clauses and the curve rows) against physical memory.  They
+    do not bound time.  Two costs have no guard:
+    ``spectral.spectrum``'s ~60 bisection passes of O(K**2) each over the K
+    occupied classes, which a file can push to min(m + 1, 2**n), and the
+    block products' m * 2**n, bounded only through ``MAX_ENUMERATION_N``.
+    """
 
 
 def memory_capacity(item_bytes: int) -> int:
-    """How many items of ``item_bytes`` bytes fit in physical memory: the bound of every memory guard."""
+    """How many items of ``item_bytes`` bytes fit in physical memory: the bound of ``check_fits``."""
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // item_bytes
+
+
+def check_fits(count: int, item_bytes: int, what: str) -> None:
+    """Raise ``GuardError``, naming the items ``what``, when ``count`` of them pass ``memory_capacity(item_bytes)``."""
+    room = memory_capacity(item_bytes)
+    if count > room:
+        raise GuardError(f"{count} {what} exceed the {room} that fit in physical memory at {item_bytes} bytes each")
+
+
+def check_enumeration(n: int) -> None:
+    """Raise ``GuardError`` when n > ``MAX_ENUMERATION_N``."""
+    if n > MAX_ENUMERATION_N:
+        raise GuardError(f"enumeration over 2**{n} assignments exceeds the limit n <= {MAX_ENUMERATION_N}")
 
 
 @dataclass(frozen=True)
@@ -349,13 +374,13 @@ def parse_dimacs(text: str) -> CnfFormula:
 def read_dimacs(path) -> CnfFormula:
     """Parse the DIMACS CNF file at ``path``.
 
-    This is the one place where file bytes become a formula.  A file longer
-    than ``memory_capacity(DIMACS_BYTES)`` bytes raises ``GuardError`` before
-    parsing.  Otherwise the bytes are decoded as Latin-1, which maps every
-    byte to one character and never fails, so the file either parses or
-    raises ``DimacsError``.  Comments may hold any bytes, UTF-8 included; a
-    non-ASCII character inside a header or clause token makes that token
-    non-integer.
+    This is the one place where file bytes become a formula.  The read stops
+    one byte past ``memory_capacity(DIMACS_BYTES)``, and a file longer than
+    that fails ``check_fits`` before parsing.  Otherwise the bytes are
+    decoded as Latin-1, which maps every byte to one character and never
+    fails, so the file either parses or raises ``DimacsError``.  Comments may
+    hold any bytes, UTF-8 included; a non-ASCII character inside a header or
+    clause token makes that token non-integer.
     """
     limit = memory_capacity(DIMACS_BYTES)
     data = bytearray()
@@ -363,8 +388,7 @@ def read_dimacs(path) -> CnfFormula:
         # in chunks: one read of limit + 1 bytes would allocate that much up front
         while len(data) <= limit and (chunk := handle.read(min(1 << 20, limit + 1 - len(data)))):
             data += chunk
-    if len(data) > limit:
-        raise GuardError(f"a file over {limit} bytes does not fit in physical memory at {DIMACS_BYTES} bytes each")
+    check_fits(len(data), DIMACS_BYTES, "bytes of the file")
     return parse_dimacs(data.decode("latin-1"))
 
 
@@ -476,21 +500,6 @@ def violation_blocks(formula: CnfFormula, tops: range | None = None) -> Iterator
     return map(block, _blocks(formula) if tops is None else tops)
 
 
-def _room_for(held: int, found: int, max_solutions: int) -> None:
-    """Raise ``GuardError`` if ``found`` more solutions after ``held`` would pass ``max_solutions``."""
-    if held + found > max_solutions:
-        raise GuardError(
-            f"the solution list outgrows its share of physical memory: "
-            f"more than {max_solutions} solutions at {SOLUTION_BYTES} bytes each"
-        )
-
-
-def _check_enumeration(n: int) -> None:
-    """Raise ``GuardError`` when n > ``MAX_ENUMERATION_N``."""
-    if n > MAX_ENUMERATION_N:
-        raise GuardError(f"enumeration over 2**{n} assignments exceeds the limit n <= {MAX_ENUMERATION_N}")
-
-
 def _run_summary(m: int, blocks: Iterator[Block]) -> tuple[np.ndarray, list[int]]:
     """Summed histogram and first two zero-violation indices of ``violation_blocks``' blocks, in order."""
     histogram = np.zeros(m + 1, dtype=np.int64)
@@ -588,12 +597,12 @@ def _walk_runs(formula: CnfFormula, threads: int | None) -> list[tuple[np.ndarra
     ``build_unsat_table`` says.  The calling thread reads run 0 and one
     started thread each of the others, so one run starts no thread, and
     OpenBLAS runs each product on one thread until every run is read.  A
-    worker's exception is raised again on the calling thread.  Raises
-    ``GuardError`` when n > ``MAX_ENUMERATION_N``, before any block is
-    walked, and when the m clauses on the runs' workers pass
-    ``memory_capacity(TABLE_BYTES)``, before any clause table is built.
+    worker's exception is raised again on the calling thread.  Fails
+    ``check_enumeration`` before any block is walked, and ``check_fits`` for
+    the m clauses at ``TABLE_BYTES`` on each of the runs' workers before any
+    clause table is built.
     """
-    _check_enumeration(formula.n)
+    check_enumeration(formula.n)
     if threads is not None and threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     blas = _openblas()
@@ -603,12 +612,7 @@ def _walk_runs(formula: CnfFormula, threads: int | None) -> list[tuple[np.ndarra
     workers = max(1, min(threads, _cpus()))
     cuts = [k * len(blocks) // workers for k in range(workers + 1)]
     runs = [blocks[start:stop] for start, stop in zip(cuts, cuts[1:]) if start < stop]
-    limit = memory_capacity(TABLE_BYTES)
-    if formula.m * len(runs) > limit:
-        raise GuardError(
-            f"the clause tables outgrow physical memory: {formula.m} clauses on {len(runs)} workers, "
-            f"more than {limit} at {TABLE_BYTES} bytes per clause per worker"
-        )
+    check_fits(formula.m, TABLE_BYTES * len(runs), f"clauses on {len(runs)} workers")
     first, *others = [violation_blocks(formula, run) for run in runs]
     read = partial(_run_summary, formula.m)
     with _one_blas_thread(blas):
@@ -637,9 +641,9 @@ def build_unsat_table(formula: CnfFormula, threads: int | None = None) -> UnsatT
     OpenBLAS is held at one thread during the walk and its count then
     restored.  The runs' histograms are summed as integers and the first two
     of their solutions kept in block order, so the result is identical for
-    every worker count.  Raises ``GuardError`` when n > ``MAX_ENUMERATION_N``,
-    before any block is walked, and when m times the workers passes
-    ``memory_capacity(TABLE_BYTES)``, before any clause table is built.
+    every worker count.  Fails ``check_enumeration`` before any block is
+    walked, and ``check_fits`` for m clauses at ``TABLE_BYTES`` per worker
+    before any clause table is built.
     """
     histogram = np.zeros(formula.m + 1, dtype=np.int64)
     solutions: list[int] = []
@@ -658,12 +662,11 @@ def satisfying_assignments(formula: CnfFormula) -> list[int]:
     other literals loses the one child whose new bit falsifies the last.
     The prefixes are walked depth-first in chunks of at most 2**BLOCK_BITS,
     the lower half of an oversized frontier first, so memory stays bounded
-    and the solutions come out in increasing order.  Raises ``GuardError``
-    when n > ``MAX_ENUMERATION_N``, before any prefix is walked, and before
-    the list would outgrow ``memory_capacity(SOLUTION_BYTES)``.
+    and the solutions come out in increasing order.  Fails
+    ``check_enumeration`` before any prefix is walked, and ``check_fits`` at
+    ``SOLUTION_BYTES`` before the list would outgrow physical memory.
     """
-    _check_enumeration(formula.n)
-    max_solutions = memory_capacity(SOLUTION_BYTES)
+    check_enumeration(formula.n)
     # decided[b]: care and value above bit b, and the value of bit b that
     # violates, of each clause whose lowest variable is x_(b+1)
     decided: list[list[tuple[int, int, int]]] = [[] for _ in range(formula.n)]
@@ -679,7 +682,7 @@ def satisfying_assignments(formula: CnfFormula) -> list[int]:
             half = prefixes.size // 2
             stack += [(left, prefixes[half:]), (left, prefixes[:half])]
         elif left == 0:
-            _room_for(len(solutions), prefixes.size, max_solutions)
+            check_fits(len(solutions) + prefixes.size, SOLUTION_BYTES, "solutions")
             solutions += prefixes.tolist()
         else:
             children = np.empty(2 * prefixes.size, dtype=dtype)

@@ -27,8 +27,8 @@ the same expression on numpy scalars.  The Grover baseline has the same
 symmetry with two classes, the solution and the other N - 1 assignments, so
 it steps two real amplitudes.  The two-branch and per-assignment state
 vectors and the textbook Grover step are the tests' oracles, in
-``tests/oracles.py``.  A curve whose rows would not fit in physical memory is
-refused with ``GuardError`` before it is allocated.
+``tests/oracles.py``.  A curve whose rows would not fit in physical memory
+fails ``cnf.check_fits`` at ``CURVE_ROW_BYTES`` a row before it is allocated.
 
 The whole run report is assembled here: ``RunReport.to_json_dict`` fixes the
 key order, derives ``cost``, passes the curves as arrays for the CLI's writer
@@ -53,7 +53,7 @@ from typing import Iterator
 import numpy as np
 
 from . import __version__
-from .cnf import MAX_ENUMERATION_N, GuardError, InstanceError, UnsatTable, memory_capacity
+from .cnf import MAX_ENUMERATION_N, InstanceError, UnsatTable, check_fits
 from .spectral import SpectralSummary, spectral_summary
 from .statevector import PhaseProfile, search_step, state_snapshot
 
@@ -147,12 +147,6 @@ def _check_solution_class(classes: PhaseProfile) -> None:
         raise InstanceError("no assignment satisfies every clause")
 
 
-def _check_curve_rows(rows: int) -> None:
-    """Raise ``GuardError`` when ``rows`` curve rows would not fit in physical memory."""
-    if rows > memory_capacity(CURVE_ROW_BYTES):
-        raise GuardError(f"a curve of {rows} rows does not fit in physical memory at {CURVE_ROW_BYTES} bytes each")
-
-
 def _solution_probability(classes: PhaseProfile, real: np.ndarray) -> np.ndarray:
     """2a**2 for each real solution amplitude a_(0,0) in ``real``, with a = a_(0,0) / sqrt(N_0).
 
@@ -174,7 +168,7 @@ def success_curve(classes: PhaseProfile, q_max: int) -> np.ndarray:
     if q_max < 1:
         raise ValueError("q_max must be >= 1")
     _check_solution_class(classes)
-    _check_curve_rows(q_max + 1)
+    check_fits(q_max + 1, CURVE_ROW_BYTES, "curve rows")
     state = classes.uniform()
     amplitudes = np.empty(q_max + 1, dtype=np.complex128)
     amplitudes[0] = state[0]
@@ -253,7 +247,7 @@ def run_grover_baseline(total: int, steps: int) -> np.ndarray:
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    _check_curve_rows(steps + 1)
+    check_fits(steps + 1, CURVE_ROW_BYTES, "curve rows")
     a = b = 1.0 / math.sqrt(total)
     out = np.empty((steps + 1, 2))
     out[0] = (0, a * a)

@@ -13,8 +13,9 @@ n <= ``cnf.MAX_INDEX_N``:
   clauses, then greedily appends clauses that each kill at least one
   surviving non-solution until the solution is unique.  The returned
   clause count is whatever uniqueness required, which for random clauses
-  lands near 5n or above.  A batch that would not fit in physical memory at
-  ``CLAUSE_BYTES`` per clause is refused before its first draw.
+  lands near 5n or above.  Before its first draw it takes ``cnf``'s two
+  guards: ``check_enumeration`` on n, and ``check_fits`` on the batch at
+  ``CLAUSE_BYTES`` a clause.
 * ``generate_planted_chain`` builds n nested clauses (lengths 1..n) whose
   violation sets partition the non-solutions, so every wrong assignment
   violates exactly one clause.  That concentrates the violation histogram at
@@ -42,9 +43,9 @@ from .cnf import (
     CnfFormula,
     GuardError,
     InstanceError,
-    MAX_ENUMERATION_N,
     MAX_INDEX_N,
-    memory_capacity,
+    check_enumeration,
+    check_fits,
     satisfying_assignments,
     violation_mask,
 )
@@ -104,9 +105,9 @@ def generate_planted_3sat(n: int, m: int, seed: int) -> CnfFormula:
     assignments that satisfy it in increasing order; the repair loop then
     appends further clauses (each falsifying the lowest surviving
     non-solution) until the planted assignment is the unique solution, so
-    the returned formula typically has more than ``m`` clauses.  n above
-    ``cnf.MAX_ENUMERATION_N``, or m above ``cnf.memory_capacity(CLAUSE_BYTES)``,
-    raises ``GuardError`` before any clause is drawn.
+    the returned formula typically has more than ``m`` clauses.
+    ``cnf.check_enumeration`` on n and ``cnf.check_fits`` on m at
+    ``CLAUSE_BYTES`` raise ``GuardError`` before any clause is drawn.
     """
     return _planted_3sat(n, m, seed)[0]
 
@@ -116,15 +117,8 @@ def _planted_3sat(n: int, m: int, seed: int) -> tuple[CnfFormula, int]:
     if m < 1:
         raise InstanceError(f"need m >= 1 initial clauses, got m={m}")
     _check_bounds(n, 3, "planted 3SAT")
-    if n > MAX_ENUMERATION_N:
-        raise GuardError(
-            f"uniqueness check over 2**{n} assignments exceeds the limit n <= {MAX_ENUMERATION_N}"
-        )
-    limit = memory_capacity(CLAUSE_BYTES)
-    if m > limit:
-        raise GuardError(
-            f"m={m} initial clauses exceed the {limit} that fit in physical memory at {CLAUSE_BYTES} bytes each"
-        )
+    check_enumeration(n)
+    check_fits(m, CLAUSE_BYTES, "initial clauses")
     rng = np.random.default_rng(seed)
     planted = int(rng.integers(0, 1 << n))
     clauses = [_random_clause_satisfied_by(rng, n, planted) for _ in range(m)]

@@ -471,7 +471,7 @@ class TestSolutionGuard:
         monkeypatch.setattr(ss.generate, "CLAUSE_BYTES", 1)
         # one initial clause leaves 7/8 of the 4096 assignments
         assert main(["gen", "-n", "12", "-m", "1"]) == 4
-        TestUsageErrors.assert_one_line_error(capsys, "the solution list outgrows its share of physical memory")
+        TestUsageErrors.assert_one_line_error(capsys, "solutions exceed the 100 that fit in physical memory")
         assert main(["gen", "-n", "12", "-m", "60", "-o", str(tmp_path / "x.cnf")]) == 0
 
 
@@ -479,6 +479,7 @@ class TestDimacsGuard:
     """A DIMACS file longer than ``memory_capacity(DIMACS_BYTES)`` exits 4 with one error line, unparsed."""
 
     BOUND = 40
+    REFUSED = f"{BOUND + 1} bytes of the file exceed the {BOUND} that fit"
 
     @pytest.fixture(autouse=True)
     def small_memory(self, monkeypatch):
@@ -504,13 +505,13 @@ class TestDimacsGuard:
         path.write_text(text + "\n")
         self.refuse_parsing(monkeypatch)
         assert main(["analyze", "-f", str(path)]) == 4
-        TestUsageErrors.assert_one_line_error(capsys, f"over {self.BOUND} bytes")
+        TestUsageErrors.assert_one_line_error(capsys, self.REFUSED)
 
     @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
     def test_endless_file(self, capsys, monkeypatch):
         self.refuse_parsing(monkeypatch)
         assert main(["run", "-f", "/dev/zero"]) == 4
-        TestUsageErrors.assert_one_line_error(capsys, "physical memory")
+        TestUsageErrors.assert_one_line_error(capsys, self.REFUSED)
 
 
 class TestTableGuard:
@@ -532,7 +533,8 @@ class TestTableGuard:
         path.write_text(f"p cnf 1 {self.BOUND + 1}\n" + "1 0\n" * (self.BOUND + 1))
         monkeypatch.setattr(ss.cnf, "violation_blocks", TestEnumerationLimit.refuse)
         assert main(["analyze", "-f", str(path)]) == 4
-        TestUsageErrors.assert_one_line_error(capsys, f"{self.BOUND + 1} clauses on 1 workers")
+        refused = f"{self.BOUND + 1} clauses on 1 workers exceed the {self.BOUND} that fit"
+        TestUsageErrors.assert_one_line_error(capsys, refused)
 
     def test_every_worker_counts(self, tmp_path, capsys, monkeypatch):
         # 2**(n-2) blocks of 4 assignments on two CPUs, and a pool whatever numpy's
@@ -543,7 +545,8 @@ class TestTableGuard:
         monkeypatch.setattr(ss.cnf, "violation_blocks", TestEnumerationLimit.refuse)
         with enumeration_walkers(2):
             assert main(["analyze", "-f", str(path)]) == 4
-        TestUsageErrors.assert_one_line_error(capsys, "on 2 workers")
+        half = self.BOUND // 2
+        TestUsageErrors.assert_one_line_error(capsys, f"{half + 1} clauses on 2 workers exceed the {half} that fit")
 
 
 class TestClauseGuard:
@@ -567,7 +570,8 @@ class TestClauseGuard:
         monkeypatch.setattr(ss.generate, "_random_clause_satisfied_by", refuse)
         for m in (self.BOUND + 1, 100_000_000):
             assert main(["gen", "-n", "10", "-m", str(m)]) == 4
-            TestUsageErrors.assert_one_line_error(capsys, f"the {self.BOUND} that fit in physical memory")
+            refused = f"{m} initial clauses exceed the {self.BOUND} that fit in physical memory"
+            TestUsageErrors.assert_one_line_error(capsys, refused)
 
 
 class TestCurveGuard:
@@ -585,7 +589,7 @@ class TestCurveGuard:
     )
     def test_exit_4(self, argv, toy_path, capsys):
         assert main([*argv, "-f", toy_path]) == 4
-        TestUsageErrors.assert_one_line_error(capsys, "physical memory")
+        TestUsageErrors.assert_one_line_error(capsys, "curve rows exceed the")
 
 
 # (k, 2) and (k, 3) arrays of any finite float: -0.0, subnormals down to

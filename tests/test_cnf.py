@@ -249,18 +249,24 @@ class TestUnsatTable:
             walked.append(formula.n)
             return iter(())
 
-        def no_walk(item_bytes):
-            raise AssertionError("the prefix walk began")
+        def no_tables(item_bytes):
+            raise AssertionError("the clause tables were sized")
+
+        class NoArrays:
+            def __getattr__(self, name):
+                raise AssertionError("the prefix walk began")
 
         monkeypatch.setattr(ss.cnf, "violation_blocks", no_blocks)
         with monkeypatch.context() as patch:
-            patch.setattr(ss.cnf, "memory_capacity", no_walk)  # the walk's first step after the guard
+            patch.setattr(ss.cnf, "memory_capacity", no_tables)  # the table's next check after the guard
             for n in (31, 63):
                 wide = ss.parse_dimacs(f"p cnf {n} 1\n1 0\n")
                 with pytest.raises(ss.GuardError, match="n <= 30"):
                     ss.build_unsat_table(wide)
-                with pytest.raises(ss.GuardError, match="n <= 30"):
-                    ss.cnf.satisfying_assignments(wide)
+                with patch.context() as walk:
+                    walk.setattr(ss.cnf, "np", NoArrays())  # the walk's first array comes after the guard
+                    with pytest.raises(ss.GuardError, match="n <= 30"):
+                        ss.cnf.satisfying_assignments(wide)
         assert walked == []
         n = ss.cnf.MAX_ENUMERATION_N
         assert ss.build_unsat_table(ss.parse_dimacs(f"p cnf {n} 1\n1 0\n")).solutions == []
@@ -285,7 +291,7 @@ class TestUnsatTable:
             if fits:
                 assert len(ss.cnf.satisfying_assignments(formula)) == 1 << 19
             else:
-                with pytest.raises(ss.GuardError, match="physical memory"):
+                with pytest.raises(ss.GuardError, match=f"solutions exceed the {capacity} that fit"):
                     ss.cnf.satisfying_assignments(formula)
         # room for two solutions: the table keeps two, whatever the count;
         # the clause tables, which this memory does not bound, take 1 byte
@@ -614,7 +620,7 @@ class TestReadDimacs:
         monkeypatch.setattr(ss.cnf.os, "sysconf", pages.__getitem__)
         assert read_bytes_as_dimacs(data) == ss.parse_dimacs(TOY_DIMACS)
         monkeypatch.setattr(ss.cnf, "parse_dimacs", mock.Mock(side_effect=AssertionError("parsed")))
-        with pytest.raises(ss.GuardError, match=f"over {len(data)} bytes"):
+        with pytest.raises(ss.GuardError, match=f"{len(data) + 1} bytes of the file exceed the {len(data)} that fit"):
             read_bytes_as_dimacs(data + b"\n")
 
     @given(

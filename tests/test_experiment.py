@@ -232,9 +232,10 @@ class TestCurveGuard:
         classes = ss.PhaseProfile.from_histogram(2, [1, 2, 1])
         assert ss.success_curve(classes, rows - 1).shape == (rows, 3)
         assert ss.run_grover_baseline(4, rows - 1).shape == (rows, 2)
-        with pytest.raises(ss.GuardError, match="physical memory"):
+        refused = f"{rows + 1} curve rows exceed the {rows} that fit"
+        with pytest.raises(ss.GuardError, match=refused):
             ss.success_curve(classes, rows)
-        with pytest.raises(ss.GuardError, match="physical memory"):
+        with pytest.raises(ss.GuardError, match=refused):
             ss.run_grover_baseline(4, rows)
 
 

@@ -55,10 +55,10 @@ IMPORTS = {
 }
 
 # the names generate takes from cnf: the random family's survivors come from
-# the solutions-only walk, not from the histogram table
+# the solutions-only walk, not from the histogram table, and its guards are cnf's
 GENERATE_FROM_CNF = [
-    "Clause", "CnfFormula", "GuardError", "InstanceError", "MAX_ENUMERATION_N", "MAX_INDEX_N",
-    "memory_capacity", "satisfying_assignments", "violation_mask",
+    "Clause", "CnfFormula", "GuardError", "InstanceError", "MAX_INDEX_N",
+    "check_enumeration", "check_fits", "satisfying_assignments", "violation_mask",
 ]
 
 SOURCES = {path.stem: ast.parse(path.read_text()) for path in Path(ss.__file__).parent.glob("*.py")}
@@ -104,16 +104,24 @@ def test_generate_imports_pinned():
     assert names == GENERATE_FROM_CNF
 
 
-def test_only_cnf_walks_the_assignments():
-    def references(tree):
-        return any(
-            getattr(node, "id", None) == "violation_blocks"
-            or getattr(node, "attr", None) == "violation_blocks"
-            or (isinstance(node, ast.alias) and node.name == "violation_blocks")
-            for node in ast.walk(tree)
-        )
+def identifiers(node):
+    """The identifiers ``node`` holds: names, attributes, imported aliases and definitions."""
+    return {getattr(part, key, None) for part in ast.walk(node) for key in ("id", "attr", "name")} - {None}
 
-    assert [name for name, tree in SOURCES.items() if references(tree)] == ["cnf"]
+
+def test_only_cnf_walks_the_assignments():
+    assert [name for name, tree in SOURCES.items() if "violation_blocks" in identifiers(tree)] == ["cnf"]
+
+
+def test_guards_in_one_place():
+    """Only cnf sizes memory or compares with the enumeration limit: every other module calls its two checks."""
+    sizers = [name for name, tree in SOURCES.items() if "memory_capacity" in identifiers(tree)]
+    limiters = [
+        name
+        for name, tree in SOURCES.items()
+        if any(isinstance(node, ast.Compare) and "MAX_ENUMERATION_N" in identifiers(node) for node in ast.walk(tree))
+    ]
+    assert (sizers, limiters) == (["cnf"], ["cnf"])
 
 
 def test_only_cli_turns_files_into_tables():

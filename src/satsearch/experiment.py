@@ -32,7 +32,7 @@ fails ``cnf.check_fits`` at ``CURVE_ROW_BYTES`` a row before it is allocated.
 
 The whole run report is assembled here: ``RunReport.to_json_dict`` fixes the
 key order, derives ``cost``, passes the curves as arrays for the CLI's writer
-to format row by row, and writes ``repeat_stats`` as
+to stream in blocks of rows, and writes ``repeat_stats`` as
 ``repeat_until_success_stats`` returns it (stable key order, full-precision
 floats).  No clock is read: identical configurations give byte-identical
 reports.  The sampling draw is numpy's binomial algorithm in plain Python on
@@ -57,11 +57,13 @@ from .cnf import MAX_ENUMERATION_N, InstanceError, UnsatTable, check_fits
 from .spectral import SpectralSummary, spectral_summary
 from .statevector import PhaseProfile, search_step, state_snapshot
 
-# Peak bytes per curve row: tracemalloc's peak over run_sweep plus the output
-# text, toy instance, q_max 10**5 and 4 * 10**5, is about 300 for JSON and 285
-# for CSV.  The sweep's own 16 bytes a row of recorded amplitudes are freed
-# before the text is built, so they do not reach that peak.  The guard takes
-# 590 for every curve, Grover's included, which leaves room above both.
+# Peak bytes per curve row: tracemalloc's peak over run_sweep plus the streamed
+# write of its report, toy instance, q_max 10**5 and 4 * 10**5, is about 56
+# for JSON and for CSV: the sweep's 16 bytes a row of recorded amplitudes, the
+# 24-byte rows and the read-out's temporaries.  The write streams blocks of
+# ``cli.BLOCK_ROWS`` rows, so its own peak (about 0.4 MiB) does not grow with
+# the curve.  The guard takes 590 for every curve, Grover's included, which
+# leaves room above both.
 CURVE_ROW_BYTES = 590
 
 

@@ -24,8 +24,9 @@ real and the same on both branches, so each factor maps a state (a, conj a)
 to another one.  On such a state s.(a, conj a) = 2 s.Re(a) is real, so the
 reflection changes real parts only.  The step is therefore real-linear, not
 complex-linear, and ``search_step`` computes no branch-1 amplitude and no
-imaginary part of the sum.  Its sum over the axis is one ``np.dot``, as
-``spectral``'s lambda2 is.  The solution amplitude a_(0,0) stays real, its
+imaginary part of the sum.  Its sum over the axis is one BLAS dot,
+``axis.dot``, as ``spectral``'s lambda2 is, and its scale 2/N is derived
+once per profile.  The solution amplitude a_(0,0) stays real, its
 imaginary part exactly 0.0: the u = 0 phase is exactly 1+0j, and the
 reflection writes real parts only.  The two-branch kernel, the per-assignment
 profile, its fold and lift, and the other per-assignment oracles live in
@@ -60,10 +61,11 @@ class PhaseProfile:
     """Violation counts with multiplicities plus clause count; caches derived vectors.
 
     Entry k stands for ``weights[k]`` assignments.  ``total`` is N, the
-    assignments the entries stand for, and ``size`` the number of entries,
+    assignments the entries stand for, ``size`` the number of entries,
     which is also the number of amplitudes a state holds: one per entry, on
-    branch 0.  Both are computed once, and ``phases`` and ``axis`` on first
-    read, so that ``search_step`` derives nothing per call.
+    branch 0, and ``scale`` the reflection's 2/N.  All three are derived
+    once, and ``phases`` and ``axis`` on first read, so that ``search_step``
+    derives nothing per call.
     """
 
     m: int
@@ -71,6 +73,7 @@ class PhaseProfile:
     weights: np.ndarray
     total: int = field(init=False, repr=False, compare=False)
     size: int = field(init=False, repr=False, compare=False)
+    scale: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.m < 1:
@@ -81,6 +84,7 @@ class PhaseProfile:
             raise ValueError("weights must be positive, one per violation count")
         self.total = int(self.weights.sum())
         self.size = int(self.u.shape[0])
+        self.scale = 2.0 / self.total
 
     @classmethod
     def from_histogram(cls, m: int, histogram) -> "PhaseProfile":
@@ -118,14 +122,16 @@ def search_step(state: np.ndarray, profile: PhaseProfile) -> np.ndarray:
 
     ``state`` holds a_(0,u), and branch 1 is its conjugate, so the reflection
     changes real parts only.  With the axis r = sqrt(weight) = sqrt(2N) * s,
-    2s(s.(out, conj out)) on branch 0 is r(r.Re(out)) * 2/N.
+    2s(s.(out, conj out)) on branch 0 is r(r.Re(out) * 2/N), with 2/N read
+    from ``profile.scale``, derived once.  Returns a new array; ``state`` is
+    not written.
     """
     if state.shape[0] != profile.size:  # checked inline: one call fewer per step
         _check_dimension(state, profile.size)
     out = state * profile.phases
     real = out.real
     axis = profile.axis
-    real -= axis * (np.dot(axis, real) * (2.0 / profile.total))
+    real -= axis * (axis.dot(real) * profile.scale)
     return out
 
 

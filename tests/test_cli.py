@@ -4,6 +4,7 @@ import json
 import math
 import os
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import satsearch as ss
-from satsearch.cli import _json_text, build_parser, main
+from satsearch.cli import _curve_csv, _emit, _json_text, build_parser, main
 
 from conftest import TOY_DIMACS, counter_formula, enumeration_walkers
 from oracles import lift_snapshot
@@ -600,6 +601,31 @@ CURVE_ARRAYS = arrays(
     elements=st.floats(allow_nan=False, allow_infinity=False),
 )
 
+# columns 1 and 2 bit-identical, as p_marginal and p_overlap are
+EQUAL_COLUMNS = np.array([[0.0, 0.1, 0.1], [1.0, 5e-324, 5e-324], [2.0, -0.0, -0.0], [3.0, 1e308, 1e308]])
+# columns 1 and 2 equal as numbers, differing only in the sign of zero
+SIGNED_ZEROS = np.array([[0.0, 0.0, -0.0], [1.0, 0.5, 0.5], [2.0, -0.0, 0.0]])
+
+
+def longer_than_a_block():
+    """Rows (q, p, p) past two blocks of ``BLOCK_ROWS``, columns 1 and 2 parting in the sign of zero in the last one."""
+    rows = 2 * ss.cli.BLOCK_ROWS + 5
+    curve = np.empty((rows, 3))
+    curve[:, 0] = np.arange(rows)
+    curve[:, 1] = curve[:, 2] = np.sin(np.arange(rows) / 97.0) ** 2
+    curve[-3:, 1], curve[-3:, 2] = 0.0, -0.0
+    return curve
+
+
+def streamed(write, *args):
+    """The whole text of a writer's pieces, at the real block size and at blocks of 2 and 3 rows."""
+    texts = set()
+    for rows in (ss.cli.BLOCK_ROWS, 2, 3):
+        with mock.patch.object(ss.cli, "BLOCK_ROWS", rows):
+            texts.add("".join(write(*args)))
+    (text,) = texts
+    return text
+
 
 class TestJsonText:
     """``_json_text`` writes 2-D arrays as ``json.dumps`` writes their lists of rows, column 0 as ints."""
@@ -617,13 +643,27 @@ class TestJsonText:
     @example(np.array([[0.0, 0.5, 0.25]]))
     @example(np.array([[-0.0, -0.0], [3.0, 5e-324], [1e308, 2.2250738585072014e-308 / 7], [2.0**53, 4.0]]))
     @example(np.array([[7.0, 1.0, -2.0], [8.0, 1e308, -1e-320]]))
+    @example(EQUAL_COLUMNS)
+    @example(SIGNED_ZEROS)
+    @example(longer_than_a_block())
     def test_bytes_match_json_dumps(self, array):
         payload = {"version": "0.1.0", "curve": array, "nested": {"rows": [[1, 0.5]], "none": None}, "empty": []}
-        assert _json_text(payload) == self.json_dumps(payload)
+        assert streamed(_json_text, payload) == self.json_dumps(payload)
+
+    @settings(max_examples=200, deadline=None)
+    @given(CURVE_ARRAYS)
+    @example(EQUAL_COLUMNS)
+    @example(SIGNED_ZEROS)
+    @example(longer_than_a_block())
+    def test_csv_matches_row_format(self, array):
+        template = ",".join(["%d"] + ["%r"] * (array.shape[1] - 1))
+        expected = "".join(["q,a,b\n", *(template % tuple(row) + "\n" for row in array.tolist())])
+        assert streamed(_curve_csv, "q,a,b", array) == expected
 
     def test_empty_array(self):
         payload = {"curve": np.empty((0, 3)), "grover_curve": None}
-        assert _json_text(payload) == self.json_dumps(payload)
+        assert "".join(_json_text(payload)) == self.json_dumps(payload)
+        assert "".join(_curve_csv("q,a,b", np.empty((0, 3)))) == "q,a,b\n"
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("column", [0, 2])
@@ -632,6 +672,20 @@ class TestJsonText:
         array[1, column] = value
         with pytest.raises(ValueError, match="not JSON compliant"):
             _json_text({"curve": array})
+
+    @pytest.mark.parametrize("refused", ["curve", "value"])
+    def test_refused_report_leaves_output(self, refused, tmp_path):
+        """A non-finite array or value raises before the output is opened, so an existing file keeps its bytes."""
+        out = tmp_path / "report.json"
+        out.write_bytes(b"an earlier report\n")
+        payload = {"curve": np.ones((2 * ss.cli.BLOCK_ROWS, 3)), "p": 0.5}
+        if refused == "curve":
+            payload["curve"][-1, 1] = math.nan
+        else:
+            payload["p"] = math.nan
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            _emit(_json_text(payload), str(out))
+        assert out.read_bytes() == b"an earlier report\n"
 
 
 class TestParser:

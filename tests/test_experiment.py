@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 import satsearch as ss
-from satsearch.cli import _json_text
-from satsearch.cli import _curve_csv
+from satsearch.cli import _curve_csv, _emit, _json_text
 from satsearch.experiment import _binomial, _draw_binomial, _solution_probability
 
 from oracles import all_violated, fold_classes, grover_closed_form, grover_step, lifted_marginal
@@ -141,7 +140,7 @@ class TestRunSweep:
     def test_deterministic_json(self):
         a = ss.run_sweep(planted_table(9, 12, 2), config(q_max=40))
         b = ss.run_sweep(planted_table(9, 12, 2, threads=2), config(q_max=40))
-        assert _json_text(a.to_json_dict()) == _json_text(b.to_json_dict())
+        assert "".join(_json_text(a.to_json_dict())) == "".join(_json_text(b.to_json_dict()))
 
     def test_hand_built_table_runs_as_enumerated(self):
         """A table that no enumeration built gives the bytes of the enumerated one."""
@@ -154,14 +153,13 @@ class TestRunSweep:
         for table in (ss.UnsatTable(12, formula.m, histogram, [r]), ss.build_unsat_table(formula)):
             report = ss.run_sweep(table, config(include_grover=True), snapshot=True)
             report.repeat_stats = ss.repeat_until_success_stats(table, 1000, 3)
-            outputs.append(
-                (_json_text(report.to_json_dict()), _json_text(report.snapshot), _json_text(table.to_json_dict()))
-            )
+            documents = (report.to_json_dict(), report.snapshot, table.to_json_dict())
+            outputs.append(tuple("".join(_json_text(document)) for document in documents))
         assert outputs[0] == outputs[1]
 
     def test_csv_format(self):
         report = ss.run_sweep(planted_table(8, 10, 1), config(q_max=10))
-        lines = _curve_csv("q,p_marginal,p_overlap", report.curve).strip().split("\n")
+        lines = "".join(_curve_csv("q,p_marginal,p_overlap", report.curve)).strip().split("\n")
         assert lines[0] == "q,p_marginal,p_overlap"
         assert len(lines) == 12
         q, pm, po = lines[1].split(",")
@@ -237,6 +235,17 @@ class TestCurveGuard:
             ss.success_curve(classes, rows)
         with pytest.raises(ss.GuardError, match=refused):
             ss.run_grover_baseline(4, rows)
+
+    def test_streamed_write_peak_is_flat(self, tmp_path):
+        """Writing a q_max = 4 * 10**5 curve, 31 MB of JSON, peaks under 1 MiB: the write streams blocks of rows."""
+        q_max = 4 * 10**5
+        curve = np.empty((q_max + 1, 3))
+        curve[:, 0] = np.arange(q_max + 1)
+        curve[:, 1] = curve[:, 2] = np.sin(np.arange(q_max + 1) / 997.0) ** 2
+        out = tmp_path / "report.json"
+        peak = traced_peak(lambda: _emit(_json_text({"curve": curve}), str(out)))
+        assert out.stat().st_size > 60 * q_max
+        assert peak < 1 << 20
 
 
 class TestSampling:

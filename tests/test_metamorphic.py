@@ -5,9 +5,10 @@ n (Chen, Cheung and Yiu, HKUST-CS98-01 (1998); Segura et al., IEEE TSE 42,
 805 (2016)).  Relabelling runs at the real ``cnf.BLOCK_BITS``, n = 18-22,
 where the scalar oracle is too slow: permuting the variables and flipping
 literals moves clauses between a block's decided top bits and its product,
-so the same histogram has to come out of other pruning paths.  Writing each
-clause twice doubles every violation count and leaves every phase pi*u/m as
-it was, so the dynamics and the spectrum must not move.
+so the same histogram has to come out of other pruning paths; writing the
+relabelled formula as DIMACS and parsing it again must not move it either.
+Writing each clause twice doubles every violation count and leaves every
+phase pi*u/m as it was, so the dynamics and the spectrum must not move.
 """
 
 import numpy as np
@@ -44,15 +45,25 @@ def doubled(formula: ss.CnfFormula) -> ss.CnfFormula:
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("n", [18, 20, 22])
 def test_relabelled_enumeration(n, seed):
-    """A permutation, a flip mask and reversed clauses give the same histogram and the mapped solution."""
+    """A permutation, a flip mask and reversed clauses give the same histogram and the mapped solution.
+
+    Writing the relabelled formula as DIMACS and parsing it again gives it
+    back clause for clause, and its table is the image's.
+    """
     formula = ss.generate_planted_3sat(n, 5 * n, seed)
     rng = np.random.default_rng(1000 + seed)
     sigma = [int(k) for k in rng.permutation(n)]
     flips = int(rng.integers(0, 1 << n))
+    relabelled = relabel(formula, sigma, flips)
     table = ss.build_unsat_table(formula)
-    image = ss.build_unsat_table(relabel(formula, sigma, flips))
+    image = ss.build_unsat_table(relabelled)
     assert np.array_equal(image.histogram, table.histogram)
     assert image.unique_solution() == moved(table.unique_solution(), sigma, flips)
+
+    reparsed = ss.parse_dimacs(ss.serialize_dimacs(relabelled, comments=[f"seed {seed}"]))
+    assert reparsed.n == relabelled.n
+    assert reparsed.clauses == relabelled.clauses
+    assert ss.build_unsat_table(reparsed).to_json_dict() == image.to_json_dict()
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -16,13 +16,13 @@ the first two solutions; ``satisfying_assignments`` lists every solution, for
 the planted generator, which reads nothing else.  Their oracles, the scalar
 count and the per-assignment counts, live in ``tests/oracles.py``.  They are
 deliberately the only solvers in the package, and exhaustive.  Every guard of
-the package is one of two calls here: ``check_enumeration`` refuses n above
-``MAX_ENUMERATION_N``, and ``check_fits`` refuses a count of items that would
-not fit in physical memory, at the item's measured peak bytes; ``GuardError``
-says what they bound and what they do not.  Both solvers rest on one fact, as
-does every test of a clause: an OR-clause is violated on exactly the indices i
-with i & ``Clause.care`` == ``Clause.value``, the bits of its variables and of
-its negated literals.
+the package is one of three calls here: ``check_enumeration`` refuses n above
+``MAX_ENUMERATION_N``, ``check_index`` n above ``MAX_INDEX_N``, and
+``check_fits`` a count of items that would not fit in physical memory, at the
+item's measured peak bytes; ``GuardError`` says what they bound and what they
+do not.  Both solvers rest on one fact, as does every test of a clause: an
+OR-clause is violated on exactly the indices i with i & ``Clause.care`` ==
+``Clause.value``, the bits of its variables and of its negated literals.
 
 An ``UnsatTable`` is four facts, n, m, the histogram and those first
 solutions, and holds no formula: any source may build one, and
@@ -35,22 +35,24 @@ clause with a true literal there is satisfied on the whole block and drops
 out of it, and the counts of the rest, laid out as a (middle, low) matrix,
 are one 0/1 matrix product, mids.T (middle x clause) @ lows (clause x low),
 over the clauses left.  Both tables depend only on the formula and are built
-once per call.  A block is counted in the smallest unsigned dtype that holds
+once per table.  A block is counted in the smallest unsigned dtype that holds
 m and kept only as its histogram, where ``np.bincount``'s intp copy of the
 counts is made, and its first zeros; so the memory used does not grow with
-2**n.  ``violation_blocks``, the block product, alone knows the block layout,
-and the table is its only reader in the package.  The blocks are split into
-one contiguous run per worker: the calling thread walks run 0 and one started
-thread each of the others, so one run starts no thread, and every run's
-walker is set up at the call, on the caller's thread.  The table takes one
-worker per ``MIN_BLOCKS_PER_WORKER`` blocks, at most the CPUs of the process's
-affinity mask, so a small table stays on the calling thread.  A block's
-product is too small to share: with the BLAS thread variables unset, OpenBLAS
-spread it over the cores the worker threads use, and at n = 30 two workers
-took 5.3 s against 4.8 s for one (2 vCPUs, numpy 2.4).  So the walk holds the OpenBLAS that numpy
-loaded at one thread, through ``ctypes``, and then restores the count it
-found; where numpy's BLAS is another, whose threads it cannot set, it keeps
-one worker.
+2**n.  ``violation_blocks``, the block counter, alone knows the block layout,
+and the table is its only reader in the package.  Every worker shares that
+one counter and takes every w-th block, worker k blocks k, k + w, ...: the
+calling thread is worker 0 and a started thread each of the others, so one
+worker starts no thread.  Each worker keeps its own histogram and its first
+two solutions; their sum and the two smallest of them do not depend on which
+worker saw which block.  The table takes one worker per
+``MIN_BLOCKS_PER_WORKER`` blocks, at most the CPUs of the process's affinity
+mask, so a small table stays on the calling thread.  A block's product is too
+small to share: with the BLAS thread variables unset, OpenBLAS spread it over
+the cores the worker threads use, and at n = 30 two workers took 5.3 s
+against 4.8 s for one (2 vCPUs, numpy 2.4).  So the table holds the OpenBLAS
+that numpy loaded at one thread, through ``ctypes``, and then restores the
+count it found; where numpy's BLAS is another, whose threads it cannot set,
+it keeps one worker.
 
 The solutions need no counts, so ``satisfying_assignments`` walks bit
 prefixes from x_n down instead (Davis, Logemann and Loveland, CACM 5, 394
@@ -76,7 +78,7 @@ import re
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cache, cached_property, partial
+from functools import cache, cached_property
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -94,9 +96,9 @@ MAX_ENUMERATION_N = 30
 # Assignments per enumeration block: 2**BLOCK_BITS.  Smaller blocks pay numpy's
 # per-call overhead on more, smaller products; larger ones fix fewer top bits,
 # so fewer clauses drop out of each block's product, and hold more memory: the
-# float product and the intp copy np.bincount makes.  The per-call tables hold
-# (m x 2**(BLOCK_BITS/2)) floats each.  The prefix walk extends at most as
-# many prefixes at a time.
+# float product and the intp copy np.bincount makes.  The clause tables, built
+# once per table, hold (m x 2**(BLOCK_BITS/2)) floats each.  The prefix walk
+# extends at most as many prefixes at a time.
 BLOCK_BITS = 16
 
 # Fewest blocks per worker for which build_unsat_table, left to choose,
@@ -109,8 +111,9 @@ BLOCK_BITS = 16
 # about 1 MiB of resident memory.
 MIN_BLOCKS_PER_WORKER = 8
 
-# Largest n the block kernel can index: its masks and indices are int64.
-# MAX_ENUMERATION_N <= MAX_INDEX_N, so the table needs no check of its own.
+# Largest n the block kernel and the generators can index: their masks and
+# indices are int64.  MAX_ENUMERATION_N <= MAX_INDEX_N, so the table needs no
+# check_index of its own.
 MAX_INDEX_N = 62
 
 # Peak bytes per solution of satisfying_assignments: tracemalloc's peak over
@@ -128,12 +131,16 @@ SOLUTION_BYTES = 160
 # largest.
 DIMACS_BYTES = 140
 
-# Peak bytes per clause per worker of build_unsat_table, whose every worker
-# builds its own clause tables: tracemalloc's peak over files of m = 2e4 and
-# 5e4 clauses, each `1 0` or three random literals, at n = 16 (one worker)
-# and n = 20 (one and two), is 3.8 to 4.3 KB per clause per worker with the
-# float32 product, and 7.2 to 8.3 KB with the float64 one that m >= 2**24
-# takes.  The guard takes 17000, more than twice the largest.
+# Peak bytes per clause per worker of build_unsat_table.  The clause tables
+# are built once per table, through int64 and bool (m x 2**(BLOCK_BITS/2))
+# temporaries, and what each worker adds is its block's mids[active] and
+# lows[active] gather.  tracemalloc's peak over files of m = 2e4 and 5e4
+# clauses, each `1 0` or three random literals, at n = 16 (one worker) and
+# n = 20 (one and two), is 3.8 to 4.3 KB per clause on one worker and 2.6 to
+# 3.1 KB per clause per worker on two with the float32 product, and 7.3 to
+# 8.4 KB and 5.2 to 6.2 KB with the float64 one that m >= 2**24 takes.  The
+# one-worker peak, the tables' build, is the largest; the guard takes 17000,
+# more than twice it.
 TABLE_BYTES = 17000
 
 # Most characters of an input line or token that a DIMACS error message echoes.
@@ -171,9 +178,10 @@ class InstanceError(ValueError):
 class GuardError(RuntimeError):
     """A request too large for this machine, refused before the work it would start.
 
-    Raised only by ``check_enumeration``, ``check_fits`` and the generators'
-    int64 index check (n <= ``MAX_INDEX_N``).  The guards bound two things:
-    n <= ``MAX_ENUMERATION_N`` for every enumeration, and the bytes of what
+    Raised only by ``check_enumeration``, ``check_fits`` and ``check_index``.
+    The guards bound three things: n <= ``MAX_ENUMERATION_N`` for every
+    enumeration, n <= ``MAX_INDEX_N`` for the generators, which index
+    assignments in int64 and need not enumerate, and the bytes of what
     grows with the input (the file, the solution list, the clause tables,
     the initial clauses and the curve rows) against physical memory.  They
     do not bound time.  Two costs have no guard:
@@ -199,6 +207,12 @@ def check_enumeration(n: int) -> None:
     """Raise ``GuardError`` when n > ``MAX_ENUMERATION_N``."""
     if n > MAX_ENUMERATION_N:
         raise GuardError(f"enumeration over 2**{n} assignments exceeds the limit n <= {MAX_ENUMERATION_N}")
+
+
+def check_index(n: int, what: str) -> None:
+    """Raise ``GuardError`` when n > ``MAX_INDEX_N``: ``what`` indexes assignments in int64."""
+    if n > MAX_INDEX_N:
+        raise GuardError(f"{what} indexes assignments in int64: needs n <= {MAX_INDEX_N}, got n={n}")
 
 
 @dataclass(frozen=True)
@@ -458,8 +472,8 @@ def _product_dtype(m: int) -> type:
     return np.float32 if m < 1 << 24 else np.float64
 
 
-def violation_blocks(formula: CnfFormula, tops: range | None = None) -> Iterator[Block]:
-    """Iterator of (first index, counts) over the blocks ``tops``, all by default, in order.
+def violation_blocks(formula: CnfFormula) -> Callable[[int], Block]:
+    """The block counter of ``formula``: block ``top`` -> (first index, counts).
 
     A block's index bits are split into a low half, a middle half and the
     bits above the block, fixed to its ``top``.  As a (middle, low) matrix
@@ -469,10 +483,11 @@ def violation_blocks(formula: CnfFormula, tops: range | None = None) -> Iterator
     clause is satisfied on the whole block and adds nothing, and a block
     with no clause left counts all zeros.  Every term is 0 or 1 and every
     sum at most m, so the product is exact in ``_product_dtype(m)``.
-    ``mids`` and ``lows`` depend only on the formula and are built at the
-    call; only the products wait for the iterator.  The counts come in the
-    smallest unsigned dtype that holds m: uint8 while m < 256, then uint16,
-    then uint32.
+    ``mids``, ``lows`` and the top-bit masks depend only on the formula and
+    are built here, once, on the calling thread; the counter only reads
+    them, so any number of threads may share it, each calling it for its
+    own blocks.  The counts come in the smallest unsigned dtype that holds
+    m: uint8 while m < 256, then uint16, then uint32.
     """
     bits = min(formula.n, BLOCK_BITS)
     low_bits = bits // 2
@@ -497,11 +512,11 @@ def violation_blocks(formula: CnfFormula, tops: range | None = None) -> Iterator
         active = np.flatnonzero((top & care_top) == value_top)
         return top << bits, (mids[active].T @ lows[active]).astype(counts_dtype).reshape(-1)
 
-    return map(block, _blocks(formula) if tops is None else tops)
+    return block
 
 
 def _run_summary(m: int, blocks: Iterator[Block]) -> tuple[np.ndarray, list[int]]:
-    """Summed histogram and first two zero-violation indices of ``violation_blocks``' blocks, in order."""
+    """Summed histogram and first two zero-violation indices of blocks given in increasing order."""
     histogram = np.zeros(m + 1, dtype=np.int64)
     solutions: list[int] = []
     for first, counts in blocks:
@@ -568,39 +583,25 @@ def _one_blas_thread(blas: _BlasThreads | None) -> Iterator[None]:
             put(found)
 
 
-class _Run(threading.Thread):
-    """One run of blocks, read on its own thread; ``summary()`` joins it and returns or raises what the read did."""
+def build_unsat_table(formula: CnfFormula, threads: int | None = None) -> UnsatTable:
+    """Exhaustively enumerate all 2**n assignments.
 
-    def __init__(self, read: Callable, walker: Iterator[Block]) -> None:
-        super().__init__()
-        self._read, self._walker = read, walker
-        self._outcome: tuple | None = None
-
-    def run(self) -> None:
-        try:
-            self._outcome = (self._read(self._walker), None)
-        except BaseException as exc:  # handed to the calling thread by summary()
-            self._outcome = (None, exc)
-
-    def summary(self) -> tuple[np.ndarray, list[int]]:
-        self.join()
-        value, error = self._outcome
-        if error is not None:
-            raise error
-        return value
-
-
-def _walk_runs(formula: CnfFormula, threads: int | None) -> list[tuple[np.ndarray, list[int]]]:
-    """``_run_summary`` of each contiguous run of blocks, in block order.
-
-    The blocks are split into one run per worker, as many as
-    ``build_unsat_table`` says.  The calling thread reads run 0 and one
-    started thread each of the others, so one run starts no thread, and
-    OpenBLAS runs each product on one thread until every run is read.  A
-    worker's exception is raised again on the calling thread.  Fails
-    ``check_enumeration`` before any block is walked, and ``check_fits`` for
-    the m clauses at ``TABLE_BYTES`` on each of the runs' workers before any
-    clause table is built.
+    The assignments are split into blocks of 2**BLOCK_BITS (a single block
+    when n <= BLOCK_BITS) whatever the worker count.  By default there is
+    one worker per ``MIN_BLOCKS_PER_WORKER`` blocks, at least one and at
+    most the CPUs this process may run on, and a single worker where
+    numpy's BLAS is not OpenBLAS; ``threads`` sets the count instead, still
+    at most the CPUs and the blocks.  With w workers, worker k counts blocks
+    k, k + w, k + 2w, ... through the one counter ``violation_blocks``
+    builds on the calling thread.  The calling thread is worker 0 and each
+    other worker a started thread, so one worker starts no thread.  OpenBLAS
+    is held at one thread until every worker has finished, and its count
+    then restored.  A worker's exception is raised on the calling thread
+    once every worker has joined.  The histograms are summed as integers
+    and the two smallest of all the workers' solutions kept, so the result
+    is identical for every worker count.  Fails ``check_enumeration``
+    before any block is walked, and ``check_fits`` for m clauses at
+    ``TABLE_BYTES`` per worker before any clause table is built.
     """
     check_enumeration(formula.n)
     if threads is not None and threads < 1:
@@ -609,47 +610,33 @@ def _walk_runs(formula: CnfFormula, threads: int | None) -> list[tuple[np.ndarra
     blocks = _blocks(formula)
     if threads is None:
         threads = len(blocks) // MIN_BLOCKS_PER_WORKER if blas else 1
-    workers = max(1, min(threads, _cpus()))
-    cuts = [k * len(blocks) // workers for k in range(workers + 1)]
-    runs = [blocks[start:stop] for start, stop in zip(cuts, cuts[1:]) if start < stop]
-    check_fits(formula.m, TABLE_BYTES * len(runs), f"clauses on {len(runs)} workers")
-    first, *others = [violation_blocks(formula, run) for run in runs]
-    read = partial(_run_summary, formula.m)
-    with _one_blas_thread(blas):
-        started: list[_Run] = []
+    workers = max(1, min(threads, _cpus(), len(blocks)))
+    check_fits(formula.m, TABLE_BYTES * workers, f"clauses on {workers} workers")
+    count = violation_blocks(formula)
+    outcomes: list = [None] * workers  # each worker's summary, or its exception
+
+    def walk(k: int) -> None:
         try:
-            for walker in others:
-                run = _Run(read, walker)
-                run.start()
-                started.append(run)
-            summaries = [read(first)]
+            outcomes[k] = _run_summary(formula.m, map(count, blocks[k::workers]))
+        except BaseException as exc:  # raised again on the calling thread
+            outcomes[k] = exc
+
+    with _one_blas_thread(blas):
+        started: list[threading.Thread] = []
+        try:
+            for k in range(1, workers):
+                thread = threading.Thread(target=walk, args=(k,))
+                thread.start()
+                started.append(thread)
+            walk(0)
         finally:
-            for run in started:
-                run.join()
-        return summaries + [run.summary() for run in started]
-
-
-def build_unsat_table(formula: CnfFormula, threads: int | None = None) -> UnsatTable:
-    """Exhaustively enumerate all 2**n assignments.
-
-    The assignments are split into blocks of 2**BLOCK_BITS (a single block
-    when n <= BLOCK_BITS) whatever the worker count, and each worker counts
-    one contiguous run of them.  By default there is one worker per
-    ``MIN_BLOCKS_PER_WORKER`` blocks, at least one and at most the CPUs this
-    process may run on, and a single worker where numpy's BLAS is not
-    OpenBLAS; ``threads`` sets the count instead, still at most the CPUs.
-    OpenBLAS is held at one thread during the walk and its count then
-    restored.  The runs' histograms are summed as integers and the first two
-    of their solutions kept in block order, so the result is identical for
-    every worker count.  Fails ``check_enumeration`` before any block is
-    walked, and ``check_fits`` for m clauses at ``TABLE_BYTES`` per worker
-    before any clause table is built.
-    """
-    histogram = np.zeros(formula.m + 1, dtype=np.int64)
-    solutions: list[int] = []
-    for run_histogram, run_solutions in _walk_runs(formula, threads):
-        histogram += run_histogram
-        solutions = (solutions + run_solutions)[:2]
+            for thread in started:
+                thread.join()
+    for outcome in outcomes:
+        if isinstance(outcome, BaseException):
+            raise outcome
+    histogram = sum(part for part, _ in outcomes)
+    solutions = sorted(index for _, first in outcomes for index in first)[:2]
     return UnsatTable(formula.n, formula.m, histogram, solutions)
 
 

@@ -4,7 +4,7 @@ Three families, all deterministic for a given seed and all with exactly one
 satisfying assignment.  Only the random family enumerates to get there; the
 chain and block families are unique by construction (the tests confirm it by
 enumeration), so ``cnf.MAX_ENUMERATION_N`` does not bound them; they only need
-n <= ``cnf.MAX_INDEX_N``:
+n <= ``cnf.MAX_INDEX_N``, which every family takes from ``cnf.check_index``:
 
 * ``generate_planted_3sat`` draws random 3-literal clauses satisfied by a
   hidden assignment, lists the assignments that survive them with
@@ -41,11 +41,10 @@ import numpy as np
 from .cnf import (
     Clause,
     CnfFormula,
-    GuardError,
     InstanceError,
-    MAX_INDEX_N,
     check_enumeration,
     check_fits,
+    check_index,
     satisfying_assignments,
     violation_mask,
 )
@@ -91,10 +90,7 @@ def _separating_clause(rng: np.random.Generator, n: int, planted: int, survivor:
 def _check_bounds(n: int, minimum: int, family: str) -> None:
     if n < minimum:
         raise InstanceError(f"{family} generation needs n >= {minimum}, got n={n}")
-    if n > MAX_INDEX_N:
-        raise GuardError(
-            f"{family} generation indexes assignments in int64: needs n <= {MAX_INDEX_N}, got n={n}"
-        )
+    check_index(n, f"{family} generation")
 
 
 def generate_planted_3sat(n: int, m: int, seed: int) -> CnfFormula:

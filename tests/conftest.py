@@ -45,16 +45,16 @@ def class_profile(request):
 
 @contextmanager
 def enumeration_walkers(cpus: int):
-    """Show the enumeration ``cpus`` CPUs and 4-assignment blocks; yields the list of the runs it walks.
+    """Show the enumeration ``cpus`` CPUs and 4-assignment blocks; yields the list of the workers' block shares.
 
     With 2**(n-2) blocks, a table at n >= 9 has enough of them for a worker
     on each of up to 16 CPUs.
     """
-    runs = []
+    shares = []
     summary = ss.cnf._run_summary
 
     def walk(m, blocks):
-        runs.append(blocks)
+        shares.append(blocks)
         return summary(m, blocks)
 
     with (
@@ -62,7 +62,7 @@ def enumeration_walkers(cpus: int):
         mock.patch.object(ss.cnf, "BLOCK_BITS", 2),
         mock.patch.object(ss.cnf, "_run_summary", walk),
     ):
-        yield runs
+        yield shares
 
 
 def random_state(dim: int, seed: int) -> np.ndarray:

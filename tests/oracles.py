@@ -30,7 +30,7 @@ import math
 import numpy as np
 
 import satsearch as ss
-from satsearch.cnf import violation_blocks, violation_mask
+from satsearch.cnf import violation_mask
 from satsearch.statevector import _check_dimension
 
 MAX_EIGENCHECK_DIM = 2048
@@ -86,8 +86,16 @@ def unsat_count(formula, assignment):
 
 
 def violation_counts(formula):
-    """Violation count of every assignment, in index order: the enumeration blocks joined."""
-    return np.concatenate([block_counts for _, block_counts in violation_blocks(formula)])
+    """Violation count of every assignment, in index order, summed one clause mask at a time.
+
+    It uses none of the block kernel's layout or pruning, and comes in the
+    kernel's dtype, the smallest unsigned one that holds m.
+    """
+    indices = np.arange(formula.assignment_count)
+    counts = np.zeros(formula.assignment_count, dtype=np.min_scalar_type(formula.m))
+    for clause in formula.clauses:
+        counts += violation_mask(clause, indices)
+    return counts
 
 
 def profile_for(formula):

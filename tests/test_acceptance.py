@@ -204,14 +204,14 @@ def test_criterion_8_unitarity_and_determinism(tmp_path):
     assert abs(np.linalg.norm(full) - 1.0) <= 1e-10
     assert abs(np.linalg.norm(two_branch(state)) - 1.0) <= 1e-10
 
-    # 4-assignment blocks, 256 of them at n = 10, so that four workers each walk a run
+    # 4-assignment blocks, 256 of them at n = 10, so that four workers each count every fourth
     inst = tmp_path / "inst.cnf"
     assert main(["gen", "-n", "10", "-m", "12", "--seed", "3", "-o", str(inst)]) == 0
     formula, config = ss.read_dimacs(inst), ss.RunConfig(formula_path=str(inst), q_max=80)
-    with enumeration_walkers(4) as runs:
+    with enumeration_walkers(4) as shares:
         a = ss.run_sweep(ss.build_unsat_table(formula, threads=1), config)
         b = ss.run_sweep(ss.build_unsat_table(formula, threads=4), config)
-    assert len(runs) == 1 + 4
+    assert len(shares) == 1 + 4
     assert "".join(_json_text(a.to_json_dict())) == "".join(_json_text(b.to_json_dict()))
 
     # same through the CLI, comparing emitted bytes, with as many walkers as CPUs
@@ -219,8 +219,8 @@ def test_criterion_8_unitarity_and_determinism(tmp_path):
     outputs = []
     for cpus in (1, 4):
         outputs.append(tmp_path / f"r{cpus}.json")
-        with enumeration_walkers(cpus) as runs:
+        with enumeration_walkers(cpus) as shares:
             assert main(["run", "-f", str(inst), "--qmax", "80", "-o", str(outputs[-1])]) == 0
-        assert len(runs) == (cpus if ss.cnf._openblas() else 1)
+        assert len(shares) == (cpus if ss.cnf._openblas() else 1)
     assert outputs[0].read_bytes() == outputs[1].read_bytes()
     _verdict(8, "unitarity and determinism")

@@ -255,15 +255,15 @@ class TestRun:
         assert "timings" not in payload
 
     def test_byte_identical_across_threads(self, tmp_path):
-        # one walker against four, each over a run of the 128 4-assignment blocks
+        # one worker against four, which each count every fourth of the 128 4-assignment blocks
         inst = tmp_path / "inst.cnf"
         assert main(["gen", "-n", "9", "-m", "12", "--seed", "5", "-o", str(inst)]) == 0
         outputs = []
         for cpus in (1, 4):
             outputs.append(tmp_path / f"r{cpus}.json")
-            with enumeration_walkers(cpus) as runs:
+            with enumeration_walkers(cpus) as shares:
                 assert main(["run", "-f", str(inst), "--qmax", "60", "-o", str(outputs[-1])]) == 0
-            assert len(runs) == (cpus if ss.cnf._openblas() else 1)
+            assert len(shares) == (cpus if ss.cnf._openblas() else 1)
         assert outputs[0].read_bytes() == outputs[1].read_bytes()
 
     def test_zero_trials_takes_no_samples(self, toy_path, tmp_path):
@@ -429,7 +429,7 @@ class TestEnumerationLimit:
     """
 
     @staticmethod
-    def refuse(formula, tops=None):
+    def refuse(formula):
         raise AssertionError("a block was walked")
 
     @pytest.mark.parametrize("command", ["sweep", "run", "grover", "spectrum"])

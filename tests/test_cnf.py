@@ -21,17 +21,32 @@ from conftest import TOY_DIMACS, enumeration_walkers, formula_with_assignment, c
 from oracles import unsat_count, violation_counts
 
 
-def record_thread_starts(monkeypatch) -> list:
-    """Patch the table's worker threads to note each start in the returned list."""
-    started = []
-    start = ss.cnf._Run.start
+def record_threads(monkeypatch) -> tuple[list, list]:
+    """Patch the table's worker threads to note each start, and whether each join left the thread finished.
 
-    def record(run):
-        started.append(run)
-        start(run)
+    Returns the two lists, of started threads and of join outcomes.
+    """
+    started, finished = [], []
 
-    monkeypatch.setattr(ss.cnf._Run, "start", record)
-    return started
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+        def join(self, timeout=None):
+            super().join(timeout)
+            finished.append(not self.is_alive())
+
+    monkeypatch.setattr(ss.cnf.threading, "Thread", Recorded)
+    return started, finished
+
+
+def formula_with_solutions(n: int, solutions: set[int]) -> ss.CnfFormula:
+    """One n-literal clause violated only by each non-solution: exactly ``solutions`` satisfy it."""
+    blocking = [
+        ss.Clause(-(k + 1) if a >> k & 1 else k + 1 for k in range(n)) for a in range(1 << n) if a not in solutions
+    ]
+    return ss.CnfFormula(n, tuple(blocking))
 
 
 class TestParseDimacs:
@@ -245,9 +260,9 @@ class TestUnsatTable:
         """n = 31 and 63 are refused by both readers before any work; n = 30 is enumerated."""
         walked = []
 
-        def no_blocks(formula, tops=None):
+        def no_blocks(formula):
             walked.append(formula.n)
-            return iter(())
+            return lambda top: (top, np.zeros(0, dtype=np.uint8))
 
         def no_tables(item_bytes):
             raise AssertionError("the clause tables were sized")
@@ -270,7 +285,7 @@ class TestUnsatTable:
         assert walked == []
         n = ss.cnf.MAX_ENUMERATION_N
         assert ss.build_unsat_table(ss.parse_dimacs(f"p cnf {n} 1\n1 0\n")).solutions == []
-        assert set(walked) == {n}  # one walker per worker
+        assert walked == [n]  # one set of clause tables for every worker
         # one unit clause per variable, x_k true for odd k and false for even k
         units = "".join(f"{k if k % 2 else -k} 0\n" for k in range(1, n + 1))
         solutions = ss.cnf.satisfying_assignments(ss.parse_dimacs(f"p cnf {n} {n}\n{units}"))
@@ -282,7 +297,7 @@ class TestUnsatTable:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_solution_list_against_physical_memory(self, threads, monkeypatch):
-        """The walk lists the solutions that fit and refuses one more; the table, on w runs, needs room for two."""
+        """The walk lists the solutions that fit and refuses one more; the table, on w workers, needs room for two."""
         formula = ss.parse_dimacs("p cnf 20 1\n1 0\n")  # 2**19 solutions, 2**18 per half
         monkeypatch.setattr(ss.cnf.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         for capacity, fits in ((1 << 19, True), ((1 << 19) - 1, False)):
@@ -310,14 +325,16 @@ class TestUnsatTable:
 
     @staticmethod
     def blocked_table_matches_scalar_path(formula, bits, threads):
-        """Walker, table, counts, histogram and solutions with 2**bits-assignment blocks and prefix chunks.
+        """Counter, table, counts, histogram and solutions with 2**bits-assignment blocks and prefix chunks.
 
-        Each is checked against ``unsat_count``; the walker also on its first
-        indices and on a run of every other block.
+        Each is checked against ``unsat_count``; the counter also on its first
+        indices and on the blocks asked for in reverse order.
         """
         with mock.patch.object(ss.cnf, "BLOCK_BITS", bits):
-            blocks = list(ss.cnf.violation_blocks(formula))
-            run = list(ss.cnf.violation_blocks(formula, range(len(blocks))[1::2]))
+            count = ss.cnf.violation_blocks(formula)
+            tops = ss.cnf._blocks(formula)
+            blocks = list(map(count, tops))
+            backwards = list(map(count, reversed(tops)))
             table = ss.build_unsat_table(formula, threads=threads)
             solutions = ss.cnf.satisfying_assignments(formula)
             counts = violation_counts(formula)
@@ -325,9 +342,7 @@ class TestUnsatTable:
         size = 1 << min(formula.n, bits)
         assert [first for first, _ in blocks] == list(range(0, formula.assignment_count, size))
         assert np.concatenate([block_counts for _, block_counts in blocks]).tolist() == expected
-        assert [(first, c.tolist()) for first, c in run] == [
-            (first, c.tolist()) for first, c in blocks[1::2]
-        ]
+        assert [(first, c.tolist()) for first, c in backwards] == [(first, c.tolist()) for first, c in blocks[::-1]]
         assert counts.tolist() == expected
         assert table.histogram.tolist() == np.bincount(expected, minlength=formula.m + 1).tolist()
         assert solutions == [i for i, u in enumerate(expected) if u == 0]
@@ -356,24 +371,57 @@ class TestUnsatTable:
         self.blocked_table_matches_scalar_path(formula, bits, threads)
 
     def test_walker_set_up_at_the_call(self, monkeypatch):
-        # the set-up runs on the caller's thread, not in the pool worker that
-        # reads the blocks
+        # the clause tables are built when the counter is made, not when a block is counted
         formula = ss.generate_planted_3sat(8, 20, seed=1)
-        blocks = ss.cnf.violation_blocks(formula)
+        count = ss.cnf.violation_blocks(formula)
 
         def no_set_up(m):
-            raise AssertionError("set-up ran while the blocks were read")
+            raise AssertionError("set-up ran while the blocks were counted")
 
         monkeypatch.setattr(ss.cnf, "_product_dtype", no_set_up)
-        counts = np.concatenate([block_counts for _, block_counts in blocks])
+        counts = np.concatenate([block_counts for _, block_counts in map(count, ss.cnf._blocks(formula))])
         assert counts.tolist() == [unsat_count(formula, i) for i in range(1 << 8)]
 
+    def test_clause_tables_built_once_on_the_calling_thread(self, monkeypatch):
+        # four workers share one counter, whose tables the calling thread builds
+        set_up = []
+        product_dtype = ss.cnf._product_dtype
+
+        def record(m):
+            set_up.append(threading.get_ident())
+            return product_dtype(m)
+
+        monkeypatch.setattr(ss.cnf, "_product_dtype", record)
+        started, _ = record_threads(monkeypatch)
+        formula = ss.generate_planted_3sat(10, 40, seed=2)
+        with enumeration_walkers(4) as shares:
+            table = ss.build_unsat_table(formula, threads=4)
+        assert (len(shares), len(started)) == (4, 3)
+        assert set_up == [threading.get_ident()]
+        assert table.histogram.tolist() == np.bincount(violation_counts(formula), minlength=formula.m + 1).tolist()
+
+    # three solutions among 16 blocks of 4 assignments; on 2, 3 and 4 workers
+    # the smallest is in worker 1's share and worker 0 holds a larger one, so a
+    # merge in worker order would keep that one first.  "apart": blocks 1, 3
+    # and 4, and the two smallest are in different shares; "one-share": block
+    # 1 holds both, and block 12 the third
+    @pytest.mark.parametrize("solutions", [{5, 13, 17}, {5, 6, 49}], ids=["apart", "one-share"])
+    def test_merge_keeps_the_two_smallest(self, solutions):
+        formula = formula_with_solutions(6, solutions)
+        # every non-solution violates its one clause
+        expected = {"n": 6, "m": 61, "histogram": [3, 61] + [0] * 60, "solutions": sorted(solutions)[:2]}
+        for threads in (1, 2, 3, 4):
+            with enumeration_walkers(4) as shares:
+                table = ss.build_unsat_table(formula, threads=threads)
+            assert len(shares) == threads
+            assert table.to_json_dict() == expected
+
     def test_one_submission_per_worker(self, monkeypatch):
-        # the calling thread walks run 0, so one thread is started for the other run
-        started = record_thread_starts(monkeypatch)
+        # the calling thread is worker 0, so one thread is started for the other worker
+        started, _ = record_threads(monkeypatch)
         formula = ss.generate_planted_3sat(12, 40, seed=6)
         single = ss.build_unsat_table(formula, threads=1)
-        monkeypatch.setattr(ss.cnf.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)  # two runs
+        monkeypatch.setattr(ss.cnf.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)  # two workers
         with mock.patch.object(ss.cnf, "BLOCK_BITS", 2):  # 1024 blocks
             threaded = ss.build_unsat_table(formula, threads=2)
         assert len(started) == 2 - 1
@@ -394,7 +442,7 @@ class TestUnsatTable:
         assert counts.dtype == np.uint16 and counts.max() >= 256
 
     def test_huge_thread_count_capped_at_cpu_count(self, monkeypatch):
-        started = record_thread_starts(monkeypatch)
+        started, _ = record_threads(monkeypatch)
         formula = ss.generate_planted_3sat(6, 12, seed=2)
         # the CPUs the process may run on, not every CPU the machine has
         monkeypatch.setattr(ss.cnf.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
@@ -402,7 +450,7 @@ class TestUnsatTable:
         with mock.patch.object(ss.cnf, "BLOCK_BITS", 2):  # 16 blocks
             huge = ss.build_unsat_table(formula, threads=1 << 20)
             single = ss.build_unsat_table(formula, threads=1)
-        # three runs, the calling thread's and two started threads; one run starts no thread
+        # three workers, the calling thread and two started threads; one worker starts no thread
         assert len(started) == 3 - 1
         assert np.array_equal(huge.histogram, single.histogram)
         assert huge.solutions == single.solutions
@@ -467,25 +515,26 @@ class TestEnumerationWorkers:
     @pytest.mark.parametrize("n, workers", [(3, 1), (4, 1), (5, 2), (6, 4), (8, 4)])
     def test_one_worker_per_min_blocks(self, n, workers, monkeypatch):
         # 2**(n-2) blocks, at least 4 per worker, at most 4 CPUs: a table of
-        # fewer than 8 blocks starts no pool
+        # fewer than 8 blocks starts no thread
         monkeypatch.setattr(ss.cnf, "MIN_BLOCKS_PER_WORKER", 4)
         monkeypatch.setattr(ss.cnf, "_openblas", lambda: (lambda: 1, lambda count: None))
         formula = random_3sat(n, 2 * n, seed=n)
         single = ss.build_unsat_table(formula, threads=1)
-        with enumeration_walkers(4) as runs:
+        started, _ = record_threads(monkeypatch)
+        with enumeration_walkers(4) as shares:
             table = ss.build_unsat_table(formula)
-        assert len(runs) == workers
+        assert (len(shares), len(started)) == (workers, workers - 1)
         assert np.array_equal(table.histogram, single.histogram)
         assert table.solutions == single.solutions
 
     def test_no_pool_without_openblas(self, monkeypatch):
         # a BLAS whose threads the walk cannot set keeps the table on the calling thread
         monkeypatch.setattr(ss.cnf, "_openblas", lambda: None)
-        monkeypatch.setattr(ss.cnf._Run, "start", mock.Mock(side_effect=AssertionError("thread started")))
+        started, _ = record_threads(monkeypatch)
         formula = ss.generate_planted_3sat(10, 40, seed=2)
-        with enumeration_walkers(4) as runs:
+        with enumeration_walkers(4) as shares:
             table = ss.build_unsat_table(formula)
-        assert len(runs) == 1
+        assert (len(shares), started) == (1, [])
         assert table.histogram.tolist() == ss.build_unsat_table(formula, threads=1).histogram.tolist()
 
     def test_blas_count_restored(self, blas, monkeypatch):
@@ -500,23 +549,18 @@ class TestEnumerationWorkers:
 
     @pytest.mark.parametrize("failing", ["worker", "caller"])
     def test_worker_error_raised_on_the_caller(self, failing, monkeypatch):
-        # one run fails, on the started thread or on the calling thread; the
+        # one worker fails, on the started thread or on the calling thread; the
         # error reaches the caller only once the started thread has finished
         caller = threading.get_ident()
         summary = ss.cnf._run_summary
-        finished = []
 
         def read(m, blocks):
             if (threading.get_ident() == caller) == (failing == "caller"):
                 raise RuntimeError(f"{failing} failed")
             return summary(m, blocks)
 
-        def joined(run, timeout=None):
-            threading.Thread.join(run, timeout)
-            finished.append(not run.is_alive())
-
+        _, finished = record_threads(monkeypatch)
         monkeypatch.setattr(ss.cnf, "_run_summary", read)
-        monkeypatch.setattr(ss.cnf._Run, "join", joined)
         monkeypatch.setattr(ss.cnf.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         with mock.patch.object(ss.cnf, "BLOCK_BITS", 4), pytest.raises(RuntimeError, match=f"{failing} failed"):
             ss.build_unsat_table(ss.generate_planted_3sat(10, 40, seed=2), threads=2)

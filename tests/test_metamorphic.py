@@ -2,19 +2,27 @@
 
 A symmetry of the problem is an oracle that costs one more enumeration at any
 n (Chen, Cheung and Yiu, HKUST-CS98-01 (1998); Segura et al., IEEE TSE 42,
-805 (2016)).  Relabelling runs at the real ``cnf.BLOCK_BITS``, n = 18-22,
-where the scalar oracle is too slow: permuting the variables and flipping
-literals moves clauses between a block's decided top bits and its product,
-so the same histogram has to come out of other pruning paths; writing the
-relabelled formula as DIMACS and parsing it again must not move it either.
+805 (2016)).  Relabelling runs at the real ``cnf.BLOCK_BITS`` and the default
+workers, where the scalar oracle is too slow: on fixed seeds at n = 18-22,
+on hypothesis's relabellings of random formulas at n = 12-18, and once at
+n = 30, where two workers share the 2**14 blocks.  Permuting the variables
+and flipping literals moves clauses between a block's decided top bits and
+its product, and so between the pruned blocks of one worker's share and
+another's: the same histogram has to come out of other pruning paths.
+Writing the relabelled formula as DIMACS and parsing it again must not move
+it either.
 Writing each clause twice doubles every violation count and leaves every
 phase pi*u/m as it was, so the dynamics and the spectrum must not move.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import satsearch as ss
+
+from conftest import random_3sat
 
 
 def relabel(formula: ss.CnfFormula, sigma: list[int], flips: int) -> ss.CnfFormula:
@@ -31,8 +39,8 @@ def relabel(formula: ss.CnfFormula, sigma: list[int], flips: int) -> ss.CnfFormu
     return ss.CnfFormula(formula.n, tuple(ss.Clause(map(literal, c.literals)) for c in reversed(formula.clauses)))
 
 
-def moved(assignment: int, sigma: list[int], flips: int) -> int:
-    """sigma(assignment XOR flips): bit k goes to bit sigma[k]."""
+def moved(assignment, sigma: list[int], flips: int):
+    """sigma(assignment XOR flips): bit k goes to bit sigma[k]; an int, or elementwise over an int64 array."""
     flipped = assignment ^ flips
     return sum((flipped >> k & 1) << target for k, target in enumerate(sigma))
 
@@ -64,6 +72,42 @@ def test_relabelled_enumeration(n, seed):
     assert reparsed.n == relabelled.n
     assert reparsed.clauses == relabelled.clauses
     assert ss.build_unsat_table(reparsed).to_json_dict() == image.to_json_dict()
+
+
+@st.composite
+def relabellings(draw):
+    """A random 3SAT formula at n = 12..18 with m = n..5n, a permutation sigma, a flip mask and a clause order."""
+    n = draw(st.integers(12, 18))
+    formula = random_3sat(n, draw(st.integers(n, 5 * n)), seed=draw(st.integers(0, 2**32 - 1)))
+    sigma = draw(st.permutations(range(n)))
+    flips = draw(st.integers(0, (1 << n) - 1))
+    order = draw(st.permutations(range(formula.m)))
+    return formula, sigma, flips, order
+
+
+@given(relabellings())
+@settings(max_examples=30, deadline=None)
+def test_any_relabelling(case):
+    """The clauses in any order, then relabelled: the same histogram, and the two smallest images of the solutions."""
+    formula, sigma, flips, order = case
+    reordered = ss.CnfFormula(formula.n, tuple(formula.clauses[k] for k in order))
+    table, image = ss.build_unsat_table(formula), ss.build_unsat_table(relabel(reordered, sigma, flips))
+    solutions = np.array(ss.cnf.satisfying_assignments(formula), dtype=np.int64)
+    assert np.array_equal(image.histogram, table.histogram)
+    assert table.solutions == solutions[:2].tolist()
+    assert image.solutions == sorted(moved(solutions, sigma, flips).tolist())[:2]
+
+
+@pytest.mark.slow
+def test_relabelled_enumeration_n30():
+    """At n = 30 the default workers share the blocks; the relabelled histogram and solution still match."""
+    formula = ss.generate_planted_3sat(30, 150, seed=1)
+    rng = np.random.default_rng(1030)
+    sigma = [int(k) for k in rng.permutation(30)]
+    flips = int(rng.integers(0, 1 << 30))
+    table, image = ss.build_unsat_table(formula), ss.build_unsat_table(relabel(formula, sigma, flips))
+    assert np.array_equal(image.histogram, table.histogram)
+    assert image.unique_solution() == moved(table.unique_solution(), sigma, flips)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -57,8 +57,8 @@ IMPORTS = {
 # the names generate takes from cnf: the random family's survivors come from
 # the solutions-only walk, not from the histogram table, and its guards are cnf's
 GENERATE_FROM_CNF = [
-    "Clause", "CnfFormula", "GuardError", "InstanceError", "MAX_INDEX_N",
-    "check_enumeration", "check_fits", "satisfying_assignments", "violation_mask",
+    "Clause", "CnfFormula", "InstanceError",
+    "check_enumeration", "check_fits", "check_index", "satisfying_assignments", "violation_mask",
 ]
 
 SOURCES = {path.stem: ast.parse(path.read_text()) for path in Path(ss.__file__).parent.glob("*.py")}
@@ -114,14 +114,22 @@ def test_only_cnf_walks_the_assignments():
 
 
 def test_guards_in_one_place():
-    """Only cnf sizes memory or compares with the enumeration limit: every other module calls its two checks."""
+    """Only cnf sizes memory, compares with the n limits or raises GuardError: every other module calls its checks."""
     sizers = [name for name, tree in SOURCES.items() if "memory_capacity" in identifiers(tree)]
     limiters = [
         name
         for name, tree in SOURCES.items()
-        if any(isinstance(node, ast.Compare) and "MAX_ENUMERATION_N" in identifiers(node) for node in ast.walk(tree))
+        if any(
+            isinstance(node, ast.Compare) and {"MAX_ENUMERATION_N", "MAX_INDEX_N"} & identifiers(node)
+            for node in ast.walk(tree)
+        )
     ]
-    assert (sizers, limiters) == (["cnf"], ["cnf"])
+    raisers = [
+        name
+        for name, tree in SOURCES.items()
+        if any(isinstance(node, ast.Raise) and "GuardError" in identifiers(node) for node in ast.walk(tree))
+    ]
+    assert (sizers, limiters, raisers) == (["cnf"], ["cnf"], ["cnf"])
 
 
 def test_only_cli_turns_files_into_tables():

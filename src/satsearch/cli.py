@@ -16,12 +16,13 @@ without ``--grover``, ``--trials-seed`` without ``--trials``, and any two of
 ``-f``, ``-o``, ``run --snapshot`` and ``analyze --table`` naming the same
 file, which is checked before anything is read or written), 3 invalid
 instance or formula (any bytes that do not parse as DIMACS, or a file that
-cannot be read), 4 guard exceeded: ``cnf.check_enumeration``, n above
-``cnf.MAX_ENUMERATION_N`` (30) for any command that enumerates, ``gen``
-included, or ``cnf.check_fits``, what would not fit in physical memory: a
-DIMACS file (before parsing), ``gen``'s clause count (-m, before any clause
-is drawn), ``gen``'s solution list, the violation table's clause tables
-(before they are built) or a curve (--qmax, --steps).
+cannot be read) or an output that cannot be written (every ``OSError``: -o
+into a missing directory, a closed pipe), 4 guard exceeded:
+``cnf.check_enumeration``, n above ``cnf.MAX_ENUMERATION_N`` (30) for any
+command that enumerates, ``gen`` included, or ``cnf.check_fits``, what would
+not fit in physical memory: a DIMACS file (before parsing), ``gen``'s clause
+count (-m, before any clause is drawn), ``gen``'s solution list, the violation
+table's clause copies (before they are built) or a curve (--qmax, --steps).
 
 ``gen`` finds the solutions of its random batch by ``cnf``'s pruned prefix
 walk, on one thread; every other command builds the violation table in
@@ -275,12 +276,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_grover(args) -> int:
-    from .experiment import grover_optimal_steps, run_grover_baseline
+    from .experiment import run_grover_baseline
 
     table = _table(args)
     table.unique_solution()  # rejects instances without exactly one solution
-    steps = args.steps if args.steps is not None else grover_optimal_steps(table.assignment_count)
-    _emit(_curve_csv("step,p_r", run_grover_baseline(table.assignment_count, steps)), args.output)
+    _emit(_curve_csv("step,p_r", run_grover_baseline(table.assignment_count, args.steps)), args.output)
     return 0
 
 

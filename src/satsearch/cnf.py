@@ -26,7 +26,8 @@ OR-clause is violated on exactly the indices i with i & ``Clause.care`` ==
 
 An ``UnsatTable`` is four facts, n, m, the histogram and those first
 solutions, and holds no formula: any source may build one, and
-``to_json_dict`` writes exactly those fields.
+``to_json_dict`` writes exactly those fields.  Its N is the histogram's sum,
+2**n when the table is enumerated.
 
 The table needs a count for every assignment.  Split i into low, middle and
 top bits and the test factors into a test on each part.  The assignments are
@@ -131,17 +132,15 @@ SOLUTION_BYTES = 160
 # largest.
 DIMACS_BYTES = 140
 
-# Peak bytes per clause per worker of build_unsat_table.  The clause tables
-# are built once per table, through int64 and bool (m x 2**(BLOCK_BITS/2))
-# temporaries, and what each worker adds is its block's mids[active] and
-# lows[active] gather.  tracemalloc's peak over files of m = 2e4 and 5e4
-# clauses, each `1 0` or three random literals, at n = 16 (one worker) and
-# n = 20 (one and two), is 3.8 to 4.3 KB per clause on one worker and 2.6 to
-# 3.1 KB per clause per worker on two with the float32 product, and 7.3 to
-# 8.4 KB and 5.2 to 6.2 KB with the float64 one that m >= 2**24 takes.  The
-# one-worker peak, the tables' build, is the largest; the guard takes 17000,
-# more than twice it.
-TABLE_BYTES = 17000
+# Peak bytes per clause copy of build_unsat_table: m * (w + 1) copies on w
+# workers, one for the clause tables, built once through int64 and bool
+# (m x 2**(BLOCK_BITS/2)) temporaries, and one for each worker's mids[active]
+# and lows[active] gather.  tracemalloc's peak over m = 2e4 and 5e4 clauses,
+# each `1 0` or three random literals, at n = 16 (one worker) and n = 20 (one
+# and two), is 1.75 to 2.15 KB per copy with the float32 product and 3.4 to
+# 4.2 KB with the float64 one that m >= 2**24 takes.  The guard takes 8500,
+# more than twice the largest.
+TABLE_BYTES = 8500
 
 # Most characters of an input line or token that a DIMACS error message echoes.
 ECHO_CHARS = 32
@@ -182,9 +181,9 @@ class GuardError(RuntimeError):
     The guards bound three things: n <= ``MAX_ENUMERATION_N`` for every
     enumeration, n <= ``MAX_INDEX_N`` for the generators, which index
     assignments in int64 and need not enumerate, and the bytes of what
-    grows with the input (the file, the solution list, the clause tables,
-    the initial clauses and the curve rows) against physical memory.  They
-    do not bound time.  Two costs have no guard:
+    grows with the input (the file, the solution list, the clause tables and
+    gathers, the initial clauses and the curve rows) against physical
+    memory.  They do not bound time.  Two costs have no guard:
     ``spectral.spectrum``'s ~60 bisection passes of O(K**2) each over the K
     occupied classes, which a file can push to min(m + 1, 2**n), and the
     block products' m * 2**n, bounded only through ``MAX_ENUMERATION_N``.
@@ -423,8 +422,9 @@ class UnsatTable:
     increasing order: enough to name a unique solution, where ``histogram[0]``
     counts them all.  ``build_unsat_table`` fills it by enumeration, but any
     source may, a closed form included; every run reads only these fields,
-    and ``to_json_dict`` is exactly them.  ``cnf.satisfying_assignments``
-    lists every solution.
+    and ``to_json_dict`` is exactly them.  Their N, ``assignment_count``, is
+    the histogram's sum: 2**n when the table is enumerated, fewer on any
+    smaller domain.  ``cnf.satisfying_assignments`` lists every solution.
     """
 
     n: int
@@ -434,11 +434,13 @@ class UnsatTable:
 
     @property
     def assignment_count(self) -> int:
-        return 1 << self.n
+        return int(np.sum(self.histogram))
 
     def unique_solution(self) -> int:
         if self.histogram[0] != 1:
             raise InstanceError(f"expected exactly one satisfying assignment, found {self.histogram[0]}")
+        if len(self.solutions) != 1:
+            raise InstanceError(f"one satisfying assignment counted but {len(self.solutions)} listed")
         return self.solutions[0]
 
     def to_json_dict(self) -> dict:
@@ -600,8 +602,8 @@ def build_unsat_table(formula: CnfFormula, threads: int | None = None) -> UnsatT
     once every worker has joined.  The histograms are summed as integers
     and the two smallest of all the workers' solutions kept, so the result
     is identical for every worker count.  Fails ``check_enumeration``
-    before any block is walked, and ``check_fits`` for m clauses at
-    ``TABLE_BYTES`` per worker before any clause table is built.
+    before any block is walked, and ``check_fits`` for m * (w + 1) clause
+    copies, the tables and each worker's gather, before any table is built.
     """
     check_enumeration(formula.n)
     if threads is not None and threads < 1:
@@ -611,7 +613,7 @@ def build_unsat_table(formula: CnfFormula, threads: int | None = None) -> UnsatT
     if threads is None:
         threads = len(blocks) // MIN_BLOCKS_PER_WORKER if blas else 1
     workers = max(1, min(threads, _cpus(), len(blocks)))
-    check_fits(formula.m, TABLE_BYTES * workers, f"clauses on {workers} workers")
+    check_fits(formula.m * (workers + 1), TABLE_BYTES, f"clause copies ({formula.m} clauses on {workers} workers)")
     count = violation_blocks(formula)
     outcomes: list = [None] * workers  # each worker's summary, or its exception
 

@@ -132,10 +132,10 @@ class RunReport:
             "p_peak_measured": self.p_peak_measured,
             "curve": self.curve,
             "grover_curve": self.grover_curve,
-            "cost": {  # expected total: q_m per run times 1/p_peak runs on average
+            "cost": {  # expected total: q_m per run times 1/p_peak runs on average, over N = sum(histogram)
                 "iterations_per_run": s.q_m,
                 "expected_total_iterations": expected,
-                "scaling_figure": math.pi * s.B**3 * math.sqrt(1 << s.n) / 4.0,
+                "scaling_figure": math.pi * s.B**3 * math.sqrt(sum(self.histogram)) / 4.0,
             },
         }
         if self.repeat_stats is not None:
@@ -210,12 +210,7 @@ def run_sweep(table: UnsatTable, config: RunConfig, snapshot: bool = False) -> R
     q_peak = int(np.argmax(curve[:, 2]))
     p_peak = float(curve[q_peak, 2])
 
-    grover_curve = None
-    if config.include_grover:
-        steps = config.grover_steps
-        if steps is None:
-            steps = grover_optimal_steps(table.assignment_count)
-        grover_curve = run_grover_baseline(table.assignment_count, steps)
+    grover_curve = run_grover_baseline(table.assignment_count, config.grover_steps) if config.include_grover else None
 
     report = RunReport(
         config=config.echo(),
@@ -238,15 +233,17 @@ def grover_optimal_steps(total: int) -> int:
     return int(math.floor(math.pi / 4.0 * math.sqrt(total)))
 
 
-def run_grover_baseline(total: int, steps: int) -> np.ndarray:
+def run_grover_baseline(total: int, steps: int | None = None) -> np.ndarray:
     """Rows (step, p_solution) for the Grover baseline over ``total`` = N assignments.
 
-    From the uniform state the iterate keeps every non-solution amplitude
-    equal, so it steps two real amplitudes: a on the solution and b on each
-    of the other N - 1 assignments.  One step flips a, then subtracts twice
-    the mean amplitude from both, exactly as the textbook step of
-    ``tests/oracles.py`` does to the N-vector.
+    ``steps=None`` takes ``grover_optimal_steps(total)``.  From the uniform
+    state the iterate keeps every non-solution amplitude equal, so it steps
+    two real amplitudes: a on the solution and b on each of the other N - 1
+    assignments.  One step flips a, then subtracts twice the mean amplitude
+    from both, exactly as the textbook step of ``tests/oracles.py`` does to
+    the N-vector.
     """
+    steps = grover_optimal_steps(total) if steps is None else steps
     if steps < 0:
         raise ValueError("steps must be >= 0")
     check_fits(steps + 1, CURVE_ROW_BYTES, "curve rows")

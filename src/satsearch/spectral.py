@@ -1,8 +1,9 @@
 """Closed-form spectral predictions for the search iterate, and its exact spectrum.
 
 For a unique-solution instance the iterate's two principal eigenphases sit at
-+/- 2/(B*sqrt(N)) with B = sqrt(1 + lambda2), where lambda2 is the quadratic
-cotangent moment of the violation histogram:
++/- 2/(B*sqrt(N)) with B = sqrt(1 + lambda2), where N is the histogram's sum,
+the table's ``assignment_count`` (2**n when the table is enumerated), and
+lambda2 is the quadratic cotangent moment of the violation histogram:
 
     lambda2 = (1/N) * sum_{u=1..m} N_u * cot^2(pi*u / (2m))
 
@@ -101,8 +102,7 @@ def lambda2_from_histogram(histogram, m: int) -> float:
 def spectral_summary(table: UnsatTable) -> SpectralSummary:
     """All closed-form predictions for a unique-solution instance."""
     table.unique_solution()
-    total = table.assignment_count
-    sqrt_n = math.sqrt(total)
+    sqrt_n = math.sqrt(table.assignment_count)
     lam2 = lambda2_from_histogram(table.histogram, table.m)
     b = math.sqrt(1.0 + lam2)
     lambda_pm = 2.0 / (b * sqrt_n)

@@ -123,6 +123,12 @@ class TestAnalyze:
     def test_missing_file_exit_3(self):
         assert main(["analyze", "-f", "/nonexistent/file.cnf"]) == 3
 
+    def test_unwritable_output_exit_3(self, toy_path, tmp_path, capsys):
+        out = tmp_path / "missing" / "summary.json"
+        assert main(["analyze", "-f", toy_path, "-o", str(out)]) == 3
+        TestUsageErrors.assert_one_line_error(capsys, "No such file or directory")
+        assert not out.parent.exists()
+
     def test_malformed_file_exit_3(self, tmp_path, capsys):
         path = tmp_path / "bad.cnf"
         path.write_text("p cnf 1 1\n1 -1 0\n")
@@ -516,38 +522,56 @@ class TestDimacsGuard:
 
 
 class TestTableGuard:
-    """m clauses on w workers above ``memory_capacity(TABLE_BYTES)`` exit 4 with one error line, before any table is built."""
+    """m clauses on w workers are m * (w + 1) clause copies, refused with exit 4 and one error line.
+
+    The copies are checked against ``memory_capacity(TABLE_BYTES)`` before any table is built.
+    """
 
     BOUND = 40
 
     @pytest.fixture(autouse=True)
     def small_memory(self, monkeypatch):
-        # room for the clause tables of BOUND clauses on one worker
-        pages = {"SC_PAGE_SIZE": ss.cnf.TABLE_BYTES, "SC_PHYS_PAGES": self.BOUND}
+        # room for 2 * BOUND clause copies: the clause tables and one worker's
+        # gather of BOUND clauses, as BOUND clauses at twice TABLE_BYTES each
+        pages = {"SC_PAGE_SIZE": 2 * ss.cnf.TABLE_BYTES, "SC_PHYS_PAGES": self.BOUND}
         monkeypatch.setattr(ss.cnf.os, "sysconf", pages.__getitem__)
 
+    @staticmethod
+    def write_units(path, n, m):
+        """m unit clauses (x_1), ..., (x_n), (x_1), ...: every variable true is the one solution."""
+        path.write_text(f"p cnf {n} {m}\n" + "".join(f"{k % n + 1} 0\n" for k in range(m)))
+
     def test_bound(self, tmp_path, capsys, monkeypatch):
+        # one worker: the tables and one gather, so BOUND clauses fit and one more does not
         path = tmp_path / "units.cnf"
-        path.write_text(f"p cnf 1 {self.BOUND}\n" + "1 0\n" * self.BOUND)
+        self.write_units(path, 1, self.BOUND)
         assert main(["analyze", "-f", str(path)]) == 0
         capsys.readouterr()
-        path.write_text(f"p cnf 1 {self.BOUND + 1}\n" + "1 0\n" * (self.BOUND + 1))
+        self.write_units(path, 1, self.BOUND + 1)
         monkeypatch.setattr(ss.cnf, "violation_blocks", TestEnumerationLimit.refuse)
         assert main(["analyze", "-f", str(path)]) == 4
-        refused = f"{self.BOUND + 1} clauses on 1 workers exceed the {self.BOUND} that fit"
+        copies, room = 2 * (self.BOUND + 1), 2 * self.BOUND
+        refused = f"{copies} clause copies ({self.BOUND + 1} clauses on 1 workers) exceed the {room} that fit"
         TestUsageErrors.assert_one_line_error(capsys, refused)
 
     def test_every_worker_counts(self, tmp_path, capsys, monkeypatch):
         # 2**(n-2) blocks of 4 assignments on two CPUs, and a pool whatever numpy's
-        # BLAS: two workers, so half the clauses fill the memory
+        # BLAS: two workers, so 3m copies, and 26 clauses fill the room of 80 copies
         path = tmp_path / "units.cnf"
-        path.write_text(f"p cnf 12 {self.BOUND // 2 + 1}\n" + "1 0\n" * (self.BOUND // 2 + 1))
+        room = 2 * self.BOUND
+        fits = room // 3
         monkeypatch.setattr(ss.cnf, "_openblas", lambda: (lambda: 1, lambda count: None))
+        self.write_units(path, 12, fits)
+        with enumeration_walkers(2) as shares:
+            assert main(["analyze", "-f", str(path)]) == 0
+        assert len(shares) == 2
+        capsys.readouterr()
+        self.write_units(path, 12, fits + 1)
         monkeypatch.setattr(ss.cnf, "violation_blocks", TestEnumerationLimit.refuse)
         with enumeration_walkers(2):
             assert main(["analyze", "-f", str(path)]) == 4
-        half = self.BOUND // 2
-        TestUsageErrors.assert_one_line_error(capsys, f"{half + 1} clauses on 2 workers exceed the {half} that fit")
+        refused = f"{3 * (fits + 1)} clause copies ({fits + 1} clauses on 2 workers) exceed the {room} that fit"
+        TestUsageErrors.assert_one_line_error(capsys, refused)
 
 
 class TestClauseGuard:

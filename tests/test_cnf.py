@@ -495,6 +495,11 @@ class TestUnsatTable:
         multi = ss.build_unsat_table(ss.parse_dimacs("p cnf 2 1\n1 2 0\n"))
         with pytest.raises(ss.InstanceError, match="found 3"):
             multi.unique_solution()
+        # one solution counted and none listed: a hand-built table may say so
+        listless = ss.UnsatTable(3, 1, np.array([1, 7]), [])
+        for read in (listless.unique_solution, lambda: ss.spectral_summary(listless), lambda: ss.spectrum(listless)):
+            with pytest.raises(ss.InstanceError, match="one satisfying assignment counted but 0 listed"):
+                read()
 
 
 class TestEnumerationWorkers:

@@ -8,10 +8,11 @@ import pytest
 
 import satsearch as ss
 from satsearch.cli import _curve_csv, _emit, _json_text
+from satsearch.cnf import violation_mask
 from satsearch.experiment import _binomial, _draw_binomial, _solution_probability
 
-from oracles import all_violated, fold_classes, grover_closed_form, grover_step, lifted_marginal
-from oracles import profile_for, scalar_curve
+from oracles import all_violated, fold_classes, full_vector_curve, full_vector_states, grover_closed_form
+from oracles import grover_step, lifted_marginal, profile_for, scalar_curve
 
 
 def traced_peak(call):
@@ -35,6 +36,36 @@ def dimacs_table(text):
 
 def config(**options):
     return ss.RunConfig(formula_path="inst.cnf", **options)
+
+
+def domain_table(formula, d):
+    """Violation table over the assignments that satisfy d variable-disjoint 3-literal clauses of ``formula``.
+
+    The d clauses are the first disjoint ones in formula order.  The domain
+    holds 7**d * 2**(n - 3d) assignments, and the table counts the other
+    m - d clauses' violations over it one clause mask at a time, as
+    ``oracles.violation_counts`` does.  Returns the table and the domain's
+    violation counts, in index order.
+    """
+    chosen, used = [], set()
+    for k, clause in enumerate(formula.clauses):
+        variables = set(map(abs, clause.literals))
+        if len(chosen) < d and len(variables) == 3 and not variables & used:
+            chosen.append(k)
+            used |= variables
+    assert len(chosen) == d
+    indices = np.arange(formula.assignment_count)
+    inside = np.ones(indices.size, dtype=bool)
+    for k in chosen:
+        inside &= ~violation_mask(formula.clauses[k], indices)
+    domain = indices[inside]
+    rest = [clause for k, clause in enumerate(formula.clauses) if k not in chosen]
+    counts = np.zeros(domain.size, dtype=np.int64)
+    for clause in rest:
+        counts += violation_mask(clause, domain)
+    histogram = np.bincount(counts, minlength=len(rest) + 1)
+    solutions = domain[counts == 0][:2].tolist()
+    return ss.UnsatTable(formula.n, len(rest), histogram, solutions), counts
 
 
 # Entry points that take a violation table and require exactly one solution.
@@ -177,6 +208,39 @@ class TestRunSweep:
         assert a == pytest.approx(summary.predicted_success, rel=0.25)
 
 
+class TestDomainTable:
+    """A table over a domain smaller than 2**n: N is the histogram's sum for the summary, the baseline and the cost."""
+
+    def test_summary_baseline_and_cost_over_the_domain(self):
+        formula = ss.generate_planted_3sat(18, 90, seed=1)
+        assert formula.m == 93
+        table, _ = domain_table(formula, 5)
+        total = 7**5 * 2**3
+        assert (table.m, int(np.sum(table.histogram))) == (88, total)
+        report = ss.run_sweep(table, config(include_grover=True))
+        s = report.spectral
+        # acceptance criterion 4's tolerances
+        assert abs(report.q_peak_measured - s.q_m) <= max(2, 0.1 * s.q_m), (s.q_m, report.q_peak_measured)
+        assert abs(s.predicted_success - report.p_peak_measured) <= 0.25 * report.p_peak_measured
+        assert table.assignment_count == total
+        assert s.alpha == 1 / math.sqrt(total)
+        steps = ss.grover_optimal_steps(total)
+        assert report.grover_curve.shape == (steps + 1, 2)
+        assert np.max(np.abs(report.grover_curve[:, 1] - grover_closed_form(total, steps))) <= 1e-12
+        cost = report.to_json_dict()["cost"]
+        assert cost["scaling_figure"] == math.pi * s.B**3 * math.sqrt(total) / 4.0
+
+    def test_class_curve_against_per_assignment_stepping(self):
+        formula = ss.generate_planted_3sat(12, 60, seed=3)
+        table, counts = domain_table(formula, 4)
+        assert table.assignment_count == counts.size == 7**4
+        report = ss.run_sweep(table, config())
+        profile = ss.PhaseProfile(table.m, counts, np.ones(counts.size, dtype=np.int64))
+        (solution,) = np.flatnonzero(counts == 0)
+        expected = full_vector_curve(full_vector_states(profile, len(report.curve) - 1), solution)
+        assert np.max(np.abs(report.curve - expected)) <= 1e-12
+
+
 class TestGroverBaseline:
     def test_n4_exact_single_step(self):
         curve = ss.run_grover_baseline(4, 1)
@@ -236,6 +300,7 @@ class TestCurveGuard:
         with pytest.raises(ss.GuardError, match=refused):
             ss.run_grover_baseline(4, rows)
 
+    @pytest.mark.slow
     def test_streamed_write_peak_is_flat(self, tmp_path):
         """Writing a q_max = 4 * 10**5 curve, 31 MB of JSON, peaks under 1 MiB: the write streams blocks of rows."""
         q_max = 4 * 10**5

@@ -132,6 +132,22 @@ def test_guards_in_one_place():
     assert (sizers, limiters, raisers) == (["cnf"], ["cnf"], ["cnf"])
 
 
+def test_one_domain_size():
+    """Only cnf computes a domain size from n: every other module reads N, the histogram's sum, from the table."""
+
+    def sizes_from_n(tree):
+        return any(
+            isinstance(node, ast.BinOp)
+            and isinstance(node.right, ast.Attribute)
+            and node.right.attr == "n"
+            and isinstance(node.left, ast.Constant)
+            and (type(node.op), node.left.value) in {(ast.LShift, 1), (ast.Pow, 2)}
+            for node in ast.walk(tree)
+        )
+
+    assert [name for name, tree in SOURCES.items() if sizes_from_n(tree)] == ["cnf"]
+
+
 def test_only_cli_turns_files_into_tables():
     """experiment takes a violation table; only the CLI reads a DIMACS file and enumerates it."""
     readers = {"read_dimacs", "build_unsat_table"}

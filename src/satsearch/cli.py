@@ -16,13 +16,16 @@ without ``--grover``, ``--trials-seed`` without ``--trials``, and any two of
 ``-f``, ``-o``, ``run --snapshot`` and ``analyze --table`` naming the same
 file, which is checked before anything is read or written), 3 invalid
 instance or formula (any bytes that do not parse as DIMACS, or a file that
-cannot be read) or an output that cannot be written (every ``OSError``: -o
-into a missing directory, a closed pipe), 4 guard exceeded:
+cannot be read) or an output that cannot be written (every ``OSError``, such
+as -o into a missing directory), 4 guard exceeded:
 ``cnf.check_enumeration``, n above ``cnf.MAX_ENUMERATION_N`` (30) for any
 command that enumerates, ``gen`` included, or ``cnf.check_fits``, what would
 not fit in physical memory: a DIMACS file (before parsing), ``gen``'s clause
 count (-m, before any clause is drawn), ``gen``'s solution list, the violation
 table's clause copies (before they are built) or a curve (--qmax, --steps).
+A closed output pipe ends the ``satsearch`` command (``entrypoint``) as it
+ends ``cat``, by SIGPIPE where the platform has it, with nothing on stderr;
+``main`` leaves an in-process caller's signals alone and returns 3 there.
 
 ``gen`` finds the solutions of its random batch by ``cnf``'s pruned prefix
 walk, on one thread; every other command builds the violation table in
@@ -30,21 +33,21 @@ walk, on one thread; every other command builds the violation table in
 on.
 
 ``run --trials 0`` (the default) takes no samples; a negative count, or one of
-2**63 or more (numpy's binomial algorithm does int64 arithmetic on it), is a
-usage error.  Seeds must be >= 0: ``gen --seed`` seeds numpy's PCG64, as its
-``SeedSequence`` requires, and ``run --trials-seed`` Python's Mersenne
-Twister, ``random.Random``, which takes |seed|; ``experiment`` runs numpy's
-binomial algorithm on it, without ``numpy.random``.  Each command imports its
-layers in its handler, so ``analyze`` never loads the dynamics and only
-``gen`` loads the generator.  ``run --snapshot`` writes the class-state
-document of ``statevector.state_snapshot``, at most 2(m+1) rows, once the
-sweep has succeeded.  Curves are written here alone, streamed to the output
-in blocks of ``BLOCK_ROWS`` rows, so no report is ever held as one text: each
-distinct column of a block is formatted once, column 0 as ints, the others as
-repr floats, and a column bit-identical to an earlier one (``p_overlap`` to
-``p_marginal``) reuses its text.  Arrays are checked and every other value
-encoded before the output is opened, so a refused report leaves an existing
-file as it was.
+2**63 or more (beyond the range whose draws the tests check against the
+binomial law), is a usage error.  Seeds must be >= 0: ``gen --seed`` seeds
+numpy's PCG64, as its ``SeedSequence`` requires, and ``run --trials-seed``
+Python's Mersenne Twister, ``random.Random``, which takes |seed|;
+``experiment`` draws the hit count on it, without ``numpy.random``.  Each
+command imports its layers in its handler, so ``analyze`` never loads the
+dynamics and only ``gen`` loads the generator.  ``run --snapshot`` writes the
+class-state document of ``statevector.state_snapshot``, at most 2(m+1) rows,
+once the sweep has succeeded.  Curves are written here alone, streamed to the
+output in blocks of ``BLOCK_ROWS`` rows, so no report is ever held as one
+text: each distinct column of a block is formatted once, column 0 as ints, the
+others as repr floats, and a column bit-identical to an earlier one
+(``p_overlap`` to ``p_marginal``) reuses its text.  Arrays are checked and
+every other value encoded before the output is opened, so a refused report
+leaves an existing file as it was.
 """
 
 from __future__ import annotations
@@ -327,6 +330,10 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
+    import signal
+
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     raise SystemExit(main())
 
 

@@ -35,11 +35,13 @@ key order, derives ``cost``, passes the curves as arrays for the CLI's writer
 to stream in blocks of rows, and writes ``repeat_stats`` as
 ``repeat_until_success_stats`` returns it (stable key order, full-precision
 floats).  No clock is read: identical configurations give byte-identical
-reports.  The sampling draw is numpy's binomial algorithm in plain Python on
-the uniforms of Python's Mersenne Twister, ``random.Random(seed)``; both are
-fixed across platforms, so runs are reproducible and never import
-``numpy.random``.  The tests feed the algorithm numpy's own uniforms and
-check it against ``np.random.default_rng(seed).binomial`` bit for bit.
+reports.  The sampling draw, ``_binomial``, is one Binomial(trials, p)
+variate in plain Python on the uniforms of Python's Mersenne Twister,
+``random.Random(seed)`` (MT19937; Matsumoto and Nishimura, ACM TOMACS 8, 3
+(1998)), which is fixed across platforms, so runs are reproducible and never
+import ``numpy.random``: geometric gaps below n p = 10, Hormann's BTRS above.
+Its law, not another sampler's bits, is what the tests check, for n up
+to 2**63 - 1.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -275,7 +276,7 @@ def measurement_success_rate(
     2N-amplitude distribution, in O(1) memory for any ``trials``.  A negative
     ``rng_seed``, which ``random.Random`` would take as |rng_seed|, raises ``ValueError``.
     """
-    if not 1 <= trials < 1 << 63:  # the binomial algorithm's arithmetic on the trial count is int64
+    if not 1 <= trials < 1 << 63:  # the range over which the tests check the draw's law
         raise ValueError(f"trials must be >= 1 and < 2**63, got {trials}")
     _check_solution_class(classes)
     p = _solution_probability(classes, state_after(classes, iterations)[:1].real)
@@ -292,8 +293,8 @@ def repeat_until_success_stats(
 
     Returns ``trials``, ``rng_seed``, the fraction of trials that read out the
     solution and the implied geometric-distribution mean repeat count 1/rate
-    (None when no trial succeeded), in that key order.  The draw is
-    ``_binomial``'s: numpy's binomial algorithm on ``random.Random(rng_seed)``.
+    (None when no trial succeeded), in that key order.  The number of hits is
+    one ``_binomial`` draw on ``random.Random(rng_seed)``.
     """
     summary = spectral_summary(table)
     classes = PhaseProfile.from_histogram(table.m, table.histogram)
@@ -306,163 +307,68 @@ def repeat_until_success_stats(
     }
 
 
-# The binomial draw: numpy's algorithm, random_binomial, on the uniforms of
-# Python's Mersenne Twister (MT19937; Matsumoto and Nishimura, ACM TOMACS 8, 3
-# (1998)), which importing numpy 2.4 already loads, so a run never imports
-# numpy.random.  numpy draws by inversion when min(p, 1 - p) * n <= 30, else by
-# BTPE (Kachitvichyanukul and Schmeiser, CACM 31(2), 216 (1988)).  Floats
-# follow the C expressions operation by operation, and the two integer
-# expressions that can pass 2**63, n + 1 and -k * k, wrap as numpy's int64
-# arithmetic does, so numpy's own uniforms give numpy's draw bit for bit.
+def _log_factorial_ratio(a: int, b: int) -> float:
+    """log(a! / b!) for a, b >= 0, to a few ulp of its term d log(b + 1), d = a - b.
 
-_MASK64 = (1 << 64) - 1
-
-
-def _int64(value: int) -> int:
-    """``value`` wrapped to a two's-complement int64, as C's int64 arithmetic leaves it."""
-    return ((value + (1 << 63)) & _MASK64) - (1 << 63)
-
-
-def _log(x: float) -> float:
-    """C's log: -inf at 0 and NaN below, where ``math.log`` raises."""
-    if x > 0.0:
-        return math.log(x)
-    return -math.inf if x == 0.0 else math.nan
-
-
-def _binomial_inversion(doubles: Iterator[float], n: int, p: float) -> int:
-    """numpy's ``random_binomial_inversion``: walk the probabilities up from 0, restarting past a bound."""
-    q = 1.0 - p
-    qn = math.exp(n * math.log1p(-p))
-    mean = n * p
-    bound = int(min(n, mean + 10.0 * math.sqrt(mean * q + 1)))
-    x = 0
-    px = qn
-    u = next(doubles)
-    while u > px:
-        x += 1
-        if x > bound:
-            x = 0
-            px = qn
-            u = next(doubles)
-        else:
-            u -= px
-            px = ((n - x + 1) * p * px) / (x * q)
-    return x
-
-
-def _stirling_tail(x: float) -> float:
-    """The correction terms of Stirling's series for log x!, as BTPE's final bound writes them."""
-    x2 = x * x
-    return (13680.0 - (462.0 - (132.0 - (99.0 - 140.0 / x2) / x2) / x2) / x2) / x / 166320.0
-
-
-def _binomial_btpe(doubles: Iterator[float], n: int, p: float) -> int:
-    """numpy's ``random_binomial_btpe`` for p <= 0.5: triangle, parallelograms and exponential tails, then squeezes."""
-    r = min(p, 1.0 - p)
-    q = 1.0 - r
-    fm = n * r + r
-    m = math.floor(fm)
-    p1 = math.floor(2.195 * math.sqrt(n * r * q) - 4.6 * q) + 0.5
-    xm = m + 0.5
-    xl = xm - p1
-    xr = xm + p1
-    c = 0.134 + 20.5 / (15.3 + m)
-    a = (fm - xl) / (fm - xl * r)
-    laml = a * (1.0 + a / 2.0)
-    a = (xr - fm) / (xr * q)
-    lamr = a * (1.0 + a / 2.0)
-    p2 = p1 * (1.0 + 2.0 * c)
-    p3 = p2 + c / laml
-    p4 = p3 + c / lamr
-    nrq = n * r * q
-    while True:
-        u = next(doubles) * p4
-        v = next(doubles)
-        if u <= p1:  # the triangle: accepted at once
-            return math.floor(xm - p1 * v + u)
-        if u <= p2:
-            x = xl + (u - p1) / c
-            v = v * c + 1.0 - abs(m - x + 0.5) / p1
-            if v > 1.0:
-                continue
-            y = math.floor(x)
-        elif u <= p3:
-            if v == 0.0:
-                continue
-            y = math.floor(xl + math.log(v) / laml)
-            if y < 0:
-                continue
-            v = v * (u - p2) * laml
-        else:
-            if v == 0.0:
-                continue
-            y = math.floor(xr - math.log(v) / lamr)
-            if y > n:
-                continue
-            v = v * (u - p3) * lamr
-        k = abs(y - m)
-        if k <= 20 or float(k) >= nrq / 2.0 - 1:
-            # the exact ratio f(y) / f(m), one factor per step from m to y
-            s = r / q
-            a = s * _int64(n + 1)
-            f = 1.0
-            for i in range(m + 1, y + 1):
-                f *= a / i - s
-            for i in range(y + 1, m + 1):
-                f /= a / i - s
-            if v > f:
-                continue
-            return y
-        # squeeze on log f(y) / f(m), then Stirling's bound on it; numpy
-        # computes x1, f1, z and w in floating point
-        rho = (k / nrq) * ((k * (k / 3.0 + 0.625) + 0.16666666666666666) / nrq + 0.5)
-        t = _int64(-k * k) / (2 * nrq)
-        big_a = _log(v)
-        if big_a < t - rho:
-            return y
-        if big_a > t + rho:
-            continue
-        x1 = float(y) + 1.0
-        f1 = float(m) + 1.0
-        z = float(n) + 1.0 - m
-        w = float(n) - y + 1.0
-        if big_a > (
-            xm * _log(f1 / x1)
-            + (n - m + 0.5) * _log(z / w)
-            + (y - m) * _log(w * r / (x1 * q))
-            + _stirling_tail(f1)
-            + _stirling_tail(z)
-            + _stirling_tail(x1)
-            + _stirling_tail(w)
-        ):
-            continue
-        return y
-
-
-def _draw_binomial(doubles: Iterator[float], n: int, p: float) -> int:
-    """numpy's ``random_binomial`` for 0 <= n < 2**63 and 0 <= p <= 1, on the uniforms in [0, 1) from ``doubles``.
-
-    Draws nothing when n or p is 0; above p = 1/2 it returns n minus the draw at 1 - p.
+    Near 2**63 a factorial's log is about 4e20, whose float spacing is 65536,
+    so ``lgamma(a + 1) - lgamma(b + 1)`` keeps no digit of the log f(k)/f(mode)
+    of order 1 that BTRS tests.  Stirling's series for both (Abramowitz and
+    Stegun 6.1.41) gives d log(b + 1) + (a + 1/2) log1p(d / (b + 1)) - d plus
+    three tail terms each; the first left out is below 1.5e-12 from 16 up, and
+    below 16 ``lgamma`` is exact enough.
     """
-    if n == 0 or p == 0.0:
-        return 0
-    r = p if p <= 0.5 else 1.0 - p
-    x = (_binomial_inversion if r * n <= 30.0 else _binomial_btpe)(doubles, n, r)
-    return x if p <= 0.5 else n - x
+    if min(a, b) < 16:
+        return math.lgamma(a + 1) - math.lgamma(b + 1)
+    d = a - b
+    tail_a, tail_b = ((1 / 12 - (1 / 360 - 1 / (1260 * z * z)) / (z * z)) / z for z in (a + 1.0, b + 1.0))
+    return d * math.log(b + 1) + (a + 0.5) * math.log1p(d / (b + 1)) - d + tail_a - tail_b
 
 
 def _binomial(n: int, p: float, seed: int) -> int:
-    """A Binomial(n, p) draw for 0 <= n < 2**63 and 0 <= p <= 1: numpy's algorithm on a fresh ``random.Random(seed)``.
+    """A Binomial(n, p) draw for 0 <= n < 2**63 and 0 <= p <= 1, on a fresh ``random.Random(seed)``.
 
     A fresh generator, not the module-global one, so the draw depends on ``seed`` alone.  ``Random`` seeds with
-    |seed|, so a negative seed, which would repeat a positive one, raises ``ValueError``.
-
-    Near n = 2**63 the draw inherits the algorithm's departure from Binomial(n, p).  Over seeds 0..3999, numpy's
-    own ``default_rng(s).binomial`` gives a mean z of -5.5 at (2**63 - 1, 1e-17), and variance ratios of 1.19 at
-    (2**63 - 1, 0.5) and 1.08 at (2**62, 0.5); this draw gives -5.9, 1.14 and 1.05.  No fix is made: it would
-    depart from numpy's algorithm, against which the tests check this one bit for bit.
+    |seed|, so a negative seed, which would repeat a positive one, raises ``ValueError``.  Above p = 1/2 the draw
+    is n minus the draw at 1 - p.  Below n p = 10 it walks the geometric gaps between successes (Devroye,
+    *Non-Uniform Random Variate Generation*, Springer (1986), ch. X), about n p + 1 uniforms; above, it is
+    Hormann's BTRS, transformed rejection with a squeeze (J. Statist. Comput. Simul. 46, 101 (1993)), about two
+    uniforms at any n.  A uniform of 0.0 reaches no log and no division.
     """
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    return _draw_binomial(iter(random.Random(seed).random, None), n, p)
+    if p > 0.5:
+        return n - _binomial(n, 1.0 - p, seed)
+    if p == 0.0:
+        return 0
+    rng = random.Random(seed)
+    if n * p < 10.0:
+        log_q, hits, left = math.log1p(-p), 0, n
+        while True:
+            # floor(gap) + 1 trials to the next success; gap is compared as a float, as it is inf at subnormal p
+            gap = math.log(1.0 - rng.random()) / log_q
+            if gap >= left:
+                return hits
+            hits, left = hits + 1, left - math.floor(gap) - 1
+    spq = math.sqrt(n * p * (1.0 - p))
+    b = 1.15 + 2.53 * spq
+    a = -0.0873 + 0.0248 * b + 0.01 * p
+    c = n * p + 0.5
+    v_r = 0.92 - 4.2 / b
+    alpha = (2.83 + 5.1 / b) * spq
+    log_odds = math.log(p / (1.0 - p))
+    mode = math.floor((n + 1) * p)
+    while True:
+        u = rng.random() - 0.5
+        us = 0.5 - abs(u)
+        if us == 0.0:
+            continue
+        k = math.floor((2.0 * a / us + b) * u + c)
+        if not 0 <= k <= n:
+            continue
+        v = 1.0 - rng.random()
+        if us >= 0.07 and v <= v_r:
+            return k
+        # log f(k) / f(mode), f the binomial pmf
+        log_ratio = _log_factorial_ratio(mode, k) + _log_factorial_ratio(n - mode, n - k) + (k - mode) * log_odds
+        if math.log(v * alpha / (a / (us * us) + b)) <= log_ratio:
+            return k

@@ -21,7 +21,7 @@ n <= ``cnf.MAX_INDEX_N``, which every family takes from ``cnf.check_index``:
   violates exactly one clause.  That concentrates the violation histogram at
   u=1, which maximizes the phase contrast per clause and keeps the clause
   count at n + extras.  Optional extra clauses are random 3-literal ones
-  satisfied by the hidden assignment.
+  satisfied by the hidden assignment, drawn as the random family draws them.
 * ``generate_planted_block3sat`` is the 3-literal-only analogue: variables are
   grouped into blocks of three and each block contributes the seven clauses
   that forbid every wrong value pattern of the block.  A remainder block of
@@ -30,6 +30,15 @@ n <= ``cnf.MAX_INDEX_N``, which every family takes from ``cnf.check_index``:
 
 Every family draws variables by 0-based position k and writes each literal as
 DIMACS does, k + 1 or, negated, -(k + 1).
+
+Random clauses come from ``Generator.integers`` alone.  An attempt at a
+clause is eight bounded draws, decoded as numpy's ``choice(n, 3,
+replace=False)`` then ``integers(0, 2, 3)`` would read the same stream:
+Floyd's rule (Bentley and Floyd, CACM 30, 754 (1987)) for the three
+positions, the two swaps of ``choice``'s shuffle, and the three signs.  Each
+batch of clauses is one ``integers`` call per round of attempts, so the
+instances, and the generator state after the batch, are those of one
+``choice`` call per attempt.
 """
 
 from __future__ import annotations
@@ -50,10 +59,11 @@ from .cnf import (
 )
 
 # Peak bytes per initial clause of _planted_3sat and serialize_dimacs of its
-# formula: tracemalloc's peak over both, divided by m, is 407 to 413 at n = 10
-# and 456 to 498 at n = 20 and 30, for m = 10**4 to 3 * 10**5 (batches this
-# large leave the planted assignment unique, so the formula keeps m clauses).
-# The guard takes 1024, more than twice the largest.
+# formula: tracemalloc's peak over both, divided by m, is 405 to 493 at n = 10
+# and 448 to 491 at n = 20 and 30, for m = 10**4, 10**5 and 3 * 10**5 (batches
+# this large leave the planted assignment unique, so the formula keeps m
+# clauses).  The peak includes the first round of the batched draw, all m
+# attempts in one call.  The guard takes 1024, more than twice the largest.
 CLAUSE_BYTES = 1024
 
 
@@ -61,29 +71,70 @@ def _bit(assignment: int, position: int) -> int:
     return (assignment >> position) & 1
 
 
-def _literal(position: int, negated: int) -> int:
-    """DIMACS literal of the variable at 0-based ``position``: negative when ``negated``."""
-    return -(position + 1) if negated else position + 1
+def _literal(position, negated):
+    """DIMACS literal of the variable at 0-based ``position``: negative when ``negated``.
+
+    Plain arithmetic, so it takes ints and numpy arrays alike.
+    """
+    return (position + 1) * (1 - 2 * negated)
 
 
-def _random_clause_satisfied_by(rng: np.random.Generator, n: int, planted: int) -> Clause:
-    while True:
-        positions = rng.choice(n, size=3, replace=False)
-        negations = rng.integers(0, 2, size=3)
-        clause = Clause(map(_literal, positions.tolist(), negations.tolist()))
-        if clause.satisfied_by(planted):
-            return clause
+def _choice_highs(k: int, top: int) -> list[int]:
+    """Exclusive highs of the 2k - 1 draws that ``_choose`` decodes."""
+    return [*range(top - k + 1, top + 1), *range(k, 1, -1)]
+
+
+def _choose(draws: np.ndarray, top: int) -> np.ndarray:
+    """numpy's ``choice(top, k, replace=False)``, one per row of draws at ``_choice_highs(k, top)``.
+
+    Floyd's rule takes the first k: draw i is over [0, top - k + i] and, if it
+    repeats an earlier pick, that upper bound is taken instead.  The shuffle
+    then swaps position i = k - 1, ..., 1 with the next draw, over [0, i].
+    """
+    k = (draws.shape[1] + 1) // 2
+    picks = draws[:, :k].copy()
+    for i in range(1, k):
+        picks[(picks[:, :i] == picks[:, i, None]).any(axis=1), i] = top - k + i
+    rows = np.arange(len(picks))
+    for i, swap in zip(range(k - 1, 0, -1), draws[:, k:].T):
+        picks[rows, i], picks[rows, swap] = picks[rows, swap], picks[rows, i]
+    return picks
+
+
+def _satisfied_clauses(rng: np.random.Generator, n: int, planted: int, count: int) -> list[Clause]:
+    """``count`` random 3-literal clauses satisfied by ``planted``.
+
+    An attempt is a row of eight draws: ``choice(n, 3, replace=False)``'s
+    five, then three signs; it is kept if ``planted`` satisfies it, that is
+    if some position's bit in ``planted`` differs from its sign.  Each
+    round draws one attempt per clause still missing, in one ``integers``
+    call.  Every missing clause takes at least one attempt, so a round draws
+    only attempts that drawing one at a time would draw too, and the
+    generator ends where that would.
+    """
+    highs = np.array(_choice_highs(3, n) + [2, 2, 2])
+    clauses: list[Clause] = []
+    while len(clauses) < count:
+        draws = rng.integers(0, np.tile(highs, (count - len(clauses), 1)))
+        positions, signs = _choose(draws[:, :5], n), draws[:, 5:]
+        kept = (((planted >> positions) & 1) != signs).any(axis=1)
+        clauses += map(Clause, _literal(positions[kept], signs[kept]).tolist())
+    return clauses
 
 
 def _separating_clause(rng: np.random.Generator, n: int, planted: int, survivor: int) -> Clause:
-    """3-literal clause violated by ``survivor`` and satisfied by ``planted``."""
+    """3-literal clause violated by ``survivor`` and satisfied by ``planted``.
+
+    One ``integers`` call draws the anchor, as ``choice(differing)`` would,
+    and the other two positions, as ``choice(pool, 2, replace=False)`` would.
+    """
     differing = [k for k in range(n) if _bit(planted, k) != _bit(survivor, k)]
-    anchor = int(rng.choice(differing))
+    draws = rng.integers(0, [[len(differing), *_choice_highs(2, n - 1)]])
+    anchor = differing[draws[0, 0]]
     pool = [k for k in range(n) if k != anchor]
-    others = rng.choice(pool, size=2, replace=False)
     literals = [_literal(anchor, not _bit(planted, anchor))]
-    for k in others.tolist():
-        literals.append(_literal(k, _bit(survivor, k)))
+    for i in _choose(draws[:, 1:], n - 1)[0].tolist():
+        literals.append(_literal(pool[i], _bit(survivor, pool[i])))
     return Clause(literals)
 
 
@@ -109,7 +160,14 @@ def generate_planted_3sat(n: int, m: int, seed: int) -> CnfFormula:
 
 
 def _planted_3sat(n: int, m: int, seed: int) -> tuple[CnfFormula, int]:
-    """``generate_planted_3sat``'s formula and planted assignment."""
+    """``generate_planted_3sat``'s formula and planted assignment.
+
+    The planted assignment is one ``integers`` draw, the initial batch of m
+    clauses comes from ``_satisfied_clauses`` and each repair clause from one
+    ``integers`` call in ``_separating_clause``.  Both read the generator's
+    stream as the ``choice`` calls they decode would, so every instance is
+    the one that drawing each clause's positions with ``choice`` gives.
+    """
     if m < 1:
         raise InstanceError(f"need m >= 1 initial clauses, got m={m}")
     _check_bounds(n, 3, "planted 3SAT")
@@ -117,7 +175,7 @@ def _planted_3sat(n: int, m: int, seed: int) -> tuple[CnfFormula, int]:
     check_fits(m, CLAUSE_BYTES, "initial clauses")
     rng = np.random.default_rng(seed)
     planted = int(rng.integers(0, 1 << n))
-    clauses = [_random_clause_satisfied_by(rng, n, planted) for _ in range(m)]
+    clauses = _satisfied_clauses(rng, n, planted, m)
 
     survivors = np.array(satisfying_assignments(CnfFormula(n, tuple(clauses))), dtype=np.int64)
     while survivors.size > 1:
@@ -149,8 +207,7 @@ def generate_planted_chain(n: int, extras: int = 0, seed: int = 0) -> CnfFormula
         literals = [_literal(order[t], _bit(planted, order[t])) for t in range(j)]
         literals.append(_literal(order[j], not _bit(planted, order[j])))
         clauses.append(Clause(literals))
-    for _ in range(extras):
-        clauses.append(_random_clause_satisfied_by(rng, n, planted))
+    clauses += _satisfied_clauses(rng, n, planted, extras)
     return CnfFormula(n, tuple(clauses))
 
 

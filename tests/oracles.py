@@ -22,6 +22,11 @@ of zero is reported as 0.0, so the row of the zero-phase spectator
 kernel takes any profile, the per-assignment one (every weight 1) and the
 class profile alike.  The matrix dimension 2 * profile.size is guarded at
 2048: 64 MiB, n <= 10 per assignment.
+
+``satisfied_clauses`` and ``separating_clause`` are the random family's
+clause draws as numpy's ``Generator.choice`` makes them, one clause at a time:
+the reference for ``generate``'s batched draws, which decode the same
+``integers`` stream.
 """
 
 import json
@@ -371,3 +376,34 @@ def dense_eigencheck(profile):
         lambda_minus=float(phases[minus]),
         span_weight=float(overlaps[plus] + overlaps[minus]),
     )
+
+
+def _literal(position, negated):
+    return -(position + 1) if negated else position + 1
+
+
+def random_clause_satisfied_by(rng, n, planted):
+    """One 3-literal clause satisfied by ``planted``: ``choice`` and ``integers`` per attempt."""
+    while True:
+        positions = rng.choice(n, size=3, replace=False)
+        negations = rng.integers(0, 2, size=3)
+        clause = ss.Clause(map(_literal, positions.tolist(), negations.tolist()))
+        if clause.satisfied_by(planted):
+            return clause
+
+
+def satisfied_clauses(rng, n, planted, count):
+    """``generate._satisfied_clauses``, drawn one clause at a time."""
+    return [random_clause_satisfied_by(rng, n, planted) for _ in range(count)]
+
+
+def separating_clause(rng, n, planted, survivor):
+    """``generate._separating_clause`` with its two ``choice`` calls."""
+    differing = [k for k in range(n) if (planted >> k) & 1 != (survivor >> k) & 1]
+    anchor = int(rng.choice(differing))
+    pool = [k for k in range(n) if k != anchor]
+    others = rng.choice(pool, size=2, replace=False)
+    literals = [_literal(anchor, not (planted >> anchor) & 1)]
+    for k in others.tolist():
+        literals.append(_literal(k, (survivor >> k) & 1))
+    return ss.Clause(literals)

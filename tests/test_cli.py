@@ -471,7 +471,7 @@ class TestEnumerationLimit:
         def refuse(*args):
             raise AssertionError("a clause was drawn")
 
-        monkeypatch.setattr(ss.generate, "_random_clause_satisfied_by", refuse)
+        monkeypatch.setattr(ss.generate, "_satisfied_clauses", refuse)
         assert main(["gen", "-n", "31", "-m", "155"]) == 4
         TestUsageErrors.assert_one_line_error(capsys, "n <= 30")
 
@@ -613,7 +613,7 @@ class TestClauseGuard:
         def refuse(*args):
             raise AssertionError("a clause was drawn")
 
-        monkeypatch.setattr(ss.generate, "_random_clause_satisfied_by", refuse)
+        monkeypatch.setattr(ss.generate, "_satisfied_clauses", refuse)
         for m in (self.BOUND + 1, 100_000_000):
             assert main(["gen", "-n", "10", "-m", str(m)]) == 4
             refused = f"{m} initial clauses exceed the {self.BOUND} that fit in physical memory"

@@ -1,10 +1,15 @@
 import hashlib
+import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import satsearch as ss
 from satsearch.cli import main
 
+import oracles
 from oracles import violation_counts
 
 
@@ -41,7 +46,7 @@ class TestPlanted3Sat:
         def refuse(*args):
             raise AssertionError("a clause was drawn")
 
-        monkeypatch.setattr(ss.generate, "_random_clause_satisfied_by", refuse)
+        monkeypatch.setattr(ss.generate, "_satisfied_clauses", refuse)
         with pytest.raises(ss.GuardError, match="n <= 30"):
             ss.generate_planted_3sat(31, 155, seed=0)
 
@@ -85,6 +90,75 @@ class TestPlanted3Sat:
         # n = 64 would reach numpy's integer draw, which raises ValueError
         with pytest.raises(ss.GuardError, match="n <= 62"):
             ss.generate_planted_3sat(64, 5, seed=0)
+
+
+def twin_generators(seed, n):
+    """Two generators at one seed, each past the draw of the planted assignment, and that assignment."""
+    rngs = [np.random.default_rng(seed) for _ in range(2)]
+    planted = [int(rng.integers(0, 1 << n)) for rng in rngs]
+    return rngs, planted[0]
+
+
+def with_n(low, high, second):
+    """Pairs (n, x): n in [low, high] and x drawn from ``second(n)``."""
+    return st.integers(low, high).flatmap(lambda n: st.tuples(st.just(n), second(n)))
+
+
+# n in [3, 30] and an initial batch of m in [1, 6n] clauses
+BATCHES = with_n(3, 30, lambda n: st.integers(1, 6 * n))
+SEEDS = st.integers(0, 2**32)
+
+
+def enumerable(batch):
+    """At most 2**12 expected survivors, 2**n (7/8)**m: the walk lists every one."""
+    n, m = batch
+    return m >= (n - 12) * math.log(2) / math.log(8 / 7)
+
+
+class TestOneByOneDraw:
+    """The batched draws against numpy's ``choice`` one clause at a time (``oracles``)."""
+
+    @given(batch=BATCHES, seed=SEEDS)
+    @example(batch=(3, 1), seed=0)  # Floyd's first draw is over [0, 0]
+    @settings(max_examples=150, deadline=None)
+    def test_initial_batch(self, batch, seed):
+        n, m = batch
+        (batched, single), planted = twin_generators(seed, n)
+        assert ss.generate._satisfied_clauses(batched, n, planted, m) == oracles.satisfied_clauses(
+            single, n, planted, m
+        )
+        assert batched.bit_generator.state == single.bit_generator.state
+
+    @given(case=with_n(3, 30, lambda n: st.integers(1, (1 << n) - 1)), seed=SEEDS)
+    @example(case=(3, 1), seed=0)
+    @settings(max_examples=150, deadline=None)
+    def test_separating_clause(self, case, seed):
+        n, flips = case
+        (batched, single), planted = twin_generators(seed, n)
+        survivor = planted ^ flips
+        assert ss.generate._separating_clause(batched, n, planted, survivor) == oracles.separating_clause(
+            single, n, planted, survivor
+        )
+        assert batched.bit_generator.state == single.bit_generator.state
+
+    @given(batch=BATCHES.filter(enumerable), seed=SEEDS)
+    @example(batch=(3, 1), seed=0)
+    @settings(max_examples=100, deadline=None)
+    def test_planted_3sat(self, batch, seed):
+        n, m = batch
+        formula, planted = ss.generate._planted_3sat(n, m, seed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ss.generate, "_satisfied_clauses", oracles.satisfied_clauses)
+            patch.setattr(ss.generate, "_separating_clause", oracles.separating_clause)
+            assert (formula, planted) == ss.generate._planted_3sat(n, m, seed)
+
+    @given(case=with_n(3, 62, lambda n: st.integers(0, 3 * n)), seed=SEEDS)
+    @settings(max_examples=100, deadline=None)
+    def test_planted_chain(self, case, seed):
+        text = ss.serialize_dimacs(ss.generate_planted_chain(*case, seed=seed))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ss.generate, "_satisfied_clauses", oracles.satisfied_clauses)
+            assert text == ss.serialize_dimacs(ss.generate_planted_chain(*case, seed=seed))
 
 
 class TestPlantedChain:

@@ -104,6 +104,16 @@ def test_generate_imports_pinned():
     assert names == GENERATE_FROM_CNF
 
 
+def test_generate_draws_no_choice():
+    """Every random clause is decoded from ``integers`` draws: no ``choice`` call can bring back a second draw path."""
+    calls = [
+        node.lineno
+        for node in ast.walk(SOURCES["generate"])
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "choice"
+    ]
+    assert calls == []
+
+
 def identifiers(node):
     """The identifiers ``node`` holds: names, attributes, imported aliases and definitions."""
     return {getattr(part, key, None) for part in ast.walk(node) for key in ("id", "attr", "name")} - {None}

@@ -244,6 +244,8 @@ def run_grover_baseline(total: int, steps: int | None = None) -> np.ndarray:
     from both, exactly as the textbook step of ``tests/oracles.py`` does to
     the N-vector.
     """
+    if total < 1:
+        raise ValueError(f"empty search domain: N = {total} assignments")
     steps = grover_optimal_steps(total) if steps is None else steps
     if steps < 0:
         raise ValueError("steps must be >= 0")

@@ -7,6 +7,13 @@ lambda2 is the quadratic cotangent moment of the violation histogram:
 
     lambda2 = (1/N) * sum_{u=1..m} N_u * cot^2(pi*u / (2m))
 
+Every quantity here, and the iterate in ``statevector``, depends on the
+clauses only through the phase theta_u = pi*u/m of violation class u.
+``class_phases`` is its one definition, and ``histogram_classes`` the one
+checked step from a histogram to its occupied classes (u, N_u): it raises
+``ValueError`` unless the histogram has m + 1 bins, none negative, counting
+N > 0 assignments.
+
 The linear moment lambda1 cancels identically between the two conjugate
 ancilla branches (cot is odd), so it is pinned to exact zero instead of being
 reported as float residue.  The two-eigenphase picture needs the principal
@@ -20,7 +27,7 @@ measures that separation and a summary is flagged once it exceeds 0.1.
 equation sum_c s_c^2 cot((lambda - theta_c)/2) = 0, with s_c^2 = N_u / 2N
 on each branch.  Pairing the conjugate branches with cot(x - p) + cot(x + p)
 = sin 2x / (sin^2 x - sin^2 p) and writing t = sin^2(lambda/2) and
-sigma_u = sin^2(pi*u/2m), the roots off 0 and pi solve
+sigma_u = sin^2(theta_u/2), the roots off 0 and pi solve
 
     N_0 = sum_{u >= 1, N_u > 0} N_u * t / (sigma_u - t).
 
@@ -83,18 +90,44 @@ class SpectralSummary:
         return out
 
 
+def class_phases(m: int, u) -> np.ndarray:
+    """The clause phase theta_u = pi*u/m of violation class u, in float64.
+
+    The one definition of the phase: the iterate's D, lambda2, the validity
+    ratio and the spectrum all read it from here.
+    """
+    return (np.pi / m) * np.asarray(u, dtype=np.float64)
+
+
+def _checked_histogram(histogram, m: int) -> np.ndarray:
+    """``histogram`` as an array, once it has m + 1 bins, none negative, counting N > 0 assignments."""
+    hist = np.asarray(histogram)
+    if hist.shape[0] != m + 1:
+        raise ValueError(f"histogram must have m+1 = {m + 1} bins, got {hist.shape[0]}")
+    total = hist.sum()
+    if total <= 0:
+        raise ValueError(f"empty search domain: the histogram counts N = {total} assignments")
+    if np.any(hist < 0):
+        raise ValueError("histogram bins must be >= 0")
+    return hist
+
+
+def histogram_classes(histogram, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The occupied classes of a violation histogram: (u, N_u), in increasing u."""
+    hist = _checked_histogram(histogram, m)
+    u = np.flatnonzero(hist)
+    return u, hist[u]
+
+
 def lambda2_from_histogram(histogram, m: int) -> float:
     """Quadratic cotangent moment of a violation histogram (the u = 0 bin is excluded).
 
     Defined for any histogram, including multi-solution instances; only the
     closed-form summary requires uniqueness.
     """
-    hist = np.asarray(histogram, dtype=np.float64)
-    if hist.shape[0] != m + 1:
-        raise ValueError(f"histogram must have m+1 = {m + 1} bins, got {hist.shape[0]}")
+    hist = np.asarray(_checked_histogram(histogram, m), dtype=np.float64)
     total = hist.sum()
-    u = np.arange(1, m + 1, dtype=np.float64)
-    half_angle = np.pi * u / (2.0 * m)
+    half_angle = class_phases(m, np.arange(1, m + 1)) / 2.0
     cot_sq = (np.cos(half_angle) / np.sin(half_angle)) ** 2
     return float(np.dot(hist[1:], cot_sq) / total)
 
@@ -107,7 +140,7 @@ def spectral_summary(table: UnsatTable) -> SpectralSummary:
     b = math.sqrt(1.0 + lam2)
     lambda_pm = 2.0 / (b * sqrt_n)
     q_m = max(1, round(math.pi * b * sqrt_n / 4.0))
-    ratio = lambda_pm / (math.pi / table.m)
+    ratio = lambda_pm / float(class_phases(table.m, 1))
     return SpectralSummary(
         n=table.n,
         m=table.m,
@@ -174,13 +207,12 @@ def spectrum(table: UnsatTable) -> EigenPairReport:
     Raises ``InstanceError`` unless the table has exactly one solution.
     """
     table.unique_solution()
-    histogram = np.asarray(table.histogram)
-    u = np.flatnonzero(histogram[1:]) + 1
-    counts = histogram[u]
-    sigma = np.sin(np.pi * u / (2.0 * table.m)) ** 2
-    roots = _secular_roots(histogram[0], counts, sigma)
+    u, counts = histogram_classes(table.histogram, table.m)
+    solutions, u, counts = counts[0], u[1:], counts[1:]  # class 0 holds the one solution
+    theta = class_phases(table.m, u)
+    sigma = np.sin(theta / 2.0) ** 2
+    roots = _secular_roots(solutions, counts, sigma)
     phases = 2.0 * np.arcsin(np.sqrt(roots))
-    theta = np.pi * (u / table.m)
 
     # 0 and pi once each, the roots as conjugate pairs, then each class's
     # N_u - 1 spectators per branch; -pi is written pi
@@ -192,7 +224,7 @@ def spectrum(table: UnsatTable) -> EigenPairReport:
     distinct, position = np.unique(every[kept], return_inverse=True)
 
     t = roots[0]
-    norm = histogram[0] / t + np.sum(counts * (sigma + t - 2.0 * sigma * t) / (sigma - t) ** 2)
+    norm = solutions / t + np.sum(counts * (sigma + t - 2.0 * sigma * t) / (sigma - t) ** 2)
     return EigenPairReport(
         eigenphases=distinct,
         multiplicities=np.bincount(position, weights=count[kept]).astype(np.int64),

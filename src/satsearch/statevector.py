@@ -2,19 +2,20 @@
 
 The register is one ancilla qubit plus n data qubits.  An assignment violating
 u of the m clauses picks up exp(+i*pi*u/m) on the b=0 branch and the conjugate
-on b=1.  Assignments satisfying everything (u = 0) are untouched; the search
-iterate amplifies exactly that fixed fiber.
+on b=1; the phase pi*u/m is ``spectral.class_phases``, its one definition.
+Assignments satisfying everything (u = 0) are untouched; the search iterate
+amplifies exactly that fixed fiber.
 
 Class coordinates.  Each clause adds its own phase, with no AND over clauses,
 so the iterate treats all assignments with the same violation count alike.
 A ``PhaseProfile`` entry therefore carries a multiplicity: entry k stands for
 ``weights[k]`` assignments that each violate ``u[k]`` clauses.  Production
 builds the class profile, one entry per occupied violation count with weight
-N_u, from the histogram (``from_histogram``); entry 0 is the solution class
-u = 0.  The unit vector of class (b, u) is the normalized indicator of its N_u
-assignments, the uniform state is s with s_(b,u) = sqrt(N_u / 2N), and the
-iterate is exactly (I - 2ss^T)D on 2(m+1) amplitudes at most, with D the class
-phases.
+N_u, from the histogram (``from_histogram``, through ``spectral``'s checked
+``histogram_classes``); entry 0 is the solution class u = 0.  The unit vector
+of class (b, u) is the normalized indicator of its N_u assignments, the
+uniform state is s with s_(b,u) = sqrt(N_u / 2N), and the iterate is exactly
+(I - 2ss^T)D on 2(m+1) amplitudes at most, with D the class phases.
 
 One branch.  A state holds branch b = 0 only, ``size`` amplitudes a_(0,u);
 branch 1 is their conjugate, a_(1,u) = conj(a_(0,u)).  The symmetry is
@@ -55,6 +56,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .spectral import class_phases, histogram_classes
+
 
 @dataclass
 class PhaseProfile:
@@ -91,16 +94,16 @@ class PhaseProfile:
         """Class profile: one entry per occupied bin u, weight N_u.
 
         Entries come in increasing u, so the solutions (u = 0) are entry 0.
+        Raises ``ValueError`` unless the histogram has m + 1 bins, none
+        negative, counting N > 0 assignments.
         """
-        histogram = np.asarray(histogram)
-        occupied = np.flatnonzero(histogram)
-        return cls(m, occupied, histogram[occupied].astype(np.int64))
+        u, counts = histogram_classes(histogram, m)
+        return cls(m, u, counts.astype(np.int64))
 
     @cached_property
     def phases(self) -> np.ndarray:
         """The clause phases D on branch 0, exp(+i*pi*u/m) per entry; branch 1 has their conjugates."""
-        theta = (np.pi / self.m) * self.u.astype(np.float64)
-        return np.exp(1j * theta)
+        return np.exp(1j * class_phases(self.m, self.u))
 
     @cached_property
     def axis(self) -> np.ndarray:

@@ -61,6 +61,15 @@ class TestClassProfile:
         assert np.array_equal(classes.phases, upper)
         assert np.array_equal(FullKernel(classes).phases, np.concatenate([upper, upper.conj()]))
 
+    @pytest.mark.parametrize(
+        "m, histogram, message",
+        [(2, [1, 1, 1, 1], "m\\+1 = 3 bins, got 4"), (3, [0, 0, 0, 0], "empty search domain")],
+        ids=["class-beyond-m", "empty"],
+    )
+    def test_histogram_checked(self, m, histogram, message):
+        with pytest.raises(ValueError, match=message):
+            ss.PhaseProfile.from_histogram(m, histogram)
+
     def test_weights_validated(self):
         with pytest.raises(ValueError, match="weights"):
             ss.PhaseProfile(m=1, u=np.array([0, 1]), weights=np.array([1, 0]))

@@ -817,7 +817,7 @@ class TestOutputBytes:
         "grover.csv": "a037eb0c6434317dff84b4f1d636292e195e23bcd6b774211405b10eeb6411cb",
         "run.json": "806b5df21b5a4f8c95c74c9d48908dcd14b3849a79b5876882f3f64ad21a4183",
         "snap.json": "482ee63a52a6868aa6c674cc9254c0d35a92e0db57b7b7d41f9975add76babdb",
-        "spectrum.json": "894a6053ea0536559df70ba33626911aed72486b29e3685dc014ab00bf62d80b",
+        "spectrum.json": "45bd0892fd59716695dd5abd47d8c77c3e91d90839e708a2526c74cd99295c11",
     }
     # the per-assignment document the pinned snap.json lifts to: one
     # (index, re, im) row per amplitude of modulus above 1e-6

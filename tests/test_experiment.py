@@ -257,6 +257,10 @@ class TestGroverBaseline:
     def test_optimal_steps_value(self):
         assert ss.grover_optimal_steps(1 << 16) == 201
 
+    def test_empty_domain_rejected(self):
+        with pytest.raises(ValueError, match="empty search domain"):
+            ss.run_grover_baseline(0)
+
     def test_negative_steps_rejected(self):
         with pytest.raises(ValueError, match="steps"):
             ss.run_grover_baseline(4, -1)

@@ -29,6 +29,7 @@ PARAMETERS = {
     "build_unsat_table": ["formula", "threads"],
     "cnf.satisfying_assignments": ["formula"],
     "generate_planted_3sat": ["n", "m", "seed"],
+    "spectral.class_phases": ["m", "u"],
 }
 RUN_CONFIG_FIELDS = ["formula_path", "q_max", "include_grover", "grover_steps"]
 
@@ -51,7 +52,7 @@ IMPORTS = {
     "experiment": ["__init__", "cnf", "spectral", "statevector"],
     "generate": ["cnf"],
     "spectral": ["cnf"],
-    "statevector": [],
+    "statevector": ["spectral"],
 }
 
 # the names generate takes from cnf: the random family's survivors come from
@@ -156,6 +157,39 @@ def test_one_domain_size():
         )
 
     assert [name for name, tree in SOURCES.items() if sizes_from_n(tree)] == ["cnf"]
+
+
+def test_clause_phase_written_once():
+    """Only ``spectral.class_phases`` combines pi with m: the summary, the spectrum and the iterate read theta_u from it."""
+
+    def phase_sites(node):
+        return [part for part in ast.walk(node) if isinstance(part, ast.BinOp) and {"pi", "m"} <= identifiers(part)]
+
+    writers = {
+        f"{name}.{node.name}": len(phase_sites(node))
+        for name, tree in SOURCES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and phase_sites(node)
+    }
+    assert list(writers) == ["spectral.class_phases"]
+    # no module-level site either
+    assert sum(len(phase_sites(tree)) for tree in SOURCES.values()) == writers["spectral.class_phases"]
+
+
+def test_no_unused_imports():
+    """Every name a module imports is read in it: a leftover import costs every command its start-up."""
+
+    def unused(tree):
+        imported = {
+            (alias.asname or alias.name).partition(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        return sorted(imported - read)
+
+    assert {name: unused(tree) for name, tree in SOURCES.items() if unused(tree)} == {}
 
 
 def test_only_cli_turns_files_into_tables():

@@ -43,11 +43,27 @@ class TestLambda2:
         with pytest.raises(ValueError, match="bins"):
             ss.lambda2_from_histogram([1, 2, 1], 3)
 
+    @pytest.mark.parametrize(
+        "histogram, message",
+        [([0, 0, 0], "empty search domain"), ([1, -1, 0], "empty search domain"), ([2, -1, 0], ">= 0")],
+        ids=["empty", "sums-to-zero", "negative"],
+    )
+    def test_histogram_bins_checked(self, histogram, message):
+        with pytest.raises(ValueError, match=message):
+            ss.lambda2_from_histogram(histogram, 2)
+
     def test_all_max_violations_vanish(self):
         # every non-solution violates all clauses -> cot^2(pi/2) terms only
         hist = np.zeros(5, dtype=np.int64)
         hist[0], hist[4] = 1, 63
         assert ss.lambda2_from_histogram(hist, 4) < 1e-30
+
+
+class TestClassPhases:
+    def test_values(self):
+        phases = ss.spectral.class_phases(4, np.array([0, 1, 2, 4]))
+        assert phases.dtype == np.float64
+        assert phases.tolist() == [0.0, np.pi / 4, np.pi / 2, np.pi]
 
 
 class TestCotangentSum:
@@ -210,6 +226,13 @@ class TestDenseEigencheck:
             ss.spectrum(ss.build_unsat_table(formula))
         with pytest.raises(ss.InstanceError):
             dense_eigencheck(profile_for(formula))
+
+    def test_histogram_width_checked(self):
+        # a class u = 3 > m would get the phase 3*pi/2; the summary rejects the same table
+        table = ss.UnsatTable(2, 2, np.array([1, 1, 1, 1]), [0])
+        for read in (ss.spectrum, ss.spectral_summary):
+            with pytest.raises(ValueError, match="m\\+1 = 3 bins, got 4"):
+                read(table)
 
 
 def secular_root_50_digits(table):

@@ -19,7 +19,7 @@ _EXPORTS = {
     ),
     "generate": ("generate_planted_3sat", "generate_planted_block3sat", "generate_planted_chain"),
     "statevector": ("PhaseProfile", "search_step", "state_snapshot"),
-    "spectral": ("EigenPairReport", "SpectralSummary", "lambda2_from_histogram", "spectral_summary", "spectrum"),
+    "spectral": ("EigenPairReport", "SpectralSummary", "lambda2", "spectral_summary", "spectrum"),
     "experiment": (
         "RunConfig", "RunReport", "grover_optimal_steps", "measurement_success_rate",
         "repeat_until_success_stats", "run_grover_baseline", "run_sweep", "state_after", "success_curve",

@@ -27,7 +27,12 @@ OR-clause is violated on exactly the indices i with i & ``Clause.care`` ==
 An ``UnsatTable`` is four facts, n, m, the histogram and those first
 solutions, and holds no formula: any source may build one, and
 ``to_json_dict`` writes exactly those fields.  Its N is the histogram's sum,
-2**n when the table is enumerated.
+2**n when the table is enumerated.  A table is checked once, where it is
+made, and raises ``InstanceError`` unless its histogram has integer bins,
+exactly m + 1 of them with m >= 1, none negative, counting 0 < N <= 2**n
+assignments, and its solutions are the first min(N_0, 2) of them, strictly
+increasing in [0, 2**n).  ``spectral`` and ``statevector`` read only tables,
+so they check no histogram again.
 
 The table needs a count for every assignment.  Split i into low, middle and
 top bits and the test factors into a test on each part.  The assignments are
@@ -171,7 +176,7 @@ class DimacsError(FormulaError):
 
 
 class InstanceError(ValueError):
-    """Instance lacks the solution structure an operation requires."""
+    """Instance lacks the solution structure an operation requires, or a violation table is inconsistent."""
 
 
 class GuardError(RuntimeError):
@@ -425,12 +430,40 @@ class UnsatTable:
     and ``to_json_dict`` is exactly them.  Their N, ``assignment_count``, is
     the histogram's sum: 2**n when the table is enumerated, fewer on any
     smaller domain.  ``cnf.satisfying_assignments`` lists every solution.
+
+    The invariants are checked here, once, and raise ``InstanceError``:
+    the histogram has integer bins, exactly m + 1 of them with m >= 1, none
+    negative, and counts 0 < N <= 2**n assignments; ``solutions`` holds
+    exactly min(N_0, 2) indices, strictly increasing, in [0, 2**n).  The
+    histogram is kept as an array.
     """
 
     n: int
     m: int
     histogram: np.ndarray
     solutions: list[int]
+
+    def __post_init__(self) -> None:
+        if self.m < 1:
+            raise InstanceError(f"clause count m must be >= 1, got m={self.m}")
+        hist = self.histogram = np.asarray(self.histogram)
+        if hist.shape != (self.m + 1,):
+            raise InstanceError(f"histogram must have m+1 = {self.m + 1} bins, got {hist.size}")
+        if not np.issubdtype(hist.dtype, np.integer):
+            raise InstanceError(f"histogram bins must be integers, got dtype {hist.dtype}")
+        total = int(hist.sum())
+        if total <= 0:
+            raise InstanceError(f"empty search domain: the histogram counts N = {total} assignments")
+        if np.any(hist < 0):
+            raise InstanceError("histogram bins must be >= 0")
+        domain = 2**self.n
+        if total > domain:
+            raise InstanceError(f"the histogram counts N = {total} assignments, more than 2**n = 2**{self.n}")
+        found, listed = int(hist[0]), list(self.solutions)
+        if len(listed) != min(found, 2):
+            raise InstanceError(f"solutions must list the first min(N_0, 2) of N_0 = {found}, got {len(listed)}")
+        if any(not 0 <= i < domain for i in listed) or listed != sorted(set(listed)):
+            raise InstanceError(f"solutions must be strictly increasing indices in [0, 2**{self.n}), got {listed}")
 
     @property
     def assignment_count(self) -> int:
@@ -439,8 +472,6 @@ class UnsatTable:
     def unique_solution(self) -> int:
         if self.histogram[0] != 1:
             raise InstanceError(f"expected exactly one satisfying assignment, found {self.histogram[0]}")
-        if len(self.solutions) != 1:
-            raise InstanceError(f"one satisfying assignment counted but {len(self.solutions)} listed")
         return self.solutions[0]
 
     def to_json_dict(self) -> dict:

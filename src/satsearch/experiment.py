@@ -206,7 +206,7 @@ def run_sweep(table: UnsatTable, config: RunConfig, snapshot: bool = False) -> R
     solution = table.unique_solution()
     summary = spectral_summary(table)
     q_max = config.q_max if config.q_max is not None else 2 * summary.q_m
-    classes = PhaseProfile.from_histogram(table.m, table.histogram)
+    classes = PhaseProfile.from_table(table)
     curve = success_curve(classes, q_max)
     q_peak = int(np.argmax(curve[:, 2]))
     p_peak = float(curve[q_peak, 2])
@@ -299,7 +299,7 @@ def repeat_until_success_stats(
     one ``_binomial`` draw on ``random.Random(rng_seed)``.
     """
     summary = spectral_summary(table)
-    classes = PhaseProfile.from_histogram(table.m, table.histogram)
+    classes = PhaseProfile.from_table(table)
     rate = measurement_success_rate(classes, summary.q_m, trials, rng_seed)
     return {
         "trials": trials,

@@ -9,10 +9,10 @@ lambda2 is the quadratic cotangent moment of the violation histogram:
 
 Every quantity here, and the iterate in ``statevector``, depends on the
 clauses only through the phase theta_u = pi*u/m of violation class u.
-``class_phases`` is its one definition, and ``histogram_classes`` the one
-checked step from a histogram to its occupied classes (u, N_u): it raises
-``ValueError`` unless the histogram has m + 1 bins, none negative, counting
-N > 0 assignments.
+``class_phases`` is its one definition, and ``histogram_classes`` the step
+from a table to its occupied classes (u, N_u).  Every function here takes a
+``cnf.UnsatTable``, whose histogram was checked where the table was made, and
+checks it no further.
 
 The linear moment lambda1 cancels identically between the two conjugate
 ancilla branches (cot is odd), so it is pinned to exact zero instead of being
@@ -99,33 +99,20 @@ def class_phases(m: int, u) -> np.ndarray:
     return (np.pi / m) * np.asarray(u, dtype=np.float64)
 
 
-def _checked_histogram(histogram, m: int) -> np.ndarray:
-    """``histogram`` as an array, once it has m + 1 bins, none negative, counting N > 0 assignments."""
-    hist = np.asarray(histogram)
-    if hist.shape[0] != m + 1:
-        raise ValueError(f"histogram must have m+1 = {m + 1} bins, got {hist.shape[0]}")
-    total = hist.sum()
-    if total <= 0:
-        raise ValueError(f"empty search domain: the histogram counts N = {total} assignments")
-    if np.any(hist < 0):
-        raise ValueError("histogram bins must be >= 0")
-    return hist
+def histogram_classes(table: UnsatTable) -> tuple[np.ndarray, np.ndarray]:
+    """The occupied classes of a table's violation histogram: (u, N_u), in increasing u."""
+    u = np.flatnonzero(table.histogram)
+    return u, table.histogram[u]
 
 
-def histogram_classes(histogram, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The occupied classes of a violation histogram: (u, N_u), in increasing u."""
-    hist = _checked_histogram(histogram, m)
-    u = np.flatnonzero(hist)
-    return u, hist[u]
+def lambda2(table: UnsatTable) -> float:
+    """Quadratic cotangent moment of a table's violation histogram (the u = 0 bin is excluded).
 
-
-def lambda2_from_histogram(histogram, m: int) -> float:
-    """Quadratic cotangent moment of a violation histogram (the u = 0 bin is excluded).
-
-    Defined for any histogram, including multi-solution instances; only the
+    Defined for any table, including multi-solution instances; only the
     closed-form summary requires uniqueness.
     """
-    hist = np.asarray(_checked_histogram(histogram, m), dtype=np.float64)
+    m = table.m
+    hist = np.asarray(table.histogram, dtype=np.float64)
     total = hist.sum()
     half_angle = class_phases(m, np.arange(1, m + 1)) / 2.0
     cot_sq = (np.cos(half_angle) / np.sin(half_angle)) ** 2
@@ -136,7 +123,7 @@ def spectral_summary(table: UnsatTable) -> SpectralSummary:
     """All closed-form predictions for a unique-solution instance."""
     table.unique_solution()
     sqrt_n = math.sqrt(table.assignment_count)
-    lam2 = lambda2_from_histogram(table.histogram, table.m)
+    lam2 = lambda2(table)
     b = math.sqrt(1.0 + lam2)
     lambda_pm = 2.0 / (b * sqrt_n)
     q_m = max(1, round(math.pi * b * sqrt_n / 4.0))
@@ -207,7 +194,7 @@ def spectrum(table: UnsatTable) -> EigenPairReport:
     Raises ``InstanceError`` unless the table has exactly one solution.
     """
     table.unique_solution()
-    u, counts = histogram_classes(table.histogram, table.m)
+    u, counts = histogram_classes(table)
     solutions, u, counts = counts[0], u[1:], counts[1:]  # class 0 holds the one solution
     theta = class_phases(table.m, u)
     sigma = np.sin(theta / 2.0) ** 2

@@ -11,11 +11,13 @@ so the iterate treats all assignments with the same violation count alike.
 A ``PhaseProfile`` entry therefore carries a multiplicity: entry k stands for
 ``weights[k]`` assignments that each violate ``u[k]`` clauses.  Production
 builds the class profile, one entry per occupied violation count with weight
-N_u, from the histogram (``from_histogram``, through ``spectral``'s checked
-``histogram_classes``); entry 0 is the solution class u = 0.  The unit vector
-of class (b, u) is the normalized indicator of its N_u assignments, the
-uniform state is s with s_(b,u) = sqrt(N_u / 2N), and the iterate is exactly
-(I - 2ss^T)D on 2(m+1) amplitudes at most, with D the class phases.
+N_u, from a checked ``cnf.UnsatTable`` (``from_table``, through ``spectral``'s
+``histogram_classes``); entry 0 is the solution class u = 0.  A profile built
+directly is checked where it is made: it needs an entry, and each u an
+integer in 0..m.  The unit vector of class (b, u) is the normalized
+indicator of its N_u assignments, the uniform state is s with
+s_(b,u) = sqrt(N_u / 2N), and the iterate is exactly (I - 2ss^T)D on
+2(m+1) amplitudes at most, with D the class phases.
 
 One branch.  A state holds branch b = 0 only, ``size`` amplitudes a_(0,u);
 branch 1 is their conjugate, a_(1,u) = conj(a_(0,u)).  The symmetry is
@@ -68,7 +70,8 @@ class PhaseProfile:
     which is also the number of amplitudes a state holds: one per entry, on
     branch 0, and ``scale`` the reflection's 2/N.  All three are derived
     once, and ``phases`` and ``axis`` on first read, so that ``search_step``
-    derives nothing per call.
+    derives nothing per call.  Raises ``ValueError`` unless m >= 1, there
+    is an entry, each u is an integer in 0..m and each weight is positive.
     """
 
     m: int
@@ -82,6 +85,10 @@ class PhaseProfile:
         if self.m < 1:
             raise ValueError("clause count m must be >= 1")
         self.u = np.asarray(self.u)
+        if self.u.size == 0:
+            raise ValueError("a profile needs at least one entry")
+        if not np.issubdtype(self.u.dtype, np.integer) or self.u.min() < 0 or self.u.max() > self.m:
+            raise ValueError(f"violation counts must be integers in 0..m = 0..{self.m}")
         self.weights = np.asarray(self.weights, dtype=np.int64)
         if self.weights.shape != self.u.shape or np.any(self.weights < 1):
             raise ValueError("weights must be positive, one per violation count")
@@ -90,15 +97,12 @@ class PhaseProfile:
         self.scale = 2.0 / self.total
 
     @classmethod
-    def from_histogram(cls, m: int, histogram) -> "PhaseProfile":
-        """Class profile: one entry per occupied bin u, weight N_u.
+    def from_table(cls, table) -> "PhaseProfile":
+        """Class profile of a ``cnf.UnsatTable``: one entry per occupied bin u, weight N_u.
 
         Entries come in increasing u, so the solutions (u = 0) are entry 0.
-        Raises ``ValueError`` unless the histogram has m + 1 bins, none
-        negative, counting N > 0 assignments.
         """
-        u, counts = histogram_classes(histogram, m)
-        return cls(m, u, counts.astype(np.int64))
+        return cls(table.m, *histogram_classes(table))
 
     @cached_property
     def phases(self) -> np.ndarray:

@@ -33,14 +33,14 @@ def planted14():
 def class_profile(request):
     """Class profiles of three generator families, and one with N_0 = 3 so the read-out scale is not 1."""
     if request.param == "three-solutions":
-        return ss.PhaseProfile.from_histogram(5, [3, 30, 40, 20, 6, 1])
+        return ss.PhaseProfile(5, [0, 1, 2, 3, 4, 5], [3, 30, 40, 20, 6, 1])
     formula = {
         "planted-14": lambda: ss.generate_planted_3sat(14, 16, seed=1),
         "chain-16": lambda: ss.generate_planted_chain(16, 2, 4),
         "block3sat-12": lambda: ss.generate_planted_block3sat(12),
     }[request.param]()
     table = ss.build_unsat_table(formula)
-    return ss.PhaseProfile.from_histogram(table.m, table.histogram)
+    return ss.PhaseProfile.from_table(table)
 
 
 @contextmanager

@@ -122,8 +122,9 @@ def all_violated(n, solution):
 
 def fold_classes(profile):
     """One entry per occupied violation count, weighted by its multiplicity."""
-    folded = np.bincount(profile.u, weights=profile.weights, minlength=profile.m + 1)
-    return ss.PhaseProfile.from_histogram(profile.m, folded)
+    folded = np.bincount(profile.u, weights=profile.weights, minlength=profile.m + 1).astype(np.int64)
+    u = np.flatnonzero(folded)
+    return ss.PhaseProfile(profile.m, u, folded[u])
 
 
 def class_entries(classes, counts):

@@ -122,7 +122,7 @@ def test_criterion_4_peak_success():
         table.unique_solution()
         summary = ss.spectral_summary(table)
         assert summary.validity_ratio <= 0.05, (family, n, seed)
-        classes = ss.PhaseProfile.from_histogram(table.m, table.histogram)
+        classes = ss.PhaseProfile.from_table(table)
         curve = ss.success_curve(classes, 2 * summary.q_m)
         p_at_qm = curve[summary.q_m, 2]
         assert abs(p_at_qm - summary.predicted_success) <= 0.25 * summary.predicted_success, (
@@ -142,7 +142,7 @@ def test_criterion_5_exact_grover_limit():
     # B = 1, lambda2 = 0 for this violation profile
     histogram = np.zeros(2, dtype=np.int64)
     histogram[0], histogram[1] = 1, total - 1
-    assert ss.lambda2_from_histogram(histogram, 1) < 1e-12
+    assert ss.lambda2(ss.UnsatTable(n, 1, histogram, [solution])) < 1e-12
 
     q_m = round(math.pi * math.sqrt(total) / 4.0)
     curve = ss.success_curve(profile, 2 * q_m)
@@ -183,7 +183,7 @@ def test_criterion_7_threesat_b_scale():
     for seed in (0, 1, 2, 3, 4):
         formula = random_3sat(18, 40, seed)
         table = ss.build_unsat_table(formula)
-        lam2 = ss.lambda2_from_histogram(table.histogram, table.m)
+        lam2 = ss.lambda2(table)
         b = math.sqrt(1.0 + lam2)
         assert 3.0 <= b <= 8.0, (seed, b)
     _verdict(7, "3SAT B scale")

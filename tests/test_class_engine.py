@@ -37,10 +37,10 @@ class TestClassProfile:
         assert classes.total == profile.total == 4
         assert class_entries(classes, profile.u).tolist() == [2, 1, 1, 0]
 
-    def test_from_histogram_is_the_fold(self, planted14):
+    def test_from_table_is_the_fold(self, planted14):
         formula, table, _ = planted14
         folded = fold_classes(profile_for(formula))
-        classes = ss.PhaseProfile.from_histogram(table.m, table.histogram)
+        classes = ss.PhaseProfile.from_table(table)
         assert classes.u.tolist() == folded.u.tolist()
         assert classes.weights.tolist() == folded.weights.tolist()
         assert classes.total == folded.total == 1 << 14
@@ -62,13 +62,30 @@ class TestClassProfile:
         assert np.array_equal(FullKernel(classes).phases, np.concatenate([upper, upper.conj()]))
 
     @pytest.mark.parametrize(
-        "m, histogram, message",
-        [(2, [1, 1, 1, 1], "m\\+1 = 3 bins, got 4"), (3, [0, 0, 0, 0], "empty search domain")],
+        "m, histogram, solutions, message",
+        [(2, [1, 1, 1, 1], [0], "m\\+1 = 3 bins, got 4"), (3, [0, 0, 0, 0], [], "empty search domain")],
         ids=["class-beyond-m", "empty"],
     )
-    def test_histogram_checked(self, m, histogram, message):
+    def test_histogram_checked(self, m, histogram, solutions, message):
+        # refused where the table is made, before any profile could read it
+        with pytest.raises(ss.InstanceError, match=message):
+            ss.UnsatTable(2, m, histogram, solutions)
+
+    @pytest.mark.parametrize(
+        "m, u, weights, message",
+        [
+            (2, [0, 5], [1, 1], "integers in 0..m = 0..2"),
+            (2, [0, -1], [1, 1], "integers in 0..m = 0..2"),
+            (2, [0, 0.5], [1, 1], "integers in 0..m = 0..2"),
+            (2, [], [], "at least one entry"),
+            (0, [0], [1], "m must be >= 1"),
+        ],
+        ids=["beyond-m", "negative", "non-integer", "no-entry", "no-clause"],
+    )
+    def test_refused_where_made(self, m, u, weights, message):
+        # each would give a class a phase no clause count gives, or divide by N = 0
         with pytest.raises(ValueError, match=message):
-            ss.PhaseProfile.from_histogram(m, histogram)
+            ss.PhaseProfile(m, u, weights)
 
     def test_weights_validated(self):
         with pytest.raises(ValueError, match="weights"):
@@ -89,7 +106,7 @@ class TestClassProfile:
         for profile in (
             per_assignment,
             fold_classes(per_assignment),
-            ss.PhaseProfile.from_histogram(3, [0, 5, 0, 3]),
+            ss.PhaseProfile.from_table(ss.UnsatTable(3, 3, [0, 5, 0, 3], [])),
         ):
             assert profile.u[0] != 0
             with pytest.raises(ss.InstanceError, match="no assignment satisfies every clause"):
@@ -202,7 +219,7 @@ class TestExtendedPrecision:
         if np.finfo(np.longdouble).nmant < 63:
             pytest.skip("long double is no wider than float64 here")
         table = ss.build_unsat_table(ss.generate_planted_3sat(22, 110, 1))
-        classes = ss.PhaseProfile.from_histogram(table.m, table.histogram)
+        classes = ss.PhaseProfile.from_table(table)
         q_max = 2 * ss.spectral_summary(table).q_m
         curve = ss.success_curve(classes, q_max)
         reference = full_vector_curve(full_vector_states(classes, q_max, np.clongdouble), 0)

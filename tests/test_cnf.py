@@ -284,7 +284,9 @@ class TestUnsatTable:
                         ss.cnf.satisfying_assignments(wide)
         assert walked == []
         n = ss.cnf.MAX_ENUMERATION_N
-        assert ss.build_unsat_table(ss.parse_dimacs(f"p cnf {n} 1\n1 0\n")).solutions == []
+        # the stub blocks count no assignment, so the table they sum to is refused where it is made
+        with pytest.raises(ss.InstanceError, match="empty search domain"):
+            ss.build_unsat_table(ss.parse_dimacs(f"p cnf {n} 1\n1 0\n"))
         assert walked == [n]  # one set of clause tables for every worker
         # one unit clause per variable, x_k true for odd k and false for even k
         units = "".join(f"{k if k % 2 else -k} 0\n" for k in range(1, n + 1))
@@ -495,11 +497,38 @@ class TestUnsatTable:
         multi = ss.build_unsat_table(ss.parse_dimacs("p cnf 2 1\n1 2 0\n"))
         with pytest.raises(ss.InstanceError, match="found 3"):
             multi.unique_solution()
-        # one solution counted and none listed: a hand-built table may say so
-        listless = ss.UnsatTable(3, 1, np.array([1, 7]), [])
-        for read in (listless.unique_solution, lambda: ss.spectral_summary(listless), lambda: ss.spectrum(listless)):
-            with pytest.raises(ss.InstanceError, match="one satisfying assignment counted but 0 listed"):
-                read()
+        # one solution counted and none listed: no table says so, so no reader meets it
+        with pytest.raises(ss.InstanceError, match="min\\(N_0, 2\\) of N_0 = 1, got 0"):
+            ss.UnsatTable(3, 1, np.array([1, 7]), [])
+
+    @pytest.mark.parametrize(
+        "n, m, histogram, solutions, message",
+        [
+            (2, 2, [1, 1, 1, 1], [0], "m\\+1 = 3 bins, got 4"),
+            (1, 1, [1, 5], [0], "N = 6 assignments, more than 2\\*\\*n"),
+            (2, 1, [1, 3], [7], "in \\[0, 2\\*\\*2\\)"),
+            (2, 1, [1, 3], [-1], "in \\[0, 2\\*\\*2\\)"),
+            (2, 2, [2, -1, 3], [0, 1], ">= 0"),
+            (2, 1, [0, 0], [], "empty search domain"),
+            (2, 1, [2, 2], [3, 1], "strictly increasing"),
+            (2, 1, [2, 2], [1, 1], "strictly increasing"),
+            (2, 1, [2, 2], [1], "min\\(N_0, 2\\) of N_0 = 2, got 1"),
+            (2, 1, [1, 3], [0, 1], "min\\(N_0, 2\\) of N_0 = 1, got 2"),
+            (2, 1, [3, 1], [0, 1, 2], "min\\(N_0, 2\\) of N_0 = 3, got 3"),
+            (2, 1, [0, 4], [0], "min\\(N_0, 2\\) of N_0 = 0, got 1"),
+            (2, 1, [1.5, 2.5], [0], "integers"),
+            (1, 0, [2], [0, 1], "m must be >= 1"),
+        ],
+        ids=[
+            "bins-beyond-m", "more-than-2**n", "solution-beyond-2**n", "negative-solution", "negative-bin",
+            "empty", "out-of-order", "repeated", "too-few", "too-many", "more-than-two", "unsatisfiable-listed",
+            "non-integer", "no-clause",
+        ],
+    )
+    def test_refused_where_made(self, n, m, histogram, solutions, message):
+        """An inconsistent table never exists: each check raises InstanceError, a ValueError, in the constructor."""
+        with pytest.raises(ss.InstanceError, match=message):
+            ss.UnsatTable(n, m, histogram, solutions)
 
 
 class TestEnumerationWorkers:

@@ -124,7 +124,7 @@ class TestSuccessCurve:
 
     def test_marginal_equals_overlap(self, planted14):
         formula, table, summary = planted14
-        curve = ss.success_curve(ss.PhaseProfile.from_histogram(table.m, table.histogram), 50)
+        curve = ss.success_curve(ss.PhaseProfile.from_table(table), 50)
         assert curve[:, 1].tobytes() == curve[:, 2].tobytes()
         assert np.all((curve[:, 1:] >= -1e-15) & (curve[:, 1:] <= 1 + 1e-15))
 
@@ -134,7 +134,7 @@ class TestSuccessCurve:
 
     def test_read_out_rounds_as_numpy_scalars(self):
         """On random real amplitudes, the array read-out is 2a**2 on numpy scalars, bit for bit."""
-        classes = ss.PhaseProfile.from_histogram(2, [3, 4, 1])
+        classes = ss.PhaseProfile(2, [0, 1, 2], [3, 4, 1])
         rng = np.random.default_rng(5)
         amplitudes = rng.normal(size=20000)
         amplitudes[:3] = [0.0, -1e-170, 1e-170]  # zero, and squares below the smallest subnormal
@@ -202,7 +202,7 @@ class TestRunSweep:
     def test_sinusoid_fit_invariant(self, planted14):
         formula, table, summary = planted14
         assert summary.validity_ratio <= 0.05
-        classes = ss.PhaseProfile.from_histogram(table.m, table.histogram)
+        classes = ss.PhaseProfile.from_table(table)
         curve = ss.success_curve(classes, 2 * summary.q_m)
         a, omega = sin_squared_fit(curve, summary.lambda_pm)
         assert omega == pytest.approx(summary.lambda_pm, rel=0.10)
@@ -296,7 +296,7 @@ class TestCurveGuard:
         pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}  # 1 MiB of physical memory
         monkeypatch.setattr(ss.cnf.os, "sysconf", pages.__getitem__)
         rows = (1 << 20) // ss.experiment.CURVE_ROW_BYTES
-        classes = ss.PhaseProfile.from_histogram(2, [1, 2, 1])
+        classes = ss.PhaseProfile(2, [0, 1, 2], [1, 2, 1])
         assert ss.success_curve(classes, rows - 1).shape == (rows, 3)
         assert ss.run_grover_baseline(4, rows - 1).shape == (rows, 2)
         refused = f"{rows + 1} curve rows exceed the {rows} that fit"
@@ -341,7 +341,7 @@ class TestSampling:
             ss.repeat_until_success_stats(planted_table(8, 10, 0), trials=0, rng_seed=0)
 
     def test_trials_beyond_c_long(self):
-        classes = ss.PhaseProfile.from_histogram(2, [1, 2, 1])
+        classes = ss.PhaseProfile(2, [0, 1, 2], [1, 2, 1])
         with pytest.raises(ValueError, match=r"2\*\*63"):
             ss.measurement_success_rate(classes, 1, 1 << 63, 0)
         with pytest.raises(ValueError, match=r"2\*\*63"):
@@ -384,7 +384,7 @@ class TestSampling:
 
     def test_memory_independent_of_n(self):
         table = ss.build_unsat_table(ss.generate_planted_3sat(16, 80, seed=3))
-        classes = ss.PhaseProfile.from_histogram(table.m, table.histogram)
+        classes = ss.PhaseProfile.from_table(table)
         peak = traced_peak(lambda: ss.measurement_success_rate(classes, 50, 1000, 0))
         assert peak < 64 * 1024
 
@@ -491,7 +491,7 @@ class TestBinomialDraw:
         for p in (0.0, 0.5):
             with pytest.raises(ValueError, match="seed"):
                 _binomial(10, p, -1)
-        classes = ss.PhaseProfile.from_histogram(2, [1, 2, 1])
+        classes = ss.PhaseProfile(2, [0, 1, 2], [1, 2, 1])
         with pytest.raises(ValueError, match="seed"):
             ss.measurement_success_rate(classes, 1, 100, -1)
 

@@ -17,7 +17,7 @@ PUBLIC = [
     "FormulaError", "GuardError", "InstanceError", "PhaseProfile", "RunConfig", "RunReport",
     "SpectralSummary", "UnsatTable", "build_unsat_table",
     "generate_planted_3sat", "generate_planted_block3sat", "generate_planted_chain",
-    "grover_optimal_steps", "lambda2_from_histogram", "measurement_success_rate",
+    "grover_optimal_steps", "lambda2", "measurement_success_rate",
     "parse_dimacs", "read_dimacs", "repeat_until_success_stats", "run_grover_baseline",
     "run_sweep", "search_step", "serialize_dimacs", "spectral_summary", "spectrum",
     "state_after", "state_snapshot", "success_curve",
@@ -30,6 +30,9 @@ PARAMETERS = {
     "cnf.satisfying_assignments": ["formula"],
     "generate_planted_3sat": ["n", "m", "seed"],
     "spectral.class_phases": ["m", "u"],
+    "spectral.histogram_classes": ["table"],
+    "spectral.lambda2": ["table"],
+    "PhaseProfile.from_table": ["table"],
 }
 RUN_CONFIG_FIELDS = ["formula_path", "q_max", "include_grover", "grover_steps"]
 

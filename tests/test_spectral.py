@@ -26,37 +26,42 @@ def direct_lambda2(formula):
 class TestLambda2:
     def test_toy_hand_value(self, toy_table):
         # (1/4) * (2*cot^2(pi/4) + 1*cot^2(pi/2)) = 0.5
-        assert ss.lambda2_from_histogram(toy_table.histogram, 2) == pytest.approx(0.5, abs=1e-12)
+        assert ss.lambda2(toy_table) == pytest.approx(0.5, abs=1e-12)
 
     def test_matches_direct_sum_oracle(self):
         formula = ss.generate_planted_3sat(14, 40, seed=6)
         table = ss.build_unsat_table(formula)
-        histogram_value = ss.lambda2_from_histogram(table.histogram, table.m)
+        histogram_value = ss.lambda2(table)
         assert histogram_value == pytest.approx(direct_lambda2(formula), abs=1e-10)
 
     def test_defined_for_multi_solution_histograms(self):
         table = ss.build_unsat_table(ss.parse_dimacs("p cnf 2 1\n1 2 0\n"))
         assert table.histogram[0] == 3
-        assert ss.lambda2_from_histogram(table.histogram, table.m) == pytest.approx(0.0, abs=1e-30)
+        assert ss.lambda2(table) == pytest.approx(0.0, abs=1e-30)
 
+    # lambda2 reads only checked tables: a bad histogram is refused where the table is made
     def test_histogram_width_checked(self):
-        with pytest.raises(ValueError, match="bins"):
-            ss.lambda2_from_histogram([1, 2, 1], 3)
+        with pytest.raises(ss.InstanceError, match="bins"):
+            ss.UnsatTable(2, 3, [1, 2, 1], [3])
 
     @pytest.mark.parametrize(
-        "histogram, message",
-        [([0, 0, 0], "empty search domain"), ([1, -1, 0], "empty search domain"), ([2, -1, 0], ">= 0")],
+        "histogram, solutions, message",
+        [
+            ([0, 0, 0], [], "empty search domain"),
+            ([1, -1, 0], [0], "empty search domain"),
+            ([2, -1, 0], [0, 1], ">= 0"),
+        ],
         ids=["empty", "sums-to-zero", "negative"],
     )
-    def test_histogram_bins_checked(self, histogram, message):
-        with pytest.raises(ValueError, match=message):
-            ss.lambda2_from_histogram(histogram, 2)
+    def test_histogram_bins_checked(self, histogram, solutions, message):
+        with pytest.raises(ss.InstanceError, match=message):
+            ss.UnsatTable(2, 2, histogram, solutions)
 
     def test_all_max_violations_vanish(self):
         # every non-solution violates all clauses -> cot^2(pi/2) terms only
         hist = np.zeros(5, dtype=np.int64)
         hist[0], hist[4] = 1, 63
-        assert ss.lambda2_from_histogram(hist, 4) < 1e-30
+        assert ss.lambda2(ss.UnsatTable(6, 4, hist, [0])) < 1e-30
 
 
 class TestClassPhases:
@@ -73,7 +78,7 @@ class TestCotangentSum:
         assert ss.spectral_summary(toy_table).lambda1 == 0.0
 
     def test_p2_delegates_to_histogram(self, toy_table):
-        lam2 = ss.lambda2_from_histogram(toy_table.histogram, 2)
+        lam2 = ss.lambda2(toy_table)
         assert ss.spectral_summary(toy_table).lambda2 == lam2
 
     def test_requires_unique_solution(self):
@@ -228,11 +233,9 @@ class TestDenseEigencheck:
             dense_eigencheck(profile_for(formula))
 
     def test_histogram_width_checked(self):
-        # a class u = 3 > m would get the phase 3*pi/2; the summary rejects the same table
-        table = ss.UnsatTable(2, 2, np.array([1, 1, 1, 1]), [0])
-        for read in (ss.spectrum, ss.spectral_summary):
-            with pytest.raises(ValueError, match="m\\+1 = 3 bins, got 4"):
-                read(table)
+        # a class u = 3 > m would get the phase 3*pi/2: no such table is made for spectrum or the summary to read
+        with pytest.raises(ss.InstanceError, match="m\\+1 = 3 bins, got 4"):
+            ss.UnsatTable(2, 2, np.array([1, 1, 1, 1]), [0])
 
 
 def secular_root_50_digits(table):

@@ -187,7 +187,7 @@ class TestSearchStep:
     def test_solution_amplitude_stays_real_planted_n22(self):
         """The same over the full 2*q_m = 19064 steps of ``gen -n 22 -m 110 --seed 1``."""
         table = ss.build_unsat_table(ss.generate_planted_3sat(22, 110, 1))
-        classes = ss.PhaseProfile.from_histogram(table.m, table.histogram)
+        classes = ss.PhaseProfile.from_table(table)
         q_max = 2 * ss.spectral_summary(table).q_m
         assert q_max == 19064
         assert_solution_amplitude_real(classes, q_max)
@@ -234,7 +234,7 @@ class TestMeasureDistribution:
 class TestSnapshot:
     def test_matches_per_element_formula(self, planted14):
         _, table, _ = planted14
-        classes = ss.PhaseProfile.from_histogram(table.m, table.histogram)
+        classes = ss.PhaseProfile.from_table(table)
         state = half_state(classes.size, seed=21)
         full = two_branch(state)
         expected = [
@@ -252,13 +252,13 @@ class TestSnapshot:
         assert sum(re * re + im * im for _, re, im in rows) == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_state_of_other_classes(self):
-        classes = ss.PhaseProfile.from_histogram(2, [1, 2, 1])
+        classes = ss.PhaseProfile(2, [0, 1, 2], [1, 2, 1])
         with pytest.raises(ValueError, match="state has 6 amplitudes, expected 3"):
             ss.state_snapshot(classes, np.zeros(6, dtype=complex))  # both branches
 
     def test_lifted_planted_state(self, planted14):
         formula, table, summary = planted14
-        classes = ss.PhaseProfile.from_histogram(table.m, table.histogram)
+        classes = ss.PhaseProfile.from_table(table)
         state = ss.state_after(classes, 2 * summary.q_m)
         snapshot = json.loads(json.dumps(ss.state_snapshot(classes, state)))
         lifted = lift(profile_for(formula), state)
